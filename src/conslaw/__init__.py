@@ -30,7 +30,6 @@ from .opcore import (
     op_add,
     op_commutator,
     op_compose,
-    symbol_eval,
     zero_operator,
 )
 from .spectral import (
@@ -86,7 +85,6 @@ __all__ = [
     "parse_operator",
     "propagate",
     "semi_conjugacy_solve",
-    "symbol_eval",
     "to_evolution_form",
     "transpose_adjoint",
     "verify_symmetry",

@@ -29,7 +29,7 @@ def _cmd_adjoint(args):
     print(f"adjoint  : {format_operator(Ls)}")
     print(f"class    : {classify_adjointness(L)}")
     try:
-        pair = semi_conjugacy_solve(L, seed=args.seed)
+        pair = semi_conjugacy_solve(L, seed=args.seed or 0)
     except SemiConjugacyNotFound as exc:
         print(f"conjugating pair: not found ({exc})")
         return 1
@@ -45,8 +45,9 @@ def _cmd_conjugacy(args):
     from .catalog import build_operator
 
     L = build_operator(args.operator)
+    seed = args.seed or 0
     try:
-        pair = semi_conjugacy_solve(L, seed=args.seed)
+        pair = semi_conjugacy_solve(L, seed=seed)
     except SemiConjugacyNotFound as exc:
         print(f"not found: {exc}")
         return 1
@@ -57,7 +58,7 @@ def _cmd_conjugacy(args):
         "symbol_identity_residual": fact.symbol_residual,
         "A1": [[str(x) for x in row] for row in pair.A1],
         "A2": [[str(x) for x in row] for row in pair.A2],
-        "seed": args.seed,
+        "seed": seed,
     }
     _print_json(report)
     return 0
@@ -110,7 +111,7 @@ def _cmd_verify(args):
     scn = load_scenario(args.scenario)
     if args.tolerance is not None:
         scn = dataclasses.replace(scn, tolerance=args.tolerance)
-    if args.seed:
+    if args.seed is not None:
         scn = dataclasses.replace(scn, seed=args.seed)
     report = run_scenario(scn, out_dir=args.out_dir)
     _print_json(report)
@@ -122,19 +123,8 @@ def _cmd_dirac(args):
     from .scenario import _json_safe
 
     report = _json_safe(dirac_suite(fast=args.fast))
-    ok = (
-        report["clifford_relations"]["exact"]
-        and report["adjoint_conjugation_defect"] == 0.0
-        and report["spinor_identities"]["passed"]
-        and report["fock"]["anticommutator_defect"] == 0.0
-        and all(
-            v["drift"] <= 1e-8 if v["expect"] == "conserve" else v["drift"] >= 1e-2
-            for v in report["continuum"].values()
-        )
-    )
-    report["pass"] = bool(ok)
     _print_json(report)
-    return 0 if ok else 1
+    return 0 if report["pass"] else 1
 
 
 def _cmd_reproduce(args):
@@ -186,7 +176,10 @@ def main(argv=None):
         description="Conservation laws of constant-coefficient linear systems, "
         "verified by exact spectral evolution.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="randomized-solver seed")
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="randomized-solver seed (default 0; overrides a scenario's seed)",
+    )
     parser.add_argument("--out-dir", default=None, help="directory for CSV/JSON output")
     parser.add_argument("--jobs", type=int, default=1, help="parallel scenarios (reproduce-all)")
     sub = parser.add_subparsers(dest="command", required=True)

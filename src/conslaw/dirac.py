@@ -33,13 +33,12 @@ __all__ = [
     "check_discrete_algebra",
     "spinor_suite",
     "fock_suite",
-    "continuum_suite",
     "angular_momentum_series",
     "dirac_suite",
 ]
 
 
-def discrete_generators(rep=None, s=0.0):
+def discrete_generators(s=0.0):
     """The seven reflection/conjugation generators Gamma0..Gamma6."""
     syms = named_symmetries()
     names = [f"dirac.Gamma{i}" for i in range(7)]
@@ -102,7 +101,7 @@ def _classify_pair(ga, gb, probes, tol):
     return {"type": "scalar", "value": val.real if abs(val.imag) < tol else val}
 
 
-def check_discrete_algebra(rep=None, s=0.0, tol=1e-10, seed=5):
+def check_discrete_algebra(s=0.0, tol=1e-10, seed=5):
     """Measure every pair bracket of the discrete generators.
 
     Returns a report with one entry per unordered pair, the realized
@@ -110,8 +109,7 @@ def check_discrete_algebra(rep=None, s=0.0, tol=1e-10, seed=5):
     value of the conjugation-block diagonal, and a list of pairs that
     anticommute/commute/neither.
     """
-    rep = rep or gm.dirac_representation()
-    gens = discrete_generators(rep, s=s)
+    gens = discrete_generators(s=s)
     rng = np.random.default_rng(seed)
     lam = complex(rng.standard_normal(), rng.standard_normal())
     k = tuple(float(x) for x in rng.integers(1, 4, size=3))
@@ -259,46 +257,6 @@ def _pair_form(sys):
 # -- continuum drifts ---------------------------------------------------------
 
 
-def _dirac_pipeline(L, grid, seed, amp_cap=1e8):
-    from .catalog import build_profile
-
-    system = to_evolution_form(L, grid, amp_cap=amp_cap)
-    coeffs = build_profile(f"random(seed={seed}, kmax=2, real=False)", grid, 4)
-    traj = Trajectory(system, coeffs)
-    pair = semi_conjugacy_solve(L)
-    fact = adjoint_factorization(L, pair)
-    flux = concomitant_flux(L)
-    return traj, fact, flux
-
-
-def continuum_suite(mass=1.0, modes=8, length=8.0, seed=23, ntimes=9, span=1.0):
-    """Drift of charge, reflected charge, CPT charge and a negative control.
-
-    Runs on an ``modes^3`` torus with exact propagation; all reflected time
-    evaluations stay on the (reversible) flow, so no amplification occurs.
-    """
-    from .catalog import build_symmetry
-
-    rep = gm.dirac_representation()
-    L = dirac_operator(mass, rep)
-    grid = TorusGrid((length,) * 3, (modes,) * 3)
-    traj, fact, flux = _dirac_pipeline(L, grid, seed)
-    times = np.linspace(0.05 * span, span, ntimes)
-    out = {}
-    for label, spec, expect in (
-        ("charge", "identity", "conserve"),
-        ("reflected_charge", "dirac.Gamma0(s=0)", "conserve"),
-        ("cpt_charge", "dirac.cpt", "conserve"),
-        ("no_chirality_control", "dirac.bad_time_reflection", "drift"),
-    ):
-        gen = build_symmetry(spec)
-        char = adjoint_characteristic(L, fact, gen)
-        qview = characteristic_view(char, traj, s=0.0)
-        series = kappa_series(flux, qview, traj, times)
-        out[label] = {"drift": series.drift, "expect": expect}
-    return out
-
-
 def angular_momentum_series(
     mass=1.0, modes=64, length=16.0, width=1.0, seed=3, ntimes=7, span=0.5,
     support_tol=1e-10,
@@ -337,8 +295,19 @@ def angular_momentum_series(
     return out
 
 
+# the reproductions whose verdicts the suite embeds; the last one is slow
+_SUITE_REPRODUCTIONS = ("dirac-charges", "dirac-cpt", "dirac-discrete", "dirac-angular-momentum")
+
+
 def dirac_suite(fast=False):
-    """The full identity + Fock + continuum report (JSON-able)."""
+    """Representation checks plus the embedded Dirac reproductions (JSON-able).
+
+    ``pass`` is the AND of the Clifford relations, the adjoint conjugation,
+    the spinor identities and every embedded reproduction's own ``pass``;
+    ``fast`` leaves out the angular-momentum reproduction.
+    """
+    from .scenario import reproduce
+
     rep = gm.dirac_representation()
     report = {}
     try:
@@ -353,9 +322,12 @@ def dirac_suite(fast=False):
         adj = max(adj, float(np.max(np.abs(g.conj().T - g0 @ g @ g0))))
     report["adjoint_conjugation_defect"] = adj
     report["spinor_identities"] = spinor_suite(ndraws=20 if fast else 100)
-    report["discrete_algebra"] = check_discrete_algebra(rep)
-    report["fock"] = fock_suite()
-    report["continuum"] = continuum_suite(modes=8)
-    if not fast:
-        report["angular_momentum"] = angular_momentum_series()
+    names = _SUITE_REPRODUCTIONS[:-1] if fast else _SUITE_REPRODUCTIONS
+    report["reproductions"] = {name: reproduce(name) for name in names}
+    report["pass"] = bool(
+        report["clifford_relations"]["exact"]
+        and adj == 0.0
+        and report["spinor_identities"]["passed"]
+        and all(r["pass"] for r in report["reproductions"].values())
+    )
     return report

@@ -22,7 +22,6 @@ __all__ = [
     "op_add",
     "op_compose",
     "op_commutator",
-    "symbol_eval",
     "identity_operator",
     "zero_operator",
 ]
@@ -273,8 +272,3 @@ def op_commutator(L, G):
     if not (L.is_square() and G.is_square() and L.shape == G.shape):
         raise ValueError("commutator needs two square operators of equal shape")
     return op_compose(L, G) - op_compose(G, L)
-
-
-def symbol_eval(L, k):
-    """Functional form of :meth:`ConstCoeffOperator.symbol`."""
-    return L.symbol(k)

@@ -19,6 +19,10 @@ per-symmetry expectations (``expect=conserve`` by default).  ``grid`` takes
 (spherical cutoff) and ``dims``.  The pipeline per symmetry is: factorize the
 adjoint, build the bilinear current, build the characteristic, propagate
 exactly, integrate the density, and measure drift.
+
+The scenario files of the built-in reproductions ship with the package in
+``conslaw/scenarios/`` and are read when a reproduction runs, not at import;
+each reproduction's ``pass`` field is its one verdict.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -284,126 +290,11 @@ def run_scenario(scn, out_dir=None, write_csv=True):
 
 # -- canned reproductions ------------------------------------------------------
 
-_TWO_PI = 6.283185307179586
 
-
-def _scn_wave_energy():
-    return parse_scenario(
-        f"""
-name = wave_energy
-operator = wave(dim=1)
-grid = modes:256 length:{_TWO_PI}
-profile = random(seed=7, kmax=40)
-times = linspace(0.0, 1.0, 21)
-s = 1.0
-seed = 1234
-tolerance = 1e-10
-certifies = time-translation energy of the 1D wave equation is constant
-symmetry = wave.time_translation
-"""
-    )
-
-
-def _scn_kdvkdv_quadratic():
-    return parse_scenario(
-        f"""
-name = kdvkdv_quadratic
-operator = kdvkdv
-grid = modes:256 length:{_TWO_PI}
-profile = random(seed=42, kmax=24)
-times = linspace(0.1, 0.9, 17)
-s = 1.0
-seed = 42
-tolerance = 1e-10
-certifies = quadratic, cross, constant-shift and reflected charges of the coupled KdV pair
-symmetry = kdvkdv.identity
-symmetry = kdvkdv.swap
-symmetry = kdvkdv.shift_u
-symmetry = kdvkdv.shift_v
-symmetry = kdvkdv.Gamma_s
-"""
-    )
-
-
-def _scn_kdvkdv_affine():
-    # joint support budget: spatial tails reach 1e-10 at 6.8*width, spectral
-    # content above 1e-10 sits below k ~ 6.8/width and travels at group speed
-    # 3k^2 - 1; width 3.4 on a 96-box keeps everything 12+ units off the edge
-    return parse_scenario(
-        """
-name = kdvkdv_affine
-operator = kdvkdv
-grid = modes:256 length:96.0
-profile = gaussian(width=3.4, comp=0, center=3.0) + gaussian(width=3.4, comp=1, center=-3.0, amp=0.8)
-times = linspace(0.05, 0.8, 11)
-s = 1.0
-seed = 42
-tolerance = 1e-8
-certifies = time- and position-weighted affine charges of the coupled KdV pair
-symmetry = kdvkdv.shift_linear_a
-symmetry = kdvkdv.shift_linear_b
-"""
-    )
-
-
-def _scn_heat_es():
-    return parse_scenario(
-        """
-name = heat_es
-operator = heat(dim=1)
-grid = modes:256 length:32.0 kmax:3.7
-profile = gaussian(width=2.0)
-times = linspace(0.1, 0.9, 17)
-s = 1.0
-seed = 7
-tolerance = 1e-8
-amp_cap = 1e6
-certifies = two-time product integral of the heat flow is constant on (0, s)
-symmetry = heat.s_reflection
-symmetry = heat.space_reflection
-"""
-    )
-
-
-def _scn_heat_negative():
-    # with s = 0 the pipeline's reflected characteristic for the bare time
-    # reversal is Q = u(t, -x), which solves neither the flow nor its
-    # adjoint: the drift detector must flag it
-    return parse_scenario(
-        """
-name = heat_negative_control
-operator = heat(dim=1)
-grid = modes:256 length:6.283185307179586
-profile = random(seed=5, kmax=6)
-times = linspace(0.1, 0.9, 9)
-s = 0.0
-seed = 5
-tolerance = 1e-8
-certifies = bare time reversal is not a heat symmetry; its functional drifts
-symmetry = heat.time_reversal expect=drift min_drift=1e-2
-"""
-    )
-
-
-def _scn_dirac_charges():
-    return parse_scenario(
-        """
-name = dirac_charges
-operator = dirac(m=1.0)
-grid = modes:8 length:8.0,8.0,8.0
-profile = random(seed=23, kmax=2, real=False)
-times = linspace(0.05, 1.0, 9)
-s = 0.0
-seed = 23
-tolerance = 1e-10
-amp_cap = 1e8
-certifies = probability, reflected and CPT charges of the spin-1/2 flow
-symmetry = identity
-symmetry = dirac.Gamma0 tolerance=1e-8
-symmetry = dirac.cpt tolerance=1e-8
-symmetry = dirac.bad_time_reflection expect=drift min_drift=1e-2
-"""
-    )
+def _packaged_scenario(stem):
+    """Parse ``<stem>.scn`` from the scenario files shipped in the package."""
+    path = resources.files(__package__) / "scenarios" / f"{stem}.scn"
+    return parse_scenario(path.read_text(), name=stem)
 
 
 @dataclass(frozen=True)
@@ -415,8 +306,8 @@ class Reproduction:
 
 
 def _report_kdvkdv_all():
-    quad = run_scenario(_scn_kdvkdv_quadratic(), out_dir=None, write_csv=False)
-    aff = run_scenario(_scn_kdvkdv_affine(), out_dir=None, write_csv=False)
+    quad = run_scenario(_packaged_scenario("kdvkdv_quadratic"), out_dir=None, write_csv=False)
+    aff = run_scenario(_packaged_scenario("kdvkdv_affine"), out_dir=None, write_csv=False)
     return {
         "results": quad["results"] + aff["results"],
         "pass": bool(quad["pass"] and aff["pass"]),
@@ -477,7 +368,7 @@ def _report_heat_es_oracle():
     profile = lambda y: np.exp(-(y**2) / (2.0 * 2.0**2))
     values, quad_err = heat_flow_product_oracle(profile, s, [s / 4, s / 2, 3 * s / 4])
     spread = float(np.max(np.abs(values - values[0])) / abs(values[0]))
-    tor = run_scenario(_scn_heat_es(), out_dir=None, write_csv=False)
+    tor = run_scenario(_packaged_scenario("heat_es"), out_dir=None, write_csv=False)
     torus_kappa = tor["results"][0]["kappa0"]["re"]
     report = {
         "oracle_values": list(values),
@@ -530,7 +421,7 @@ def reproductions():
         Reproduction(
             "wave-energy", "scenario",
             "energy of the scalar wave flow from the time-translation generator",
-            _scn_wave_energy,
+            partial(_packaged_scenario, "wave_energy"),
         ),
         Reproduction(
             "kdvkdv-all", "report",
@@ -545,7 +436,7 @@ def reproductions():
         Reproduction(
             "heat-negative-control", "scenario",
             "bare time reversal fails: the drift detector has power",
-            _scn_heat_negative,
+            partial(_packaged_scenario, "heat_negative_control"),
         ),
         Reproduction(
             "jordan-2x2", "report",
@@ -560,7 +451,7 @@ def reproductions():
         Reproduction(
             "dirac-charges", "scenario",
             "probability, reflected and CPT charges with a chirality-off control",
-            _scn_dirac_charges,
+            partial(_packaged_scenario, "dirac_charges"),
         ),
         Reproduction(
             "dirac-cpt", "report",

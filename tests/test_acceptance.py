@@ -5,6 +5,7 @@ lines; every tolerance is pinned here.
 """
 
 import time
+from importlib import resources
 
 import numpy as np
 
@@ -245,7 +246,7 @@ def test_criterion_9_fock_suite():
 
 
 def test_criterion_10_determinism(tmp_path):
-    scn = load_scenario("scenarios/dirac_charges.scn")
+    scn = load_scenario(resources.files("conslaw") / "scenarios" / "dirac_charges.scn")
     run_scenario(scn, out_dir=tmp_path / "a")
     run_scenario(scn, out_dir=tmp_path / "b")
     ja = (tmp_path / "a" / "dirac_charges.json").read_bytes()

@@ -7,7 +7,6 @@ from conslaw.current import adjoint_characteristic, concomitant_flux
 from conslaw.dirac import (
     angular_momentum_series,
     check_discrete_algebra,
-    continuum_suite,
     fock_suite,
     spinor_suite,
 )
@@ -75,14 +74,6 @@ def test_fock_suite_summary():
     assert rep["cpt_quantization_defect"] < 1e-12
     assert rep["cpt_quantization_unit_modulus"] < 1e-12
     assert rep["reflection_quantization_time_drift"] < 1e-12
-
-
-def test_continuum_drifts():
-    rep = continuum_suite(modes=8)
-    assert rep["charge"]["drift"] <= 1e-10
-    assert rep["reflected_charge"]["drift"] <= 1e-8
-    assert rep["cpt_charge"]["drift"] <= 1e-8
-    assert rep["no_chirality_control"]["drift"] >= 1e-2
 
 
 def test_single_plane_wave_reflected_charge_constant():

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from conslaw import scenario
 from conslaw.cli import main
 from conslaw.scenario import (
     ScenarioError,
@@ -16,7 +18,7 @@ from conslaw.scenario import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-SCENARIOS = ROOT / "scenarios"
+SCENARIOS = resources.files("conslaw") / "scenarios"
 
 
 def test_parse_scenario_rejects_malformed():
@@ -35,14 +37,29 @@ def test_parse_scenario_rejects_malformed():
         )
 
 
+def _shipped():
+    return sorted(p for p in SCENARIOS.iterdir() if p.name.endswith(".scn"))
+
+
+def test_package_ships_exactly_the_six_scenarios():
+    assert [p.name for p in _shipped()] == [
+        "dirac_charges.scn",
+        "heat_es.scn",
+        "heat_negative_control.scn",
+        "kdvkdv_affine.scn",
+        "kdvkdv_quadratic.scn",
+        "wave_energy.scn",
+    ]
+
+
 def test_shipped_scenarios_parse():
-    for path in sorted(SCENARIOS.glob("*.scn")):
+    for path in _shipped():
         scn = load_scenario(path)
         assert scn.symmetries
 
 
 def test_shipped_scenarios_pass_from_disk():
-    for path in sorted(SCENARIOS.glob("*.scn")):
+    for path in _shipped():
         report = run_scenario(load_scenario(path), write_csv=False)
         assert report["pass"], (path.name, report["results"])
 
@@ -88,6 +105,40 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     report = json.loads(out)
     assert report["pass"]
+
+
+def test_cli_seed_zero_overrides_scenario_seed(capsys):
+    rc = main(["--seed", "0", "verify", str(SCENARIOS / "wave_energy.scn")])
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 0  # the file says 1234
+    assert rc == 0
+
+
+def test_cli_seed_defaults(capsys):
+    assert main(["verify", str(SCENARIOS / "wave_energy.scn")]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1234
+    assert main(["conjugacy", "heat(dim=1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
+def test_cli_dirac_verdict_is_and_of_embedded_reports(capsys):
+    rc = main(["dirac", "--fast"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert sorted(report["reproductions"]) == ["dirac-charges", "dirac-cpt", "dirac-discrete"]
+    assert report["pass"] == all(r["pass"] for r in report["reproductions"].values())
+    assert report["pass"] is True
+
+
+def test_cli_dirac_fails_when_an_embedded_report_fails(monkeypatch, capsys):
+    real = scenario._report_fock
+    monkeypatch.setattr(scenario, "_report_fock", lambda: {**real(), "pass": False})
+    rc = main(["dirac", "--fast"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert report["pass"] is False
+    assert report["reproductions"]["dirac-cpt"]["pass"] is False
+    assert report["reproductions"]["dirac-charges"]["pass"] is True
 
 
 def test_cli_parse_error_reports_position(capsys):
