@@ -33,13 +33,12 @@ from .opcore import (
     zero_operator,
 )
 from .spectral import (
+    EvolutionSystem,
     KappaSeries,
     SpectralState,
     TorusGrid,
     Trajectory,
     kappa_series,
-    propagate,
-    to_evolution_form,
 )
 from .symmetry import (
     Conjugation,
@@ -61,6 +60,7 @@ __all__ = [
     "ConjugacyPair",
     "ConstCoeffOperator",
     "DiffFactor",
+    "EvolutionSystem",
     "KappaSeries",
     "KernelShift",
     "MatrixFactor",
@@ -83,9 +83,7 @@ __all__ = [
     "op_commutator",
     "op_compose",
     "parse_operator",
-    "propagate",
     "semi_conjugacy_solve",
-    "to_evolution_form",
     "transpose_adjoint",
     "verify_symmetry",
     "zero_operator",

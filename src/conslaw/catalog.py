@@ -7,6 +7,9 @@ Catalog entries are addressable from scenario files and the CLI as
 
 from __future__ import annotations
 
+import inspect
+from functools import partial
+
 import numpy as np
 
 from . import gamma as gm
@@ -119,22 +122,22 @@ def named_operators():
 # -- symmetry generators -----------------------------------------------------
 
 
-def _identity(**kw):
+def _identity():
     return SymmetryOp((), name="identity")
 
 
-def _heat_space_reflection(dim=1, **kw):
+def _heat_space_reflection(dim=1):
     mask = (False,) + (True,) * dim
     return SymmetryOp((PointReflect(mask),), name="heat.space_reflection")
 
 
-def _heat_s_reflection(s=None, dim=1, **kw):
+def _heat_s_reflection(s=None, dim=1):
     """Direct adjoint-characteristic map u -> u(x, s - t)."""
     mask = (True,) + (False,) * dim
     return SymmetryOp((PointReflect(mask, s=s),), name="heat.s_reflection", char_map=True)
 
 
-def _heat_time_reversal(dim=1, **kw):
+def _heat_time_reversal(dim=1):
     """Bare time reversal; NOT a heat symmetry (negative control)."""
     mask = (True,) + (False,) * dim
     return SymmetryOp((PointReflect(mask, s=0.0),), name="heat.time_reversal")
@@ -145,19 +148,19 @@ def _partial(slot, nvars, name):
     return SymmetryOp((DiffFactor((((), None, alpha),)),), name=name)
 
 
-def _wave_time_translation(dim=1, **kw):
+def _wave_time_translation(dim=1):
     return _partial(0, dim + 1, "wave.time_translation")
 
 
-def _wave_space_translation(dim=1, axis=1, **kw):
+def _wave_space_translation(dim=1, axis=1):
     return _partial(int(axis), dim + 1, "wave.space_translation")
 
 
-def _kdv_swap(**kw):
+def _kdv_swap():
     return SymmetryOp((MatrixFactor([[0.0, 1.0], [1.0, 0.0]]),), name="kdvkdv.swap")
 
 
-def _kdv_gamma_s(s=None, **kw):
+def _kdv_gamma_s(s=None):
     return SymmetryOp(
         (MatrixFactor(np.diag([-1.0, 1.0])), PointReflect((True, False), s=s)),
         name="kdvkdv.Gamma_s",
@@ -171,7 +174,7 @@ def _kdv_shift(component):
     return KernelShift(w, name=f"kdvkdv.shift_{'uv'[component]}")
 
 
-def _kdv_shift_linear(variant="a", **kw):
+def _kdv_shift_linear(variant):
     # two transposed pairings of the affine kernel elements; both give
     # conserved position/time-weighted functionals
     if variant == "a":
@@ -181,46 +184,47 @@ def _kdv_shift_linear(variant="a", **kw):
     return KernelShift(polynomial_field(2, 2, polys), name=f"kdvkdv.shift_linear_{variant}")
 
 
-def _dirac_gamma_mu(mu, s=None, rep=None):
-    rep = rep or gm.dirac_representation()
+def _dirac_gamma_mu(mu, s=None):
+    """gamma4 gamma_mu with the reflection of slot mu; ``s`` only for mu = 0."""
+    rep = gm.dirac_representation()
     mask = tuple(j == mu for j in range(4))
     mat = rep.gamma4 @ rep.gamma_lower(mu)
     return SymmetryOp(
-        (MatrixFactor(mat), PointReflect(mask, s=s if mu == 0 else None)),
+        (MatrixFactor(mat), PointReflect(mask, s=s)),
         name=f"dirac.Gamma{mu}",
     )
 
 
-def _dirac_gamma4(s=None, rep=None, **kw):
-    rep = rep or gm.dirac_representation()
+def _dirac_gamma4(s=None):
+    rep = gm.dirac_representation()
     return SymmetryOp(
         (MatrixFactor(1j * rep.gamma4), PointReflect((True,) * 4, s=s)),
         name="dirac.Gamma4",
     )
 
 
-def _dirac_gamma5(rep=None, **kw):
-    rep = rep or gm.dirac_representation()
+def _dirac_gamma5():
+    rep = gm.dirac_representation()
     return SymmetryOp(
         (MatrixFactor(1j * rep.gamma_lower(2)), Conjugation()), name="dirac.Gamma5"
     )
 
 
-def _dirac_gamma6(rep=None, **kw):
-    rep = rep or gm.dirac_representation()
+def _dirac_gamma6():
+    rep = gm.dirac_representation()
     return SymmetryOp(
         (MatrixFactor(-rep.gamma_lower(2)), Conjugation()), name="dirac.Gamma6"
     )
 
 
-def _dirac_cpt(s=None, rep=None, **kw):
-    g = _dirac_gamma4(s=s, rep=rep) @ _dirac_gamma5(rep=rep)
+def _dirac_cpt(s=None):
+    g = _dirac_gamma4(s=s) @ _dirac_gamma5()
     return SymmetryOp(g.factors, name="dirac.cpt")
 
 
-def _dirac_bad_time_reflection(s=None, rep=None, **kw):
+def _dirac_bad_time_reflection(s=None):
     """Gamma0 with the chirality factor omitted; NOT a symmetry."""
-    rep = rep or gm.dirac_representation()
+    rep = gm.dirac_representation()
     return SymmetryOp(
         (MatrixFactor(rep.gamma_lower(0)), PointReflect((True, False, False, False), s=s)),
         name="dirac.bad_time_reflection",
@@ -230,9 +234,8 @@ def _dirac_bad_time_reflection(s=None, rep=None, **kw):
 _CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
-def _dirac_rotation(axis=3, rep=None, **kw):
-    rep = rep or gm.dirac_representation()
-    axis = int(axis)
+def _dirac_rotation(axis):
+    rep = gm.dirac_representation()
     j, k = _CYCLIC[axis]
     eye = np.eye(4)
     ej = tuple(1 if d == j else 0 for d in range(4))
@@ -245,8 +248,7 @@ def _dirac_rotation(axis=3, rep=None, **kw):
     return SymmetryOp((DiffFactor(terms),), name=f"dirac.rotation_{'xyz'[axis - 1]}")
 
 
-def _dirac_translation(mu=0, **kw):
-    mu = int(mu)
+def _dirac_translation(mu):
     alpha = tuple(1 if d == mu else 0 for d in range(4))
     return SymmetryOp(
         (DiffFactor((((), -1j * np.eye(4), alpha),)),), name=f"dirac.translation_{mu}"
@@ -264,31 +266,31 @@ def named_symmetries():
         "kdvkdv.identity": _identity,
         "kdvkdv.swap": _kdv_swap,
         "kdvkdv.Gamma_s": _kdv_gamma_s,
-        "kdvkdv.shift_u": lambda **kw: _kdv_shift(0),
-        "kdvkdv.shift_v": lambda **kw: _kdv_shift(1),
-        "kdvkdv.shift_linear_a": lambda **kw: _kdv_shift_linear("a"),
-        "kdvkdv.shift_linear_b": lambda **kw: _kdv_shift_linear("b"),
-        "dirac.Gamma0": lambda s=None, **kw: _dirac_gamma_mu(0, s=s),
-        "dirac.Gamma1": lambda **kw: _dirac_gamma_mu(1),
-        "dirac.Gamma2": lambda **kw: _dirac_gamma_mu(2),
-        "dirac.Gamma3": lambda **kw: _dirac_gamma_mu(3),
+        "kdvkdv.shift_u": partial(_kdv_shift, 0),
+        "kdvkdv.shift_v": partial(_kdv_shift, 1),
+        "kdvkdv.shift_linear_a": partial(_kdv_shift_linear, "a"),
+        "kdvkdv.shift_linear_b": partial(_kdv_shift_linear, "b"),
+        "dirac.Gamma0": partial(_dirac_gamma_mu, 0),
+        "dirac.Gamma1": partial(_dirac_gamma_mu, 1, None),
+        "dirac.Gamma2": partial(_dirac_gamma_mu, 2, None),
+        "dirac.Gamma3": partial(_dirac_gamma_mu, 3, None),
         "dirac.Gamma4": _dirac_gamma4,
         "dirac.Gamma5": _dirac_gamma5,
         "dirac.Gamma6": _dirac_gamma6,
         "dirac.cpt": _dirac_cpt,
         "dirac.bad_time_reflection": _dirac_bad_time_reflection,
-        "dirac.rotation_x": lambda **kw: _dirac_rotation(1, **kw),
-        "dirac.rotation_y": lambda **kw: _dirac_rotation(2, **kw),
-        "dirac.rotation_z": lambda **kw: _dirac_rotation(3, **kw),
-        "dirac.translation_t": lambda **kw: _dirac_translation(0),
-        "dirac.translation_x": lambda **kw: _dirac_translation(1),
+        "dirac.rotation_x": partial(_dirac_rotation, 1),
+        "dirac.rotation_y": partial(_dirac_rotation, 2),
+        "dirac.rotation_z": partial(_dirac_rotation, 3),
+        "dirac.translation_t": partial(_dirac_translation, 0),
+        "dirac.translation_x": partial(_dirac_translation, 1),
     }
 
 
 # -- initial-data profiles ---------------------------------------------------
 
 
-def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0, **kw):
+def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0):
     """Random band-limited data: coefficients on |k index| <= kmax per axis."""
     rng = np.random.default_rng(int(seed))
     shape = (int(ncomp),) + grid.modes
@@ -311,7 +313,7 @@ def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0, **kw):
     return coeffs * grid.mode_mask()
 
 
-def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0, **kw):
+def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0):
     """Gaussian bump exp(-|x - c|^2 / (2 width^2)) in one component."""
     mesh = np.meshgrid(*grid.coordinates(), indexing="ij")
     centers = [float(center)] * grid.ndim if np.isscalar(center) else list(center)
@@ -322,7 +324,7 @@ def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0, **kw)
     return np.fft.fftn(vals, axes=axes) / grid.npoints * grid.mode_mask()
 
 
-def _profile_packet(grid, ncomp, seed=0, width=1.0, kmax=4, real=True, **kw):
+def _profile_packet(grid, ncomp, seed=0, width=1.0, kmax=4, real=True):
     """Gaussian envelope times random band-limited modulation; compact support."""
     mod = _profile_random(grid, ncomp, seed=seed, kmax=kmax, real=real)
     axes = tuple(range(1, grid.ndim + 1))
@@ -382,6 +384,18 @@ def parse_entry(text):
     return name.strip(), kwargs
 
 
+def _call_entry(kind, name, factory, kwargs, *args):
+    """``factory(*args, **kwargs)`` once every keyword is in its signature."""
+    params = list(inspect.signature(factory).parameters)[len(args) :]
+    for key in kwargs:
+        if key not in params:
+            takes = ", ".join(params) if params else "none"
+            raise ValueError(
+                f"{kind} {name!r} has no keyword {key!r} (keywords: {takes})"
+            )
+    return factory(*args, **kwargs)
+
+
 def build_operator(spec):
     """Operator from a catalog entry or an inline DSL string."""
     from .dsl import parse_operator
@@ -389,7 +403,7 @@ def build_operator(spec):
     name, kwargs = parse_entry(spec)
     ops = named_operators()
     if name in ops:
-        return ops[name](**kwargs)
+        return _call_entry("operator", name, ops[name], kwargs)
     return parse_operator(spec)
 
 
@@ -398,7 +412,7 @@ def build_symmetry(spec):
     syms = named_symmetries()
     if name not in syms:
         raise KeyError(f"unknown symmetry {name!r}; see `conslaw list`")
-    return syms[name](**kwargs)
+    return _call_entry("symmetry", name, syms[name], kwargs)
 
 
 def build_profile(spec, grid, ncomp):
@@ -409,6 +423,6 @@ def build_profile(spec, grid, ncomp):
         name, kwargs = parse_entry(piece)
         if name not in profs:
             raise KeyError(f"unknown profile {name!r}; see `conslaw list`")
-        coeffs = profs[name](grid, ncomp, **kwargs)
+        coeffs = _call_entry("profile", name, profs[name], kwargs, grid, ncomp)
         total = coeffs if total is None else total + coeffs
     return total

@@ -18,13 +18,13 @@ from .catalog import dirac_operator, named_symmetries
 from .current import adjoint_characteristic, concomitant_flux
 from .fields import plane_wave
 from .spectral import (
+    EvolutionSystem,
     SupportError,
     TorusGrid,
     Trajectory,
     boundary_fraction,
     characteristic_view,
     kappa_series,
-    to_evolution_form,
 )
 from .symmetry import apply_symmetry_analytic
 
@@ -272,7 +272,7 @@ def angular_momentum_series(
     grid = TorusGrid((length,) * 3, (modes,) * 3)
     from .catalog import build_profile
 
-    system = to_evolution_form(L, grid)
+    system = EvolutionSystem(L, grid)
     coeffs = build_profile(
         f"packet(seed={seed}, width={width}, kmax=2, real=False)", grid, 4
     )

@@ -21,16 +21,17 @@ adjoint, build the bilinear current, build the characteristic, propagate
 exactly, integrate the density, and measure drift.
 
 The scenario files of the built-in reproductions ship with the package in
-``conslaw/scenarios/`` and are read when a reproduction runs, not at import;
-each reproduction's ``pass`` field is its one verdict.
+``conslaw/scenarios/`` and are read when the registry is built, not at
+import; each reproduction's ``pass`` field is its one verdict, and ``reproduce``
+writes one JSON summary per reproduction.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -39,7 +40,14 @@ import numpy as np
 from .adjoint import adjoint_factorization, semi_conjugacy_solve
 from .catalog import build_operator, build_profile, build_symmetry
 from .current import adjoint_characteristic, concomitant_flux
-from .spectral import TorusGrid, Trajectory, kappa_series, to_evolution_form
+from .spectral import (
+    EvolutionSystem,
+    TorusGrid,
+    Trajectory,
+    boundary_fraction,
+    characteristic_view,
+    kappa_series,
+)
 from .symmetry import KernelShift, verify_kernel_shift, verify_symmetry
 
 __all__ = [
@@ -87,8 +95,12 @@ def _parse_times(text):
     if text.startswith("linspace(") and text.endswith(")"):
         inner = text[len("linspace(") : -1]
         a, b, n = [x.strip() for x in inner.split(",")]
-        return tuple(np.linspace(float(a), float(b), int(n)))
-    return tuple(float(x) for x in text.split(","))
+        times = tuple(np.linspace(float(a), float(b), int(n)))
+    else:
+        times = tuple(float(x) for x in text.split(","))
+    if not times or not np.isfinite(times).all():
+        raise ScenarioError(f"times must be a non-empty list of finite numbers, got {text!r}")
+    return times
 
 
 def _parse_grid(text):
@@ -213,13 +225,12 @@ def run_scenario(scn, out_dir=None, write_csv=True):
     """Execute the full pipeline; returns the JSON-able run report."""
     L = build_operator(scn.operator)
     grid = TorusGrid(scn.grid["lengths"], scn.grid["modes"], scn.grid["kmax"])
-    system = to_evolution_form(L, grid, amp_cap=scn.amp_cap)
+    system = EvolutionSystem(L, grid, amp_cap=scn.amp_cap)
     coeffs = build_profile(scn.profile, grid, L.cols * system.R)
     traj = Trajectory(system, coeffs)
     pair = semi_conjugacy_solve(L, seed=scn.seed)
     fact = adjoint_factorization(L, pair)
     flux = concomitant_flux(L)
-    from .spectral import boundary_fraction, characteristic_view
 
     results = []
     all_pass = True
@@ -299,10 +310,21 @@ def _packaged_scenario(stem):
 
 @dataclass(frozen=True)
 class Reproduction:
+    """A named reproduction: a packaged scenario, or a report ``runner``.
+
+    A scenario reproduction runs its scenario under the reproduction's name,
+    and its ``certifies`` text is the scenario file's own.
+    """
+
     name: str
-    kind: str  # "scenario" | "report"
     certifies: str
+    scenario: Scenario | None = None
     runner: object = field(repr=False, default=None)
+
+    @classmethod
+    def from_scenario(cls, name, stem):
+        scn = dataclasses.replace(_packaged_scenario(stem), name=name)
+        return cls(name, scn.certifies, scenario=scn)
 
 
 def _report_kdvkdv_all():
@@ -418,72 +440,57 @@ def _report_angular():
 def reproductions():
     """Registry of named built-in reproductions."""
     entries = [
+        Reproduction.from_scenario("wave-energy", "wave_energy"),
         Reproduction(
-            "wave-energy", "scenario",
-            "energy of the scalar wave flow from the time-translation generator",
-            partial(_packaged_scenario, "wave_energy"),
-        ),
-        Reproduction(
-            "kdvkdv-all", "report",
+            "kdvkdv-all",
             "all charge families of the coupled linear KdV pair",
-            _report_kdvkdv_all,
+            runner=_report_kdvkdv_all,
         ),
         Reproduction(
-            "heat-Es", "report",
+            "heat-Es",
             "the heat flow's two-time product integral: whole-line oracle vs torus",
-            _report_heat_es_oracle,
+            runner=_report_heat_es_oracle,
         ),
+        Reproduction.from_scenario("heat-negative-control", "heat_negative_control"),
         Reproduction(
-            "heat-negative-control", "scenario",
-            "bare time reversal fails: the drift detector has power",
-            partial(_packaged_scenario, "heat_negative_control"),
-        ),
-        Reproduction(
-            "jordan-2x2", "report",
+            "jordan-2x2",
             "worked 2x2 non-normal example: printed adjoint and the swap pair",
-            _report_jordan,
+            runner=_report_jordan,
         ),
         Reproduction(
-            "ns-adjoint", "report",
+            "ns-adjoint",
             "incompressible Stokes operator: identity conjugating pair",
-            _report_ns,
+            runner=_report_ns,
         ),
+        Reproduction.from_scenario("dirac-charges", "dirac_charges"),
         Reproduction(
-            "dirac-charges", "scenario",
-            "probability, reflected and CPT charges with a chirality-off control",
-            partial(_packaged_scenario, "dirac_charges"),
-        ),
-        Reproduction(
-            "dirac-cpt", "report",
+            "dirac-cpt",
             "CPT pairing quantizes to the spin-ladder charge commuting with H",
-            _report_fock,
+            runner=_report_fock,
         ),
         Reproduction(
-            "dirac-discrete", "report",
+            "dirac-discrete",
             "measured bracket table of the seven reflection/conjugation generators",
-            _report_dirac_discrete,
+            runner=_report_dirac_discrete,
         ),
         Reproduction(
-            "dirac-angular-momentum", "report",
+            "dirac-angular-momentum",
             "orbital-plus-spin rotation charges on a compact packet",
-            _report_angular,
+            runner=_report_angular,
         ),
     ]
     return {e.name: e for e in entries}
 
 
 def reproduce(name, out_dir=None):
+    """Run a named reproduction; with ``out_dir``, write its one JSON summary."""
     reg = reproductions()
     if name not in reg:
         raise KeyError(f"unknown reproduction {name!r}; see `conslaw list`")
     entry = reg[name]
-    if entry.kind == "scenario":
-        scn = entry.runner()
-        report = run_scenario(scn, out_dir=out_dir, write_csv=out_dir is not None)
-    else:
-        report = entry.runner()
-        report = {"scenario": name, **report}
-    report["certifies"] = entry.certifies
+    if entry.scenario is not None:
+        return run_scenario(entry.scenario, out_dir=out_dir)
+    report = {"scenario": name, **entry.runner(), "certifies": entry.certifies}
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

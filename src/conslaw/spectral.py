@@ -6,7 +6,14 @@ exact matrix exponentials, so drift of a conserved functional measures the
 mathematics rather than an integrator.  The Nyquist row is dropped to keep
 the retained mode set symmetric under k -> -k; an optional spherical cutoff
 ``kmax`` band-limits further (needed whenever a reflected time evolution
-would otherwise amplify beyond the configured cap).
+would otherwise amplify beyond the configured cap).  A propagator with an
+entry above the cap or a non-finite entry raises ``AmplificationError``, and
+a non-finite kappa value raises instead of yielding a drift.
+
+The module keeps one cache: each ``Trajectory`` stores, per sample time, the
+stack of its companion state and the time derivatives computed so far.
+Propagators are not kept, and ``kappa_series`` memoises field jets for one
+sample time only.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .current import concomitant_flux, evaluate_terms
+from .current import evaluate_terms
 from .fields import evolution_matrix
 from .symmetry import (
     Conjugation,
@@ -33,8 +40,6 @@ __all__ = [
     "Trajectory",
     "AmplificationError",
     "SupportError",
-    "to_evolution_form",
-    "propagate",
     "kappa_series",
     "KappaSeries",
     "heat_flow_product_oracle",
@@ -200,52 +205,46 @@ class EvolutionSystem:
         scale = np.abs(A).max(axis=(1, 2)) ** 2 + 1e-300
         self.fast = resid <= 1e-13 * scale
         self.lam = lam
-        self._prop_cache = {}
 
     def propagator(self, dt):
-        """Batched ``exp(dt A)`` over active modes, with an amplification cap."""
-        key = float(dt)
-        hit = self._prop_cache.get(key)
-        if hit is not None:
-            return hit
-        n, d = self.A.shape[0], self.A.shape[1]
-        P = np.empty_like(self.A)
-        if d == 1:
-            # scalar modes: direct exponential (the cosh/sinh split would
-            # overflow on strongly decaying modes); overflow to inf is caught
-            # by the cap check below
-            with np.errstate(over="ignore"):
+        """Batched ``exp(dt A)`` over active modes, with an amplification cap.
+
+        Raises ``AmplificationError`` if an entry exceeds ``amp_cap`` or is
+        not finite (an overflowing cosh/sinh times a zero entry gives NaN).
+        """
+        d = self.A.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d == 1:
+                # scalar modes: direct exponential (the cosh/sinh split would
+                # overflow on strongly decaying modes)
                 P = np.exp(dt * self.A)
-            amp = float(np.abs(P).max())
-            if amp > self.amp_cap:
-                raise AmplificationError(
-                    f"mode amplification {amp:.3e} exceeds cap {self.amp_cap:.1e} "
-                    f"for dt={dt:+.6g}; reduce kmax or the reflected time span"
-                )
-            self._prop_cache[key] = P
-            return P
-        fast = self.fast
-        if fast.any():
-            z = np.sqrt(self.lam[fast].astype(complex))
-            zt = z * dt
-            c1 = np.cosh(zt)
-            small = np.abs(zt) < 1e-8
-            c2 = np.empty_like(z)
-            nz = ~small
-            c2[nz] = np.sinh(zt[nz]) / z[nz]
-            c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
-            eye = np.eye(d)
-            P[fast] = c1[:, None, None] * eye + c2[:, None, None] * self.A[fast]
-        slow = np.flatnonzero(~fast)
-        for idx in slow:
-            P[idx] = expm(dt * self.A[idx])
+            else:
+                P = np.empty_like(self.A)
+                fast = self.fast
+                if fast.any():
+                    z = np.sqrt(self.lam[fast].astype(complex))
+                    zt = z * dt
+                    c1 = np.cosh(zt)
+                    small = np.abs(zt) < 1e-8
+                    c2 = np.empty_like(z)
+                    nz = ~small
+                    c2[nz] = np.sinh(zt[nz]) / z[nz]
+                    c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
+                    eye = np.eye(d)
+                    P[fast] = c1[:, None, None] * eye + c2[:, None, None] * self.A[fast]
+                for idx in np.flatnonzero(~fast):
+                    P[idx] = expm(dt * self.A[idx])
+        if not np.isfinite(P).all():
+            raise AmplificationError(
+                f"propagator is non-finite for dt={dt:+.6g}; the evolution is "
+                "ill-posed at this resolution; reduce kmax or the time span"
+            )
         amp = float(np.abs(P).max())
         if amp > self.amp_cap:
             raise AmplificationError(
                 f"mode amplification {amp:.3e} exceeds cap {self.amp_cap:.1e} "
                 f"for dt={dt:+.6g}; reduce kmax or the reflected time span"
             )
-        self._prop_cache[key] = P
         return P
 
     def scatter(self, active_values, fill=0.0):
@@ -255,13 +254,13 @@ class EvolutionSystem:
         return out
 
 
-def to_evolution_form(L, grid, amp_cap=1e6):
-    """Companion-form evolution system for ``L`` on a grid."""
-    return EvolutionSystem(L, grid, amp_cap)
-
-
 class Trajectory:
-    """Exactly evolvable solution: companion state at t0 plus the system."""
+    """Exactly evolvable solution: companion state at t0 plus the system.
+
+    The trajectory's one cache maps a sample time to the stack
+    ``[U, A U, A^2 U, ...]`` of its companion state and the time derivatives
+    asked for so far; ``companion_at(t)`` is entry 0.
+    """
 
     def __init__(self, system, companion_coeffs, t0=0.0):
         companion_coeffs = np.asarray(companion_coeffs, dtype=complex)
@@ -272,8 +271,7 @@ class Trajectory:
         self.system = system
         self.t0 = float(t0)
         self.U0 = flat[:, system.active].T.copy()  # (n_active, d)
-        self._state_cache = {}
-        self._jet_cache = {}
+        self._stacks = {}
 
     @property
     def grid(self):
@@ -283,14 +281,18 @@ class Trajectory:
     def ncomp(self):
         return self.system.m
 
-    def companion_at(self, t):
+    def _time_derivative(self, t, order):
         key = float(t)
-        hit = self._state_cache.get(key)
-        if hit is None:
+        stack = self._stacks.get(key)
+        if stack is None:
             P = self.system.propagator(key - self.t0)
-            hit = np.einsum("mij,mj->mi", P, self.U0)
-            self._state_cache[key] = hit
-        return hit
+            stack = self._stacks[key] = [np.einsum("mij,mj->mi", P, self.U0)]
+        while len(stack) <= order:
+            stack.append(np.einsum("mij,mj->mi", self.system.A, stack[-1]))
+        return stack[order]
+
+    def companion_at(self, t):
+        return self._time_derivative(t, 0)
 
     def state_at(self, t):
         """Physical field (first companion block) as a SpectralState."""
@@ -300,16 +302,9 @@ class Trajectory:
         )
         return SpectralState(self.grid, coeffs, time=t)
 
-    def _time_derivatives(self, t, order):
-        key = float(t)
-        cache = self._jet_cache.setdefault(key, [self.companion_at(t)])
-        while len(cache) <= order:
-            cache.append(np.einsum("mij,mj->mi", self.system.A, cache[-1]))
-        return cache[order]
-
     def jet_values(self, t, alpha):
         """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn)."""
-        U = self._time_derivatives(t, alpha[0])
+        U = self._time_derivative(t, alpha[0])
         coeffs = self.system.scatter(U[:, : self.system.m]).T.reshape(
             (self.system.m,) + self.grid.modes
         )
@@ -320,31 +315,12 @@ class Trajectory:
         axes = tuple(range(1, self.grid.ndim + 1))
         return np.fft.ifftn(coeffs, axes=axes) * self.grid.npoints
 
-
-def propagate(traj_or_system, state, t_target):
-    """Evolve a SpectralState of a first-order-in-time system exactly.
-
-    Convenience wrapper for operators with ``R = 1`` (heat, coupled KdV,
-    Dirac); higher time orders need an explicit companion Trajectory.
-    """
-    system = traj_or_system
-    if system.R != 1:
-        raise ValueError("propagate() works on first-order systems; build a Trajectory")
-    traj = Trajectory(system, state.coeffs, t0=state.time)
-    return traj.state_at(t_target)
+    def jet(self, t, alpha):
+        """Field-view interface: the trajectory is the innermost view."""
+        return self.jet_values(t, alpha)
 
 
 # -- field views -------------------------------------------------------------
-
-
-class TrajectoryView:
-    def __init__(self, traj):
-        self.traj = traj
-        self.grid = traj.grid
-        self.ncomp = traj.ncomp
-
-    def jet(self, t, alpha):
-        return self.traj.jet_values(t, alpha)
 
 
 class MatrixView:
@@ -485,8 +461,7 @@ def symmetry_view(generator, base, s=None, support_tol=1e-10):
 
 def characteristic_view(char, traj, s=0.0, support_tol=1e-10):
     """Field view of Q built from a characteristic over a trajectory."""
-    base = TrajectoryView(traj)
-    view = symmetry_view(char.generator, base, s=s, support_tol=support_tol)
+    view = symmetry_view(char.generator, traj, s=s, support_tol=support_tol)
     if not char.direct:
         if any(char.parity_mask):
             view = ReflectView(view, char.parity_mask, s=s)
@@ -523,25 +498,26 @@ class KappaSeries:
 
 
 def drift_of(values, scale=0.0):
+    """The drift of a kappa series; raises on no samples or non-finite ones."""
+    if len(values) == 0:
+        raise ValueError("kappa series has no sample times")
+    if not (np.isfinite(values).all() and np.isfinite(scale)):
+        raise ValueError("kappa series is non-finite; its drift is undefined")
     k0 = values[0]
     return max(abs(v - k0) for v in values) / (abs(k0) + scale + 1e-300)
 
 
-class _JetCache:
-    def __init__(self, view):
-        self.view = view
-        self.cache = {}
+def _jets_at(view, t):
+    """``alpha -> view.jet(t, alpha)``, memoised for this one sample time."""
+    memo = {}
 
-    def __call__(self, t):
-        def jet(alpha):
-            key = (float(t), tuple(alpha))
-            hit = self.cache.get(key)
-            if hit is None:
-                hit = self.view.jet(t, alpha)
-                self.cache[key] = hit
-            return hit
+    def jet(alpha):
+        key = tuple(alpha)
+        if key not in memo:
+            memo[key] = view.jet(t, alpha)
+        return memo[key]
 
-        return jet
+    return jet
 
 
 def kappa_series(flux, qview, traj, times, conjugate_first=True):
@@ -552,14 +528,14 @@ def kappa_series(flux, qview, traj, times, conjugate_first=True):
     series and its relative drift.
     """
     grid = traj.grid
-    pview = TrajectoryView(traj)
-    qcache = _JetCache(qview)
-    pcache = _JetCache(pview)
     values = []
     scale = 0.0
     for t in times:
         integrand = evaluate_terms(
-            flux.density_terms, qcache(t), pcache(t), conjugate_first=conjugate_first
+            flux.density_terms,
+            _jets_at(qview, t),
+            _jets_at(traj, t),
+            conjugate_first=conjugate_first,
         )
         values.append(integrate(grid, integrand))
         scale = max(scale, abs(integrate(grid, np.abs(integrand))))
@@ -567,22 +543,6 @@ def kappa_series(flux, qview, traj, times, conjugate_first=True):
     return KappaSeries(
         tuple(float(t) for t in times), values, scale, drift_of(values, scale)
     )
-
-
-def conserved_functional(L, char, s=0.0, support_tol=1e-10):
-    """Closure evaluating the conserved functional of a characteristic.
-
-    Returns ``f(traj, times) -> KappaSeries`` using the canonical bilinear
-    current of ``L``; the raw density X0 is integrated without equations-of-
-    motion simplification.
-    """
-    flux = concomitant_flux(L)
-
-    def run(traj, times):
-        qview = characteristic_view(char, traj, s=s, support_tol=support_tol)
-        return kappa_series(flux, qview, traj, times)
-
-    return run
 
 
 # -- whole-space heat-flow oracle --------------------------------------------

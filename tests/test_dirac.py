@@ -12,12 +12,12 @@ from conslaw.dirac import (
 )
 from conslaw.gamma import dirac_representation
 from conslaw.spectral import (
+    EvolutionSystem,
     TorusGrid,
     Trajectory,
     characteristic_view,
     integrate,
     kappa_series,
-    to_evolution_form,
 )
 
 
@@ -82,7 +82,7 @@ def test_single_plane_wave_reflected_charge_constant():
     rep = dirac_representation()
     L = dirac_operator(1.0, rep)
     grid = TorusGrid((8.0,) * 3, (8,) * 3)
-    system = to_evolution_form(L, grid, amp_cap=1e8)
+    system = EvolutionSystem(L, grid, amp_cap=1e8)
     kidx = (1, 0, 0)
     flat = np.ravel_multi_index(kidx, grid.modes)
     a = system.A[list(system.active).index(flat)]
@@ -115,7 +115,7 @@ def test_rotated_data_gives_rotated_charges():
     rep = dirac_representation()
     L = dirac_operator(1.0, rep)
     grid = TorusGrid((16.0,) * 3, (32,) * 3)
-    system = to_evolution_form(L, grid)
+    system = EvolutionSystem(L, grid)
     coeffs = build_profile("packet(seed=3, width=1.2, kmax=2, real=False)", grid, 4)
     S = (np.eye(4) - 1j * rep.sigma_spin(3)) / np.sqrt(2.0)
 

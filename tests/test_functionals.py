@@ -10,26 +10,33 @@ from conslaw.catalog import (
     kdvkdv_operator,
     wave_operator,
 )
-from conslaw.current import adjoint_characteristic
+from conslaw.current import adjoint_characteristic, concomitant_flux
 from conslaw.gamma import dirac_representation
 from conslaw.spectral import (
+    EvolutionSystem,
     TorusGrid,
     Trajectory,
     _reflect_values,
-    conserved_functional,
+    characteristic_view,
     integrate,
-    to_evolution_form,
+    kappa_series,
 )
 
 TWO_PI = 2 * np.pi
 
 
 def _pipeline(L, grid, profile, amp_cap=1e6):
-    system = to_evolution_form(L, grid, amp_cap=amp_cap)
+    system = EvolutionSystem(L, grid, amp_cap=amp_cap)
     coeffs = build_profile(profile, grid, L.cols * system.R)
     traj = Trajectory(system, coeffs)
     fact = adjoint_factorization(L, semi_conjugacy_solve(L))
     return traj, fact
+
+
+def _series(L, char, traj, times, s=0.0):
+    """The conserved functional of ``char`` sampled along ``traj``."""
+    qview = characteristic_view(char, traj, s=s)
+    return kappa_series(concomitant_flux(L), qview, traj, times)
 
 
 def test_wave_energy_equals_simplified_form():
@@ -39,8 +46,7 @@ def test_wave_energy_equals_simplified_form():
     grid = TorusGrid((TWO_PI,), (128,))
     traj, fact = _pipeline(L, grid, "random(seed=17, kmax=30)")
     char = adjoint_characteristic(L, fact, build_symmetry("wave.time_translation"))
-    run = conserved_functional(L, char)
-    series = run(traj, [0.0, 0.45])
+    series = _series(L, char, traj, [0.0, 0.45])
     for t, kappa in zip(series.times, series.values):
         ut = traj.jet_values(t, (1, 0))[0]
         ux = traj.jet_values(t, (0, 1))[0]
@@ -57,12 +63,12 @@ def test_kdvkdv_quadratic_charges_take_printed_values():
     u, v = vals[0], vals[1]
 
     char = adjoint_characteristic(L, fact, build_symmetry("kdvkdv.identity"))
-    kappa5 = conserved_functional(L, char)(traj, [t]).values[0]
+    kappa5 = _series(L, char, traj, [t]).values[0]
     want5 = integrate(grid, np.abs(u) ** 2 + np.abs(v) ** 2)
     assert abs(kappa5 - want5) <= 1e-12 * abs(want5)
 
     char = adjoint_characteristic(L, fact, build_symmetry("kdvkdv.swap"))
-    kappa6 = conserved_functional(L, char)(traj, [t]).values[0]
+    kappa6 = _series(L, char, traj, [t]).values[0]
     want6 = 2.0 * integrate(grid, u * v)  # real fields; the cross charge twice
     assert abs(kappa6 - want6) <= 1e-12 * (abs(want6) + 1.0)
 
@@ -75,7 +81,7 @@ def test_kdvkdv_constant_shift_charge_is_component_integral():
     traj, fact = _pipeline(L, grid, "random(seed=22, kmax=16)")
     t = 0.25
     char = adjoint_characteristic(L, fact, build_symmetry("kdvkdv.shift_u"))
-    kappa = conserved_functional(L, char)(traj, [t]).values[0]
+    kappa = _series(L, char, traj, [t]).values[0]
     want = integrate(grid, traj.state_at(t).values()[0])
     assert abs(kappa - want) <= 1e-12 * (abs(want) + 1.0)
 
@@ -88,7 +94,7 @@ def test_kdvkdv_reflected_charge_matches_direct_form():
     gen = build_symmetry(f"kdvkdv.Gamma_s(s={s})")
     char = adjoint_characteristic(L, fact, gen)
     t = 0.35
-    kappa = conserved_functional(L, char, s=s)(traj, [t]).values[0]
+    kappa = _series(L, char, traj, [t], s=s).values[0]
     now = traj.state_at(t).values()
     ref = traj.state_at(s - t).values()
     want = integrate(grid, ref[1] * now[1] - ref[0] * now[0])
@@ -102,7 +108,7 @@ def test_dirac_reflected_charge_matches_direct_form():
     traj, fact = _pipeline(L, grid, "random(seed=20, kmax=2, real=False)", amp_cap=1e8)
     char = adjoint_characteristic(L, fact, build_symmetry("dirac.Gamma0(s=0)"))
     t = 0.4
-    kappa = conserved_functional(L, char, s=0.0)(traj, [t]).values[0]
+    kappa = _series(L, char, traj, [t], s=0.0).values[0]
     # direct evaluation: i * integral psi(-t,x)^dagger gamma0 gamma4 psi(t,x)
     psi_t = traj.state_at(t).values()
     psi_r = traj.state_at(-t).values()
@@ -118,7 +124,7 @@ def test_dirac_cpt_charge_matches_direct_form():
     traj, fact = _pipeline(L, grid, "random(seed=21, kmax=2, real=False)", amp_cap=1e8)
     char = adjoint_characteristic(L, fact, build_symmetry("dirac.cpt"))
     t = 0.3
-    kappa = conserved_functional(L, char, s=0.0)(traj, [t]).values[0]
+    kappa = _series(L, char, traj, [t], s=0.0).values[0]
     # direct: i * integral psi(-t,-x)^T gamma_2 gamma4 psi(t,x); gamma_2 = -gamma^2
     psi_t = traj.state_at(t).values()
     psi_r = _reflect_values(grid, traj.state_at(-t).values(), (True,) * 3)

@@ -15,11 +15,11 @@ from conslaw.current import adjoint_characteristic, concomitant_flux
 from conslaw.fields import polynomial_field
 from conslaw.opcore import ConstCoeffOperator
 from conslaw.spectral import (
+    EvolutionSystem,
     TorusGrid,
     Trajectory,
     characteristic_view,
     kappa_series,
-    to_evolution_form,
 )
 from conslaw.symmetry import DiffFactor, KernelShift, MatrixFactor, SymmetryOp, verify_symmetry
 
@@ -63,7 +63,7 @@ def test_random_system_charges_are_conserved(seed):
             assert rep.passed, (gen.name, rep.residual)
 
     grid = TorusGrid((TWO_PI,), (64,))
-    system = to_evolution_form(L, grid)
+    system = EvolutionSystem(L, grid)
     coeffs = build_profile(f"random(seed={seed}, kmax=12)", grid, m)
     traj = Trajectory(system, coeffs)
     times = np.linspace(0.0, 0.8, 7)
@@ -88,7 +88,7 @@ def test_random_system_negative_control_drifts():
     fact = adjoint_factorization(L, pair)
     flux = concomitant_flux(L)
     grid = TorusGrid((TWO_PI,), (64,))
-    system = to_evolution_form(L, grid)
+    system = EvolutionSystem(L, grid)
     traj = Trajectory(system, build_profile("random(seed=2, kmax=12)", grid, 3))
     char = adjoint_characteristic(L, fact, gen)
     qview = characteristic_view(char, traj, s=1.0)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conslaw import scenario
+from conslaw.catalog import build_profile, build_symmetry
 from conslaw.cli import main
 from conslaw.scenario import (
     ScenarioError,
@@ -16,6 +17,7 @@ from conslaw.scenario import (
     reproductions,
     run_scenario,
 )
+from conslaw.spectral import TorusGrid
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = resources.files("conslaw") / "scenarios"
@@ -197,3 +199,61 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "reproductions:" in proc.stdout
+
+
+# an elliptic operator posed as an evolution: every step of it overflows
+ILL_POSED = """\
+operator = Dt^2 + Dx^2
+grid = modes:256 length:0.1
+profile = random(seed=1, kmax=100)
+times = 0.0, 0.5, 1.0
+symmetry = identity
+"""
+
+
+def test_cli_ill_posed_scenario_is_an_error(tmp_path, capsys):
+    path = tmp_path / "ill_posed.scn"
+    path.write_text(ILL_POSED)
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err.startswith("error:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("times", ["linspace(0, 1, 0)", "0.0, nan", "0.0, inf"])
+def test_cli_rejects_empty_or_non_finite_times(tmp_path, capsys, times):
+    path = tmp_path / "bad_times.scn"
+    path.write_text(
+        "operator = heat(dim=1)\ngrid = modes:16 length:6.28\n"
+        f"profile = random(seed=1, kmax=4)\ntimes = {times}\nsymmetry = identity\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: times")
+
+
+def test_cli_rejects_unknown_operator_keyword(capsys):
+    assert main(["adjoint", "wave(dimm=1)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'dimm'" in err
+
+
+def test_catalog_rejects_unknown_keywords():
+    with pytest.raises(ValueError, match="'s'"):
+        build_symmetry("dirac.Gamma1(s=5)")
+    with pytest.raises(ValueError, match="'kmaxx'"):
+        build_profile("random(kmaxx=3)", TorusGrid((6.28,), (16,)), 1)
+    with pytest.raises(ValueError, match="'grid'"):
+        build_profile("random(grid=3)", TorusGrid((6.28,), (16,)), 1)
+    assert build_symmetry("dirac.Gamma0(s=0.5)").factors
+
+
+def test_reproduce_scenario_writes_one_summary(tmp_path, capsys):
+    assert main(["--out-dir", str(tmp_path), "reproduce", "wave-energy"]) == 0
+    assert main(["list"]) == 0
+    listing = capsys.readouterr().out.split("reproductions:\n", 1)[1]
+    listed = dict(line.split(None, 1) for line in listing.splitlines())
+    summaries = list(tmp_path.glob("*.json"))
+    assert [p.name for p in summaries] == ["wave-energy.json"]
+    data = json.loads(summaries[0].read_text())
+    assert data["scenario"] == "wave-energy"
+    assert data["certifies"] == listed["wave-energy"]
