@@ -19,7 +19,6 @@ from .adjoint import (
 )
 from .current import (
     BilinearFlux,
-    Characteristic,
     adjoint_characteristic,
     concomitant_flux,
 )
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjointFactorization",
     "BilinearFlux",
-    "Characteristic",
     "Conjugation",
     "ConjugacyPair",
     "ConstCoeffOperator",

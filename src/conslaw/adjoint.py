@@ -99,9 +99,6 @@ class ConjugacyPair:
     def sign_absorbed(self):
         return not any(self.parity_mask)
 
-    def cond(self):
-        return max(np.linalg.cond(self.A1), np.linalg.cond(self.A2))
-
 
 def _pair_residual(L, A1, A2, sign_absorbed):
     """Max over terms of ||M^dagger A1 - s A2 M|| / ||M||."""
@@ -253,17 +250,6 @@ class AdjointFactorization:
     @property
     def parity_mask(self):
         return self.pair.parity_mask
-
-    def reflect_wavevector(self, k):
-        k = np.asarray(k, dtype=complex).copy()
-        for slot, flip in enumerate(self.parity_mask):
-            if flip:
-                k[slot] = -k[slot]
-        return k
-
-    def characteristic_matrix(self):
-        """Matrix applied to (reflected) kernel elements to build Q."""
-        return self.A1.copy()
 
 
 def _symbol_identity_residual(L, pair, nchecks=50, seed=7):

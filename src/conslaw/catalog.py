@@ -315,6 +315,8 @@ def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0):
 
 def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0):
     """Gaussian bump exp(-|x - c|^2 / (2 width^2)) in one component."""
+    if not 0 <= comp < ncomp:
+        raise ValueError(f"profile component {comp} is outside 0..{ncomp - 1}")
     mesh = np.meshgrid(*grid.coordinates(), indexing="ij")
     centers = [float(center)] * grid.ndim if np.isscalar(center) else list(center)
     r2 = sum((x - c) ** 2 for x, c in zip(mesh, centers))
@@ -384,14 +386,40 @@ def parse_entry(text):
     return name.strip(), kwargs
 
 
+def _text_types(key, default):
+    """Value types a keyword takes from text, by its default's type.
+
+    An int stands in for a float, and a ``None``-default ``s`` (a deferred
+    reflection time) takes a number; any other keyword, such as ``dirac``'s
+    representation object, is for library callers only.
+    """
+    if isinstance(default, bool):
+        return (bool,)
+    if isinstance(default, int):
+        return (int,)
+    if isinstance(default, float) or (default is None and key == "s"):
+        return (int, float)
+    return ()
+
+
 def _call_entry(kind, name, factory, kwargs, *args):
-    """``factory(*args, **kwargs)`` once every keyword is in its signature."""
-    params = list(inspect.signature(factory).parameters)[len(args) :]
-    for key in kwargs:
-        if key not in params:
-            takes = ", ".join(params) if params else "none"
+    """``factory(*args, **kwargs)`` once every keyword is in its signature
+    and every value has a type :func:`_text_types` allows."""
+    params = list(inspect.signature(factory).parameters.values())[len(args) :]
+    defaults = {p.name: p.default for p in params}
+    for key, value in kwargs.items():
+        if key not in defaults:
+            takes = ", ".join(defaults) if defaults else "none"
             raise ValueError(
                 f"{kind} {name!r} has no keyword {key!r} (keywords: {takes})"
+            )
+        types = _text_types(key, defaults[key])
+        if not types:
+            raise ValueError(f"{kind} {name!r} keyword {key!r} cannot be set from text")
+        if type(value) not in types:
+            want = " or ".join(t.__name__ for t in types)
+            raise ValueError(
+                f"{kind} {name!r} keyword {key!r} takes {want}, got {value!r}"
             )
     return factory(*args, **kwargs)
 

@@ -18,17 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointFactorization, formal_adjoint
-from .fields import AnalyticField
 from .opcore import midx_order
+from .symmetry import KernelShift, MatrixFactor, PointReflect, SymmetryOp
 
 __all__ = [
     "bilinear_concomitant_terms",
     "BilinearFlux",
     "concomitant_flux",
-    "Characteristic",
     "adjoint_characteristic",
-    "verify_characteristic",
 ]
 
 
@@ -100,9 +97,6 @@ class BilinearFlux:
     def density_terms(self):
         return self.components[0]
 
-    def term_count(self):
-        return sum(len(c) for c in self.components)
-
 
 def concomitant_flux(L):
     """Construct the canonical bilinear current for a square operator.
@@ -155,92 +149,21 @@ def evaluate_terms(terms, jet_q, jet_p, conjugate_first=True):
 # -- characteristics ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Characteristic:
-    """Builder of adjoint-kernel elements Q from solutions.
-
-    For a symmetry generator the map is ``u -> A1 . R[Gu]`` with ``R`` the
-    factorization's reflection (identity when the parity mask is empty); for a
-    fixed kernel element ``w`` it is the constant builder ``A1 . R[w]``.  In
-    verification contexts the time slot of R reflects as ``t -> s - t``.
-
-    ``direct=True`` marks generators that already produce Q themselves
-    (catalogued characteristic maps); A1 and R are then skipped.
-    """
-
-    factorization: AdjointFactorization
-    generator: object  # SymmetryOp or KernelShift
-    direct: bool = False
-
-    @property
-    def operator(self):
-        return self.factorization.operator
-
-    @property
-    def matrix(self):
-        return self.factorization.A1
-
-    @property
-    def parity_mask(self):
-        return self.factorization.parity_mask
-
-
 def adjoint_characteristic(L, fact, generator):
-    """Characteristic for a verified factorization and a generator.
+    """The chain ``Q = A1 . R[G u]`` for a verified factorization, ``char_map``.
 
-    ``generator`` is a symmetry chain, a fixed kernel element, or a chain
-    flagged as a direct characteristic map (``char_map``).
+    ``R`` reflects the factorization's parity mask (left out when the mask is
+    empty), its time slot as ``t -> s - t`` with ``s`` from the evaluation
+    context.  A fixed kernel element becomes the innermost factor, a constant
+    map ``u -> w``; a generator already flagged ``char_map`` builds Q itself and
+    is returned as it is.
     """
     if fact.operator is not L and fact.operator != L:
         raise ValueError("factorization belongs to a different operator")
-    direct = bool(getattr(generator, "char_map", False))
-    return Characteristic(fact, generator, direct)
-
-
-def characteristic_analytic(char, u, s=0.0):
-    """Apply a characteristic to an exact closed-form solution field."""
-    from .symmetry import apply_symmetry_analytic
-
-    g = char.generator
-    if hasattr(g, "field"):  # fixed kernel element
-        f = g.field
-    else:
-        f = apply_symmetry_analytic(g, u, s=s)
-    if char.direct:
-        return f
-    if any(char.parity_mask):
-        f = f.point_reflect(char.parity_mask, s=s)
-    return f.apply_matrix(char.matrix)
-
-
-def verify_characteristic(char, kspace_list, s=1.0, seed=0, tol=1e-8):
-    """Check ``L*[Q] = 0`` on random kernel superpositions.
-
-    Builds exact kernel samples at the given spatial wavevectors, pushes a
-    random superposition through the characteristic and evaluates the adjoint
-    residual on random points; returns the max relative residual.
-    """
-    from .fields import kernel_sample
-
-    L = char.operator
-    Lstar = formal_adjoint(L)
-    rng = np.random.default_rng(seed)
-    waves = []
-    for kspace in kspace_list:
-        waves.extend(kernel_sample(L, kspace))
-    u = AnalyticField(L.nvars, L.cols, {})
-    for w in waves:
-        u = u + complex(rng.standard_normal(), rng.standard_normal()) * w
-    q = characteristic_analytic(char, u, s=s)
-    resid = q.apply_operator(Lstar)
-    pts = rng.standard_normal((16, L.nvars - 1))
-    times = rng.uniform(0.2 * s if s else 0.0, 0.8 * s if s else 1.0, size=4)
-    worst = 0.0
-    scale = 0.0
-    for t in times:
-        r = np.max(np.abs(resid.evaluate(t, pts)))
-        base = np.max(np.abs(q.evaluate(t, pts))) * max(L.max_norm(), 1.0)
-        worst = max(worst, r)
-        scale = max(scale, base)
-    rel = worst / max(scale, 1e-300)
-    return rel, rel <= tol
+    if getattr(generator, "char_map", False):
+        return generator
+    inner = (generator,) if isinstance(generator, KernelShift) else generator.factors
+    outer = (MatrixFactor(fact.A1),)
+    if any(fact.parity_mask):
+        outer += (PointReflect(fact.parity_mask),)
+    return SymmetryOp(outer + inner, name=generator.name, char_map=True)

@@ -23,8 +23,8 @@ from .spectral import (
     TorusGrid,
     Trajectory,
     boundary_fraction,
-    characteristic_view,
     kappa_series,
+    symmetry_view,
 )
 from .symmetry import apply_symmetry_analytic
 
@@ -38,32 +38,26 @@ __all__ = [
 ]
 
 
-def discrete_generators(s=0.0):
+def discrete_generators():
     """The seven reflection/conjugation generators Gamma0..Gamma6."""
     syms = named_symmetries()
-    names = [f"dirac.Gamma{i}" for i in range(7)]
-    out = []
-    for name in names:
-        if name in ("dirac.Gamma0", "dirac.Gamma4"):
-            out.append(syms[name](s=s))
-        else:
-            out.append(syms[name]())
-    return out
+    return [syms[f"dirac.Gamma{i}"]() for i in range(7)]
 
 
 _DISCRETE_METRIC = np.diag([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
 
 
-def _classify_pair(ga, gb, probes, tol):
-    """Classify the anticommutator of two chains on plane-wave probes."""
+def _classify_pair(ga, gb, probes, tol, s):
+    """Classify the anticommutator of two chains on plane-wave probes at ``s``."""
+
+    def act(g, f):
+        return apply_symmetry_analytic(g, f, s=s)
 
     def anti(f):
-        return apply_symmetry_analytic(ga, apply_symmetry_analytic(gb, f)) + \
-            apply_symmetry_analytic(gb, apply_symmetry_analytic(ga, f))
+        return act(ga, act(gb, f)) + act(gb, act(ga, f))
 
     def comm(f):
-        return apply_symmetry_analytic(ga, apply_symmetry_analytic(gb, f)) - \
-            apply_symmetry_analytic(gb, apply_symmetry_analytic(ga, f))
+        return act(ga, act(gb, f)) - act(gb, act(ga, f))
 
     values = []
     twisted = 0.0
@@ -109,7 +103,7 @@ def check_discrete_algebra(s=0.0, tol=1e-10, seed=5):
     value of the conjugation-block diagonal, and a list of pairs that
     anticommute/commute/neither.
     """
-    gens = discrete_generators(s=s)
+    gens = discrete_generators()
     rng = np.random.default_rng(seed)
     lam = complex(rng.standard_normal(), rng.standard_normal())
     k = tuple(float(x) for x in rng.integers(1, 4, size=3))
@@ -122,7 +116,7 @@ def check_discrete_algebra(s=0.0, tol=1e-10, seed=5):
     pairs = {}
     for a in range(7):
         for b in range(a, 7):
-            pairs[(a, b)] = _classify_pair(gens[a], gens[b], probes, tol)
+            pairs[(a, b)] = _classify_pair(gens[a], gens[b], probes, tol, s)
 
     # realized constant on the reflection block: {G_a, G_b} = c * g_ab there
     c_block = None
@@ -289,7 +283,7 @@ def angular_momentum_series(
     for axis in ("x", "y", "z"):
         gen = syms[f"dirac.rotation_{axis}"]()
         char = adjoint_characteristic(L, fact, gen)
-        qview = characteristic_view(char, traj, s=0.0, support_tol=support_tol)
+        qview = symmetry_view(char, traj, s=0.0, support_tol=support_tol)
         series = kappa_series(flux, qview, traj, times)
         out[axis] = {"kappa0": series.values[0], "drift": series.drift}
     return out

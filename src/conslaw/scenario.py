@@ -45,8 +45,8 @@ from .spectral import (
     TorusGrid,
     Trajectory,
     boundary_fraction,
-    characteristic_view,
     kappa_series,
+    symmetry_view,
 )
 from .symmetry import KernelShift, verify_kernel_shift, verify_symmetry
 
@@ -259,7 +259,7 @@ def run_scenario(scn, out_dir=None, write_csv=True):
                     f"{scn.support_tol:g}"
                 )
         char = adjoint_characteristic(L, fact, gen)
-        qview = characteristic_view(char, traj, s=scn.s, support_tol=scn.support_tol)
+        qview = symmetry_view(char, traj, s=scn.s, support_tol=scn.support_tol)
         series = kappa_series(flux, qview, traj, scn.times)
         tol = case.tolerance if case.tolerance is not None else scn.tolerance
         if case.expect == "drift":

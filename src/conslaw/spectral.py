@@ -137,13 +137,6 @@ class SpectralState:
     def ncomp(self):
         return self.coeffs.shape[0]
 
-    @classmethod
-    def from_values(cls, grid, values, time=0.0):
-        values = np.asarray(values, dtype=complex)
-        axes = tuple(range(1, grid.ndim + 1))
-        coeffs = np.fft.fftn(values, axes=axes) / grid.npoints
-        return cls(grid, coeffs, time)
-
     def values(self):
         axes = tuple(range(1, self.grid.ndim + 1))
         return np.fft.ifftn(self.coeffs, axes=axes) * self.grid.npoints
@@ -441,12 +434,15 @@ class ShiftView:
 
 
 def symmetry_view(generator, base, s=None, support_tol=1e-10):
-    """Wrap a trajectory view with a symmetry chain (factors act left-last)."""
-    if isinstance(generator, KernelShift):
-        return ShiftView(generator.field, base.grid)
+    """Wrap a trajectory view with a symmetry chain (factors act left-last).
+
+    For an adjoint characteristic's chain the result is the field view of Q.
+    """
     view = base
     for factor in reversed(generator.factors):
-        if isinstance(factor, MatrixFactor):
+        if isinstance(factor, KernelShift):
+            view = ShiftView(factor.field, base.grid)
+        elif isinstance(factor, MatrixFactor):
             view = MatrixView(view, factor.matrix)
         elif isinstance(factor, Conjugation):
             view = ConjView(view)
@@ -456,16 +452,6 @@ def symmetry_view(generator, base, s=None, support_tol=1e-10):
             view = DiffView(view, factor, support_tol)
         else:
             raise TypeError(f"unknown factor {factor!r}")
-    return view
-
-
-def characteristic_view(char, traj, s=0.0, support_tol=1e-10):
-    """Field view of Q built from a characteristic over a trajectory."""
-    view = symmetry_view(char.generator, traj, s=s, support_tol=support_tol)
-    if not char.direct:
-        if any(char.parity_mask):
-            view = ReflectView(view, char.parity_mask, s=s)
-        view = MatrixView(view, char.matrix)
     return view
 
 

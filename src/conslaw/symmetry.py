@@ -3,9 +3,10 @@
 A chain applies right to left: ``SymmetryOp((F1, F2))`` acts as ``F1(F2(u))``.
 Factors are constant matrices, first-degree-polynomial-coefficient
 differential operators, per-variable point reflections (the time slot
-reflecting as ``t -> s - t`` with a stored parameter), and complex
-conjugation.  A chain is linear iff it contains an even number of
-conjugations.
+reflecting as ``t -> s - t`` with a stored parameter), complex
+conjugation, and kernel shifts (a constant map ``u -> w``, innermost in an
+adjoint characteristic's chain).  A chain is linear iff it contains an even
+number of conjugations.
 
 Verification is kernel preservation: random exact kernel superpositions are
 pushed through the chain and the operator residual is evaluated pointwise.
@@ -41,7 +42,7 @@ class MatrixFactor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -64,7 +65,7 @@ class DiffFactor:
             if sum(e for _, e in poly) > 1:
                 raise ValueError("polynomial coefficients are capped at degree 1")
             if mat is not None:
-                mat = np.asarray(mat, dtype=complex)
+                mat = np.array(mat, dtype=complex)
                 mat.flags.writeable = False
             canon.append((poly, mat, tuple(alpha)))
         object.__setattr__(self, "terms", tuple(canon))
@@ -80,10 +81,6 @@ class PointReflect:
 
     mask: tuple
     s: float | None = None
-
-    @property
-    def reflects_time(self):
-        return bool(self.mask[0])
 
     def resolve_s(self, context_s):
         if self.s is not None:
@@ -122,22 +119,21 @@ class SymmetryOp:
     def is_linear(self):
         return sum(isinstance(f, Conjugation) for f in self.factors) % 2 == 0
 
-    @property
-    def time_reflections(self):
-        return sum(
-            1 for f in self.factors if isinstance(f, PointReflect) and f.reflects_time
-        )
-
 
 @dataclass(frozen=True)
 class KernelShift:
-    """A fixed field ``w`` with ``L[w] = 0``, standing for ``u -> u + eps w``."""
+    """A fixed field ``w`` with ``L[w] = 0``, standing for ``u -> u + eps w``.
+
+    As a chain factor it is the constant map ``u -> w``.
+    """
 
     field: AnalyticField
     name: str = ""
 
 
 def apply_factor_analytic(factor, f, s=None):
+    if isinstance(factor, KernelShift):
+        return factor.field
     if isinstance(factor, MatrixFactor):
         return f.apply_matrix(factor.matrix)
     if isinstance(factor, Conjugation):
@@ -160,8 +156,6 @@ def apply_factor_analytic(factor, f, s=None):
 
 def apply_symmetry_analytic(g, f, s=None):
     """Apply a symmetry chain to an exact closed-form field."""
-    if isinstance(g, KernelShift):
-        return g.field
     for factor in reversed(g.factors):
         f = apply_factor_analytic(factor, f, s=s)
     return f
@@ -207,7 +201,7 @@ def verify_symmetry(L, g, nmodes=4, seed=0, tol=1e-8, s=1.0, kspace_list=None):
     kspace_list = kspace_list or _default_wavevectors(L, rng, nmodes)
     u = _random_kernel_superposition(L, kspace_list, rng)
     gu = apply_symmetry_analytic(g, u, s=s)
-    target_op = formal_adjoint(L) if getattr(g, "char_map", False) else L
+    target_op = formal_adjoint(L) if g.char_map else L
     resid_field = gu.apply_operator(target_op)
     pts = rng.standard_normal((24, L.nvars - 1)) * 2.0
     times = rng.uniform(0.1 * s, 0.9 * s, size=5) if s else rng.uniform(0.0, 1.0, size=5)
@@ -222,7 +216,7 @@ def verify_symmetry(L, g, nmodes=4, seed=0, tol=1e-8, s=1.0, kspace_list=None):
             gu_scale = max(gu_scale, float(np.max(np.abs(gu.diff(slot).evaluate(t, pts)))))
         scale = max(scale, gu_scale * coeff_scale)
     rel = worst / max(scale, 1e-300)
-    return SymmetryReport(rel, rel <= tol, "adjoint" if getattr(g, "char_map", False) else "kernel", len(kspace_list))
+    return SymmetryReport(rel, rel <= tol, "adjoint" if g.char_map else "kernel", len(kspace_list))
 
 
 def verify_kernel_shift(L, shift, tol=1e-12):

@@ -12,12 +12,17 @@ from conslaw.catalog import (
 from conslaw.current import (
     adjoint_characteristic,
     bilinear_concomitant_terms,
-    characteristic_analytic,
     concomitant_flux,
-    verify_characteristic,
 )
 from conslaw.fields import kernel_sample, plane_wave
 from conslaw.gamma import dirac_representation
+from conslaw.symmetry import (
+    MatrixFactor,
+    PointReflect,
+    SymmetryOp,
+    apply_symmetry_analytic,
+    verify_symmetry,
+)
 
 from test_opcore import random_operator
 
@@ -124,10 +129,13 @@ def test_dirac_identity_characteristic_is_gamma0():
     L = dirac_operator(1.0, rep)
     fact = adjoint_factorization(L, semi_conjugacy_solve(L))
     char = adjoint_characteristic(L, fact, build_symmetry("identity"))
-    ratio = char.matrix[0, 0]
-    assert np.allclose(char.matrix, ratio * rep.gamma0, atol=1e-12)
-    res, ok = verify_characteristic(char, [(1.0, 0.0, 0.0), (0.0, 1.0, 2.0)], s=0.0)
-    assert ok, res
+    assert char.char_map and len(char.factors) == 1
+    assert isinstance(char.factors[0], MatrixFactor)
+    matrix = char.factors[0].matrix
+    ratio = matrix[0, 0]
+    assert np.allclose(matrix, ratio * rep.gamma0, atol=1e-12)
+    report = verify_symmetry(L, char, kspace_list=[(1.0, 0.0, 0.0), (0.0, 1.0, 2.0)], s=0.0)
+    assert report.passed and report.target == "adjoint", report.residual
 
 
 def test_kdvkdv_characteristics_annihilated_by_adjoint():
@@ -135,22 +143,37 @@ def test_kdvkdv_characteristics_annihilated_by_adjoint():
     fact = adjoint_factorization(L, semi_conjugacy_solve(L))
     for name in ("kdvkdv.shift_u", "kdvkdv.shift_linear_a", "kdvkdv.Gamma_s", "kdvkdv.swap"):
         char = adjoint_characteristic(L, fact, build_symmetry(name))
-        res, ok = verify_characteristic(char, [(1.0,), (2.0,)], s=1.0)
-        assert ok, (name, res)
+        report = verify_symmetry(L, char, kspace_list=[(1.0,), (2.0,)], s=1.0)
+        assert report.passed and report.target == "adjoint", (name, report.residual)
+
+
+def test_characteristic_is_a_char_map_chain():
+    # Q = A1 . R[G u]: the pair's matrix acts last, a kernel shift first
+    L = kdvkdv_operator()
+    fact = adjoint_factorization(L, semi_conjugacy_solve(L))
+    shift = build_symmetry("kdvkdv.shift_u")
+    char = adjoint_characteristic(L, fact, shift)
+    assert isinstance(char, SymmetryOp) and char.char_map
+    assert isinstance(char.factors[0], MatrixFactor)
+    assert np.array_equal(char.factors[0].matrix, fact.A1)
+    assert char.factors[-1] is shift
+    reflections = [f for f in char.factors if isinstance(f, PointReflect)]
+    assert len(reflections) == int(any(fact.parity_mask))
 
 
 def test_heat_s_reflection_characteristic():
     L = heat_operator(1)
     fact = adjoint_factorization(L, semi_conjugacy_solve(L))
-    char = adjoint_characteristic(L, fact, build_symmetry("heat.s_reflection(s=1.0)"))
-    assert char.direct
-    res, ok = verify_characteristic(char, [(1.0,), (3.0,)], s=1.0)
-    assert ok, res
+    gen = build_symmetry("heat.s_reflection(s=1.0)")
+    char = adjoint_characteristic(L, fact, gen)
+    assert char is gen  # a characteristic map builds Q itself
+    report = verify_symmetry(L, char, kspace_list=[(1.0,), (3.0,)], s=1.0)
+    assert report.passed and report.target == "adjoint", report.residual
     # the factorization route with the spatial reflection gives the same Q
     char2 = adjoint_characteristic(L, fact, build_symmetry("heat.space_reflection"))
     u = kernel_sample(L, (2.0,))[0]
-    q1 = characteristic_analytic(char, u, s=1.0)
-    q2 = characteristic_analytic(char2, u, s=1.0)
+    q1 = apply_symmetry_analytic(char, u, s=1.0)
+    q2 = apply_symmetry_analytic(char2, u, s=1.0)
     pts = np.linspace(-1, 1, 7).reshape(-1, 1)
     assert np.allclose(q1.evaluate(0.3, pts), q2.evaluate(0.3, pts), atol=1e-12)
 

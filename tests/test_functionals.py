@@ -17,9 +17,9 @@ from conslaw.spectral import (
     TorusGrid,
     Trajectory,
     _reflect_values,
-    characteristic_view,
     integrate,
     kappa_series,
+    symmetry_view,
 )
 
 TWO_PI = 2 * np.pi
@@ -35,7 +35,7 @@ def _pipeline(L, grid, profile, amp_cap=1e6):
 
 def _series(L, char, traj, times, s=0.0):
     """The conserved functional of ``char`` sampled along ``traj``."""
-    qview = characteristic_view(char, traj, s=s)
+    qview = symmetry_view(char, traj, s=s)
     return kappa_series(concomitant_flux(L), qview, traj, times)
 
 

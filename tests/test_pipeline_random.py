@@ -18,8 +18,8 @@ from conslaw.spectral import (
     EvolutionSystem,
     TorusGrid,
     Trajectory,
-    characteristic_view,
     kappa_series,
+    symmetry_view,
 )
 from conslaw.symmetry import DiffFactor, KernelShift, MatrixFactor, SymmetryOp, verify_symmetry
 
@@ -69,7 +69,7 @@ def test_random_system_charges_are_conserved(seed):
     times = np.linspace(0.0, 0.8, 7)
     for gen in generators:
         char = adjoint_characteristic(L, fact, gen)
-        qview = characteristic_view(char, traj, s=1.0)
+        qview = symmetry_view(char, traj, s=1.0)
         series = kappa_series(flux, qview, traj, times)
         assert series.drift <= 1e-8, (gen.name, series.drift)
 
@@ -91,6 +91,6 @@ def test_random_system_negative_control_drifts():
     system = EvolutionSystem(L, grid)
     traj = Trajectory(system, build_profile("random(seed=2, kmax=12)", grid, 3))
     char = adjoint_characteristic(L, fact, gen)
-    qview = characteristic_view(char, traj, s=1.0)
+    qview = symmetry_view(char, traj, s=1.0)
     series = kappa_series(flux, qview, traj, np.linspace(0.0, 0.8, 7))
     assert series.drift >= 1e-2

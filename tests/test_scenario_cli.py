@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conslaw import scenario
-from conslaw.catalog import build_profile, build_symmetry
+from conslaw.catalog import build_operator, build_profile, build_symmetry
 from conslaw.cli import main
 from conslaw.scenario import (
     ScenarioError,
@@ -237,6 +237,34 @@ def test_cli_rejects_unknown_operator_keyword(capsys):
     assert err.startswith("error:") and "'dimm'" in err
 
 
+@pytest.mark.parametrize(
+    "operator",
+    ["heat(dim=abc)", "wave(dim=1.5)", "heat(nu=abc)", "dirac(rep=chiral)", "dirac(rep=5)"],
+)
+def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
+    assert main(["adjoint", operator]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "operator, profile, symmetry",
+    [
+        ("kdvkdv", "random(seed=1, kmax=4)", "kdvkdv.Gamma_s(s=abc)"),
+        ("heat(dim=1)", "gaussian(comp=5)", "identity"),
+    ],
+)
+def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profile, symmetry):
+    path = tmp_path / "mistyped.scn"
+    path.write_text(
+        f"operator = {operator}\ngrid = modes:16 length:6.28\nprofile = {profile}\n"
+        f"times = 0.0, 0.5\nsymmetry = {symmetry}\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_catalog_rejects_unknown_keywords():
     with pytest.raises(ValueError, match="'s'"):
         build_symmetry("dirac.Gamma1(s=5)")
@@ -245,6 +273,7 @@ def test_catalog_rejects_unknown_keywords():
     with pytest.raises(ValueError, match="'grid'"):
         build_profile("random(grid=3)", TorusGrid((6.28,), (16,)), 1)
     assert build_symmetry("dirac.Gamma0(s=0.5)").factors
+    assert build_operator("heat(nu=2)") == build_operator("heat(nu=2.0)")  # an int for a float
 
 
 def test_reproduce_scenario_writes_one_summary(tmp_path, capsys):

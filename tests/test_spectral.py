@@ -24,11 +24,11 @@ from conslaw.spectral import (
     SupportError,
     TorusGrid,
     Trajectory,
-    characteristic_view,
     drift_of,
     heat_flow_product_oracle,
     integrate,
     kappa_series,
+    symmetry_view,
 )
 
 TWO_PI = 2 * np.pi
@@ -248,7 +248,7 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
     traj = Trajectory(system, coeffs)
     fact = adjoint_factorization(L, semi_conjugacy_solve(L))
     char = adjoint_characteristic(L, fact, build_symmetry("dirac.rotation_z"))
-    qview = characteristic_view(char, traj, support_tol=1.0)
+    qview = symmetry_view(char, traj, support_tol=1.0)
     flux = concomitant_flux(L)
     times = np.linspace(0.0, 0.5, 7)
 

@@ -13,6 +13,7 @@ from conslaw.fields import evolution_matrix, kernel_sample, plane_wave
 from conslaw.gamma import energy
 from conslaw.symmetry import (
     DiffFactor,
+    MatrixFactor,
     apply_symmetry_analytic,
     verify_kernel_shift,
     verify_symmetry,
@@ -25,6 +26,15 @@ def test_identity_chain_is_identity():
     out = apply_symmetry_analytic(g, f)
     pts = np.linspace(-2, 2, 5).reshape(-1, 1)
     assert np.allclose(out.evaluate(0.7, pts), f.evaluate(0.7, pts))
+
+
+def test_factors_copy_their_matrices():
+    A = np.eye(2, dtype=complex)
+    mf = MatrixFactor(A)
+    df = DiffFactor((((), A, (0, 1)),))
+    A[0, 0] = 2.0  # the caller's array stays writeable and the factors keep theirs
+    assert mf.matrix[0, 0] == 1.0 and df.terms[0][1][0, 0] == 1.0
+    assert not mf.matrix.flags.writeable and not df.terms[0][1].flags.writeable
 
 
 def test_gamma_s_reflects_and_flips_sign():
