@@ -100,6 +100,10 @@ class ConjugacyPair:
         return not any(self.parity_mask)
 
 
+_RESIDUAL_TOL = 1e-10  # largest coefficient residual of an accepted pair
+_MAX_SAMPLES = 64  # random elements of the solution space tried per variant
+
+
 def _pair_residual(L, A1, A2, sign_absorbed):
     """Max over terms of ||M^dagger A1 - s A2 M|| / ||M||."""
     worst = 0.0
@@ -111,7 +115,7 @@ def _pair_residual(L, A1, A2, sign_absorbed):
     return worst
 
 
-def _joint_nullspace(L, sign_absorbed, tol=1e-10):
+def _joint_nullspace(L, sign_absorbed):
     """Nullspace basis of the stacked constraints, as (2m^2, k) array."""
     m = L.rows
     eye = np.eye(m)
@@ -127,7 +131,7 @@ def _joint_nullspace(L, sign_absorbed, tol=1e-10):
     smax = sv[0] if len(sv) else 0.0
     if smax == 0.0:
         return np.eye(2 * m * m, dtype=complex)
-    keep = sv <= tol * smax
+    keep = sv <= 1e-10 * smax
     null = vh[len(sv) :].conj().T  # rows beyond rank when K is wide
     extra = vh[: len(sv)][keep].conj().T
     if null.size and extra.size:
@@ -135,14 +139,14 @@ def _joint_nullspace(L, sign_absorbed, tol=1e-10):
     return extra if extra.size else null
 
 
-def _try_pair(L, A1, A2, sign_absorbed, cond_threshold):
+def _try_pair(L, A1, A2, sign_absorbed):
     m = L.rows
     if np.linalg.matrix_rank(A1) < m or np.linalg.matrix_rank(A2) < m:
         return None
-    if np.linalg.cond(A1) > cond_threshold or np.linalg.cond(A2) > cond_threshold:
+    if np.linalg.cond(A1) > 1e8 or np.linalg.cond(A2) > 1e8:
         return None
     res = _pair_residual(L, A1, A2, sign_absorbed)
-    if res > 1e-10:
+    if res > _RESIDUAL_TOL:
         return None
     return res
 
@@ -153,15 +157,15 @@ def _normalize(A1, A2):
     return A1 / c, A2 / c
 
 
-def semi_conjugacy_solve(L, seed=0, max_samples=64, cond_threshold=1e8):
+def semi_conjugacy_solve(L, seed=0):
     """Find an invertible pair conjugating every coefficient to its adjoint.
 
     Solves the joint linear system over all terms, first in the sign-absorbed
     variant (no reflection needed), then in the plain variant (full
     reflection).  In each variant the identity pair is tried first, then
-    ``max_samples`` random elements of the solution space (seeded, so NotFound
+    ``_MAX_SAMPLES`` random elements of the solution space (seeded, so NotFound
     is reproducible).  Raises :class:`SemiConjugacyNotFound` if no invertible
-    pair with condition number below ``cond_threshold`` turns up.
+    pair with condition number at most 1e8 turns up.
     """
     if not L.is_square():
         raise ValueError("semi-conjugacy needs a square operator")
@@ -175,11 +179,11 @@ def semi_conjugacy_solve(L, seed=0, max_samples=64, cond_threshold=1e8):
         if null.shape[1] == 0:
             continue
         for cand in ((eye, eye), (eye, -eye)):
-            res = _try_pair(L, cand[0], cand[1], sign_absorbed, cond_threshold)
+            res = _try_pair(L, cand[0], cand[1], sign_absorbed)
             if res is not None:
                 return ConjugacyPair(cand[0].copy(), cand[1].copy(), mask, res, seed, None)
         rng = np.random.default_rng(seed)
-        for i in range(max_samples):
+        for i in range(_MAX_SAMPLES):
             g = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
             vec = null @ g
             A1 = vec[: m * m].reshape(m, m)
@@ -187,21 +191,23 @@ def semi_conjugacy_solve(L, seed=0, max_samples=64, cond_threshold=1e8):
             if np.linalg.norm(A1) < 1e-12 or np.linalg.norm(A2) < 1e-12:
                 continue
             A1, A2 = _normalize(A1, A2)
-            res = _try_pair(L, A1, A2, sign_absorbed, cond_threshold)
+            res = _try_pair(L, A1, A2, sign_absorbed)
             if res is not None:
                 return ConjugacyPair(A1, A2, mask, res, seed, i)
     raise SemiConjugacyNotFound(
-        f"no invertible conjugating pair found after {max_samples} samples (seed={seed})"
+        f"no invertible conjugating pair found after {_MAX_SAMPLES} samples (seed={seed})"
     )
 
 
-def clifford_conjugators(gammas, tol=1e-12):
+def clifford_conjugators(gammas):
     """Conjugating pair for a unitary Clifford family, signature (+,-,...,-).
 
-    Checks the anticommutation relations and unitarity of the generators; the
-    timelike generator (the first one, squaring to +I) then conjugates every
-    generator to its Hermitian adjoint, so ``A1 = A2 = gammas[0]``.
+    Checks, to 1e-12, the anticommutation relations and unitarity of the
+    generators; the timelike generator (the first one, squaring to +I) then
+    conjugates every generator to its Hermitian adjoint, so
+    ``A1 = A2 = gammas[0]``.
     """
+    tol = 1e-12
     gammas = [np.asarray(g, dtype=complex) for g in gammas]
     if not gammas:
         raise ValueError("need at least one generator")
@@ -252,12 +258,13 @@ class AdjointFactorization:
         return self.pair.parity_mask
 
 
-def _symbol_identity_residual(L, pair, nchecks=50, seed=7):
+def _symbol_identity_residual(L, pair):
+    """Worst relative symbol-identity residual over 50 seeded wavevectors."""
     Ls = formal_adjoint(L)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     A1inv = np.linalg.inv(pair.A1)
     worst = 0.0
-    for _ in range(nchecks):
+    for _ in range(50):
         k = rng.standard_normal(L.nvars)
         sig = k.astype(complex)
         if any(pair.parity_mask):
@@ -272,16 +279,16 @@ def _symbol_identity_residual(L, pair, nchecks=50, seed=7):
     return worst
 
 
-def adjoint_factorization(L, pair, tol=1e-10):
+def adjoint_factorization(L, pair):
     """Verify ``pair`` against ``L`` and package the factorization.
 
     Raises ``ValueError`` when the coefficient residual or the symbol-identity
-    residual exceeds ``tol``.
+    residual exceeds ``_RESIDUAL_TOL``.
     """
     res = _pair_residual(L, pair.A1, pair.A2, pair.sign_absorbed)
-    if res > tol:
+    if res > _RESIDUAL_TOL:
         raise ValueError(f"conjugating pair does not verify: coefficient residual {res:.3e}")
     sym = _symbol_identity_residual(L, pair)
-    if sym > tol:
+    if sym > _RESIDUAL_TOL:
         raise ValueError(f"factorization symbol identity fails: residual {sym:.3e}")
     return AdjointFactorization(L, pair, sym)

@@ -153,6 +153,8 @@ def _wave_time_translation(dim=1):
 
 
 def _wave_space_translation(dim=1, axis=1):
+    if not 1 <= axis <= dim:
+        raise ValueError(f"wave.space_translation axis {axis} is outside 1..{dim}")
     return _partial(int(axis), dim + 1, "wave.space_translation")
 
 

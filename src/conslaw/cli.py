@@ -109,8 +109,6 @@ def _cmd_verify(args):
     from .scenario import load_scenario, run_scenario
 
     scn = load_scenario(args.scenario)
-    if args.tolerance is not None:
-        scn = dataclasses.replace(scn, tolerance=args.tolerance)
     if args.seed is not None:
         scn = dataclasses.replace(scn, seed=args.seed)
     report = run_scenario(scn, out_dir=args.out_dir)
@@ -131,16 +129,9 @@ def _cmd_reproduce(args):
     from .scenario import reproduce, reproductions
 
     if args.name == "all":
-        names = sorted(reproductions())
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(lambda n: reproduce(n, out_dir=args.out_dir), names))
-        else:
-            reports = [reproduce(n, out_dir=args.out_dir) for n in names]
         ok = True
-        for name, report in zip(names, reports):
+        for name in sorted(reproductions()):
+            report = reproduce(name, out_dir=args.out_dir)
             passed = bool(report.get("pass", True))
             ok &= passed
             print(f"[{'PASS' if passed else 'FAIL'}] {name:26s} {report['certifies']}")
@@ -181,7 +172,6 @@ def main(argv=None):
         help="randomized-solver seed (default 0; overrides a scenario's seed)",
     )
     parser.add_argument("--out-dir", default=None, help="directory for CSV/JSON output")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel scenarios (reproduce-all)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("adjoint", help="print the formal adjoint and its factorization")
@@ -199,7 +189,6 @@ def main(argv=None):
 
     p = sub.add_parser("verify", help="run a scenario file")
     p.add_argument("scenario")
-    p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dirac", help="run the full spin-1/2 suite")

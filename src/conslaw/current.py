@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opcore import midx_order
-from .symmetry import KernelShift, MatrixFactor, PointReflect, SymmetryOp
+from .symmetry import DiffFactor, KernelShift, MatrixFactor, PointReflect, SymmetryOp
 
 __all__ = [
     "bilinear_concomitant_terms",
@@ -129,19 +129,15 @@ def concomitant_flux(L):
     return BilinearFlux(nv, L.rows, components)
 
 
-def evaluate_terms(terms, jet_q, jet_p, conjugate_first=True):
+def evaluate_terms(terms, jet_q, jet_p):
     """Numerically contract jet-bilinear terms against two jet providers.
 
     ``jet_q(beta)`` and ``jet_p(gamma)`` return arrays indexed by component in
-    axis 0.  The Q side is conjugated by default (Hermitian pairing); pass
-    ``conjugate_first=False`` for the raw bilinear form.
+    axis 0.  The Q side is conjugated (the Hermitian pairing).
     """
     out = None
     for (beta, i, gamma, j), c in terms.items():
-        q = jet_q(beta)[i]
-        if conjugate_first:
-            q = np.conj(q)
-        val = c * q * jet_p(gamma)[j]
+        val = c * np.conj(jet_q(beta)[i]) * jet_p(gamma)[j]
         out = val if out is None else out + val
     return out
 
@@ -156,13 +152,23 @@ def adjoint_characteristic(L, fact, generator):
     empty), its time slot as ``t -> s - t`` with ``s`` from the evaluation
     context.  A fixed kernel element becomes the innermost factor, a constant
     map ``u -> w``; a generator already flagged ``char_map`` builds Q itself and
-    is returned as it is.
+    is returned as it is.  Raises ``ValueError`` when a reflection mask, a
+    derivative index or a kernel field spans other than ``L.nvars`` variables.
     """
     if fact.operator is not L and fact.operator != L:
         raise ValueError("factorization belongs to a different operator")
+    inner = (generator,) if isinstance(generator, KernelShift) else generator.factors
+    spans = {len(f.mask) for f in inner if isinstance(f, PointReflect)}
+    spans |= {len(a) for f in inner if isinstance(f, DiffFactor) for _p, _m, a in f.terms}
+    spans |= {f.field.nvars for f in inner if isinstance(f, KernelShift)}
+    wrong = spans - {L.nvars}
+    if wrong:
+        raise ValueError(
+            f"symmetry {generator.name!r} acts on {min(wrong)} variables, "
+            f"the operator on {L.nvars}"
+        )
     if getattr(generator, "char_map", False):
         return generator
-    inner = (generator,) if isinstance(generator, KernelShift) else generator.factors
     outer = (MatrixFactor(fact.A1),)
     if any(fact.parity_mask):
         outer += (PointReflect(fact.parity_mask),)

@@ -199,13 +199,13 @@ def polynomial_field(nvars, ncomp, comp_polys):
     return AnalyticField(nvars, ncomp, terms)
 
 
-def evolution_matrix(L, kspace, cond_limit=1e12):
+def evolution_matrix(L, kspace):
     """Companion matrix A(k) of the first-order system for one spatial mode.
 
     For ``L = sum_r C_r(Dx) Dt^r`` the per-mode ODE is
     ``sum_r C_r(k) y^(r) = 0``; the returned block-companion A acts on the
     stacked state ``(y, y', ..., y^(R-1))``.  Requires the leading time
-    coefficient ``C_R(k)`` to be invertible.
+    coefficient ``C_R(k)`` to be invertible (condition number at most 1e12).
     """
     m = L.cols
     if not L.is_square():
@@ -215,7 +215,7 @@ def evolution_matrix(L, kspace, cond_limit=1e12):
         raise ValueError("operator has no time derivative; no evolution form")
     C = [L.spatial_symbol(kspace, r) for r in range(R + 1)]
     lead = C[R]
-    if np.linalg.cond(lead) > cond_limit:
+    if np.linalg.cond(lead) > 1e12:
         raise ValueError(f"leading time coefficient is singular at k={tuple(kspace)}")
     lead_inv = np.linalg.inv(lead)
     A = np.zeros((m * R, m * R), dtype=complex)
@@ -226,7 +226,7 @@ def evolution_matrix(L, kspace, cond_limit=1e12):
     return A
 
 
-def kernel_sample(L, kspace, tol=1e-8):
+def kernel_sample(L, kspace):
     """Exact plane-wave kernel elements of ``L`` at one spatial wavevector.
 
     Solves the per-mode dispersion via the companion matrix and returns one
@@ -249,7 +249,7 @@ def kernel_sample(L, kspace, tol=1e-8):
         acc = np.zeros(m, dtype=complex)
         for r in range(L.time_order() + 1):
             acc = acc + L.spatial_symbol(kspace, r) @ v * lam**r
-        if np.linalg.norm(acc) <= tol * max(scale, abs(lam) ** L.time_order()):
+        if np.linalg.norm(acc) <= 1e-8 * max(scale, abs(lam) ** L.time_order()):
             out.append(plane_wave(L.nvars, v, lam, kspace))
     if not out:
         raise ValueError(f"no plane-wave kernel elements at k={kspace}")

@@ -176,7 +176,7 @@ def build_kappa45(sys):
     return K
 
 
-def _field_mode_parts(sys, rep, ip):
+def _field_mode_parts(sys, ip):
     """Spinor amplitudes entering the mode expansion at one momentum."""
     p = np.array(sys.momenta[ip])
     E = sys.energy(ip)
@@ -185,7 +185,7 @@ def _field_mode_parts(sys, rep, ip):
     return p, E, us, vs
 
 
-def quantize_reflection_charge(sys, rep=None, t=0.0):
+def quantize_reflection_charge(sys, t=0.0):
     """Mechanical lattice quantization of the time-reflected pairing.
 
     Expands ``integral psibar(-t, x) gamma4 psi(t, x) dx`` in ladder
@@ -193,11 +193,11 @@ def quantize_reflection_charge(sys, rep=None, t=0.0):
     (nothing is dropped by hand).  The diagonal contractions vanish
     identically, which is what makes the result time-independent.
     """
-    rep = rep or gm.dirac_representation()
+    rep = gm.dirac_representation()
     g = rep.gamma0 @ rep.gamma4
     K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
     for ip in range(len(sys.momenta)):
-        p, E, us, vs = _field_mode_parts(sys, rep, ip)
+        p, E, us, vs = _field_mode_parts(sys, ip)
         im = sys.reflected_index(ip)
         for r in SPINS:
             ubar_r = us[r].conj() @ g
@@ -218,7 +218,7 @@ def quantize_reflection_charge(sys, rep=None, t=0.0):
     return K
 
 
-def quantize_cpt_charge(sys, rep=None, t=0.0):
+def quantize_cpt_charge(sys, t=0.0):
     """Mechanical lattice quantization of the CPT pairing.
 
     Expands ``integral psibar(t, x, -y, z) gamma2 gamma0 gamma4 psi(t, x) dx``
@@ -227,11 +227,11 @@ def quantize_cpt_charge(sys, rep=None, t=0.0):
     All four contraction channels and their phases are kept; the result is
     proportional to :func:`build_kappa45` by a unit constant.
     """
-    rep = rep or gm.dirac_representation()
+    rep = gm.dirac_representation()
     g = rep.gamma(2) @ rep.gamma0 @ rep.gamma4
     K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
     for ip in range(len(sys.momenta)):
-        p, E, us, vs = _field_mode_parts(sys, rep, ip)
+        p, E, us, vs = _field_mode_parts(sys, ip)
         iq = sys.conjugated_index(ip)  # the x-integral pins q = p'
         pq = np.array(sys.momenta[iq])
         usq = {s: gm.u_spinor(pq, sys.mass, s) for s in SPINS}

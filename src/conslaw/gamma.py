@@ -142,7 +142,7 @@ def _bar(spinor, rep):
     return spinor.conj() @ rep.gamma0
 
 
-def spinor_identity_report(p, m, rep=None, tol=1e-12):
+def spinor_identity_report(p, m):
     """Check the gamma2 spin-flip identities and the four pair contractions.
 
     With ``p' = (p1, -p2, p3)``:
@@ -157,9 +157,10 @@ def spinor_identity_report(p, m, rep=None, tol=1e-12):
     * ``ubar_r(p)  . v_{s+1}(p)  = 2 E_p delta^{r,s+1}``
     * ``vbar_r(-p) . u_{s+1}(-p) = 2 E_p delta^{r,s+1}``
 
-    Returns a dict of named max-residuals; raises nothing.
+    in the Dirac representation.  Returns a dict of named max-residuals and
+    ``passed`` (every residual at most 1e-12); raises nothing.
     """
-    rep = rep or dirac_representation()
+    rep = dirac_representation()
     p = np.asarray(p, dtype=float)
     pp = np.array([p[0], -p[1], p[2]])
     E = energy(p, m)
@@ -195,5 +196,5 @@ def spinor_identity_report(p, m, rep=None, tol=1e-12):
     report["vv_zero"] = vv / (2 * E)
     report["uv_2E"] = uv / (2 * E)
     report["vu_2E"] = vu / (2 * E)
-    report["passed"] = all(v <= tol for k, v in report.items() if k != "passed")
+    report["passed"] = all(v <= 1e-12 for k, v in report.items() if k != "passed")
     return report

@@ -13,8 +13,10 @@ A scenario is a flat ``key = value`` text file (``#`` comments)::
     symmetry  = wave.time_translation
     symmetry  = heat.time_reversal expect=drift min_drift=1e-2
 
-``symmetry`` lines may repeat; the optional trailing ``key=value`` tokens set
-per-symmetry expectations (``expect=conserve`` by default).  ``grid`` takes
+The keys and their defaults are the fields of :class:`Scenario`, and the
+trailing ``key=value`` tokens of a ``symmetry`` line are those of
+:class:`SymmetryCase`.  ``symmetry`` lines may repeat; any other key given
+twice, an unknown key and an unknown grid token are errors.  ``grid`` takes
 ``modes``/``length`` (comma lists for anisotropic boxes), optional ``kmax``
 (spherical cutoff) and ``dims``.  The pipeline per symmetry is: factorize the
 adjoint, build the bilinear current, build the characteristic, propagate
@@ -41,6 +43,8 @@ from .adjoint import adjoint_factorization, semi_conjugacy_solve
 from .catalog import build_operator, build_profile, build_symmetry
 from .current import adjoint_characteristic, concomitant_flux
 from .spectral import (
+    AMP_CAP,
+    SUPPORT_TOL,
     EvolutionSystem,
     TorusGrid,
     Trajectory,
@@ -85,8 +89,8 @@ class Scenario:
     s: float = 1.0
     seed: int = 0
     tolerance: float = 1e-10
-    support_tol: float = 1e-10
-    amp_cap: float = 1e6
+    support_tol: float = SUPPORT_TOL
+    amp_cap: float = AMP_CAP
     certifies: str = ""
 
 
@@ -99,19 +103,25 @@ def _parse_times(text):
     else:
         times = tuple(float(x) for x in text.split(","))
     if not times or not np.isfinite(times).all():
-        raise ScenarioError(f"times must be a non-empty list of finite numbers, got {text!r}")
+        raise ScenarioError(f"must be a non-empty list of finite numbers, got {text!r}")
     return times
+
+
+_GRID_TOKENS = ("modes", "length", "dims", "kmax")
 
 
 def _parse_grid(text):
     spec = {}
     for tok in text.split():
-        if ":" not in tok:
-            raise ScenarioError(f"grid tokens must be key:value, got {tok!r}")
-        key, val = tok.split(":", 1)
-        spec[key.strip()] = val.strip()
+        key, sep, val = tok.partition(":")
+        if not sep:
+            raise ScenarioError(f"tokens must be key:value, got {tok!r}")
+        if key not in _GRID_TOKENS or key in spec:
+            tokens = ", ".join(_GRID_TOKENS)
+            raise ScenarioError(f"token {key!r} is unknown or repeated (tokens: {tokens})")
+        spec[key] = val
     if "modes" not in spec or "length" not in spec:
-        raise ScenarioError("grid needs modes: and length:")
+        raise ScenarioError("needs modes: and length:")
     modes = tuple(int(x) for x in spec["modes"].split(","))
     lengths = tuple(float(x) for x in spec["length"].split(","))
     dims = int(spec.get("dims", max(len(modes), len(lengths))))
@@ -124,33 +134,43 @@ def _parse_grid(text):
     return {"modes": modes, "lengths": lengths, "kmax": kmax}
 
 
-def _parse_symmetry_line(text, default_tol):
-    tokens = text.split()
+def _parse_expect(text):
+    if text not in ("conserve", "drift"):
+        raise ScenarioError(f"expect must be conserve or drift, got {text!r}")
+    return text
+
+
+# value parser per key: the fields of SymmetryCase (but ``spec``) and of
+# Scenario (but ``symmetries``); their defaults are the dataclasses' own
+_CASE_PARSERS = {"expect": _parse_expect, "min_drift": float, "tolerance": float}
+_SCENARIO_PARSERS = {
+    "name": str, "operator": str, "grid": _parse_grid, "profile": str, "times": _parse_times,
+    "s": float, "seed": int, "tolerance": float, "support_tol": float, "amp_cap": float,
+    "certifies": str,
+}
+
+
+def _parse_symmetry_line(text):
     # re-join spec tokens split inside parentheses, e.g. "f(a=1, b=2)"
-    spec = tokens[0]
-    rest = tokens[1:]
+    spec, *rest = text.split() or [""]
     while spec.count("(") > spec.count(")") and rest:
         spec += " " + rest.pop(0)
-    case = {"expect": "conserve", "min_drift": 1e-2, "tolerance": None}
+    given = {}
     for tok in rest:
-        if "=" not in tok:
-            raise ScenarioError(f"symmetry options must be key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        if key == "expect":
-            if val not in ("conserve", "drift"):
-                raise ScenarioError(f"expect must be conserve or drift, got {val!r}")
-            case["expect"] = val
-        elif key == "min_drift":
-            case["min_drift"] = float(val)
-        elif key == "tolerance":
-            case["tolerance"] = float(val)
-        else:
-            raise ScenarioError(f"unknown symmetry option {key!r}")
-    return SymmetryCase(spec, case["expect"], case["min_drift"], case["tolerance"])
+        key, sep, val = tok.partition("=")
+        if not sep:
+            raise ScenarioError(f"options must be key=value, got {tok!r}")
+        if key not in _CASE_PARSERS or key in given:
+            options = ", ".join(_CASE_PARSERS)
+            raise ScenarioError(f"option {key!r} is unknown or repeated (options: {options})")
+        given[key] = _CASE_PARSERS[key](val)
+    return SymmetryCase(spec, **given)
 
 
 def parse_scenario(text, name="scenario"):
-    fields = {}
+    """Parse a scenario file; ``name`` stands in for a missing ``name`` key."""
+    given = {"name": name}
+    first_line = {}
     symmetries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -158,34 +178,26 @@ def parse_scenario(text, name="scenario"):
             continue
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected key = value")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        val = val.strip()
-        if key == "symmetry":
-            symmetries.append(val)
-        else:
-            fields[key] = val
-    required = ("operator", "grid", "profile", "times")
-    for key in required:
-        if key not in fields:
-            raise ScenarioError(f"scenario is missing {key!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ScenarioError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        if key != "symmetry" and key not in _SCENARIO_PARSERS:
+            keys = ", ".join(_SCENARIO_PARSERS)
+            raise ScenarioError(f"line {lineno}: unknown key {key!r} (keys: symmetry, {keys})")
+        try:
+            if key == "symmetry":
+                symmetries.append(_parse_symmetry_line(val))
+            else:
+                first_line[key] = lineno
+                given[key] = _SCENARIO_PARSERS[key](val)
+        except ValueError as exc:
+            raise ScenarioError(f"{key} (line {lineno}): {exc}") from None
+    for f in dataclasses.fields(Scenario):
+        if f.default is dataclasses.MISSING and f.name not in given and f.name != "symmetries":
+            raise ScenarioError(f"scenario is missing {f.name!r}")
     if not symmetries:
         raise ScenarioError("scenario needs at least one symmetry line")
-    tol = float(fields.get("tolerance", 1e-10))
-    return Scenario(
-        name=fields.get("name", name),
-        operator=fields["operator"],
-        grid=_parse_grid(fields["grid"]),
-        profile=fields["profile"],
-        times=_parse_times(fields["times"]),
-        symmetries=tuple(_parse_symmetry_line(s, tol) for s in symmetries),
-        s=float(fields.get("s", 1.0)),
-        seed=int(fields.get("seed", 0)),
-        tolerance=tol,
-        support_tol=float(fields.get("support_tol", 1e-10)),
-        amp_cap=float(fields.get("amp_cap", 1e6)),
-        certifies=fields.get("certifies", ""),
-    )
+    return Scenario(symmetries=tuple(symmetries), **given)
 
 
 def load_scenario(path):
@@ -237,6 +249,7 @@ def run_scenario(scn, out_dir=None, write_csv=True):
     out_dir = Path(out_dir) if out_dir else None
     for case in scn.symmetries:
         gen = build_symmetry(case.spec)
+        char = adjoint_characteristic(L, fact, gen)  # refuses a chain of the wrong dimension
         entry = {"symmetry": case.spec, "expect": case.expect}
         if isinstance(gen, KernelShift):
             entry["generator_check"] = bool(verify_kernel_shift(L, gen))
@@ -258,7 +271,6 @@ def run_scenario(scn, out_dir=None, write_csv=True):
                     f"supported data: boundary fraction {worst:.2e} exceeds "
                     f"{scn.support_tol:g}"
                 )
-        char = adjoint_characteristic(L, fact, gen)
         qview = symmetry_view(char, traj, s=scn.s, support_tol=scn.support_tol)
         series = kappa_series(flux, qview, traj, scn.times)
         tol = case.tolerance if case.tolerance is not None else scn.tolerance

@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 
+AMP_CAP = 1e6  # default largest propagator entry before a run is refused
+SUPPORT_TOL = 1e-10  # default largest boundary mass under position weighting
+
+
 class AmplificationError(RuntimeError):
     """A reflected/backward evolution would amplify past the configured cap."""
 
@@ -145,8 +149,8 @@ class SpectralState:
         """Integral of |u|^2 over the box, computed in mode space."""
         return self.grid.volume * float(np.sum(np.abs(self.coeffs) ** 2))
 
-    def is_real(self, tol=1e-12):
-        return float(np.max(np.abs(self.values().imag))) <= tol * max(
+    def is_real(self):
+        return float(np.max(np.abs(self.values().imag))) <= 1e-12 * max(
             1e-300, float(np.max(np.abs(self.values())))
         )
 
@@ -173,7 +177,7 @@ def boundary_fraction(grid, values):
 class EvolutionSystem:
     """Per-mode first-order reduction ``U' = A(k) U`` of a square operator."""
 
-    def __init__(self, L, grid, amp_cap=1e6):
+    def __init__(self, L, grid, amp_cap=AMP_CAP):
         if L.nvars != grid.ndim + 1:
             raise ValueError("operator dimension does not match the grid")
         self.L = L
@@ -240,9 +244,9 @@ class EvolutionSystem:
             )
         return P
 
-    def scatter(self, active_values, fill=0.0):
+    def scatter(self, active_values):
         """Expand per-active-mode data (n_active, ...) to full mode arrays."""
-        out = np.full((self.grid.npoints,) + active_values.shape[1:], fill, dtype=complex)
+        out = np.zeros((self.grid.npoints,) + active_values.shape[1:], dtype=complex)
         out[self.active] = active_values
         return out
 
@@ -371,7 +375,7 @@ class ReflectView:
 class DiffView:
     """Apply ``sum p(x) M d^delta`` to the inner field, degree(p) <= 1."""
 
-    def __init__(self, inner, factor, support_tol=1e-10):
+    def __init__(self, inner, factor, support_tol=SUPPORT_TOL):
         self.inner = inner
         self.grid = inner.grid
         self.factor = factor
@@ -433,7 +437,7 @@ class ShiftView:
         return vals.reshape((self.ncomp,) + self.grid.modes)
 
 
-def symmetry_view(generator, base, s=None, support_tol=1e-10):
+def symmetry_view(generator, base, s=None, support_tol=SUPPORT_TOL):
     """Wrap a trajectory view with a symmetry chain (factors act left-last).
 
     For an adjoint characteristic's chain the result is the field view of Q.
@@ -484,12 +488,18 @@ class KappaSeries:
 
 
 def drift_of(values, scale=0.0):
-    """The drift of a kappa series; raises on no samples or non-finite ones."""
+    """The drift of a kappa series.
+
+    Raises on no samples, non-finite ones, or an identically zero density
+    (``kappa(0)`` and ``scale`` both zero), which no drift can judge.
+    """
     if len(values) == 0:
         raise ValueError("kappa series has no sample times")
     if not (np.isfinite(values).all() and np.isfinite(scale)):
         raise ValueError("kappa series is non-finite; its drift is undefined")
     k0 = values[0]
+    if abs(k0) + scale == 0:
+        raise ValueError("the density is identically zero; its drift is undefined")
     return max(abs(v - k0) for v in values) / (abs(k0) + scale + 1e-300)
 
 
@@ -506,7 +516,7 @@ def _jets_at(view, t):
     return jet
 
 
-def kappa_series(flux, qview, traj, times, conjugate_first=True):
+def kappa_series(flux, qview, traj, times):
     """Evaluate ``kappa(t) = integral X0(Q, u) dx`` along a trajectory.
 
     ``flux`` is the bilinear current of the operator, ``qview`` the field view
@@ -517,12 +527,7 @@ def kappa_series(flux, qview, traj, times, conjugate_first=True):
     values = []
     scale = 0.0
     for t in times:
-        integrand = evaluate_terms(
-            flux.density_terms,
-            _jets_at(qview, t),
-            _jets_at(traj, t),
-            conjugate_first=conjugate_first,
-        )
+        integrand = evaluate_terms(flux.density_terms, _jets_at(qview, t), _jets_at(traj, t))
         values.append(integrate(grid, integrand))
         scale = max(scale, abs(integrate(grid, np.abs(integrand))))
     values = tuple(values)
@@ -545,13 +550,13 @@ def _heat_solve_line(f_vals, y, x, t):
     return kern @ (w * f_vals)
 
 
-def heat_flow_product_oracle(profile, s, times, half_width=24.0, npts=2401):
+def heat_flow_product_oracle(profile, s, times):
     """Whole-line values of ``E(t) = integral u(x,t) u(x,s-t) dx`` for heat flow.
 
     ``profile`` is a callable initial condition with numerically compact
-    support inside ``[-half_width, half_width]``.  Both Cauchy solutions are
-    produced by Gaussian-kernel quadrature; a refined grid cross-checks the
-    quadrature and the result carries the estimated error.
+    support inside ``[-24, 24]``.  Both Cauchy solutions are produced by
+    Gaussian-kernel quadrature on 2401 points; a refined grid of 4801 points
+    cross-checks the quadrature and the result carries the estimated error.
 
     Returns ``(values, quad_error)``.
     """
@@ -560,8 +565,7 @@ def heat_flow_product_oracle(profile, s, times, half_width=24.0, npts=2401):
             raise ValueError("times must lie strictly inside (0, s)")
 
     def run(n):
-        y = np.linspace(-half_width, half_width, n)
-        x = np.linspace(-half_width, half_width, n)
+        x = y = np.linspace(-24.0, 24.0, n)
         f = profile(y)
         hx = x[1] - x[0]
         wx = np.full(len(x), hx)
@@ -573,7 +577,7 @@ def heat_flow_product_oracle(profile, s, times, half_width=24.0, npts=2401):
             out.append(float(np.sum(wx * u_t * u_s)))
         return np.array(out)
 
-    coarse = run(npts)
-    fine = run(2 * npts - 1)
+    coarse = run(2401)
+    fine = run(4801)
     err = float(np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-300)))
     return fine, err

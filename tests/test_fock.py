@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from conslaw import fock as fk
-from conslaw.gamma import dirac_representation, spin_flip
+from conslaw.gamma import spin_flip
 
 MOMENTA = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
 
@@ -61,24 +61,21 @@ def test_kappa45_algebra(sys):
 
 
 def test_cpt_quantization_matches_ladder_sum(sys):
-    rep = dirac_representation()
     k45 = fk.build_kappa45(sys)
-    q = fk.quantize_cpt_charge(sys, rep)
+    q = fk.quantize_cpt_charge(sys)
     # the mechanical expansion reproduces the ladder sum up to the discarded
     # unit constant, here exactly -i
     assert fk.max_abs(q - (-1j) * k45) < 1e-12 * fk.max_abs(k45)
 
 
 def test_cpt_quantization_time_independent(sys):
-    rep = dirac_representation()
-    q0 = fk.quantize_cpt_charge(sys, rep, t=0.0)
-    q1 = fk.quantize_cpt_charge(sys, rep, t=0.71)
+    q0 = fk.quantize_cpt_charge(sys, t=0.0)
+    q1 = fk.quantize_cpt_charge(sys, t=0.71)
     assert fk.max_abs(q1 - q0) < 1e-12 * fk.max_abs(q0)
 
 
 def test_reflection_quantization_is_pair_form(sys):
-    rep = dirac_representation()
-    q = fk.quantize_reflection_charge(sys, rep)
+    q = fk.quantize_reflection_charge(sys)
     pair = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
     for ip in range(2):
         im = sys.reflected_index(ip)
@@ -87,7 +84,7 @@ def test_reflection_quantization_is_pair_form(sys):
             pair = pair - sys.b(im, s) @ sys.a(ip, s)
     assert fk.max_abs(q - pair) < 1e-12 * fk.max_abs(q)
     # time independence rests on the exactly vanishing diagonal contractions
-    q1 = fk.quantize_reflection_charge(sys, rep, t=0.37)
+    q1 = fk.quantize_reflection_charge(sys, t=0.37)
     assert fk.max_abs(q1 - q) < 1e-12 * fk.max_abs(q)
 
 
@@ -99,8 +96,7 @@ def test_reflection_quantization_is_pair_form(sys):
     strict=True,
 )
 def test_reflection_quantization_equals_swap_form(sys):
-    rep = dirac_representation()
-    q = fk.quantize_reflection_charge(sys, rep)
+    q = fk.quantize_reflection_charge(sys)
     k0 = fk.build_kappa0(sys)
     best = None
     for c in (1.0, -1.0, 1j, -1j):
@@ -111,9 +107,8 @@ def test_reflection_quantization_equals_swap_form(sys):
 
 def test_offaxis_lattice_cpt_needs_closure():
     sys2 = fk.FockSystem(((1.0, 2.0, 0.0), (-1.0, -2.0, 0.0)), mass=1.0)
-    rep = dirac_representation()
     with pytest.raises(KeyError):
-        fk.quantize_cpt_charge(sys2, rep)
+        fk.quantize_cpt_charge(sys2)
 
 
 def test_vacuum_and_dimensions(sys):
@@ -132,7 +127,7 @@ def test_twelve_mode_lattice():
     k45 = fk.build_kappa45(big)
     assert fk.max_abs(H @ k0 - k0 @ H) == 0.0
     assert fk.max_abs(H @ k45 - k45 @ H) == 0.0
-    q = fk.quantize_cpt_charge(big, dirac_representation())
+    q = fk.quantize_cpt_charge(big)
     assert fk.max_abs(q - (-1j) * k45) < 1e-12 * fk.max_abs(k45)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -37,6 +38,21 @@ def test_parse_scenario_rejects_malformed():
             "operator = wave(dim=1)\ngrid = modes:16 length:6.0\nprofile = random\n"
             "times = 0,1\nsymmetry = identity expect=maybe"
         )
+    base = "operator = wave(dim=1)\ngrid = modes:16 length:6.0\nprofile = random\ntimes = 0,1\n"
+    with pytest.raises(ScenarioError, match="line 5: unknown key 'tolerence'"):
+        parse_scenario(base + "tolerence = 1e-30\nsymmetry = identity")
+    with pytest.raises(ScenarioError, match=r"grid \(line 2\): token 'kmx'"):
+        parse_scenario(base.replace("length:6.0", "length:6.0 kmx:3") + "symmetry = identity")
+    with pytest.raises(ScenarioError, match="line 6: key 'tolerance' repeats line 5"):
+        parse_scenario(base + "tolerance = 1e-8\ntolerance = 1e-30\nsymmetry = identity")
+
+
+def test_scenario_keys_are_the_dataclass_fields():
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(scenario._SCENARIO_PARSERS) == names(scenario.Scenario) - {"symmetries"}
+    assert set(scenario._CASE_PARSERS) == names(scenario.SymmetryCase) - {"spec"}
 
 
 def _shipped():
@@ -252,6 +268,8 @@ def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
     [
         ("kdvkdv", "random(seed=1, kmax=4)", "kdvkdv.Gamma_s(s=abc)"),
         ("heat(dim=1)", "gaussian(comp=5)", "identity"),
+        ("heat(dim=1)", "random(seed=1, kmax=-3)", "identity"),  # zero density
+        ("wave(dim=1)", "random(seed=1, kmax=4)", "wave.space_translation(axis=3)"),
     ],
 )
 def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profile, symmetry):
@@ -263,6 +281,22 @@ def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profi
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "operator, symmetry",
+    [("heat(dim=2)", "heat.space_reflection"), ("wave(dim=2)", "wave.time_translation")],
+)
+def test_cli_rejects_symmetry_of_another_dimension(tmp_path, capsys, operator, symmetry):
+    path = tmp_path / "mismatch.scn"
+    path.write_text(
+        f"operator = {operator}\ngrid = modes:16 length:6.28 dims:2\n"
+        f"profile = random(seed=1, kmax=4)\ntimes = 0.0, 0.5\nsymmetry = {symmetry}\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "on 2 variables" in err and "on 3" in err
 
 
 def test_catalog_rejects_unknown_keywords():
