@@ -9,24 +9,15 @@ single uniform Clifford normalization.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import fock as fk
 from . import gamma as gm
-from .adjoint import adjoint_factorization, semi_conjugacy_solve
-from .catalog import dirac_operator, named_symmetries
-from .current import adjoint_characteristic, concomitant_flux
+from .catalog import named_symmetries
 from .fields import plane_wave
-from .spectral import (
-    SUPPORT_TOL,
-    EvolutionSystem,
-    SupportError,
-    TorusGrid,
-    Trajectory,
-    boundary_fraction,
-    kappa_series,
-    symmetry_view,
-)
+from .spectral import SUPPORT_TOL
 from .symmetry import apply_symmetry_analytic
 
 __all__ = [
@@ -256,35 +247,25 @@ def _pair_form(sys):
 def angular_momentum_series(modes=64, length=16.0, width=1.0, seed=3, support_tol=SUPPORT_TOL):
     """Drift of the three rotation charges of the unit-mass flow on a packet.
 
-    The charges are sampled at seven times on ``[0, 0.5]``.  Position
-    weighting on a torus needs the state's boundary mass to stay negligible;
-    the packet width is balanced against the grid's spectral cutoff and the
-    run refuses data that violates the support guard.
+    Runs the packaged ``dirac_angular_momentum`` scenario (seven times on
+    ``[0, 0.5]``) on a ``modes^3`` box of side ``length`` with packet
+    ``seed`` and ``width``.  Position weighting on a torus needs the state's
+    boundary mass to stay negligible, so the run refuses data whose worst
+    boundary fraction over the times exceeds ``support_tol``.
     """
-    L = dirac_operator(1.0)
-    grid = TorusGrid((length,) * 3, (modes,) * 3)
-    from .catalog import build_profile
+    from .scenario import _packaged_scenario, run_scenario
 
-    system = EvolutionSystem(L, grid)
-    coeffs = build_profile(
-        f"packet(seed={seed}, width={width}, kmax=2, real=False)", grid, 4
+    scn = _packaged_scenario("dirac_angular_momentum")
+    scn = dataclasses.replace(
+        scn,
+        grid={**scn.grid, "modes": (modes,) * 3, "lengths": (length,) * 3},
+        profile=f"packet(seed={seed}, width={width}, kmax=2, real=False)",
+        support_tol=support_tol,
     )
-    traj = Trajectory(system, coeffs)
-    frac = boundary_fraction(grid, traj.state_at(0.0).values())
-    if frac > support_tol:
-        raise SupportError(f"packet boundary fraction {frac:.2e} above {support_tol:g}")
-    pair = semi_conjugacy_solve(L)
-    fact = adjoint_factorization(L, pair)
-    flux = concomitant_flux(L)
-    syms = named_symmetries()
-    times = np.linspace(0.0, 0.5, 7)
-    out = {"boundary_fraction": frac}
-    for axis in ("x", "y", "z"):
-        gen = syms[f"dirac.rotation_{axis}"]()
-        char = adjoint_characteristic(L, fact, gen)
-        qview = symmetry_view(char, traj, s=0.0, support_tol=support_tol)
-        series = kappa_series(flux, qview, traj, times)
-        out[axis] = {"kappa0": series.values[0], "drift": series.drift}
+    results = run_scenario(scn, write_csv=False)["results"]
+    out = {"boundary_fraction": results[0]["boundary_fraction"]}
+    for axis, entry in zip("xyz", results):
+        out[axis] = {"kappa0": entry["kappa0"], "drift": entry["drift"]}
     return out
 
 

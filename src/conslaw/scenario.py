@@ -18,9 +18,14 @@ trailing ``key=value`` tokens of a ``symmetry`` line are those of
 :class:`SymmetryCase`.  ``symmetry`` lines may repeat; any other key given
 twice, an unknown key and an unknown grid token are errors.  ``grid`` takes
 ``modes``/``length`` (comma lists for anisotropic boxes), optional ``kmax``
-(spherical cutoff) and ``dims``.  The pipeline per symmetry is: factorize the
-adjoint, build the bilinear current, build the characteristic, propagate
-exactly, integrate the density, and measure drift.
+(spherical cutoff, ``none`` or a finite number >= 0; ``0`` keeps the zero
+mode only) and ``dims``.  Each ``length``, ``tolerance``, ``min_drift``,
+``support_tol`` and ``amp_cap`` must be finite and > 0.
+
+The pipeline factorizes the adjoint and builds the bilinear current and the
+trajectory once, then each symmetry's generator check and characteristic
+view.  It checks the data's support once, and one pass over the sample times
+integrates every density at each time.
 
 The scenario files of the built-in reproductions ship with the package in
 ``conslaw/scenarios/`` and are read when the registry is built, not at
@@ -33,6 +38,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -129,9 +135,17 @@ def _parse_grid(text):
         modes = modes * dims
     if len(lengths) == 1:
         lengths = lengths * dims
-    kmax = spec.get("kmax")
-    kmax = float(kmax) if kmax not in (None, "", "0", "none") else None
-    return {"modes": modes, "lengths": lengths, "kmax": kmax}
+    kmax = spec.get("kmax", "none")
+    grid = {"modes": modes, "lengths": lengths, "kmax": None if kmax == "none" else float(kmax)}
+    TorusGrid(**grid)  # refuses signless or non-finite lengths and kmax
+    return grid
+
+
+def _positive(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ScenarioError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_expect(text):
@@ -142,11 +156,11 @@ def _parse_expect(text):
 
 # value parser per key: the fields of SymmetryCase (but ``spec``) and of
 # Scenario (but ``symmetries``); their defaults are the dataclasses' own
-_CASE_PARSERS = {"expect": _parse_expect, "min_drift": float, "tolerance": float}
+_CASE_PARSERS = {"expect": _parse_expect, "min_drift": _positive, "tolerance": _positive}
 _SCENARIO_PARSERS = {
     "name": str, "operator": str, "grid": _parse_grid, "profile": str, "times": _parse_times,
-    "s": float, "seed": int, "tolerance": float, "support_tol": float, "amp_cap": float,
-    "certifies": str,
+    "s": float, "seed": int, "tolerance": _positive, "support_tol": _positive,
+    "amp_cap": _positive, "certifies": str,
 }
 
 
@@ -236,7 +250,7 @@ def _position_weighted(gen):
 def run_scenario(scn, out_dir=None, write_csv=True):
     """Execute the full pipeline; returns the JSON-able run report."""
     L = build_operator(scn.operator)
-    grid = TorusGrid(scn.grid["lengths"], scn.grid["modes"], scn.grid["kmax"])
+    grid = TorusGrid(**scn.grid)
     system = EvolutionSystem(L, grid, amp_cap=scn.amp_cap)
     coeffs = build_profile(scn.profile, grid, L.cols * system.R)
     traj = Trajectory(system, coeffs)
@@ -245,8 +259,8 @@ def run_scenario(scn, out_dir=None, write_csv=True):
     flux = concomitant_flux(L)
 
     results = []
-    all_pass = True
-    out_dir = Path(out_dir) if out_dir else None
+    qviews = []
+    weighted = []
     for case in scn.symmetries:
         gen = build_symmetry(case.spec)
         char = adjoint_characteristic(L, fact, gen)  # refuses a chain of the wrong dimension
@@ -261,18 +275,24 @@ def run_scenario(scn, out_dir=None, write_csv=True):
         else:
             entry["generator_check"] = True
         if _position_weighted(gen):
-            worst = max(
-                boundary_fraction(grid, traj.state_at(t).values()) for t in scn.times
-            )
+            weighted.append(entry)
+        results.append(entry)
+        qviews.append(symmetry_view(char, traj, s=scn.s, support_tol=scn.support_tol))
+    if weighted:
+        worst = max(boundary_fraction(grid, traj.state_at(t).values()) for t in scn.times)
+        for entry in weighted:
             entry["boundary_fraction"] = worst
-            if worst > scn.support_tol:
-                raise ScenarioError(
-                    f"position-weighted functional {case.spec!r} needs compactly "
-                    f"supported data: boundary fraction {worst:.2e} exceeds "
-                    f"{scn.support_tol:g}"
-                )
-        qview = symmetry_view(char, traj, s=scn.s, support_tol=scn.support_tol)
-        series = kappa_series(flux, qview, traj, scn.times)
+        if not (worst <= scn.support_tol):
+            raise ScenarioError(
+                f"position-weighted functional {weighted[0]['symmetry']!r} needs compactly "
+                f"supported data: boundary fraction {worst:.2e} exceeds "
+                f"{scn.support_tol:g}"
+            )
+
+    all_pass = True
+    out_dir = Path(out_dir) if out_dir else None
+    series_list = kappa_series(flux, qviews, traj, scn.times)
+    for case, entry, series in zip(scn.symmetries, results, series_list):
         tol = case.tolerance if case.tolerance is not None else scn.tolerance
         if case.expect == "drift":
             passed = series.drift >= case.min_drift
@@ -292,7 +312,6 @@ def run_scenario(scn, out_dir=None, write_csv=True):
                 for row in series.as_rows():
                     writer.writerow([repr(x) for x in row])
             entry["csv"] = csv_path.name  # keep the summary path-independent
-        results.append(entry)
     report = {
         "scenario": scn.name,
         "operator": scn.operator,
@@ -439,16 +458,6 @@ def _report_fock():
     return _json_safe(rep)
 
 
-def _report_angular():
-    from .dirac import angular_momentum_series
-
-    rep = angular_momentum_series()
-    worst = max(rep[ax]["drift"] for ax in ("x", "y", "z"))
-    rep["worst_drift"] = worst
-    rep["pass"] = bool(worst <= 1e-6)
-    return _json_safe(rep)
-
-
 def reproductions():
     """Registry of named built-in reproductions."""
     entries = [
@@ -485,11 +494,7 @@ def reproductions():
             "measured bracket table of the seven reflection/conjugation generators",
             runner=_report_dirac_discrete,
         ),
-        Reproduction(
-            "dirac-angular-momentum",
-            "orbital-plus-spin rotation charges on a compact packet",
-            runner=_report_angular,
-        ),
+        Reproduction.from_scenario("dirac-angular-momentum", "dirac_angular_momentum"),
     ]
     return {e.name: e for e in entries}
 

@@ -10,14 +10,17 @@ would otherwise amplify beyond the configured cap).  A propagator with an
 entry above the cap or a non-finite entry raises ``AmplificationError``, and
 a non-finite kappa value raises instead of yielding a drift.
 
-The module keeps one cache: each ``Trajectory`` stores, per sample time, the
-stack of its companion state and the time derivatives computed so far.
-Propagators are not kept, and ``kappa_series`` memoises field jets for one
-sample time only.
+The module keeps one cache, and it lives for one sample time: a ``Trajectory``
+memoises the companion-state stacks and field jets asked for while one time
+is evaluated, and ``kappa_series``, which serves every characteristic of a
+run in one pass over the times, empties it before the next.  Propagators are
+not kept.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +74,10 @@ class TorusGrid:
         object.__setattr__(self, "modes", tuple(int(n) for n in self.modes))
         if len(self.lengths) != len(self.modes):
             raise ValueError("lengths and modes must have equal dimension")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"lengths must be finite and > 0, got {self.lengths}")
+        if self.kmax is not None and not 0 <= self.kmax < math.inf:
+            raise ValueError(f"kmax must be none or a finite number >= 0, got {self.kmax}")
         for n in self.modes:
             if n < 4 or (n & (n - 1)):
                 raise ValueError("mode counts must be powers of two, at least 4")
@@ -216,28 +223,25 @@ class EvolutionSystem:
                 # overflow on strongly decaying modes)
                 P = np.exp(dt * self.A)
             else:
-                P = np.empty_like(self.A)
-                fast = self.fast
-                if fast.any():
-                    z = np.sqrt(self.lam[fast].astype(complex))
-                    zt = z * dt
-                    c1 = np.cosh(zt)
-                    small = np.abs(zt) < 1e-8
-                    c2 = np.empty_like(z)
-                    nz = ~small
-                    c2[nz] = np.sinh(zt[nz]) / z[nz]
-                    c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
-                    eye = np.eye(d)
-                    P[fast] = c1[:, None, None] * eye + c2[:, None, None] * self.A[fast]
-                for idx in np.flatnonzero(~fast):
+                # the closed form for every mode, then expm where it is not exact
+                z = np.sqrt(self.lam.astype(complex))
+                zt = z * dt
+                c1 = np.cosh(zt)
+                small = np.abs(zt) < 1e-8
+                c2 = np.empty_like(z)
+                nz = ~small
+                c2[nz] = np.sinh(zt[nz]) / z[nz]
+                c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
+                P = c1[:, None, None] * np.eye(d) + c2[:, None, None] * self.A
+                for idx in np.flatnonzero(~self.fast):
                     P[idx] = expm(dt * self.A[idx])
-        if not np.isfinite(P).all():
+        amp = float(np.abs(P).max())  # NaN or inf when an entry is not finite
+        if not math.isfinite(amp):
             raise AmplificationError(
                 f"propagator is non-finite for dt={dt:+.6g}; the evolution is "
                 "ill-posed at this resolution; reduce kmax or the time span"
             )
-        amp = float(np.abs(P).max())
-        if amp > self.amp_cap:
+        if not (amp <= self.amp_cap):
             raise AmplificationError(
                 f"mode amplification {amp:.3e} exceeds cap {self.amp_cap:.1e} "
                 f"for dt={dt:+.6g}; reduce kmax or the reflected time span"
@@ -254,9 +258,9 @@ class EvolutionSystem:
 class Trajectory:
     """Exactly evolvable solution: companion state at t0 plus the system.
 
-    The trajectory's one cache maps a sample time to the stack
-    ``[U, A U, A^2 U, ...]`` of its companion state and the time derivatives
-    asked for so far; ``companion_at(t)`` is entry 0.
+    The one cache holds, per time asked for since ``forget``, the stack
+    ``[U, A U, A^2 U, ...]`` of the companion state and the jets read through
+    ``jet``; ``state_at`` bypasses it.
     """
 
     def __init__(self, system, companion_coeffs, t0=0.0):
@@ -269,6 +273,7 @@ class Trajectory:
         self.t0 = float(t0)
         self.U0 = flat[:, system.active].T.copy()  # (n_active, d)
         self._stacks = {}
+        self._jets = {}
 
     @property
     def grid(self):
@@ -278,33 +283,37 @@ class Trajectory:
     def ncomp(self):
         return self.system.m
 
+    def forget(self):
+        """Empty the cache of stacks and jets."""
+        self._stacks.clear()
+        self._jets.clear()
+
+    def _companion(self, t):
+        P = self.system.propagator(float(t) - self.t0)
+        return np.einsum("mij,mj->mi", P, self.U0)
+
     def _time_derivative(self, t, order):
         key = float(t)
         stack = self._stacks.get(key)
         if stack is None:
-            P = self.system.propagator(key - self.t0)
-            stack = self._stacks[key] = [np.einsum("mij,mj->mi", P, self.U0)]
+            stack = self._stacks[key] = [self._companion(key)]
         while len(stack) <= order:
             stack.append(np.einsum("mij,mj->mi", self.system.A, stack[-1]))
         return stack[order]
 
-    def companion_at(self, t):
-        return self._time_derivative(t, 0)
+    def _field_coeffs(self, U):
+        """Full-grid Fourier coefficients of the first companion block."""
+        return self.system.scatter(U[:, : self.system.m]).T.reshape(
+            (self.system.m,) + self.grid.modes
+        )
 
     def state_at(self, t):
         """Physical field (first companion block) as a SpectralState."""
-        U = self.companion_at(t)
-        coeffs = self.system.scatter(U[:, : self.system.m]).T.reshape(
-            (self.system.m,) + self.grid.modes
-        )
-        return SpectralState(self.grid, coeffs, time=t)
+        return SpectralState(self.grid, self._field_coeffs(self._companion(t)), time=t)
 
     def jet_values(self, t, alpha):
         """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn)."""
-        U = self._time_derivative(t, alpha[0])
-        coeffs = self.system.scatter(U[:, : self.system.m]).T.reshape(
-            (self.system.m,) + self.grid.modes
-        )
+        coeffs = self._field_coeffs(self._time_derivative(t, alpha[0]))
         kk = self.grid.wavevector_grids()
         for d, e in enumerate(alpha[1:]):
             if e:
@@ -313,8 +322,11 @@ class Trajectory:
         return np.fft.ifftn(coeffs, axes=axes) * self.grid.npoints
 
     def jet(self, t, alpha):
-        """Field-view interface: the trajectory is the innermost view."""
-        return self.jet_values(t, alpha)
+        """Field-view interface: ``jet_values``, memoised until ``forget``."""
+        key = (float(t), tuple(alpha))
+        if key not in self._jets:
+            self._jets[key] = self.jet_values(t, alpha)
+        return self._jets[key]
 
 
 # -- field views -------------------------------------------------------------
@@ -401,7 +413,7 @@ class DiffView:
             base = self.inner.jet(t, total)
             if poly:
                 (slot, _e) = poly[0]
-                if slot != 0 and boundary_fraction(self.grid, base) > self.support_tol:
+                if slot != 0 and not (boundary_fraction(self.grid, base) <= self.support_tol):
                     raise SupportError(
                         "position-weighted factor applied to a field with "
                         f"boundary mass above {self.support_tol:g}"
@@ -503,37 +515,26 @@ def drift_of(values, scale=0.0):
     return max(abs(v - k0) for v in values) / (abs(k0) + scale + 1e-300)
 
 
-def _jets_at(view, t):
-    """``alpha -> view.jet(t, alpha)``, memoised for this one sample time."""
-    memo = {}
+def kappa_series(flux, qviews, traj, times):
+    """Evaluate ``kappa(t) = integral X0(Q, u) dx`` for each characteristic.
 
-    def jet(alpha):
-        key = tuple(alpha)
-        if key not in memo:
-            memo[key] = view.jet(t, alpha)
-        return memo[key]
-
-    return jet
-
-
-def kappa_series(flux, qview, traj, times):
-    """Evaluate ``kappa(t) = integral X0(Q, u) dx`` along a trajectory.
-
-    ``flux`` is the bilinear current of the operator, ``qview`` the field view
-    of the characteristic, ``traj`` the solution trajectory.  Returns the
-    series and its relative drift.
+    ``flux`` is the bilinear current of the operator, ``qviews`` the field
+    views of the characteristics over the trajectory ``traj``.  At each time
+    every view reads the trajectory's jets of that time, which are forgotten
+    before the next.  Returns one series with its relative drift per view.
     """
     grid = traj.grid
-    values = []
-    scale = 0.0
+    values = [[] for _ in qviews]
+    scales = [0.0] * len(qviews)
     for t in times:
-        integrand = evaluate_terms(flux.density_terms, _jets_at(qview, t), _jets_at(traj, t))
-        values.append(integrate(grid, integrand))
-        scale = max(scale, abs(integrate(grid, np.abs(integrand))))
-    values = tuple(values)
-    return KappaSeries(
-        tuple(float(t) for t in times), values, scale, drift_of(values, scale)
-    )
+        for i, qview in enumerate(qviews):
+            jet_q = functools.cache(functools.partial(qview.jet, t))
+            integrand = evaluate_terms(flux.density_terms, jet_q, functools.partial(traj.jet, t))
+            values[i].append(integrate(grid, integrand))
+            scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand))))
+        traj.forget()
+    times = tuple(float(t) for t in times)
+    return [KappaSeries(times, tuple(v), sc, drift_of(v, sc)) for v, sc in zip(values, scales)]
 
 
 # -- whole-space heat-flow oracle --------------------------------------------

@@ -138,7 +138,7 @@ def test_rotated_data_gives_rotated_charges():
         for ax in "xyz":
             char = adjoint_characteristic(L, fact, build_symmetry(f"dirac.rotation_{ax}"))
             view = symmetry_view(char, traj, s=0.0, support_tol=1e-6)
-            out.append(kappa_series(flux, view, traj, [0.0]).values[0])
+            out.append(kappa_series(flux, [view], traj, [0.0])[0].values[0])
         return np.array(out)
 
     j = charges(coeffs)

@@ -36,7 +36,7 @@ def _pipeline(L, grid, profile, amp_cap=1e6):
 def _series(L, char, traj, times, s=0.0):
     """The conserved functional of ``char`` sampled along ``traj``."""
     qview = symmetry_view(char, traj, s=s)
-    return kappa_series(concomitant_flux(L), qview, traj, times)
+    return kappa_series(concomitant_flux(L), [qview], traj, times)[0]
 
 
 def test_wave_energy_equals_simplified_form():

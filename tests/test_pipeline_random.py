@@ -70,7 +70,7 @@ def test_random_system_charges_are_conserved(seed):
     for gen in generators:
         char = adjoint_characteristic(L, fact, gen)
         qview = symmetry_view(char, traj, s=1.0)
-        series = kappa_series(flux, qview, traj, times)
+        series = kappa_series(flux, [qview], traj, times)[0]
         assert series.drift <= 1e-8, (gen.name, series.drift)
 
 
@@ -92,5 +92,5 @@ def test_random_system_negative_control_drifts():
     traj = Trajectory(system, build_profile("random(seed=2, kmax=12)", grid, 3))
     char = adjoint_characteristic(L, fact, gen)
     qview = symmetry_view(char, traj, s=1.0)
-    series = kappa_series(flux, qview, traj, np.linspace(0.0, 0.8, 7))
+    series = kappa_series(flux, [qview], traj, np.linspace(0.0, 0.8, 7))[0]
     assert series.drift >= 1e-2

@@ -47,6 +47,29 @@ def test_parse_scenario_rejects_malformed():
         parse_scenario(base + "tolerance = 1e-8\ntolerance = 1e-30\nsymmetry = identity")
 
 
+# a wave(dim=1) energy scenario, one line per key
+WAVE = {
+    "operator": "wave(dim=1)",
+    "grid": "modes:16 length:6.283185307179586",
+    "profile": "random(seed=1, kmax=4)",
+    "times": "0.0, 0.5",
+    "symmetry": "wave.time_translation",
+}
+
+
+def _scenario_text(lines):
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+def test_grid_kmax_zero_keeps_the_zero_mode_only():
+    grids = [
+        parse_scenario(_scenario_text({**WAVE, "grid": f"{WAVE['grid']} kmax:{k}"})).grid
+        for k in ("0", "0.0")
+    ]
+    assert grids[0] == grids[1]
+    assert TorusGrid(**grids[0]).mode_mask().sum() == 1
+
+
 def test_scenario_keys_are_the_dataclass_fields():
     def names(cls):
         return {f.name for f in dataclasses.fields(cls)}
@@ -59,8 +82,9 @@ def _shipped():
     return sorted(p for p in SCENARIOS.iterdir() if p.name.endswith(".scn"))
 
 
-def test_package_ships_exactly_the_six_scenarios():
+def test_package_ships_exactly_the_seven_scenarios():
     assert [p.name for p in _shipped()] == [
+        "dirac_angular_momentum.scn",
         "dirac_charges.scn",
         "heat_es.scn",
         "heat_negative_control.scn",
@@ -281,6 +305,52 @@ def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profi
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid", "modes:16 length:-6.283185307179586"),
+        ("grid", "modes:16 length:nan"),
+        ("grid", "modes:16 length:6.283185307179586 kmax:-1"),
+        ("grid", "modes:16 length:6.283185307179586 kmax:nan"),
+        ("amp_cap", "nan"),
+        ("amp_cap", "inf"),
+        ("support_tol", "nan"),
+        ("support_tol", "-1e-10"),
+        ("tolerance", "nan"),
+        ("tolerance", "-1e-10"),
+        ("symmetry", "wave.time_translation tolerance=nan"),
+        ("symmetry", "wave.time_translation expect=drift min_drift=nan"),
+        ("symmetry", "wave.time_translation expect=drift min_drift=-1"),
+    ],
+)
+def test_cli_rejects_non_finite_or_signless_settings(tmp_path, capsys, key, value):
+    path = tmp_path / "signless.scn"
+    path.write_text(_scenario_text({**WAVE, key: value}))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err.startswith(f"error: {key} (line") and len(err.splitlines()) == 1
+
+
+def test_cli_support_guard_names_the_boundary_fraction(tmp_path, capsys):
+    path = tmp_path / "narrow_box.scn"
+    text = (SCENARIOS / "kdvkdv_affine.scn").read_text()
+    path.write_text(text.replace("length:96.0", "length:20.0"))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err.startswith("error: position-weighted functional 'kdvkdv.shift_linear_a'")
+    assert "boundary fraction" in err and len(err.splitlines()) == 1
+
+
+def test_support_guard_fails_closed_on_nan():
+    scn = load_scenario(SCENARIOS / "kdvkdv_affine.scn")
+    grid = {**scn.grid, "lengths": (20.0,)}
+    scn = dataclasses.replace(scn, grid=grid, support_tol=float("nan"))
+    with pytest.raises(ScenarioError, match="boundary fraction"):
+        run_scenario(scn, write_csv=False)
 
 
 @pytest.mark.parametrize(

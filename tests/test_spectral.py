@@ -174,6 +174,28 @@ def test_support_guard_for_position_weighting():
         view.jet(0.1, (0, 0))
 
 
+def test_nan_support_tol_and_amp_cap_fail_closed():
+    grid = TorusGrid((TWO_PI,), (32,))
+    L = kdvkdv_operator()
+    traj = Trajectory(EvolutionSystem(L, grid), build_profile("random(seed=5, kmax=8)", grid, 2))
+    from conslaw.spectral import DiffView
+    from conslaw.symmetry import DiffFactor
+
+    view = DiffView(traj, DiffFactor((({1: 1}, None, (0, 0)),)), support_tol=np.nan)
+    with pytest.raises(SupportError):
+        view.jet(0.1, (0, 0))
+    with pytest.raises(AmplificationError, match="exceeds cap"):
+        EvolutionSystem(L, grid, amp_cap=np.nan).propagator(0.1)
+
+
+@pytest.mark.parametrize(
+    "length, kmax", [(-TWO_PI, None), (np.nan, None), (np.inf, None), (TWO_PI, -1.0), (TWO_PI, np.nan)]
+)
+def test_grid_rejects_signless_or_non_finite_sizes(length, kmax):
+    with pytest.raises(ValueError, match="length|kmax"):
+        TorusGrid((length,), (16,), kmax)
+
+
 def test_heat_flow_oracle_internal_consistency():
     prof = lambda y: np.exp(-(y**2) / (2.0 * 4.0))
     s = 1.0
@@ -234,37 +256,51 @@ def test_drift_refuses_empty_and_non_finite_series():
     L = heat_operator(1)
     traj = Trajectory(EvolutionSystem(L, grid), build_profile("random(seed=1, kmax=4)", grid, 1))
     with pytest.raises(ValueError, match="non-finite"):
-        kappa_series(concomitant_flux(L), MatrixView(traj, [[np.nan]]), traj, [0.0, 0.5])
+        kappa_series(concomitant_flux(L), [MatrixView(traj, [[np.nan]])], traj, [0.0, 0.5])[0]
 
 
 def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
-    # one rotation charge on a 16^3 Dirac torus over 7 sample times; the
-    # grid is too coarse for a compactly supported packet, so the support
-    # guard is off: this checks what is cached, not the drift
+    # the three rotation charges on a 16^3 Dirac torus over 7 sample times,
+    # in one pass; the grid is too coarse for a compactly supported packet,
+    # so the support guard is off: this checks what is cached, not the drift
     L = dirac_operator(1.0)
     grid = TorusGrid((16.0,) * 3, (16,) * 3)
     system = EvolutionSystem(L, grid)
     coeffs = build_profile("packet(seed=3, width=1.2, kmax=2, real=False)", grid, 4)
     traj = Trajectory(system, coeffs)
     fact = adjoint_factorization(L, semi_conjugacy_solve(L))
-    char = adjoint_characteristic(L, fact, build_symmetry("dirac.rotation_z"))
-    qview = symmetry_view(char, traj, support_tol=1.0)
+    qviews = [
+        symmetry_view(
+            adjoint_characteristic(L, fact, build_symmetry(f"dirac.rotation_{axis}")),
+            traj,
+            support_tol=1.0,
+        )
+        for axis in "xyz"
+    ]
     flux = concomitant_flux(L)
     times = np.linspace(0.0, 0.5, 7)
 
     calls = []
     propagator = system.propagator
     monkeypatch.setattr(system, "propagator", lambda dt: calls.append(dt) or propagator(dt))
+    jets = []
+    jet_values = traj.jet_values
+    monkeypatch.setattr(
+        traj, "jet_values", lambda t, alpha: jets.append((t, alpha)) or jet_values(t, alpha)
+    )
     tracemalloc.start()
     try:
-        series = kappa_series(flux, qview, traj, times)
+        series = kappa_series(flux, qviews, traj, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
-    assert np.isfinite(series.drift)
+    assert len(series) == 3 and all(np.isfinite(s.drift) for s in series)
     assert sorted(calls) == sorted(set(calls))
     assert len(calls) == len(times)
+    # u and its three first space derivatives, once per time for all three
+    # views: 28 jets, where one pass per view computes 84
+    assert len(jets) == len(set(jets)) == 4 * len(times)
     # a propagator has the size of system.A; holding all seven propagators
     # and every time's jets peaks near 15 of these, one at a time near 6
     assert peak < 8 * system.A.nbytes
