@@ -14,7 +14,14 @@ from math import comb
 
 import numpy as np
 
-__all__ = ["AnalyticField", "plane_wave", "polynomial_field", "evolution_matrix", "kernel_sample"]
+__all__ = [
+    "AnalyticField",
+    "plane_wave",
+    "polynomial_field",
+    "evolution_matrices",
+    "evolution_matrix",
+    "kernel_sample",
+]
 
 
 class AnalyticField:
@@ -199,13 +206,15 @@ def polynomial_field(nvars, ncomp, comp_polys):
     return AnalyticField(nvars, ncomp, terms)
 
 
-def evolution_matrix(L, kspace):
-    """Companion matrix A(k) of the first-order system for one spatial mode.
+def evolution_matrices(L, kspace):
+    """Companion matrices A(k) of the first-order system, one per spatial mode.
 
     For ``L = sum_r C_r(Dx) Dt^r`` the per-mode ODE is
-    ``sum_r C_r(k) y^(r) = 0``; the returned block-companion A acts on the
-    stacked state ``(y, y', ..., y^(R-1))``.  Requires the leading time
-    coefficient ``C_R(k)`` to be invertible (condition number at most 1e12).
+    ``sum_r C_r(k) y^(r) = 0``; ``A(k)`` acts on the stacked state
+    ``(y, y', ..., y^(R-1))``.  ``kspace`` is an ``(n, nvars - 1)`` array of
+    wavevectors and the result an ``(n, mR, mR)`` stack.  Requires the leading
+    time coefficient ``C_R(k)`` to be invertible (condition number at most
+    1e12); it is checked once when it does not depend on ``k``.
     """
     m = L.cols
     if not L.is_square():
@@ -213,17 +222,28 @@ def evolution_matrix(L, kspace):
     R = L.time_order()
     if R == 0:
         raise ValueError("operator has no time derivative; no evolution form")
-    C = [L.spatial_symbol(kspace, r) for r in range(R + 1)]
-    lead = C[R]
-    if np.linalg.cond(lead) > 1e12:
-        raise ValueError(f"leading time coefficient is singular at k={tuple(kspace)}")
+    kspace = np.asarray(kspace)
+    C = [L.spatial_symbol(kspace, r) for r in range(R)]
+    if any(any(alpha[1:]) for alpha in L.terms if alpha[0] == R):
+        lead = L.spatial_symbol(kspace, R)
+    else:  # the same matrix on every mode
+        lead = L.spatial_symbol(np.zeros(L.nvars - 1), R)
+    singular = np.atleast_1d(np.linalg.cond(lead) > 1e12)
+    if singular.any():
+        k = kspace[np.argmax(singular)].tolist()
+        raise ValueError(f"leading time coefficient is singular at k={tuple(k)}")
     lead_inv = np.linalg.inv(lead)
-    A = np.zeros((m * R, m * R), dtype=complex)
+    A = np.zeros((len(kspace), m * R, m * R), dtype=complex)
     for r in range(R - 1):
-        A[r * m : (r + 1) * m, (r + 1) * m : (r + 2) * m] = np.eye(m)
+        A[:, r * m : (r + 1) * m, (r + 1) * m : (r + 2) * m] = np.eye(m)
     for r in range(R):
-        A[(R - 1) * m :, r * m : (r + 1) * m] = -lead_inv @ C[r]
+        A[:, (R - 1) * m :, r * m : (r + 1) * m] = -lead_inv @ C[r]
     return A
+
+
+def evolution_matrix(L, kspace):
+    """Companion matrix A(k) for one spatial mode (see ``evolution_matrices``)."""
+    return evolution_matrices(L, [kspace])[0]
 
 
 def kernel_sample(L, kspace):

@@ -201,21 +201,23 @@ class ConstCoeffOperator:
         return out
 
     def spatial_symbol(self, kspace, time_power):
-        """Matrix coefficient of ``(d/dt)^time_power`` at spatial wavevector.
+        """Matrix coefficient of ``(d/dt)^time_power`` at spatial wavevectors.
 
         Collects all terms with ``alpha[0] == time_power`` and evaluates the
-        spatial part at ``kspace`` (length ``nvars - 1``).
+        spatial part at ``kspace``: one wavevector (length ``nvars - 1``)
+        gives one matrix, an ``(n, nvars - 1)`` array a stack of ``n``.
         """
         kspace = np.asarray(kspace, dtype=complex)
-        out = np.zeros(self.shape, dtype=complex)
+        batch = kspace.shape[:-1]
+        out = np.zeros(batch + self.shape, dtype=complex)
         for alpha, mat in self.terms.items():
             if alpha[0] != time_power:
                 continue
-            factor = 1.0 + 0j
-            for e, kj in zip(alpha[1:], kspace):
+            factor = np.ones(batch, dtype=complex)
+            for e, kj in zip(alpha[1:], np.moveaxis(kspace, -1, 0)):
                 if e:
                     factor *= (1j * kj) ** e
-            out += factor * mat
+            out += factor[..., None, None] * mat
         return out
 
     # -- display ----------------------------------------------------------

@@ -20,7 +20,8 @@ twice, an unknown key and an unknown grid token are errors.  ``grid`` takes
 ``modes``/``length`` (comma lists for anisotropic boxes), optional ``kmax``
 (spherical cutoff, ``none`` or a finite number >= 0; ``0`` keeps the zero
 mode only) and ``dims``.  Each ``length``, ``tolerance``, ``min_drift``,
-``support_tol`` and ``amp_cap`` must be finite and > 0.
+``support_tol`` and ``amp_cap`` must be finite and > 0, and the reflection
+time ``s`` finite.
 
 The pipeline factorizes the adjoint and builds the bilinear current and the
 trajectory once, then each symmetry's generator check and characteristic
@@ -141,6 +142,13 @@ def _parse_grid(text):
     return grid
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ScenarioError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _positive(text):
     value = float(text)
     if not 0 < value < math.inf:
@@ -159,7 +167,7 @@ def _parse_expect(text):
 _CASE_PARSERS = {"expect": _parse_expect, "min_drift": _positive, "tolerance": _positive}
 _SCENARIO_PARSERS = {
     "name": str, "operator": str, "grid": _parse_grid, "profile": str, "times": _parse_times,
-    "s": float, "seed": int, "tolerance": _positive, "support_tol": _positive,
+    "s": _finite, "seed": int, "tolerance": _positive, "support_tol": _positive,
     "amp_cap": _positive, "certifies": str,
 }
 

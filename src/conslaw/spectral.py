@@ -10,6 +10,12 @@ would otherwise amplify beyond the configured cap).  A propagator with an
 entry above the cap or a non-finite entry raises ``AmplificationError``, and
 a non-finite kappa value raises instead of yielding a drift.
 
+Work over modes goes one block of at most ``MODE_BLOCK`` active modes at a
+time: ``EvolutionSystem`` builds ``A(k)`` and its fast-mode test block by
+block, and a trajectory builds each sample time's propagator and applies it
+block by block, so a run never allocates a whole-grid propagator.  Blocking
+leaves every number bit-identical to a one-block run.
+
 The module keeps one cache, and it lives for one sample time: a ``Trajectory``
 memoises the companion-state stacks and field jets asked for while one time
 is evaluated, and ``kappa_series``, which serves every characteristic of a
@@ -27,7 +33,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .current import evaluate_terms
-from .fields import evolution_matrix
+from .fields import evolution_matrices
 from .symmetry import (
     Conjugation,
     DiffFactor,
@@ -50,6 +56,7 @@ __all__ = [
 
 
 AMP_CAP = 1e6  # default largest propagator entry before a run is refused
+MODE_BLOCK = 32768  # active modes per block of the companion build and propagators
 SUPPORT_TOL = 1e-10  # default largest boundary mass under position weighting
 
 
@@ -107,10 +114,22 @@ class TorusGrid:
         ]
 
     def wavevector_grids(self):
-        return np.meshgrid(*self.wavenumbers(), indexing="ij")
+        """Full-grid wavevector components, one read-only array per dimension."""
+        return self._wavevector_grids
+
+    @functools.cached_property
+    def _wavevector_grids(self):
+        grids = tuple(np.meshgrid(*self.wavenumbers(), indexing="ij"))
+        for g in grids:
+            g.flags.writeable = False
+        return grids
 
     def mode_mask(self):
         """Retained modes: Nyquist rows dropped, optional spherical cutoff."""
+        return self._mode_mask
+
+    @functools.cached_property
+    def _mode_mask(self):
         mask = np.ones(self.modes, dtype=bool)
         for d, n in enumerate(self.modes):
             idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
@@ -121,6 +140,7 @@ class TorusGrid:
         if self.kmax is not None:
             kk = self.wavevector_grids()
             mask &= sum(k * k for k in kk) <= self.kmax**2 + 1e-12
+        mask.flags.writeable = False
         return mask
 
     def point_list(self):
@@ -182,7 +202,11 @@ def boundary_fraction(grid, values):
 
 
 class EvolutionSystem:
-    """Per-mode first-order reduction ``U' = A(k) U`` of a square operator."""
+    """Per-mode first-order reduction ``U' = A(k) U`` of a square operator.
+
+    ``A`` is built, and each propagator built and applied, one block of at
+    most ``MODE_BLOCK`` active modes at a time.
+    """
 
     def __init__(self, L, grid, amp_cap=AMP_CAP):
         if L.nvars != grid.ndim + 1:
@@ -192,39 +216,44 @@ class EvolutionSystem:
         self.amp_cap = float(amp_cap)
         self.m = L.cols
         self.R = L.time_order()
-        mask = grid.mode_mask()
-        self.active = np.flatnonzero(mask.reshape(-1))
-        kk = [k.reshape(-1)[self.active] for k in grid.wavevector_grids()]
+        self.active = np.flatnonzero(grid.mode_mask().reshape(-1))
+        kspace = np.stack([k.reshape(-1)[self.active] for k in grid.wavevector_grids()], axis=-1)
         d = self.m * self.R
-        A = np.empty((len(self.active), d, d), dtype=complex)
-        for idx in range(len(self.active)):
-            kvec = [k[idx] for k in kk]
-            A[idx] = evolution_matrix(L, kvec)
-        self.A = A
-        # fast closed-form exponential where A^2 is a multiple of the identity
-        A2 = A @ A
+        self.A = np.empty((len(self.active), d, d), dtype=complex)
+        self.lam = np.empty(len(self.active), dtype=complex)
+        self.fast = np.empty(len(self.active), dtype=bool)
         eye = np.eye(d)
-        lam = np.einsum("mii->m", A2) / d
-        resid = np.abs(A2 - lam[:, None, None] * eye).max(axis=(1, 2))
-        scale = np.abs(A).max(axis=(1, 2)) ** 2 + 1e-300
-        self.fast = resid <= 1e-13 * scale
-        self.lam = lam
+        for block in self.blocks():
+            A = evolution_matrices(L, kspace[block])
+            # fast closed-form exponential where A^2 is a multiple of the identity
+            A2 = A @ A
+            lam = np.einsum("mii->m", A2) / d
+            resid = np.abs(A2 - lam[:, None, None] * eye).max(axis=(1, 2))
+            scale = np.abs(A).max(axis=(1, 2)) ** 2 + 1e-300
+            self.A[block], self.lam[block] = A, lam
+            self.fast[block] = resid <= 1e-13 * scale
 
-    def propagator(self, dt):
-        """Batched ``exp(dt A)`` over active modes, with an amplification cap.
+    def blocks(self):
+        """Slices of consecutive active modes, ``MODE_BLOCK`` at most each."""
+        n = len(self.active)
+        return [slice(i, min(i + MODE_BLOCK, n)) for i in range(0, n, MODE_BLOCK)]
+
+    def propagator(self, dt, modes=slice(None)):
+        """Batched ``exp(dt A)`` over the active modes ``modes`` (a slice).
 
         Raises ``AmplificationError`` if an entry exceeds ``amp_cap`` or is
         not finite (an overflowing cosh/sinh times a zero entry gives NaN).
         """
-        d = self.A.shape[1]
+        A, lam, fast = self.A[modes], self.lam[modes], self.fast[modes]
+        d = A.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
             if d == 1:
                 # scalar modes: direct exponential (the cosh/sinh split would
                 # overflow on strongly decaying modes)
-                P = np.exp(dt * self.A)
+                P = np.exp(dt * A)
             else:
                 # the closed form for every mode, then expm where it is not exact
-                z = np.sqrt(self.lam.astype(complex))
+                z = np.sqrt(lam.astype(complex))
                 zt = z * dt
                 c1 = np.cosh(zt)
                 small = np.abs(zt) < 1e-8
@@ -232,9 +261,9 @@ class EvolutionSystem:
                 nz = ~small
                 c2[nz] = np.sinh(zt[nz]) / z[nz]
                 c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
-                P = c1[:, None, None] * np.eye(d) + c2[:, None, None] * self.A
-                for idx in np.flatnonzero(~self.fast):
-                    P[idx] = expm(dt * self.A[idx])
+                P = c1[:, None, None] * np.eye(d) + c2[:, None, None] * A
+                for idx in np.flatnonzero(~fast):
+                    P[idx] = expm(dt * A[idx])
         amp = float(np.abs(P).max())  # NaN or inf when an entry is not finite
         if not math.isfinite(amp):
             raise AmplificationError(
@@ -289,8 +318,12 @@ class Trajectory:
         self._jets.clear()
 
     def _companion(self, t):
-        P = self.system.propagator(float(t) - self.t0)
-        return np.einsum("mij,mj->mi", P, self.U0)
+        dt = float(t) - self.t0
+        U = np.empty_like(self.U0)
+        for block in self.system.blocks():
+            P = self.system.propagator(dt, block)
+            U[block] = np.einsum("mij,mj->mi", P, self.U0[block])
+        return U
 
     def _time_derivative(self, t, order):
         key = float(t)

@@ -334,6 +334,21 @@ def test_cli_rejects_non_finite_or_signless_settings(tmp_path, capsys, key, valu
     assert err.startswith(f"error: {key} (line") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_reflection_time(tmp_path, capsys, value):
+    path = tmp_path / "reflection.scn"
+    path.write_text(_scenario_text({**WAVE, "s": value, "symmetry": "heat.time_reversal"}))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err.startswith("error: s (line") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1.5"])
+def test_zero_and_negative_reflection_times_parse(value):
+    assert parse_scenario(_scenario_text({**WAVE, "s": value})).s == float(value)
+
+
 def test_cli_support_guard_names_the_boundary_fraction(tmp_path, capsys):
     path = tmp_path / "narrow_box.scn"
     text = (SCENARIOS / "kdvkdv_affine.scn").read_text()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conslaw.adjoint import adjoint_factorization, semi_conjugacy_solve
+from conslaw import spectral
 from conslaw.catalog import (
+    build_operator,
     build_profile,
     build_symmetry,
     dirac_operator,
@@ -16,6 +18,7 @@ from conslaw.catalog import (
 from conslaw.current import adjoint_characteristic, concomitant_flux
 from conslaw.dsl import parse_operator
 from conslaw.gamma import energy
+from conslaw.opcore import ConstCoeffOperator
 from conslaw.spectral import (
     AmplificationError,
     EvolutionSystem,
@@ -282,7 +285,9 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
 
     calls = []
     propagator = system.propagator
-    monkeypatch.setattr(system, "propagator", lambda dt: calls.append(dt) or propagator(dt))
+    monkeypatch.setattr(
+        system, "propagator", lambda dt, modes=slice(None): calls.append(dt) or propagator(dt, modes)
+    )
     jets = []
     jet_values = traj.jet_values
     monkeypatch.setattr(
@@ -304,3 +309,96 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
     # a propagator has the size of system.A; holding all seven propagators
     # and every time's jets peaks near 15 of these, one at a time near 6
     assert peak < 8 * system.A.nbytes
+
+
+def _per_mode_companion(L, kspace):
+    # the companion formula one mode at a time, with scalar symbol arithmetic
+    m, R = L.cols, L.time_order()
+    C = []
+    for r in range(R + 1):
+        out = np.zeros(L.shape, dtype=complex)
+        for alpha, mat in L.terms.items():
+            if alpha[0] == r:
+                factor = 1.0 + 0j
+                for e, kj in zip(alpha[1:], np.asarray(kspace, dtype=complex)):
+                    if e:
+                        factor *= (1j * kj) ** e
+                out += factor * mat
+        C.append(out)
+    lead_inv = np.linalg.inv(C[R])
+    A = np.zeros((m * R, m * R), dtype=complex)
+    for r in range(R - 1):
+        A[r * m : (r + 1) * m, (r + 1) * m : (r + 2) * m] = np.eye(m)
+    for r in range(R):
+        A[(R - 1) * m :, r * m : (r + 1) * m] = -lead_inv @ C[r]
+    return A
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        ("heat(dim=2, nu=0.5)", TorusGrid((TWO_PI, 3.0), (16, 32), kmax=6.0)),
+        ("wave(dim=3)", TorusGrid((TWO_PI,) * 3, (8,) * 3)),
+        ("kdvkdv", TorusGrid((TWO_PI,), (64,))),
+        ("jordan2x2", TorusGrid((TWO_PI,), (32,))),
+        ("dirac(m=0.0)", TorusGrid((8.0, 6.0, 10.0), (8, 4, 16))),
+    ],
+)
+def test_batched_companion_matrices_equal_the_per_mode_formula(spec, grid):
+    L = build_operator(spec)
+    system = EvolutionSystem(L, grid)
+    kk = [k.reshape(-1)[system.active] for k in grid.wavevector_grids()]
+    ref = np.array([_per_mode_companion(L, [k[i] for k in kk]) for i in range(len(system.active))])
+    assert np.array_equal(system.A, ref)
+    if spec == "jordan2x2":  # k-dependent leading coefficient, expm modes
+        assert not system.fast.all()
+
+
+def test_singular_leading_coefficient_names_the_first_singular_mode():
+    # (1 + Dx^2) Dt - Dx^2: the leading coefficient 1 - k^2 vanishes at k = +-1
+    L = ConstCoeffOperator(2, (1, 1), {(1, 0): [[1]], (1, 2): [[1]], (0, 2): [[-1]]})
+    with pytest.raises(ValueError, match=r"singular at k=\(1\.0,\)$"):
+        EvolutionSystem(L, TorusGrid((TWO_PI,), (16,)))
+    with pytest.raises(ValueError, match=r"singular at k=\(0\.0, 0\.0, 0\.0\)$"):
+        EvolutionSystem(navier_stokes_operator(), TorusGrid((TWO_PI,) * 3, (8,) * 3))
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        ("dirac", TorusGrid((8.0,) * 3, (8,) * 3)),
+        ("wave(dim=1)", TorusGrid((TWO_PI,), (64,))),
+        ("jordan2x2", TorusGrid((TWO_PI,), (32,))),
+    ],
+)
+def test_blocks_of_modes_give_the_one_block_result(monkeypatch, spec, grid):
+    L = build_operator(spec)
+
+    def run():
+        system = EvolutionSystem(L, grid)
+        coeffs = build_profile("random(seed=7, kmax=3)", grid, L.cols * system.R)
+        traj = Trajectory(system, coeffs)
+        alpha = (1,) + (1,) * grid.ndim
+        return system, traj.state_at(0.3).coeffs, traj.jet_values(-0.2, alpha)
+
+    whole = run()
+    monkeypatch.setattr(spectral, "MODE_BLOCK", 5)
+    blocked = run()
+    assert len(blocked[0].blocks()) > 2
+    for name in ("A", "lam", "fast"):
+        assert np.array_equal(getattr(whole[0], name), getattr(blocked[0], name))
+    assert np.array_equal(whole[1], blocked[1])
+    assert np.array_equal(whole[2], blocked[2])
+
+
+def test_build_memory_stays_near_the_size_of_a(monkeypatch):
+    # with blocks of 1024 modes the build holds A plus one block's work
+    monkeypatch.setattr(spectral, "MODE_BLOCK", 1024)
+    grid = TorusGrid((16.0,) * 3, (32,) * 3)
+    tracemalloc.start()
+    try:
+        system = EvolutionSystem(dirac_operator(1.0), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * system.A.nbytes
