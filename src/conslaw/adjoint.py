@@ -71,7 +71,7 @@ def classify_adjointness(L):
     return "neither"
 
 
-class SemiConjugacyNotFound(Exception):
+class SemiConjugacyNotFound(RuntimeError):
     """No invertible conjugating pair was found.
 
     This is "not found", not a nonexistence certificate; it signals that the

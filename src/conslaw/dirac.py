@@ -250,8 +250,8 @@ def angular_momentum_series(modes=64, length=16.0, width=1.0, seed=3, support_to
     Runs the packaged ``dirac_angular_momentum`` scenario (seven times on
     ``[0, 0.5]``) on a ``modes^3`` box of side ``length`` with packet
     ``seed`` and ``width``.  Position weighting on a torus needs the state's
-    boundary mass to stay negligible, so the run refuses data whose worst
-    boundary fraction over the times exceeds ``support_tol``.
+    boundary mass to stay negligible, so the run refuses data whose boundary
+    fraction at a time exceeds ``support_tol``, and reports the worst one.
     """
     from .scenario import _packaged_scenario, run_scenario
 

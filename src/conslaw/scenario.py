@@ -25,8 +25,8 @@ time ``s`` finite.
 
 The pipeline factorizes the adjoint and builds the bilinear current and the
 trajectory once, then each symmetry's generator check and characteristic
-view.  It checks the data's support once, and one pass over the sample times
-integrates every density at each time.
+view.  One pass over the sample times integrates every density at each time
+and, for position-weighted functionals, checks the data's support.
 
 The scenario files of the built-in reproductions ship with the package in
 ``conslaw/scenarios/`` and are read when the registry is built, not at
@@ -53,9 +53,9 @@ from .spectral import (
     AMP_CAP,
     SUPPORT_TOL,
     EvolutionSystem,
+    SupportError,
     TorusGrid,
     Trajectory,
-    boundary_fraction,
     kappa_series,
     symmetry_view,
 )
@@ -239,20 +239,12 @@ def _json_safe(value):
     return value
 
 
-def _position_weighted(gen):
-    """Does the generator weight the density by a spatial coordinate?"""
-    from .symmetry import DiffFactor
-
-    if isinstance(gen, KernelShift):
-        return any(
-            any(pol[1:]) for (_i, pol, _lam, _k) in gen.field.terms
-        )
-    for factor in getattr(gen, "factors", ()):
-        if isinstance(factor, DiffFactor):
-            for poly, _mat, _alpha in factor.terms:
-                if any(slot != 0 for slot, _e in poly):
-                    return True
-    return False
+def _write_summary(out_dir, name, report):
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / f"{name}.json", "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run_scenario(scn, out_dir=None, write_csv=True):
@@ -268,7 +260,6 @@ def run_scenario(scn, out_dir=None, write_csv=True):
 
     results = []
     qviews = []
-    weighted = []
     for case in scn.symmetries:
         gen = build_symmetry(case.spec)
         char = adjoint_characteristic(L, fact, gen)  # refuses a chain of the wrong dimension
@@ -282,25 +273,21 @@ def run_scenario(scn, out_dir=None, write_csv=True):
             entry["generator_target"] = rep.target
         else:
             entry["generator_check"] = True
-        if _position_weighted(gen):
-            weighted.append(entry)
         results.append(entry)
-        qviews.append(symmetry_view(char, traj, s=scn.s, support_tol=scn.support_tol))
-    if weighted:
-        worst = max(boundary_fraction(grid, traj.state_at(t).values()) for t in scn.times)
-        for entry in weighted:
-            entry["boundary_fraction"] = worst
-        if not (worst <= scn.support_tol):
-            raise ScenarioError(
-                f"position-weighted functional {weighted[0]['symmetry']!r} needs compactly "
-                f"supported data: boundary fraction {worst:.2e} exceeds "
-                f"{scn.support_tol:g}"
-            )
+        qviews.append(symmetry_view(char, traj, s=scn.s))
+    try:
+        series_list = kappa_series(flux, qviews, traj, scn.times, scn.support_tol)
+    except SupportError as exc:
+        first = next(case.spec for case, q in zip(scn.symmetries, qviews) if q.weighted)
+        raise ScenarioError(
+            f"position-weighted functional {first!r} needs compactly supported data: {exc}"
+        ) from None
 
     all_pass = True
     out_dir = Path(out_dir) if out_dir else None
-    series_list = kappa_series(flux, qviews, traj, scn.times)
     for case, entry, series in zip(scn.symmetries, results, series_list):
+        if series.boundary_fraction is not None:
+            entry["boundary_fraction"] = series.boundary_fraction
         tol = case.tolerance if case.tolerance is not None else scn.tolerance
         if case.expect == "drift":
             passed = series.drift >= case.min_drift
@@ -331,10 +318,7 @@ def run_scenario(scn, out_dir=None, write_csv=True):
     }
     report = _json_safe(report)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"{scn.name}.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_summary(out_dir, scn.name, report)
     return report
 
 
@@ -517,9 +501,5 @@ def reproduce(name, out_dir=None):
         return run_scenario(entry.scenario, out_dir=out_dir)
     report = {"scenario": name, **entry.runner(), "certifies": entry.certifies}
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{name}.json", "w") as fh:
-            json.dump(_json_safe(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_summary(out_dir, name, _json_safe(report))
     return report

@@ -20,7 +20,9 @@ The module keeps one cache, and it lives for one sample time: a ``Trajectory``
 memoises the companion-state stacks and field jets asked for while one time
 is evaluated, and ``kappa_series``, which serves every characteristic of a
 run in one pass over the times, empties it before the next.  Propagators are
-not kept.
+not kept.  ``kappa_series`` is also the one support guard: when a field view
+is ``weighted`` by a spatial coordinate, it checks the boundary fraction of
+each memoised jet once, before the jets are forgotten.
 """
 
 from __future__ import annotations
@@ -292,6 +294,8 @@ class Trajectory:
     ``jet``; ``state_at`` bypasses it.
     """
 
+    weighted = False
+
     def __init__(self, system, companion_coeffs, t0=0.0):
         companion_coeffs = np.asarray(companion_coeffs, dtype=complex)
         d = system.m * system.R
@@ -365,10 +369,19 @@ class Trajectory:
 # -- field views -------------------------------------------------------------
 
 
-class MatrixView:
-    def __init__(self, inner, matrix):
+class _InnerView:
+    """A view of the field of the view ``inner``, on its grid, weighted as it is."""
+
+    def __init__(self, inner):
         self.inner = inner
         self.grid = inner.grid
+        self.ncomp = inner.ncomp
+        self.weighted = inner.weighted
+
+
+class MatrixView(_InnerView):
+    def __init__(self, inner, matrix):
+        super().__init__(inner)
         self.matrix = np.asarray(matrix, dtype=complex)
         self.ncomp = self.matrix.shape[0]
 
@@ -377,12 +390,7 @@ class MatrixView:
         return np.einsum("ab,b...->a...", self.matrix, vals)
 
 
-class ConjView:
-    def __init__(self, inner):
-        self.inner = inner
-        self.grid = inner.grid
-        self.ncomp = inner.ncomp
-
+class ConjView(_InnerView):
     def jet(self, t, alpha):
         return np.conj(self.inner.jet(t, alpha))
 
@@ -397,11 +405,9 @@ def _reflect_values(grid, values, spatial_mask):
     return out
 
 
-class ReflectView:
+class ReflectView(_InnerView):
     def __init__(self, inner, mask, s=0.0):
-        self.inner = inner
-        self.grid = inner.grid
-        self.ncomp = inner.ncomp
+        super().__init__(inner)
         self.mask = tuple(bool(b) for b in mask)
         self.s = float(s)
 
@@ -417,15 +423,13 @@ class ReflectView:
         return sign * _reflect_values(self.grid, vals, self.mask[1:])
 
 
-class DiffView:
+class DiffView(_InnerView):
     """Apply ``sum p(x) M d^delta`` to the inner field, degree(p) <= 1."""
 
-    def __init__(self, inner, factor, support_tol=SUPPORT_TOL):
-        self.inner = inner
-        self.grid = inner.grid
+    def __init__(self, inner, factor):
+        super().__init__(inner)
         self.factor = factor
-        self.support_tol = support_tol
-        self.ncomp = inner.ncomp
+        self.weighted |= any(slot for poly, _m, _d in factor.terms for slot, _e in poly)
         for _, mat, _ in factor.terms:
             if mat is not None:
                 self.ncomp = mat.shape[0]
@@ -446,11 +450,6 @@ class DiffView:
             base = self.inner.jet(t, total)
             if poly:
                 (slot, _e) = poly[0]
-                if slot != 0 and not (boundary_fraction(self.grid, base) <= self.support_tol):
-                    raise SupportError(
-                        "position-weighted factor applied to a field with "
-                        f"boundary mass above {self.support_tol:g}"
-                    )
                 piece = base * self._coordinate(slot, t)
                 if alpha[slot]:
                     lower = tuple(
@@ -474,6 +473,7 @@ class ShiftView:
     def __init__(self, field, grid):
         self.field = field
         self.grid = grid
+        self.weighted = any(any(pol[1:]) for (_i, pol, _lam, _k) in field.terms)
         self.ncomp = field.ncomp
         self._points = grid.point_list()
 
@@ -482,7 +482,7 @@ class ShiftView:
         return vals.reshape((self.ncomp,) + self.grid.modes)
 
 
-def symmetry_view(generator, base, s=None, support_tol=SUPPORT_TOL):
+def symmetry_view(generator, base, s=None):
     """Wrap a trajectory view with a symmetry chain (factors act left-last).
 
     For an adjoint characteristic's chain the result is the field view of Q.
@@ -498,7 +498,7 @@ def symmetry_view(generator, base, s=None, support_tol=SUPPORT_TOL):
         elif isinstance(factor, PointReflect):
             view = ReflectView(view, factor.mask, s=factor.resolve_s(s))
         elif isinstance(factor, DiffFactor):
-            view = DiffView(view, factor, support_tol)
+            view = DiffView(view, factor)
         else:
             raise TypeError(f"unknown factor {factor!r}")
     return view
@@ -516,12 +516,14 @@ class KappaSeries:
     times.  The additive scale keeps the metric meaningful for functionals
     whose conserved value happens to be zero (identically cancelling
     densities), without masking genuine drift of order the density size.
+    A weighted view's ``boundary_fraction`` is the worst one of ``u(t)``.
     """
 
     times: tuple
     values: tuple  # complex kappa(t)
     scale: float
     drift: float
+    boundary_fraction: float | None = None
 
     def as_rows(self):
         k0 = self.values[0]
@@ -548,15 +550,20 @@ def drift_of(values, scale=0.0):
     return max(abs(v - k0) for v in values) / (abs(k0) + scale + 1e-300)
 
 
-def kappa_series(flux, qviews, traj, times):
+def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     """Evaluate ``kappa(t) = integral X0(Q, u) dx`` for each characteristic.
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
     views of the characteristics over the trajectory ``traj``.  At each time
     every view reads the trajectory's jets of that time, which are forgotten
     before the next.  Returns one series with its relative drift per view.
+    With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
+    whose boundary fraction is not within ``support_tol`` raises ``SupportError``.
     """
     grid = traj.grid
+    weighted = any(qview.weighted for qview in qviews)
+    u = (0,) * (grid.ndim + 1)
+    worst = 0.0
     values = [[] for _ in qviews]
     scales = [0.0] * len(qviews)
     for t in times:
@@ -565,9 +572,21 @@ def kappa_series(flux, qviews, traj, times):
             integrand = evaluate_terms(flux.density_terms, jet_q, functools.partial(traj.jet, t))
             values[i].append(integrate(grid, integrand))
             scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand))))
+        if weighted:
+            traj.jet(t, u)
+            fractions = {key: boundary_fraction(grid, vals) for key, vals in traj._jets.items()}
+            worst = max(worst, fractions[(float(t), u)])
+            for (tj, alpha), bf in fractions.items():
+                if not (bf <= support_tol):
+                    raise SupportError(
+                        f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
+                    )
         traj.forget()
     times = tuple(float(t) for t in times)
-    return [KappaSeries(times, tuple(v), sc, drift_of(v, sc)) for v, sc in zip(values, scales)]
+    return [
+        KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)
+        for v, sc, qview in zip(values, scales, qviews)
+    ]
 
 
 # -- whole-space heat-flow oracle --------------------------------------------

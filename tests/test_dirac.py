@@ -137,8 +137,8 @@ def test_rotated_data_gives_rotated_charges():
         out = []
         for ax in "xyz":
             char = adjoint_characteristic(L, fact, build_symmetry(f"dirac.rotation_{ax}"))
-            view = symmetry_view(char, traj, s=0.0, support_tol=1e-6)
-            out.append(kappa_series(flux, [view], traj, [0.0])[0].values[0])
+            view = symmetry_view(char, traj, s=0.0)
+            out.append(kappa_series(flux, [view], traj, [0.0], support_tol=1e-6)[0].values[0])
         return np.array(out)
 
     j = charges(coeffs)

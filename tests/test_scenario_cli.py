@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import conslaw
 from conslaw import scenario
+from conslaw.adjoint import adjoint_factorization, semi_conjugacy_solve
 from conslaw.catalog import build_operator, build_profile, build_symmetry
 from conslaw.cli import main
+from conslaw.current import adjoint_characteristic, concomitant_flux
 from conslaw.scenario import (
     ScenarioError,
     load_scenario,
@@ -18,7 +22,14 @@ from conslaw.scenario import (
     reproductions,
     run_scenario,
 )
-from conslaw.spectral import TorusGrid
+from conslaw.spectral import (
+    EvolutionSystem,
+    SupportError,
+    TorusGrid,
+    Trajectory,
+    kappa_series,
+    symmetry_view,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = resources.files("conslaw") / "scenarios"
@@ -230,12 +241,47 @@ def test_reproduce_writes_named_json(tmp_path):
     assert data["certifies"]
 
 
+def test_cli_verify_on_a_directory_is_an_error_line(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Is a directory" in err and len(err.splitlines()) == 1
+
+
+def test_cli_out_dir_on_a_file_is_an_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--out-dir", str(taken), "reproduce", "wave-energy"]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err.startswith("error:") and "File exists" in err and len(err.splitlines()) == 1
+
+
+# no invertible conjugating pair exists for this operator
+UNPAIRED = "[[1,0],[0,1]]*Dt + [[1,2i],[3,4]]*Dx + [[0,1],[2,0]]*Dx^2"
+
+
+def test_cli_missing_conjugating_pair(tmp_path, capsys):
+    path = tmp_path / "unpaired.scn"
+    path.write_text(_scenario_text({**WAVE, "operator": UNPAIRED, "symmetry": "identity"}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no invertible conjugating pair") and len(err.splitlines()) == 1
+    assert main(["adjoint", UNPAIRED]) == 1
+    assert "conjugating pair: not found" in capsys.readouterr().out
+    assert main(["conjugacy", UNPAIRED]) == 1
+    assert capsys.readouterr().out.startswith("not found:")
+
+
 def test_entry_point_runs():
+    # the child imports the package from where this process found it
+    src = str(Path(conslaw.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "conslaw.cli", "list"],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "reproductions:" in proc.stdout
@@ -358,6 +404,47 @@ def test_cli_support_guard_names_the_boundary_fraction(tmp_path, capsys):
     assert '"pass"' not in out
     assert err.startswith("error: position-weighted functional 'kdvkdv.shift_linear_a'")
     assert "boundary fraction" in err and len(err.splitlines()) == 1
+
+
+def test_cli_support_guard_covers_position_weighted_derivatives(tmp_path, capsys):
+    # the rotations weight derivatives of u by coordinates; at 16^3 the
+    # packet reaches the box edge (boundary fraction of u about 6.7e-3)
+    path = tmp_path / "coarse_rotations.scn"
+    text = (SCENARIOS / "dirac_angular_momentum.scn").read_text()
+    path.write_text(text.replace("modes:64", "modes:16"))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err.startswith("error: position-weighted functional 'dirac.rotation_x'")
+    assert "boundary fraction" in err and len(err.splitlines()) == 1
+
+
+def test_kernel_shift_view_is_guarded_on_the_library_path():
+    scn = load_scenario(SCENARIOS / "kdvkdv_affine.scn")
+    L = build_operator(scn.operator)
+    grid = TorusGrid(**{**scn.grid, "lengths": (20.0,)})
+    system = EvolutionSystem(L, grid)
+    traj = Trajectory(system, build_profile(scn.profile, grid, L.cols * system.R))
+    fact = adjoint_factorization(L, semi_conjugacy_solve(L, seed=scn.seed))
+    char = adjoint_characteristic(L, fact, build_symmetry("kdvkdv.shift_linear_a"))
+    view = symmetry_view(char, traj, s=scn.s)
+    with pytest.raises(SupportError, match="boundary fraction .* at t="):
+        kappa_series(concomitant_flux(L), [view], traj, scn.times)
+
+
+def test_weighted_run_propagates_each_sample_time_once(monkeypatch):
+    calls = []
+    propagator = EvolutionSystem.propagator
+
+    def counted(self, dt, modes=slice(None)):
+        calls.append((dt, modes.start, modes.stop))
+        return propagator(self, dt, modes)
+
+    monkeypatch.setattr(EvolutionSystem, "propagator", counted)
+    scn = load_scenario(SCENARIOS / "kdvkdv_affine.scn")
+    report = run_scenario(scn, write_csv=False)
+    assert report["pass"] and all("boundary_fraction" in e for e in report["results"])
+    assert len(calls) == len(set(calls)) == len(scn.times)  # one block of modes
 
 
 def test_support_guard_fails_closed_on_nan():

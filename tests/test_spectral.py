@@ -172,9 +172,9 @@ def test_support_guard_for_position_weighting():
     from conslaw.symmetry import DiffFactor
 
     factor = DiffFactor((({1: 1}, None, (0, 0)),))  # multiply by x
-    view = DiffView(traj, factor, support_tol=1e-10)
+    view = DiffView(traj, factor)
     with pytest.raises(SupportError):
-        view.jet(0.1, (0, 0))
+        kappa_series(concomitant_flux(L), [view], traj, [0.1], support_tol=1e-10)
 
 
 def test_nan_support_tol_and_amp_cap_fail_closed():
@@ -184,9 +184,9 @@ def test_nan_support_tol_and_amp_cap_fail_closed():
     from conslaw.spectral import DiffView
     from conslaw.symmetry import DiffFactor
 
-    view = DiffView(traj, DiffFactor((({1: 1}, None, (0, 0)),)), support_tol=np.nan)
+    view = DiffView(traj, DiffFactor((({1: 1}, None, (0, 0)),)))
     with pytest.raises(SupportError):
-        view.jet(0.1, (0, 0))
+        kappa_series(concomitant_flux(L), [view], traj, [0.1], support_tol=np.nan)
     with pytest.raises(AmplificationError, match="exceeds cap"):
         EvolutionSystem(L, grid, amp_cap=np.nan).propagator(0.1)
 
@@ -276,7 +276,6 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
         symmetry_view(
             adjoint_characteristic(L, fact, build_symmetry(f"dirac.rotation_{axis}")),
             traj,
-            support_tol=1.0,
         )
         for axis in "xyz"
     ]
@@ -295,7 +294,7 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
     )
     tracemalloc.start()
     try:
-        series = kappa_series(flux, qviews, traj, times)
+        series = kappa_series(flux, qviews, traj, times, support_tol=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
