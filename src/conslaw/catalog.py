@@ -315,8 +315,14 @@ def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0):
     return coeffs * grid.mode_mask()
 
 
+def _check_width(profile, width):
+    if not 0 < width < np.inf:
+        raise ValueError(f"{profile} profile width must be a finite number > 0, got {width!r}")
+
+
 def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0):
     """Gaussian bump exp(-|x - c|^2 / (2 width^2)) in one component."""
+    _check_width("gaussian", width)
     if not 0 <= comp < ncomp:
         raise ValueError(f"profile component {comp} is outside 0..{ncomp - 1}")
     mesh = np.meshgrid(*grid.coordinates(), indexing="ij")
@@ -330,6 +336,7 @@ def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0):
 
 def _profile_packet(grid, ncomp, seed=0, width=1.0, kmax=4, real=True):
     """Gaussian envelope times random band-limited modulation; compact support."""
+    _check_width("packet", width)
     mod = _profile_random(grid, ncomp, seed=seed, kmax=kmax, real=real)
     axes = tuple(range(1, grid.ndim + 1))
     mod_vals = np.fft.ifftn(mod, axes=axes) * grid.npoints

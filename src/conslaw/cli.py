@@ -15,7 +15,9 @@ import numpy as np
 
 
 def _print_json(report):
-    print(json.dumps(report, indent=2, sort_keys=True, default=str))
+    from .scenario import _json_default
+
+    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
 
 
 def _cmd_adjoint(args):
@@ -118,9 +120,8 @@ def _cmd_verify(args):
 
 def _cmd_dirac(args):
     from .dirac import dirac_suite
-    from .scenario import _json_safe
 
-    report = _json_safe(dirac_suite(fast=args.fast))
+    report = dirac_suite(fast=args.fast)
     _print_json(report)
     return 0 if report["pass"] else 1
 
@@ -132,14 +133,14 @@ def _cmd_reproduce(args):
         ok = True
         for name in sorted(reproductions()):
             report = reproduce(name, out_dir=args.out_dir)
-            passed = bool(report.get("pass", True))
+            passed = report["pass"]
             ok &= passed
             print(f"[{'PASS' if passed else 'FAIL'}] {name:26s} {report['certifies']}")
         return 0 if ok else 1
     report = reproduce(args.name, out_dir=args.out_dir)
     _print_json(report)
     print(f"certifies: {report['certifies']}", file=sys.stderr)
-    return 0 if report.get("pass", True) else 1
+    return 0 if report["pass"] else 1
 
 
 def _cmd_list(args):

@@ -93,9 +93,9 @@ def check_discrete_algebra():
     """Measure every pair bracket of the discrete generators.
 
     Returns a report with one entry per unordered pair, the realized
-    normalization constant of the reflection block (generators 0..4), the
-    value of the conjugation-block diagonal, and a list of pairs that
-    anticommute/commute/neither.
+    normalization constant of the reflection block (generators 0..4) and
+    the value of the conjugation-block diagonal.  ``pass`` holds when the
+    reflection block is ``c * g_ab`` with one constant ``c``.
     """
     gens = discrete_generators()
     rng = np.random.default_rng(5)
@@ -137,6 +137,7 @@ def check_discrete_algebra():
         "reflection_block_uniform": bool(block_ok),
         "conjugation_diagonal": conj_diag,
         "metric_diagonal": list(np.diag(_DISCRETE_METRIC)),
+        "pass": bool(block_ok),
     }
 
 
@@ -167,6 +168,9 @@ def fock_suite():
     contractions vanish); the momentum-reversing swap charge built by
     :func:`fock.build_kappa0` satisfies the same commutation algebra but is a
     different operator, and the report records the distance between the two.
+    ``pass`` holds when the ladder algebra is exact, both charges commute
+    with ``H``, ``kappa0`` shifts the ladder exactly and the CPT pairing
+    matches ``kappa45`` to 1e-12.
     """
     sys = fk.FockSystem(((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)))
     report = {"modes": sys.nmodes, "dim": sys.dim}
@@ -225,6 +229,13 @@ def fock_suite():
         fk.max_abs(q0), 1e-300
     )
     report["reflection_vs_swap_distance"] = fk.max_abs(q0 - k0)
+    report["pass"] = bool(
+        report["anticommutator_defect"] == 0.0
+        and report["H_kappa0_commutator"] < 1e-12
+        and report["H_kappa45_commutator"] < 1e-12
+        and report["kappa0_ladder_defect"] == 0.0
+        and report["cpt_quantization_defect"] < 1e-12
+    )
     return report
 
 

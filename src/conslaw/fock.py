@@ -7,6 +7,21 @@ construction on a 2^N-dimensional space, so every anticommutation relation
 is exact in integer arithmetic.  Lattice normalization replaces the continuum
 ``(2pi)^3 delta^3`` by a Kronecker delta; the charge identities are
 homogeneous in this normalization.
+
+The time-reflected and the CPT pairing are quantized by one expansion of
+``integral psi^dagger(t1, P x) M psi(t2, x) dx``, whose x-integral pairs
+each bra momentum ``p`` with the ket momentum ``q = P p`` of the space
+reflection ``P``.  For spins ``r, s`` it has four channels, each coefficient
+divided by ``2 E_p``::
+
+    u_r(p)^dagger M u_s(q)     a'_p a_q       e^{ iE(t1 - t2)}
+    u_r(p)^dagger M v_s(-q)    a'_p b'_-q     e^{ iE(t1 + t2)}
+    v_r(-p)^dagger M u_s(q)    b_-p a_q       e^{-iE(t1 + t2)}
+    v_r(-p)^dagger M v_s(-q)   b_-p b'_-q     e^{-iE(t1 - t2)}
+
+The reflected pairing is ``M = gamma0 gamma4``, ``q = p`` at times
+``(-t, t)``; the CPT pairing is ``M = gamma0 gamma2 gamma0 gamma4``,
+``q = (p1, -p2, p3)`` at times ``(t, t)``.
 """
 
 from __future__ import annotations
@@ -176,83 +191,55 @@ def build_kappa45(sys):
     return K
 
 
-def _field_mode_parts(sys, ip):
-    """Spinor amplitudes entering the mode expansion at one momentum."""
-    p = np.array(sys.momenta[ip])
-    E = sys.energy(ip)
-    us = {s: gm.u_spinor(p, sys.mass, s) for s in SPINS}
-    vs = {s: gm.v_spinor(-p, sys.mass, s) for s in SPINS}
-    return p, E, us, vs
+def _quantize_pairing(sys, M, partner, t1, t2):
+    """Ladder expansion of ``integral psi^dagger(t1, P x) M psi(t2, x) dx``.
+
+    ``partner(ip)`` is the index of ``q = P p``, the one ket momentum the
+    x-integral leaves for the bra momentum ``p``.  All four channels of the
+    module docstring are kept with their phases; a channel's ladder product
+    is built only when its coefficient is non-zero.
+    """
+    K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
+    for ip in range(len(sys.momenta)):
+        iq = partner(ip)
+        imp, imq = sys.reflected_index(ip), sys.reflected_index(iq)
+        E = sys.energy(ip)
+        p, q = np.array(sys.momenta[ip]), np.array(sys.momenta[iq])
+        u_bar = {r: gm.u_spinor(p, sys.mass, r).conj() @ M for r in SPINS}
+        v_bar = {r: gm.v_spinor(-p, sys.mass, r).conj() @ M for r in SPINS}
+        u = {s: gm.u_spinor(q, sys.mass, s) for s in SPINS}
+        v = {s: gm.v_spinor(-q, sys.mass, s) for s in SPINS}
+        # (bra spinors, ket spinors, phase time, ladder product) per channel
+        channels = (
+            (u_bar, u, t1 - t2, lambda r, s: sys.adag(ip, r) @ sys.a(iq, s)),
+            (u_bar, v, t1 + t2, lambda r, s: sys.adag(ip, r) @ sys.bdag(imq, s)),
+            (v_bar, u, -(t1 + t2), lambda r, s: sys.b(imp, r) @ sys.a(iq, s)),
+            (v_bar, v, t2 - t1, lambda r, s: sys.b(imp, r) @ sys.bdag(imq, s)),
+        )
+        for r in SPINS:
+            for s in SPINS:
+                for bra, ket, dt, ladder in channels:
+                    c = (bra[r] @ ket[s]) / (2 * E) * np.exp(1j * E * dt)
+                    if abs(c) > 0:
+                        K = K + c * ladder(r, s)
+    return K
 
 
 def quantize_reflection_charge(sys, t=0.0):
-    """Mechanical lattice quantization of the time-reflected pairing.
+    """The time-reflected pairing ``integral psibar(-t, x) gamma4 psi(t, x) dx``.
 
-    Expands ``integral psibar(-t, x) gamma4 psi(t, x) dx`` in ladder
-    operators, keeping all four spinor contractions and their time phases
-    (nothing is dropped by hand).  The diagonal contractions vanish
-    identically, which is what makes the result time-independent.
+    Its diagonal channels vanish, which makes it time-independent.
     """
     rep = gm.dirac_representation()
-    g = rep.gamma0 @ rep.gamma4
-    K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
-    for ip in range(len(sys.momenta)):
-        p, E, us, vs = _field_mode_parts(sys, ip)
-        im = sys.reflected_index(ip)
-        for r in SPINS:
-            ubar_r = us[r].conj() @ g
-            vbar_r = vs[r].conj() @ g
-            for s in SPINS:
-                caa = (ubar_r @ us[s]) / (2 * E) * np.exp(-2j * E * t)
-                cab = (ubar_r @ vs[s]) / (2 * E)
-                cba = (vbar_r @ us[s]) / (2 * E)
-                cbb = (vbar_r @ vs[s]) / (2 * E) * np.exp(2j * E * t)
-                if abs(caa) > 0:
-                    K = K + caa * (sys.adag(ip, r) @ sys.a(ip, s))
-                if abs(cab) > 0:
-                    K = K + cab * (sys.adag(ip, r) @ sys.bdag(im, s))
-                if abs(cba) > 0:
-                    K = K + cba * (sys.b(im, r) @ sys.a(ip, s))
-                if abs(cbb) > 0:
-                    K = K + cbb * (sys.b(im, r) @ sys.bdag(im, s))
-    return K
+    return _quantize_pairing(sys, rep.gamma0 @ rep.gamma4, lambda ip: ip, -t, t)
 
 
 def quantize_cpt_charge(sys, t=0.0):
-    """Mechanical lattice quantization of the CPT pairing.
+    """The CPT pairing ``integral psibar(t, x, -y, z) gamma2 gamma0 gamma4 psi(t, x) dx``.
 
-    Expands ``integral psibar(t, x, -y, z) gamma2 gamma0 gamma4 psi(t, x) dx``
-    (the equal-time rewriting of the reflected-conjugated pairing) in ladder
-    operators.  Requires the lattice to be closed under p -> (p1, -p2, p3).
-    All four contraction channels and their phases are kept; the result is
-    proportional to :func:`build_kappa45` by a unit constant.
+    Needs a lattice closed under ``p -> (p1, -p2, p3)``; the result is
+    :func:`build_kappa45` times a unit constant.
     """
     rep = gm.dirac_representation()
-    g = rep.gamma(2) @ rep.gamma0 @ rep.gamma4
-    K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
-    for ip in range(len(sys.momenta)):
-        p, E, us, vs = _field_mode_parts(sys, ip)
-        iq = sys.conjugated_index(ip)  # the x-integral pins q = p'
-        pq = np.array(sys.momenta[iq])
-        usq = {s: gm.u_spinor(pq, sys.mass, s) for s in SPINS}
-        vsq = {s: gm.v_spinor(-pq, sys.mass, s) for s in SPINS}
-        im_q = sys.reflected_index(iq)
-        for r in SPINS:
-            ubar_r = us[r].conj() @ rep.gamma0 @ g
-            vbar_r = vs[r].conj() @ rep.gamma0 @ g
-            for s in SPINS:
-                caa = (ubar_r @ usq[s]) / (2 * E)
-                cab = (ubar_r @ vsq[s]) / (2 * E) * np.exp(2j * E * t)
-                cba = (vbar_r @ usq[s]) / (2 * E) * np.exp(-2j * E * t)
-                cbb = (vbar_r @ vsq[s]) / (2 * E)
-                if abs(caa) > 0:
-                    K = K + caa * (sys.adag(ip, r) @ sys.a(iq, s))
-                if abs(cab) > 0:
-                    K = K + cab * (sys.adag(ip, r) @ sys.bdag(im_q, s))
-                if abs(cba) > 0:
-                    K = K + cba * (sys.b(sys.reflected_index(ip), r) @ sys.a(iq, s))
-                if abs(cbb) > 0:
-                    K = K + cbb * (
-                        sys.b(sys.reflected_index(ip), r) @ sys.bdag(im_q, s)
-                    )
-    return K
+    M = rep.gamma0 @ rep.gamma(2) @ rep.gamma0 @ rep.gamma4
+    return _quantize_pairing(sys, M, sys.conjugated_index, t, t)

@@ -20,8 +20,8 @@ twice, an unknown key and an unknown grid token are errors.  ``grid`` takes
 ``modes``/``length`` (comma lists for anisotropic boxes), optional ``kmax``
 (spherical cutoff, ``none`` or a finite number >= 0; ``0`` keeps the zero
 mode only) and ``dims``.  Each ``length``, ``tolerance``, ``min_drift``,
-``support_tol`` and ``amp_cap`` must be finite and > 0, and the reflection
-time ``s`` finite.
+``support_tol`` and ``amp_cap`` must be finite and > 0, the reflection
+time ``s`` finite, and ``times`` finite with two distinct values at least.
 
 The pipeline factorizes the adjoint and builds the bilinear current and the
 trajectory once, then each symmetry's generator check and characteristic
@@ -31,7 +31,9 @@ and, for position-weighted functionals, checks the data's support.
 The scenario files of the built-in reproductions ship with the package in
 ``conslaw/scenarios/`` and are read when the registry is built, not at
 import; each reproduction's ``pass`` field is its one verdict, and ``reproduce``
-writes one JSON summary per reproduction.
+writes one JSON summary per reproduction.  Reports keep complex and numpy
+values until they are written; ``_json_default`` encodes them, for the
+summary files and for the command line's stdout alike.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ def _parse_times(text):
         times = tuple(float(x) for x in text.split(","))
     if not times or not np.isfinite(times).all():
         raise ScenarioError(f"must be a non-empty list of finite numbers, got {text!r}")
+    if len(set(times)) < 2:
+        raise ScenarioError(f"needs at least two distinct times, since one cannot show a drift; got {text!r}")
     return times
 
 
@@ -227,23 +231,20 @@ def load_scenario(path):
     return parse_scenario(path.read_text(), name=path.stem)
 
 
-def _json_safe(value):
+def _json_default(value):
+    """The ``json`` hook of every report written: complex and numpy scalars."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+    raise TypeError(f"not JSON-able: {type(value).__name__}")
 
 
 def _write_summary(out_dir, name, report):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{name}.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -294,7 +295,7 @@ def run_scenario(scn, out_dir=None, write_csv=True):
         else:
             passed = series.drift <= tol and entry["generator_check"]
         entry["drift"] = series.drift
-        entry["kappa0"] = series.values[0]
+        entry["kappa0"] = complex(series.values[0])
         entry["pass"] = bool(passed)
         all_pass &= passed
         if write_csv and out_dir is not None:
@@ -316,7 +317,6 @@ def run_scenario(scn, out_dir=None, write_csv=True):
         "results": results,
         "pass": bool(all_pass),
     }
-    report = _json_safe(report)
     if out_dir is not None:
         _write_summary(out_dir, scn.name, report)
     return report
@@ -370,7 +370,7 @@ def _report_jordan():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     swap_res = _pair_residual(L, swap, swap, sign_absorbed=False)
     pair = semi_conjugacy_solve(L)
-    report = {
+    return {
         "operator": format_operator(L),
         "adjoint": format_operator(Ls),
         "matches_expected": bool(Ls == expected),
@@ -380,7 +380,6 @@ def _report_jordan():
         "solver_residual": pair.residual,
         "pass": bool(Ls == expected and swap_res <= 1e-12),
     }
-    return _json_safe(report)
 
 
 def _report_ns():
@@ -394,7 +393,7 @@ def _report_ns():
     eyeish = float(
         np.max(np.abs(pair.A1 - np.eye(4))) + np.max(np.abs(pair.A2 - np.eye(4)))
     )
-    report = {
+    return {
         "operator": format_operator(L),
         "classification": classify_adjointness(L),
         "identity_pair": eyeish == 0.0,
@@ -403,7 +402,6 @@ def _report_ns():
         "symbol_identity_residual": fact.symbol_residual,
         "pass": bool(eyeish == 0.0 and fact.symbol_residual <= 1e-10),
     }
-    return _json_safe(report)
 
 
 def _report_heat_es_oracle():
@@ -414,8 +412,8 @@ def _report_heat_es_oracle():
     values, quad_err = heat_flow_product_oracle(profile, s, [s / 4, s / 2, 3 * s / 4])
     spread = float(np.max(np.abs(values - values[0])) / abs(values[0]))
     tor = run_scenario(_packaged_scenario("heat_es"), out_dir=None, write_csv=False)
-    torus_kappa = tor["results"][0]["kappa0"]["re"]
-    report = {
+    torus_kappa = tor["results"][0]["kappa0"].real
+    return {
         "oracle_values": list(values),
         "quadrature_error": quad_err,
         "equal_time_spread": spread,
@@ -425,33 +423,16 @@ def _report_heat_es_oracle():
         "torus_drift": tor["results"][0]["drift"],
         "pass": bool(spread <= 1e-6 and abs(torus_kappa - values[1]) / abs(values[1]) <= 1e-4),
     }
-    return _json_safe(report)
-
-
-def _report_dirac_discrete():
-    from .dirac import check_discrete_algebra
-
-    rep = check_discrete_algebra()
-    rep["pass"] = bool(rep["reflection_block_uniform"])
-    return _json_safe(rep)
-
-
-def _report_fock():
-    from .dirac import fock_suite
-
-    rep = fock_suite()
-    rep["pass"] = bool(
-        rep["anticommutator_defect"] == 0.0
-        and rep["H_kappa0_commutator"] < 1e-12
-        and rep["H_kappa45_commutator"] < 1e-12
-        and rep["kappa0_ladder_defect"] == 0.0
-        and rep["cpt_quantization_defect"] < 1e-12
-    )
-    return _json_safe(rep)
 
 
 def reproductions():
-    """Registry of named built-in reproductions."""
+    """Registry of named built-in reproductions.
+
+    The ``dirac`` report functions are looked up on each build, so a patched
+    or traced one is the one that runs.
+    """
+    from . import dirac
+
     entries = [
         Reproduction.from_scenario("wave-energy", "wave_energy"),
         Reproduction(
@@ -479,12 +460,12 @@ def reproductions():
         Reproduction(
             "dirac-cpt",
             "CPT pairing quantizes to the spin-ladder charge commuting with H",
-            runner=_report_fock,
+            runner=dirac.fock_suite,
         ),
         Reproduction(
             "dirac-discrete",
             "measured bracket table of the seven reflection/conjugation generators",
-            runner=_report_dirac_discrete,
+            runner=dirac.check_discrete_algebra,
         ),
         Reproduction.from_scenario("dirac-angular-momentum", "dirac_angular_momentum"),
     ]
@@ -501,5 +482,5 @@ def reproduce(name, out_dir=None):
         return run_scenario(entry.scenario, out_dir=out_dir)
     report = {"scenario": name, **entry.runner(), "certifies": entry.certifies}
     if out_dir is not None:
-        _write_summary(out_dir, name, _json_safe(report))
+        _write_summary(out_dir, name, report)
     return report

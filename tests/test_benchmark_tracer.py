@@ -8,9 +8,19 @@
 import importlib.util
 from pathlib import Path
 
-from conslaw import spectral
+from conslaw import dirac, fock, scenario, spectral
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+
+# entry points the report and scenario workloads reach through their spans
+SPANNED = [
+    (fock, "quantize_cpt_charge"),
+    (fock, "quantize_reflection_charge"),
+    (dirac, "fock_suite"),
+    (dirac, "check_discrete_algebra"),
+    (scenario, "run_scenario"),
+    (spectral.ShiftView, "jet"),
+]
 
 
 def _tracer_module():
@@ -21,11 +31,15 @@ def _tracer_module():
 
 
 def test_tracer_installs_and_uninstalls():
-    original = spectral.ShiftView.jet
+    originals = {(owner, attr): getattr(owner, attr) for owner, attr in SPANNED}
     tracer = _tracer_module().Tracer("t")
     tracer.install()
+    patched = list(tracer._patches)  # (owner, attribute, original)
     try:
-        assert spectral.ShiftView.jet is not original
+        for (owner, attr), original in originals.items():
+            assert getattr(owner, attr) is not original, attr
     finally:
         tracer.uninstall()
-    assert spectral.ShiftView.jet is original
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original, attr
+    assert [attr for owner, attr, original in patched if getattr(owner, attr) is not original] == []

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import conslaw
-from conslaw import scenario
+from conslaw import dirac, scenario
 from conslaw.adjoint import adjoint_factorization, semi_conjugacy_solve
 from conslaw.catalog import build_operator, build_profile, build_symmetry
 from conslaw.cli import main
@@ -184,8 +184,8 @@ def test_cli_dirac_verdict_is_and_of_embedded_reports(capsys):
 
 
 def test_cli_dirac_fails_when_an_embedded_report_fails(monkeypatch, capsys):
-    real = scenario._report_fock
-    monkeypatch.setattr(scenario, "_report_fock", lambda: {**real(), "pass": False})
+    real = dirac.fock_suite
+    monkeypatch.setattr(dirac, "fock_suite", lambda: {**real(), "pass": False})
     rc = main(["dirac", "--fast"])
     report = json.loads(capsys.readouterr().out)
     assert rc == 1
@@ -306,7 +306,9 @@ def test_cli_ill_posed_scenario_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
-@pytest.mark.parametrize("times", ["linspace(0, 1, 0)", "0.0, nan", "0.0, inf"])
+@pytest.mark.parametrize(
+    "times", ["linspace(0, 1, 0)", "0.0, nan", "0.0, inf", "0.5", "0.5, 0.5"]
+)
 def test_cli_rejects_empty_or_non_finite_times(tmp_path, capsys, times):
     path = tmp_path / "bad_times.scn"
     path.write_text(
@@ -340,6 +342,9 @@ def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
         ("heat(dim=1)", "gaussian(comp=5)", "identity"),
         ("heat(dim=1)", "random(seed=1, kmax=-3)", "identity"),  # zero density
         ("wave(dim=1)", "random(seed=1, kmax=4)", "wave.space_translation(axis=3)"),
+        ("heat(dim=1)", "gaussian(width=-1.0)", "identity"),
+        ("heat(dim=1)", "gaussian(width=0.0)", "identity"),
+        ("heat(dim=1)", "packet(seed=1, width=-2.0)", "identity"),
     ],
 )
 def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profile, symmetry):
