@@ -294,6 +294,7 @@ def named_symmetries():
 
 def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0):
     """Random band-limited data: coefficients on |k index| <= kmax per axis."""
+    _check_seed("random", seed)
     rng = np.random.default_rng(int(seed))
     shape = (int(ncomp),) + grid.modes
     coeffs = np.zeros(shape, dtype=complex)
@@ -313,6 +314,11 @@ def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0):
         vals = np.fft.ifftn(coeffs, axes=axes).real
         coeffs = np.fft.fftn(vals, axes=axes)
     return coeffs * grid.mode_mask()
+
+
+def _check_seed(profile, seed):
+    if seed < 0:
+        raise ValueError(f"{profile} profile seed must be an integer >= 0, got {seed!r}")
 
 
 def _check_width(profile, width):
@@ -336,6 +342,7 @@ def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0):
 
 def _profile_packet(grid, ncomp, seed=0, width=1.0, kmax=4, real=True):
     """Gaussian envelope times random band-limited modulation; compact support."""
+    _check_seed("packet", seed)
     _check_width("packet", width)
     mod = _profile_random(grid, ncomp, seed=seed, kmax=kmax, real=real)
     axes = tuple(range(1, grid.ndim + 1))

@@ -20,6 +20,16 @@ def _print_json(report):
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
 
 
+def _seed(text):
+    """The ``--seed`` value: an integer >= 0, like a scenario's ``seed``."""
+    from .scenario import _parse_seed
+
+    try:
+        return _parse_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_adjoint(args):
     from .adjoint import classify_adjointness, formal_adjoint, semi_conjugacy_solve, SemiConjugacyNotFound
     from .catalog import build_operator
@@ -169,7 +179,7 @@ def main(argv=None):
         "verified by exact spectral evolution.",
     )
     parser.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_seed, default=None,
         help="randomized-solver seed (default 0; overrides a scenario's seed)",
     )
     parser.add_argument("--out-dir", default=None, help="directory for CSV/JSON output")

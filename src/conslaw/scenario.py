@@ -160,6 +160,13 @@ def _positive(text):
     return value
 
 
+def _parse_seed(text):
+    value = int(text)
+    if value < 0:
+        raise ScenarioError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _parse_expect(text):
     if text not in ("conserve", "drift"):
         raise ScenarioError(f"expect must be conserve or drift, got {text!r}")
@@ -171,7 +178,7 @@ def _parse_expect(text):
 _CASE_PARSERS = {"expect": _parse_expect, "min_drift": _positive, "tolerance": _positive}
 _SCENARIO_PARSERS = {
     "name": str, "operator": str, "grid": _parse_grid, "profile": str, "times": _parse_times,
-    "s": _finite, "seed": int, "tolerance": _positive, "support_tol": _positive,
+    "s": _finite, "seed": _parse_seed, "tolerance": _positive, "support_tol": _positive,
     "amp_cap": _positive, "certifies": str,
 }
 

@@ -592,43 +592,60 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
 # -- whole-space heat-flow oracle --------------------------------------------
 
 
-def _heat_solve_line(f_vals, y, x, t):
-    """Trapezoid convolution of samples against the 1-d Gaussian kernel."""
-    if t <= 0:
-        raise ValueError("need t > 0")
-    h = y[1] - y[0]
-    kern = np.exp(-((x[:, None] - y[None, :]) ** 2) / (4.0 * t)) / np.sqrt(4 * np.pi * t)
-    w = np.full(len(y), h)
-    w[0] = w[-1] = h / 2
-    return kern @ (w * f_vals)
-
-
 def heat_flow_product_oracle(profile, s, times):
     """Whole-line values of ``E(t) = integral u(x,t) u(x,s-t) dx`` for heat flow.
 
     ``profile`` is a callable initial condition with numerically compact
     support inside ``[-24, 24]``.  Both Cauchy solutions are produced by
-    Gaussian-kernel quadrature on 2401 points; a refined grid of 4801 points
-    cross-checks the quadrature and the result carries the estimated error.
+    trapezoid quadrature against the Gaussian heat kernel on 2401 points; a
+    refined grid of 4801 points cross-checks the quadrature and the result
+    carries the estimated error.  On the uniform grid the kernel depends only
+    on the offset ``x_i - y_j = (i - j) h``, so each solve samples it on the
+    ``2n - 1`` offsets and convolves it with the weighted data, in O(n) memory.
+
+    ``s`` must be finite and > 0 and ``times`` non-empty, each strictly
+    inside ``(0, s)``.  Non-finite profile samples, or data or a solved field
+    whose largest end value relative to its maximum exceeds ``SUPPORT_TOL``,
+    raise ``ValueError``.
 
     Returns ``(values, quad_error)``.
     """
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be a finite number > 0, got {s!r}")
+    if len(times) == 0:
+        raise ValueError("times must not be empty")
     for t in times:
         if not 0 < t < s:
             raise ValueError("times must lie strictly inside (0, s)")
 
+    def supported(what, vals):
+        edge = max(abs(vals[0]), abs(vals[-1]))
+        if not (edge <= SUPPORT_TOL * np.max(np.abs(vals))):
+            raise ValueError(
+                f"{what} is not supported inside [-24, 24]: its end value exceeds "
+                f"{SUPPORT_TOL:g} of its maximum"
+            )
+
     def run(n):
-        x = y = np.linspace(-24.0, 24.0, n)
+        # the exact step: y[1] - y[0] rounds it by up to ~1e-13 relative,
+        # which would scale every offset and weight
+        y, h = np.linspace(-24.0, 24.0, n, retstep=True)
         f = profile(y)
-        hx = x[1] - x[0]
-        wx = np.full(len(x), hx)
-        wx[0] = wx[-1] = hx / 2
-        out = []
-        for t in times:
-            u_t = _heat_solve_line(f, y, x, t)
-            u_s = _heat_solve_line(f, y, x, s - t)
-            out.append(float(np.sum(wx * u_t * u_s)))
-        return np.array(out)
+        if not np.isfinite(f).all():
+            raise ValueError("heat-flow profile samples are non-finite")
+        supported("the heat-flow profile", f)
+        w = np.full(n, h)
+        w[0] = w[-1] = h / 2
+        wf = w * f
+        offsets2 = (h * np.arange(-(n - 1), n)) ** 2
+
+        def solve(t):
+            kern = np.exp(-offsets2 / (4.0 * t)) / np.sqrt(4 * np.pi * t)
+            u = np.convolve(wf, kern, mode="valid")
+            supported(f"the heat flow at t={t:g}", u)
+            return u
+
+        return np.array([float(np.sum(w * solve(t) * solve(s - t))) for t in times])
 
     coarse = run(2401)
     fine = run(4801)

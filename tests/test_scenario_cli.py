@@ -174,6 +174,13 @@ def test_cli_seed_defaults(capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
+def test_cli_rejects_negative_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-3", "verify", str(SCENARIOS / "wave_energy.scn")])
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+
+
 def test_cli_dirac_verdict_is_and_of_embedded_reports(capsys):
     rc = main(["dirac", "--fast"])
     report = json.loads(capsys.readouterr().out)
@@ -345,6 +352,8 @@ def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
         ("heat(dim=1)", "gaussian(width=-1.0)", "identity"),
         ("heat(dim=1)", "gaussian(width=0.0)", "identity"),
         ("heat(dim=1)", "packet(seed=1, width=-2.0)", "identity"),
+        ("heat(dim=1)", "random(seed=-7, kmax=40)", "identity"),
+        ("heat(dim=1)", "packet(seed=-1, width=1.0)", "identity"),
     ],
 )
 def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profile, symmetry):
@@ -356,6 +365,12 @@ def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profi
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["random(seed=-7, kmax=40)", "packet(seed=-1, width=1.0)"])
+def test_negative_profile_seed_names_the_profile(spec):
+    with pytest.raises(ValueError, match=r"(random|packet) profile seed must be an integer >= 0"):
+        build_profile(spec, TorusGrid((6.28,), (16,)), 1)
 
 
 @pytest.mark.parametrize(
@@ -371,6 +386,7 @@ def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profi
         ("support_tol", "-1e-10"),
         ("tolerance", "nan"),
         ("tolerance", "-1e-10"),
+        ("seed", "-1"),
         ("symmetry", "wave.time_translation tolerance=nan"),
         ("symmetry", "wave.time_translation expect=drift min_drift=nan"),
         ("symmetry", "wave.time_translation expect=drift min_drift=-1"),

@@ -207,8 +207,42 @@ def test_heat_flow_oracle_internal_consistency():
     assert abs(values[0] - values[1]) / abs(values[1]) <= 1e-6
     # symmetry under t <-> s - t
     assert abs(values[0] - values[2]) / abs(values[2]) <= 1e-12
+    # closed form for exp(-y^2 / (2 sigma^2)): sigma^2 sqrt(2 pi / (2 sigma^2 + 2 s)), any t
+    exact = 4.0 * np.sqrt(2 * np.pi / (2 * 4.0 + 2 * s))
+    assert np.max(np.abs(values - exact)) / exact <= 1e-11
     with pytest.raises(ValueError):
         heat_flow_product_oracle(prof, s, [1.5 * s])
+
+
+def test_heat_flow_oracle_memory_is_linear_in_grid():
+    # a dense (4801, 4801) kernel alone is 184 MB; the convolution needs O(n)
+    prof = lambda y: np.exp(-(y**2) / (2.0 * 4.0))
+    tracemalloc.start()
+    try:
+        heat_flow_product_oracle(prof, 1.0, [0.25, 0.5, 0.75])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize(
+    "profile, s, times, match",
+    [
+        (lambda y: np.exp(-(y**2) / 200.0), 1.0, [0.5], "profile is not supported"),  # width 10
+        # the data fits inside [-24, 24], but heat flow to t = 100 spreads past the ends
+        (lambda y: np.exp(-(y**2) / 8.0), 200.0, [100.0], "heat flow at t=100"),
+        (lambda y: np.where(np.abs(y) < 1.0, np.nan, np.exp(-(y**2) / 8.0)), 1.0, [0.5], "non-finite"),
+        (lambda y: np.exp(-(y**2) / 8.0), 1.0, [], "times"),
+        (lambda y: np.exp(-(y**2) / 8.0), np.nan, [0.5], "s must be a finite"),
+        (lambda y: np.exp(-(y**2) / 8.0), np.inf, [0.5], "s must be a finite"),
+        (lambda y: np.exp(-(y**2) / 8.0), -1.0, [0.5], "s must be a finite"),
+    ],
+    ids=["width-10", "spread-by-flow", "non-finite", "no-times", "s-nan", "s-inf", "s-negative"],
+)
+def test_heat_flow_oracle_refuses_its_preconditions(profile, s, times, match):
+    with pytest.raises(ValueError, match=match):
+        heat_flow_product_oracle(profile, s, times)
 
 
 def test_grid_validation():
