@@ -7,6 +7,10 @@ polynomial identity in the jets of Q and P over C.  For the Hermitian pairing
 the Q side is conjugated at evaluation time, and the adjoint-annihilation
 condition ``L*[Q] = 0`` is equivalent to ``Lt[conj(Q)] = 0``.
 
+For evaluation a characteristic's density terms are compiled into groups
+keyed by Q-side source instead of ``beta`` (``spectral.density``), and
+``evaluate_terms`` contracts those.
+
 The flux is canonical: derivatives are peeled off P lowest variable first
 (t before x1 before x2 ...), so X is deterministic; it is only unique up to
 curl terms anyway.
@@ -129,16 +133,43 @@ def concomitant_flux(L):
     return BilinearFlux(nv, L.rows, components)
 
 
-def evaluate_terms(terms, jet_q, jet_p):
-    """Numerically contract jet-bilinear terms against two jet providers.
+def evaluate_terms(groups, jet_q, jet_p, weight):
+    """Numerically contract compiled bilinear groups against two jet providers.
 
-    ``jet_q(beta)`` and ``jet_p(gamma)`` return arrays indexed by component in
-    axis 0.  The Q side is conjugated (the Hermitian pairing).
+    ``groups`` maps ``(w, src, gamma)`` to a ``(k, m)`` matrix ``B``: the term
+    ``weight(w) * sum_a conj(S)[a] * (B @ d^gamma P)[a]``, conjugated on the Q
+    side (the Hermitian pairing).  ``jet_q(src)`` returns ``(x, conj)``, a
+    ``(k, n)`` array with ``S = conj(x)`` when ``conj`` is set and ``S = x``
+    otherwise; ``jet_p(gamma)`` the jet of P indexed by component in axis 0;
+    ``weight(w)`` the ``n`` values of a weight other than ``()`` (which is 1).
+    The groups of one weight are summed before it multiplies them.  Returns the
+    flat ``(n,)`` sum, or None for no groups.
     """
+    pieces = {}
+    bufs = {}
+    for (w, src, gamma), B in groups.items():
+        x, conj = jet_q(src)
+        p = jet_p(gamma)
+        if x.shape not in bufs:
+            bufs[x.shape] = np.empty(x.shape, dtype=complex)
+        v = np.matmul(B, p.reshape(len(p), -1), out=bufs[x.shape])
+        # conj(S) is x when conj is set; otherwise sum_a conj(S[a]) v[a] is
+        # conj(sum_a S[a] conj(v[a])), which needs no copy of S
+        if not conj:
+            np.conj(v, out=v)
+        np.multiply(x, v, out=v)
+        piece = v.sum(axis=0)
+        if not conj:
+            np.conj(piece, out=piece)
+        if w in pieces:
+            pieces[w] += piece
+        else:
+            pieces[w] = piece
     out = None
-    for (beta, i, gamma, j), c in terms.items():
-        val = c * np.conj(jet_q(beta)[i]) * jet_p(gamma)[j]
-        out = val if out is None else out + val
+    for w, piece in pieces.items():
+        if w:
+            piece *= weight(w)
+        out = piece if out is None else out + piece
     return out
 
 

@@ -16,6 +16,20 @@ block, and a trajectory builds each sample time's propagator and applies it
 block by block, so a run never allocates a whole-grid propagator.  Blocking
 leaves every number bit-identical to a one-block run.
 
+A trajectory jet is taken in place: the active modes are scattered straight
+into one ``(m, npoints)`` array, multiplied by the wavevector powers and
+inverse-transformed into the same array.
+
+A field view (a symmetry chain over a trajectory) computes no grid values.
+Its ``jet(t, alpha)`` is a linear form over the trajectory: a short list of
+terms ``coef * w(x) * M @ S``, where ``S`` is a trajectory jet at a (maybe
+reflected) time, reflected on some spatial axes and maybe conjugated, or a
+fixed kernel field, and ``w`` a product of coordinates.  ``density`` folds a
+characteristic's density terms, once per sample time, into one ``(k, m)``
+matrix ``B`` per group ``(w, S, gamma)`` and contracts each group as
+``w * sum_a conj(S[a]) (B @ d^gamma u)[a]``: only ``N``-point products and
+small matrix products run on the grid.
+
 The module keeps one cache, and it lives for one sample time: a ``Trajectory``
 memoises the companion-state stacks and field jets asked for while one time
 is evaluated, and ``kappa_series``, which serves every characteristic of a
@@ -171,17 +185,25 @@ class SpectralState:
         return self.coeffs.shape[0]
 
     def values(self):
-        axes = tuple(range(1, self.grid.ndim + 1))
-        return np.fft.ifftn(self.coeffs, axes=axes) * self.grid.npoints
+        return _to_grid(self.coeffs.copy())
 
     def norm_sq(self):
         """Integral of |u|^2 over the box, computed in mode space."""
         return self.grid.volume * float(np.sum(np.abs(self.coeffs) ** 2))
 
     def is_real(self):
-        return float(np.max(np.abs(self.values().imag))) <= 1e-12 * max(
-            1e-300, float(np.max(np.abs(self.values())))
-        )
+        vals = self.values()
+        return float(np.max(np.abs(vals.imag))) <= 1e-12 * max(1e-300, float(np.max(np.abs(vals))))
+
+
+def _to_grid(coeffs):
+    """Grid values of Fourier coefficients (component axis first), in place.
+
+    The unscaled inverse transform (``norm="forward"``) is ``ifftn(coeffs) *
+    npoints`` bit for bit, because every mode count is a power of two.
+    """
+    axes = tuple(range(1, coeffs.ndim))
+    return np.fft.ifftn(coeffs, axes=axes, norm="forward", out=coeffs)
 
 
 def integrate(grid, values):
@@ -279,12 +301,6 @@ class EvolutionSystem:
             )
         return P
 
-    def scatter(self, active_values):
-        """Expand per-active-mode data (n_active, ...) to full mode arrays."""
-        out = np.zeros((self.grid.npoints,) + active_values.shape[1:], dtype=complex)
-        out[self.active] = active_values
-        return out
-
 
 class Trajectory:
     """Exactly evolvable solution: companion state at t0 plus the system.
@@ -339,24 +355,28 @@ class Trajectory:
         return stack[order]
 
     def _field_coeffs(self, U):
-        """Full-grid Fourier coefficients of the first companion block."""
-        return self.system.scatter(U[:, : self.system.m]).T.reshape(
-            (self.system.m,) + self.grid.modes
-        )
+        """Full-grid Fourier coefficients of the first companion block, (m, *modes)."""
+        m = self.system.m
+        coeffs = np.zeros((m, self.grid.npoints), dtype=complex)
+        coeffs[:, self.system.active] = U[:, :m].T
+        return coeffs.reshape((m,) + self.grid.modes)
 
     def state_at(self, t):
         """Physical field (first companion block) as a SpectralState."""
         return SpectralState(self.grid, self._field_coeffs(self._companion(t)), time=t)
 
     def jet_values(self, t, alpha):
-        """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn)."""
-        coeffs = self._field_coeffs(self._time_derivative(t, alpha[0]))
-        kk = self.grid.wavevector_grids()
-        for d, e in enumerate(alpha[1:]):
+        """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn).
+
+        One array holds the coefficients, their derivatives and the values.
+        """
+        vals = self._field_coeffs(self._time_derivative(t, alpha[0]))
+        for d, (k, e) in enumerate(zip(self.grid.wavenumbers(), alpha[1:])):
             if e:
-                coeffs = coeffs * (1j * kk[d]) ** e
-        axes = tuple(range(1, self.grid.ndim + 1))
-        return np.fft.ifftn(coeffs, axes=axes) * self.grid.npoints
+                shape = [1] * vals.ndim
+                shape[d + 1] = len(k)
+                vals *= ((1j * k) ** e).reshape(shape)
+        return _to_grid(vals)
 
     def jet(self, t, alpha):
         """Field-view interface: ``jet_values``, memoised until ``forget``."""
@@ -367,6 +387,23 @@ class Trajectory:
 
 
 # -- field views -------------------------------------------------------------
+#
+# A view's ``jet(t, alpha)`` is a linear form over the trajectory: a list of
+# terms ``(coef, w, M, src)`` that stands for ``coef * w(x) * M @ S``.
+# ``src = (field, t, alpha, flip, conj)`` names ``S``: the jet ``d^alpha`` at
+# time ``t`` of ``field`` (the trajectory or a ``ShiftView``), reflected on the
+# spatial axes where ``flip`` is set and conjugated when ``conj`` is.  ``M`` is
+# None for the identity; ``w`` is a sorted tuple of coordinate factors
+# ``(axis, flipped)``, ``()`` for 1, where a flipped factor is the grid flip of
+# the coordinate array (which differs from ``-x`` at index 0).
+
+
+def _form(view, t, alpha):
+    """The linear form of ``view``'s jet; a trajectory's is its own jet."""
+    if isinstance(view, Trajectory):
+        src = (view, float(t), tuple(alpha), (False,) * view.grid.ndim, False)
+        return [(1.0, (), None, src)]
+    return view.jet(t, alpha)
 
 
 class _InnerView:
@@ -375,7 +412,6 @@ class _InnerView:
     def __init__(self, inner):
         self.inner = inner
         self.grid = inner.grid
-        self.ncomp = inner.ncomp
         self.weighted = inner.weighted
 
 
@@ -383,25 +419,32 @@ class MatrixView(_InnerView):
     def __init__(self, inner, matrix):
         super().__init__(inner)
         self.matrix = np.asarray(matrix, dtype=complex)
-        self.ncomp = self.matrix.shape[0]
 
     def jet(self, t, alpha):
-        vals = self.inner.jet(t, alpha)
-        return np.einsum("ab,b...->a...", self.matrix, vals)
+        return [
+            (c, w, self.matrix if M is None else self.matrix @ M, src)
+            for c, w, M, src in _form(self.inner, t, alpha)
+        ]
 
 
 class ConjView(_InnerView):
     def jet(self, t, alpha):
-        return np.conj(self.inner.jet(t, alpha))
+        return [
+            (np.conj(c), w, None if M is None else M.conj(), (f, tt, a, flip, not conj))
+            for c, w, M, (f, tt, a, flip, conj) in _form(self.inner, t, alpha)
+        ]
+
+
+def _grid_flip(n):
+    """Index map of the reflection ``x -> -x`` on an axis of ``n`` points: ``i -> -i mod n``."""
+    return (n - np.arange(n)) % n
 
 
 def _reflect_values(grid, values, spatial_mask):
     out = values
     for d, flip in enumerate(spatial_mask):
         if flip:
-            n = grid.modes[d]
-            idx = (n - np.arange(n)) % n
-            out = np.take(out, idx, axis=d + 1)
+            out = np.take(out, _grid_flip(grid.modes[d]), axis=d + 1)
     return out
 
 
@@ -413,14 +456,17 @@ class ReflectView(_InnerView):
 
     def jet(self, t, alpha):
         tt = self.s - t if self.mask[0] else t
-        vals = self.inner.jet(tt, alpha)
-        sign = 1.0
-        if self.mask[0] and alpha[0] % 2:
-            sign = -sign
-        for d, flip in enumerate(self.mask[1:]):
-            if flip and alpha[d + 1] % 2:
-                sign = -sign
-        return sign * _reflect_values(self.grid, vals, self.mask[1:])
+        sign = (-1) ** sum(a for a, flip in zip(alpha, self.mask) if flip)
+        space = self.mask[1:]
+        return [
+            (
+                sign * c,
+                tuple(sorted((axis, f != space[axis]) for axis, f in w)),
+                M,
+                (field, ts, a, tuple(f != r for f, r in zip(flip, space)), conj),
+            )
+            for c, w, M, (field, ts, a, flip, conj) in _form(self.inner, tt, alpha)
+        ]
 
 
 class DiffView(_InnerView):
@@ -430,45 +476,30 @@ class DiffView(_InnerView):
         super().__init__(inner)
         self.factor = factor
         self.weighted |= any(slot for poly, _m, _d in factor.terms for slot, _e in poly)
-        for _, mat, _ in factor.terms:
-            if mat is not None:
-                self.ncomp = mat.shape[0]
-
-    def _coordinate(self, slot, t):
-        if slot == 0:
-            return t
-        axis = slot - 1
-        coords = self.grid.coordinates()[axis]
-        shape = [1] * (self.grid.ndim + 1)
-        shape[axis + 1] = self.grid.modes[axis]
-        return coords.reshape(shape)
 
     def jet(self, t, alpha):
-        out = None
+        out = []
         for poly, mat, delta in self.factor.terms:
             total = tuple(a + d for a, d in zip(alpha, delta))
-            base = self.inner.jet(t, total)
+            piece = _form(self.inner, t, total)
             if poly:
                 (slot, _e) = poly[0]
-                piece = base * self._coordinate(slot, t)
+                if slot == 0:
+                    piece = [(c * t, w, M, src) for c, w, M, src in piece]
+                else:
+                    piece = [(c, tuple(sorted(w + ((slot - 1, False),))), M, src) for c, w, M, src in piece]
                 if alpha[slot]:
-                    lower = tuple(
-                        v - (1 if d == slot else 0) for d, v in enumerate(total)
-                    )
-                    piece = piece + alpha[slot] * self.inner.jet(t, lower)
-            else:
-                piece = base
+                    # product rule: d^alpha (x f) = x d^alpha f + alpha_x d^(alpha - e_x) f
+                    lower = tuple(v - (d == slot) for d, v in enumerate(total))
+                    piece += [(alpha[slot] * c, w, M, src) for c, w, M, src in _form(self.inner, t, lower)]
             if mat is not None:
-                piece = np.einsum("ab,b...->a...", mat, piece)
-            out = piece if out is None else out + piece
-        if out is None:
-            shape = (self.ncomp,) + self.grid.modes
-            out = np.zeros(shape, dtype=complex)
+                piece = [(c, w, mat if M is None else mat @ M, src) for c, w, M, src in piece]
+            out += piece
         return out
 
 
 class ShiftView:
-    """Fixed closed-form field evaluated on the grid."""
+    """Fixed closed-form field: its jet is a fixed source, its ``values`` the grid values."""
 
     def __init__(self, field, grid):
         self.field = field
@@ -478,6 +509,9 @@ class ShiftView:
         self._points = grid.point_list()
 
     def jet(self, t, alpha):
+        return [(1.0, (), None, (self, float(t), tuple(alpha), (False,) * self.grid.ndim, False))]
+
+    def values(self, t, alpha):
         vals = self.field.diff_multi(alpha).evaluate(t, self._points)
         return vals.reshape((self.ncomp,) + self.grid.modes)
 
@@ -550,13 +584,71 @@ def drift_of(values, scale=0.0):
     return max(abs(v - k0) for v in values) / (abs(k0) + scale + 1e-300)
 
 
+def _groups(flux, qview, t, m):
+    """The density terms of ``qview`` at time ``t`` folded into bilinear groups.
+
+    Each group ``(w, src, gamma)`` maps to a ``(k, m)`` matrix ``B`` such that
+    the density is ``sum w * sum_a conj(S[a]) (B @ d^gamma u)[a]``.
+    """
+    forms = {}
+    groups = {}
+    for (beta, i, gamma, j), c in flux.density_terms.items():
+        if beta not in forms:
+            forms[beta] = _form(qview, t, beta)
+        for coef, w, M, src in forms[beta]:
+            B = groups.get((w, src, gamma))
+            if B is None:
+                B = groups[(w, src, gamma)] = np.zeros((src[0].ncomp, m), dtype=complex)
+            if M is None:
+                B[i, j] += c * np.conj(coef)
+            else:
+                B[:, j] += c * np.conj(coef) * np.conj(M[i])
+    return groups
+
+
+def _source(src):
+    """A form's source as ``(x, conj)``, ``x`` a ``(k, npoints)`` array: ``S = conj(x)`` if ``conj``."""
+    field, t, alpha, flip, conj = src
+    vals = field.values(t, alpha) if isinstance(field, ShiftView) else field.jet(t, alpha)
+    if any(flip):
+        vals = _reflect_values(field.grid, vals, flip)
+    return vals.reshape(len(vals), -1), conj
+
+
+def _weight_values(grid, w):
+    """Flat grid values of the coordinate product ``w``."""
+    out = np.ones(grid.modes)
+    for axis, flipped in w:
+        x = grid.coordinates()[axis]
+        if flipped:
+            x = x[_grid_flip(len(x))]
+        shape = [1] * grid.ndim
+        shape[axis] = len(x)
+        out = out * x.reshape(shape)
+    return out.reshape(-1)
+
+
+def density(flux, qview, traj, t):
+    """Grid values at time ``t`` of the density ``X0(Q, u)`` of the view ``qview`` of Q."""
+    groups = _groups(flux, qview, t, traj.ncomp)
+    out = evaluate_terms(
+        groups,
+        _source,
+        functools.partial(traj.jet, t),
+        functools.partial(_weight_values, traj.grid),
+    )
+    if out is None:
+        return np.zeros(traj.grid.modes, dtype=complex)
+    return out.reshape(traj.grid.modes)
+
+
 def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     """Evaluate ``kappa(t) = integral X0(Q, u) dx`` for each characteristic.
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
     views of the characteristics over the trajectory ``traj``.  At each time
-    every view reads the trajectory's jets of that time, which are forgotten
-    before the next.  Returns one series with its relative drift per view.
+    every view's ``density`` reads the trajectory's jets of that time, which
+    are forgotten before the next.  Returns one series with its relative drift per view.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
     whose boundary fraction is not within ``support_tol`` raises ``SupportError``.
     """
@@ -568,8 +660,7 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     scales = [0.0] * len(qviews)
     for t in times:
         for i, qview in enumerate(qviews):
-            jet_q = functools.cache(functools.partial(qview.jet, t))
-            integrand = evaluate_terms(flux.density_terms, jet_q, functools.partial(traj.jet, t))
+            integrand = density(flux, qview, traj, t)
             values[i].append(integrate(grid, integrand))
             scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand))))
         if weighted:

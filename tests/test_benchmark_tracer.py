@@ -3,12 +3,15 @@
 ``benchmark/tracer.py`` patches functions, methods and view classes of
 ``conslaw`` by name; a rename or deletion there would make
 ``benchmark/run.py --trace 1`` fail, so this test installs and removes it.
+A call path that went round a patched name would silently zero its layer, so
+a small scenario also runs under the tracer.
 """
 
 import importlib.util
 from pathlib import Path
 
 from conslaw import dirac, fock, scenario, spectral
+from conslaw.scenario import _packaged_scenario
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
@@ -43,3 +46,17 @@ def test_tracer_installs_and_uninstalls():
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
     assert [attr for owner, attr, original in patched if getattr(owner, attr) is not original] == []
+
+
+def test_kappa_layers_record_calls_under_the_tracer():
+    # the kdvkdv charges: matrix, reflected and kernel-shift characteristics
+    scn = _packaged_scenario("kdvkdv_quadratic")
+    tracer = _tracer_module().Tracer("t")
+    tracer.install()
+    try:
+        scenario.run_scenario(scn)
+    finally:
+        tracer.uninstall()
+    for layer in ("spectral.kappa", "current.contract", "spectral.jet"):
+        assert tracer.calls[layer] >= 1, layer
+    assert tracer.counts["current.contract.terms"] >= 1

@@ -21,8 +21,12 @@ from conslaw.gamma import energy
 from conslaw.opcore import ConstCoeffOperator
 from conslaw.spectral import (
     AmplificationError,
+    ConjView,
+    DiffView,
     EvolutionSystem,
     MatrixView,
+    ReflectView,
+    ShiftView,
     SpectralState,
     SupportError,
     TorusGrid,
@@ -33,6 +37,7 @@ from conslaw.spectral import (
     kappa_series,
     symmetry_view,
 )
+from conslaw.symmetry import DiffFactor, PointReflect, SymmetryOp
 
 TWO_PI = 2 * np.pi
 
@@ -435,3 +440,116 @@ def test_build_memory_stays_near_the_size_of_a(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * system.A.nbytes
+
+
+@pytest.mark.parametrize("alpha", [(0, 0, 0, 0), (0, 0, 2, 1)], ids=["u", "d_y^2 d_z u"])
+def test_jet_values_are_the_scaled_inverse_transform(alpha):
+    # the in-place unscaled transform gives ifftn(c) * npoints bit for bit
+    grid = TorusGrid((8.0, 6.0, 10.0), (8, 4, 16))
+    L = dirac_operator(1.0)
+    coeffs = build_profile("random(seed=8, kmax=3, real=False)", grid, 4)
+    traj = Trajectory(EvolutionSystem(L, grid), coeffs)
+    c = traj.state_at(0.3).coeffs
+    for k, e in zip(grid.wavevector_grids(), alpha[1:]):
+        c = c * (1j * k) ** e
+    want = np.fft.ifftn(c, axes=(1, 2, 3)) * grid.npoints
+    assert np.array_equal(traj.jet_values(0.3, alpha), want)
+
+
+def _grid_jet(view, t, alpha):
+    """A view's jet as grid values, by the per-view array arithmetic."""
+    if isinstance(view, Trajectory):
+        return view.jet_values(t, alpha)
+    if isinstance(view, ShiftView):
+        vals = view.field.diff_multi(alpha).evaluate(t, view.grid.point_list())
+        return vals.reshape((view.ncomp,) + view.grid.modes)
+    if isinstance(view, MatrixView):
+        return np.einsum("ab,b...->a...", view.matrix, _grid_jet(view.inner, t, alpha))
+    if isinstance(view, ConjView):
+        return np.conj(_grid_jet(view.inner, t, alpha))
+    if isinstance(view, ReflectView):
+        vals = _grid_jet(view.inner, view.s - t if view.mask[0] else t, alpha)
+        for axis, flip in enumerate(view.mask[1:], start=1):
+            if flip:  # grid point i -> -i mod n
+                vals = np.roll(np.flip(vals, axis), 1, axis)
+        return (-1) ** sum(a for a, flip in zip(alpha, view.mask) if flip) * vals
+    assert isinstance(view, DiffView)
+    grid = view.grid
+    out = np.zeros_like(_grid_jet(view.inner, t, alpha))
+    for poly, mat, delta in view.factor.terms:
+        total = tuple(a + d for a, d in zip(alpha, delta))
+        piece = _grid_jet(view.inner, t, total)
+        for slot, _e in poly:
+            if slot == 0:
+                piece = piece * t
+            else:
+                shape = [1] * (grid.ndim + 1)
+                shape[slot] = grid.modes[slot - 1]
+                piece = piece * grid.coordinates()[slot - 1].reshape(shape)
+            if alpha[slot]:  # d^alpha (x f) = x d^alpha f + alpha_x d^(alpha - e_x) f
+                lower = tuple(v - (d == slot) for d, v in enumerate(total))
+                piece = piece + alpha[slot] * _grid_jet(view.inner, t, lower)
+        if mat is not None:
+            piece = np.einsum("ab,b...->a...", mat, piece)
+        out = out + piece
+    return out
+
+
+_WEIGHTED = DiffFactor(
+    (
+        ({1: 1}, None, (0, 0)),  # x u
+        ({0: 1}, None, (0, 1)),  # t u_x
+        ((), None, (1, 0)),  # u_t
+    )
+)
+_D_X = DiffFactor((((), None, (0, 1)),))
+_LINE = TorusGrid((TWO_PI,), (64,))
+_BOX = TorusGrid((8.0,) * 3, (8,) * 3)
+
+
+@pytest.mark.parametrize(
+    "op, grid, symmetry, s",
+    [
+        ("kdvkdv", _LINE, "kdvkdv.swap", 0.0),
+        ("dirac(m=1.0)", _BOX, "dirac.cpt", 0.0),
+        ("dirac(m=1.0)", _BOX, "dirac.Gamma0", 0.2),
+        ("heat(dim=2)", TorusGrid((TWO_PI, 4.0), (16, 8)), "heat.space_reflection(dim=2)", 0.6),
+        # wave's density reads beta = (1, 0): the weighted view takes the
+        # product rule in t, and under the outer d_x also in x
+        ("wave(dim=1)", _LINE, SymmetryOp((_D_X, _WEIGHTED)), 0.0),
+        ("wave(dim=1)", _LINE, "wave.time_translation", 0.0),
+        ("kdvkdv", _LINE, "kdvkdv.shift_linear_a", 0.0),
+        ("kdvkdv", _LINE, SymmetryOp((DiffFactor(()),)), 0.0),
+        # the flipped x weight is the grid flip of x, which is not -x at index 0
+        ("kdvkdv", _LINE, SymmetryOp((PointReflect((True, True)), _WEIGHTED)), 0.7),
+    ],
+    ids=[
+        "matrix",
+        "conjugation",
+        "time-reflection",
+        "space-reflection",
+        "weights-and-product-rule",
+        "wave-beta-1-0",
+        "weighted-shift",
+        "empty-diff",
+        "reflection-outside-weight",
+    ],
+)
+def test_compiled_density_matches_view_arithmetic(op, grid, symmetry, s):
+    L = build_operator(op)
+    system = EvolutionSystem(L, grid, amp_cap=1e8)
+    coeffs = build_profile("random(seed=9, kmax=3, real=False)", grid, L.cols * system.R)
+    traj = Trajectory(system, coeffs)
+    gen = build_symmetry(symmetry) if isinstance(symmetry, str) else symmetry
+    char = adjoint_characteristic(L, adjoint_factorization(L, semi_conjugacy_solve(L)), gen)
+    view = symmetry_view(char, traj, s=s)
+    flux = concomitant_flux(L)
+    t = 0.3
+    want = 0
+    for (beta, i, gamma, j), c in flux.density_terms.items():
+        want = want + c * np.conj(_grid_jet(view, t, beta)[i]) * traj.jet_values(t, gamma)[j]
+    got = spectral.density(flux, view, traj, t)
+    assert got.shape == grid.modes
+    assert np.abs(got - want).sum() <= 1e-13 * np.abs(want).sum()
+    # only the empty DiffFactor gives a zero density, and then exactly zero
+    assert np.any(want) != (getattr(gen, "factors", None) == (DiffFactor(()),))
