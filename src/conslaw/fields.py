@@ -20,6 +20,7 @@ __all__ = [
     "polynomial_field",
     "evolution_matrices",
     "evolution_matrix",
+    "evolution_symbol",
     "kernel_sample",
 ]
 
@@ -206,6 +207,40 @@ def polynomial_field(nvars, ncomp, comp_polys):
     return AnalyticField(nvars, ncomp, terms)
 
 
+def _evolution_order(L):
+    """Time order ``R`` of a square operator that has an evolution form."""
+    if not L.is_square():
+        raise ValueError("evolution form needs a square operator")
+    R = L.time_order()
+    if R == 0:
+        raise ValueError("operator has no time derivative; no evolution form")
+    return R
+
+
+def _lead_varies(L, R):
+    """Whether the leading time coefficient ``C_R`` depends on the wavevector."""
+    return any(any(alpha[1:]) for alpha in L.terms if alpha[0] == R)
+
+
+def _lead_inverse(L, lead, kspace):
+    """Inverse of the leading coefficient(s) ``lead``; refuses a condition number above 1e12."""
+    singular = np.atleast_1d(np.linalg.cond(lead) > 1e12)
+    if singular.any():
+        k = np.reshape(kspace, (-1, L.nvars - 1))[np.argmax(singular)].tolist()
+        raise ValueError(f"leading time coefficient is singular at k={tuple(k)}")
+    return np.linalg.inv(lead)
+
+
+def _companion(last_row, m, R, identity=True):
+    """Block companion matrices whose last block row is ``last_row``, shape (..., m, mR)."""
+    A = np.zeros(last_row.shape[:-2] + (m * R, m * R), dtype=complex)
+    if identity:
+        for r in range(R - 1):
+            A[..., r * m : (r + 1) * m, (r + 1) * m : (r + 2) * m] = np.eye(m)
+    A[..., (R - 1) * m :, :] = last_row
+    return A
+
+
 def evolution_matrices(L, kspace):
     """Companion matrices A(k) of the first-order system, one per spatial mode.
 
@@ -216,29 +251,41 @@ def evolution_matrices(L, kspace):
     time coefficient ``C_R(k)`` to be invertible (condition number at most
     1e12); it is checked once when it does not depend on ``k``.
     """
-    m = L.cols
-    if not L.is_square():
-        raise ValueError("evolution form needs a square operator")
-    R = L.time_order()
-    if R == 0:
-        raise ValueError("operator has no time derivative; no evolution form")
+    m, R = L.cols, _evolution_order(L)
     kspace = np.asarray(kspace)
     C = [L.spatial_symbol(kspace, r) for r in range(R)]
-    if any(any(alpha[1:]) for alpha in L.terms if alpha[0] == R):
+    if _lead_varies(L, R):
         lead = L.spatial_symbol(kspace, R)
     else:  # the same matrix on every mode
         lead = L.spatial_symbol(np.zeros(L.nvars - 1), R)
-    singular = np.atleast_1d(np.linalg.cond(lead) > 1e12)
-    if singular.any():
-        k = kspace[np.argmax(singular)].tolist()
-        raise ValueError(f"leading time coefficient is singular at k={tuple(k)}")
-    lead_inv = np.linalg.inv(lead)
-    A = np.zeros((len(kspace), m * R, m * R), dtype=complex)
-    for r in range(R - 1):
-        A[:, r * m : (r + 1) * m, (r + 1) * m : (r + 2) * m] = np.eye(m)
-    for r in range(R):
-        A[:, (R - 1) * m :, r * m : (r + 1) * m] = -lead_inv @ C[r]
-    return A
+    lead_inv = _lead_inverse(L, lead, kspace)
+    return _companion(np.concatenate([-lead_inv @ C[r] for r in range(R)], axis=-1), m, R)
+
+
+def evolution_symbol(L):
+    """The companion matrix as a polynomial in the wavevector, or None.
+
+    When the leading time coefficient is constant, ``A(k) = sum_beta k^beta
+    Abar_beta`` over spatial multi-indices ``beta``, with real monomials
+    ``k^beta`` and constant matrices ``Abar_beta = i^|beta| * (companion of
+    -C_R^{-1} M_(r, beta))``; the identity blocks go into ``Abar_0``.
+    Returns ``{beta: Abar_beta}`` (``Abar_0`` first, always present), or None when
+    the leading coefficient depends on ``k``.  A singular constant lead is
+    singular at every mode, so the error names ``k = 0``, the first retained
+    mode of every grid.
+    """
+    m, R = L.cols, _evolution_order(L)
+    if _lead_varies(L, R):
+        return None
+    zero = np.zeros(L.nvars - 1)
+    lead_inv = _lead_inverse(L, L.spatial_symbol(zero, R), zero)
+    rows = {(0,) * (L.nvars - 1): np.zeros((m, m * R), dtype=complex)}
+    for alpha, mat in L.terms.items():
+        r, beta = alpha[0], alpha[1:]
+        if r < R:
+            row = rows.setdefault(beta, np.zeros((m, m * R), dtype=complex))
+            row[:, r * m : (r + 1) * m] = (1, 1j, -1, -1j)[sum(beta) % 4] * (-lead_inv @ mat)
+    return {beta: _companion(row, m, R, identity=not any(beta)) for beta, row in rows.items()}
 
 
 def evolution_matrix(L, kspace):

@@ -260,8 +260,8 @@ def run_scenario(scn, out_dir=None, write_csv=True):
     L = build_operator(scn.operator)
     grid = TorusGrid(**scn.grid)
     system = EvolutionSystem(L, grid, amp_cap=scn.amp_cap)
-    coeffs = build_profile(scn.profile, grid, L.cols * system.R)
-    traj = Trajectory(system, coeffs)
+    # the full-grid profile is read only here; the trajectory keeps its active modes
+    traj = Trajectory(system, build_profile(scn.profile, grid, L.cols * system.R))
     pair = semi_conjugacy_solve(L, seed=scn.seed)
     fact = adjoint_factorization(L, pair)
     flux = concomitant_flux(L)

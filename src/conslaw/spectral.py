@@ -10,11 +10,18 @@ would otherwise amplify beyond the configured cap).  A propagator with an
 entry above the cap or a non-finite entry raises ``AmplificationError``, and
 a non-finite kappa value raises instead of yielding a drift.
 
-Work over modes goes one block of at most ``MODE_BLOCK`` active modes at a
-time: ``EvolutionSystem`` builds ``A(k)`` and its fast-mode test block by
-block, and a trajectory builds each sample time's propagator and applies it
-block by block, so a run never allocates a whole-grid propagator.  Blocking
-leaves every number bit-identical to a one-block run.
+Propagation is matrix-free whenever the leading time coefficient is
+constant: ``A(k)`` is a sum of constant matrices times real monomials in
+``k``, and when every symmetrised product of those matrices is a multiple of
+the identity (Dirac, wave, kdvkdv, heat) ``A(k)^2 = lam(k) I``, so ``exp(dt
+A) U = c1 U + c2 A U`` needs no matrix at all.  Such a system holds ``O(d)``
+numbers per mode; a trajectory forms ``A U0`` once and each sample time's
+state is ``c1 U0 + c2 (A U0)``.  A ``k``-dependent lead or a symbol that is
+not fast keeps a stacked ``A(k)`` with the per-mode closed form or ``expm``.
+``EvolutionSystem.A`` is a read-only view of the stack, which a matrix-free
+system assembles on demand for readers; no solver path reads it.  Work over
+modes goes one block of at most ``MODE_BLOCK`` active modes at a time, and
+blocking leaves every number bit-identical to a one-block run.
 
 A trajectory jet is taken in place: the active modes are scattered straight
 into one ``(m, npoints)`` array, multiplied by the wavevector powers and
@@ -49,7 +56,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .current import evaluate_terms
-from .fields import evolution_matrices
+from .fields import evolution_matrices, evolution_symbol
 from .symmetry import (
     Conjugation,
     DiffFactor,
@@ -228,8 +235,17 @@ def boundary_fraction(grid, values):
 class EvolutionSystem:
     """Per-mode first-order reduction ``U' = A(k) U`` of a square operator.
 
-    ``A`` is built, and each propagator built and applied, one block of at
-    most ``MODE_BLOCK`` active modes at a time.
+    With a constant leading time coefficient the companion matrix is a
+    polynomial ``A(k) = sum_beta k^beta Abar_beta`` (``fields.evolution_symbol``).
+    Its fastness is decided once, symbolically: when every symmetrised product
+    ``Abar_a Abar_b + Abar_b Abar_a`` is a multiple of ``I``, ``A(k)^2 =
+    lam(k) I`` with ``lam`` a polynomial, and the system is matrix-free.  It
+    keeps the constant matrices, one real array per non-constant monomial and
+    ``lam``, and ``exp(dt A) U = c1 U + c2 A U`` (``exp(dt a) U`` for scalar
+    modes).  A ``k``-dependent lead or a symbol that is not fast keeps the
+    stacked ``A`` from ``fields.evolution_matrices``, built one block of at
+    most ``MODE_BLOCK`` modes at a time, with a per-mode test for the closed
+    form and ``expm`` on the other modes.  ``propagator`` serves both.
     """
 
     def __init__(self, L, grid, amp_cap=AMP_CAP):
@@ -241,11 +257,36 @@ class EvolutionSystem:
         self.m = L.cols
         self.R = L.time_order()
         self.active = np.flatnonzero(grid.mode_mask().reshape(-1))
+        n, d = len(self.active), self.m * self.R
+        symbol = evolution_symbol(L)
+        squares = None if symbol is None else _square_coefficients(list(symbol.values()))
+        self._stack = None  # the stacked A(k) when the system is not matrix-free
+        if squares is not None:
+            kk = [k.reshape(-1)[self.active] for k in grid.wavevector_grids()]
+            mats = list(symbol.values())  # Abar_0 first
+            monos = [None] + [_monomial(kk, beta) for beta in list(symbol)[1:]]  # None for 1
+            self._const = mats[0]
+            self._terms = list(zip(monos[1:], mats[1:]))
+            self.lam = np.zeros(n, dtype=complex)
+            for (a, b), c in squares.items():
+                term = c
+                for s in (monos[a], monos[b]):
+                    if s is not None:
+                        term = term * s
+                self.lam += term
+            self.fast = np.ones(n, dtype=bool)
+            # the distinct entries of A(k) as coefficient vectors over (1, k^beta, ...):
+            # diagonal ones, and nonzero off-diagonal ones up to sign
+            coefs = np.stack(mats)
+            self._diag = {tuple(coefs[:, i, i]) for i in range(d)}
+            self._off = {
+                _up_to_sign(coefs[:, i, j]) for i in range(d) for j in range(d) if i != j and coefs[:, i, j].any()
+            }
+            return
         kspace = np.stack([k.reshape(-1)[self.active] for k in grid.wavevector_grids()], axis=-1)
-        d = self.m * self.R
-        self.A = np.empty((len(self.active), d, d), dtype=complex)
-        self.lam = np.empty(len(self.active), dtype=complex)
-        self.fast = np.empty(len(self.active), dtype=bool)
+        self._stack = np.empty((n, d, d), dtype=complex)
+        self.lam = np.empty(n, dtype=complex)
+        self.fast = np.empty(n, dtype=bool)
         eye = np.eye(d)
         for block in self.blocks():
             A = evolution_matrices(L, kspace[block])
@@ -254,41 +295,93 @@ class EvolutionSystem:
             lam = np.einsum("mii->m", A2) / d
             resid = np.abs(A2 - lam[:, None, None] * eye).max(axis=(1, 2))
             scale = np.abs(A).max(axis=(1, 2)) ** 2 + 1e-300
-            self.A[block], self.lam[block] = A, lam
+            self._stack[block], self.lam[block] = A, lam
             self.fast[block] = resid <= 1e-13 * scale
+        self._stack.flags.writeable = False
+
+    @property
+    def A(self):
+        """The read-only ``(n_active, d, d)`` stack of ``A(k)``.
+
+        A matrix-free system assembles it on each access; no solver path reads it.
+        """
+        if self._stack is not None:
+            return self._stack
+        A = np.empty((len(self.active),) + self._const.shape, dtype=complex)
+        A[:] = self._const
+        for s, M in self._terms:
+            A += s[:, None, None] * M
+        A.flags.writeable = False
+        return A
+
+    @property
+    def matrix_free(self):
+        """Whether the system propagates from the symbols, holding no ``A`` stack."""
+        return self._stack is None
 
     def blocks(self):
         """Slices of consecutive active modes, ``MODE_BLOCK`` at most each."""
         n = len(self.active)
         return [slice(i, min(i + MODE_BLOCK, n)) for i in range(0, n, MODE_BLOCK)]
 
-    def propagator(self, dt, modes=slice(None)):
-        """Batched ``exp(dt A)`` over the active modes ``modes`` (a slice).
+    def _entry(self, coefs, modes):
+        """Per-mode values of the entry ``sum_beta coefs[beta] k^beta`` of ``A(k)``."""
+        out = coefs[0]
+        for c, (s, _M) in zip(coefs[1:], self._terms):
+            if c:
+                out = out + c * s[modes]
+        return out
 
-        Raises ``AmplificationError`` if an entry exceeds ``amp_cap`` or is
-        not finite (an overflowing cosh/sinh times a zero entry gives NaN).
+    def apply(self, U, modes=slice(None)):
+        """``A U`` for the states ``U``, shape ``(modes, d)``, of the active modes ``modes``."""
+        if self._stack is not None:
+            return np.einsum("mij,mj->mi", self._stack[modes], U)
+        out = U @ self._const.T
+        for s, M in self._terms:
+            out += s[modes, None] * (U @ M.T)
+        return out
+
+    def propagator(self, dt, U, modes=slice(None), AU=None):
+        """``exp(dt A) U`` for the states ``U``, shape ``(modes, d)``, of the active modes ``modes``.
+
+        A matrix-free system returns ``c1 U + c2 A U`` and takes ``A U`` from
+        ``AU`` when the caller has formed it; scalar modes and the stacked
+        path ignore ``AU``.
+        Raises ``AmplificationError`` if an entry of ``exp(dt A)`` exceeds
+        ``amp_cap`` or is not finite (an overflowing cosh/sinh times a zero
+        entry gives NaN).  A matrix-free system takes each entry ``c1
+        delta_ij + c2 A_ij(k)`` from the symbols, and forms no matrix.
         """
-        A, lam, fast = self.A[modes], self.lam[modes], self.fast[modes]
-        d = A.shape[1]
+        d = U.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
+            if self._stack is not None:
+                A = self._stack[modes]
+                if d == 1:
+                    P = np.exp(dt * A)
+                else:
+                    c1, c2 = _closed_form(dt, self.lam[modes])
+                    P = c1[:, None, None] * np.eye(d) + c2[:, None, None] * A
+                    for idx in np.flatnonzero(~self.fast[modes]):
+                        P[idx] = expm(dt * A[idx])
+                self._check_amplification(dt, float(np.abs(P).max()))
+                return np.einsum("mij,mj->mi", P, U)
             if d == 1:
                 # scalar modes: direct exponential (the cosh/sinh split would
                 # overflow on strongly decaying modes)
-                P = np.exp(dt * A)
-            else:
-                # the closed form for every mode, then expm where it is not exact
-                z = np.sqrt(lam.astype(complex))
-                zt = z * dt
-                c1 = np.cosh(zt)
-                small = np.abs(zt) < 1e-8
-                c2 = np.empty_like(z)
-                nz = ~small
-                c2[nz] = np.sinh(zt[nz]) / z[nz]
-                c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
-                P = c1[:, None, None] * np.eye(d) + c2[:, None, None] * A
-                for idx in np.flatnonzero(~fast):
-                    P[idx] = expm(dt * A[idx])
-        amp = float(np.abs(P).max())  # NaN or inf when an entry is not finite
+                (a,) = self._diag
+                p = np.exp(dt * self._entry(a, modes))
+                self._check_amplification(dt, float(np.abs(p).max()))
+                return p[:, None] * U
+            c1, c2 = _closed_form(dt, self.lam[modes])
+            amp = [np.abs(c1 + c2 * self._entry(v, modes)).max() for v in self._diag]
+            amp += [np.abs(c2 * self._entry(v, modes)).max() for v in self._off]
+            self._check_amplification(dt, float(np.max(amp)))  # np.max keeps a NaN
+            if AU is None:
+                AU = self.apply(U, modes)
+            return c1[:, None] * U + c2[:, None] * AU
+
+    def _check_amplification(self, dt, amp):
+        """Refuse a propagator whose largest entry ``amp`` is non-finite or above the cap."""
         if not math.isfinite(amp):
             raise AmplificationError(
                 f"propagator is non-finite for dt={dt:+.6g}; the evolution is "
@@ -299,15 +392,67 @@ class EvolutionSystem:
                 f"mode amplification {amp:.3e} exceeds cap {self.amp_cap:.1e} "
                 f"for dt={dt:+.6g}; reduce kmax or the reflected time span"
             )
-        return P
+
+
+def _monomial(kk, beta):
+    """The real monomial ``k^beta`` over the active modes, ``kk`` one array per axis.
+
+    Powers are repeated products, as in the complex powers of ``(i k)``.
+    """
+    s = None
+    for k, e in zip(kk, beta):
+        for _ in range(e):
+            s = k if s is None else s * k
+    return s
+
+
+def _up_to_sign(v):
+    """``v`` or ``-v`` as a tuple, whichever has its first nonzero entry positive (real part first)."""
+    first = v[np.flatnonzero(v)[0]]
+    return tuple(v if (first.real, first.imag) > (0, 0) else -v)
+
+
+def _square_coefficients(mats):
+    """``{(a, b): c}`` with ``M_a M_b + M_b M_a = c I`` (``M_a^2 = c I`` when a == b), c nonzero.
+
+    Returns None when some symmetrised product is not a multiple of ``I``:
+    then ``A(k)^2`` need not be a multiple of ``I``.
+    """
+    d = len(mats[0])
+    out = {}
+    for a in range(len(mats)):
+        for b in range(a, len(mats)):
+            S = mats[a] @ mats[b]
+            if a != b:
+                S = S + mats[b] @ mats[a]
+            c = np.trace(S) / d
+            if np.abs(S - c * np.eye(d)).max() > 1e-13 * np.abs(mats[a]).max() * np.abs(mats[b]).max():
+                return None
+            if c != 0:
+                out[(a, b)] = c
+    return out
+
+
+def _closed_form(dt, lam):
+    """``(c1, c2)`` with ``exp(dt A) = c1 I + c2 A`` where ``A^2 = lam I``."""
+    z = np.sqrt(lam)
+    zt = z * dt
+    c1 = np.cosh(zt)
+    small = np.abs(zt) < 1e-8
+    c2 = np.empty_like(z)
+    nz = ~small
+    c2[nz] = np.sinh(zt[nz]) / z[nz]
+    c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
+    return c1, c2
 
 
 class Trajectory:
     """Exactly evolvable solution: companion state at t0 plus the system.
 
-    The one cache holds, per time asked for since ``forget``, the stack
-    ``[U, A U, A^2 U, ...]`` of the companion state and the jets read through
-    ``jet``; ``state_at`` bypasses it.
+    Over a matrix-free system with ``d > 1`` it forms ``A U0`` once, so each
+    time's state is ``c1 U0 + c2 (A U0)``.  The one cache holds, per time asked for since
+    ``forget``, the stack ``[U, A U, A^2 U, ...]`` of the companion state and
+    the jets read through ``jet``; ``state_at`` bypasses it.
     """
 
     weighted = False
@@ -321,6 +466,8 @@ class Trajectory:
         self.system = system
         self.t0 = float(t0)
         self.U0 = flat[:, system.active].T.copy()  # (n_active, d)
+        # the closed form reads A U0; scalar modes take exp(dt a) U0 instead
+        self._AU0 = self._apply(self.U0) if system.matrix_free and d > 1 else None
         self._stacks = {}
         self._jets = {}
 
@@ -341,9 +488,16 @@ class Trajectory:
         dt = float(t) - self.t0
         U = np.empty_like(self.U0)
         for block in self.system.blocks():
-            P = self.system.propagator(dt, block)
-            U[block] = np.einsum("mij,mj->mi", P, self.U0[block])
+            AU = None if self._AU0 is None else self._AU0[block]
+            U[block] = self.system.propagator(dt, self.U0[block], block, AU)
         return U
+
+    def _apply(self, U):
+        """``A U`` over all active modes, one block at a time."""
+        out = np.empty_like(U)
+        for block in self.system.blocks():
+            out[block] = self.system.apply(U[block], block)
+        return out
 
     def _time_derivative(self, t, order):
         key = float(t)
@@ -351,7 +505,7 @@ class Trajectory:
         if stack is None:
             stack = self._stacks[key] = [self._companion(key)]
         while len(stack) <= order:
-            stack.append(np.einsum("mij,mj->mi", self.system.A, stack[-1]))
+            stack.append(self._apply(stack[-1]))
         return stack[order]
 
     def _field_coeffs(self, U):

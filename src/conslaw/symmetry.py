@@ -53,7 +53,8 @@ class DiffFactor:
 
     ``terms`` is a tuple of ``(poly, matrix, alpha)`` where ``poly`` maps a
     variable slot to its (single) power and ``matrix`` may be None for a
-    scalar coefficient.
+    scalar coefficient.  Powers are nonnegative integers; a zero power is
+    dropped, so ``{1: 0}`` is the constant 1.
     """
 
     terms: tuple
@@ -61,7 +62,11 @@ class DiffFactor:
     def __post_init__(self):
         canon = []
         for poly, mat, alpha in self.terms:
-            poly = tuple(sorted(dict(poly).items()))
+            poly = dict(poly)
+            for slot, e in poly.items():
+                if not (float(e).is_integer() and e >= 0):
+                    raise ValueError(f"polynomial power {e!r} of slot {slot} is not a nonnegative integer")
+            poly = tuple(sorted((slot, int(e)) for slot, e in poly.items() if e))
             if sum(e for _, e in poly) > 1:
                 raise ValueError("polynomial coefficients are capped at degree 1")
             if mat is not None:

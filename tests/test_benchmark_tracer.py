@@ -57,6 +57,8 @@ def test_kappa_layers_record_calls_under_the_tracer():
         scenario.run_scenario(scn)
     finally:
         tracer.uninstall()
-    for layer in ("spectral.kappa", "current.contract", "spectral.jet"):
+    # the build and the propagator too: a hot path rerouted round
+    # ``EvolutionSystem.propagator`` would leave its layer at zero
+    for layer in ("spectral.build", "spectral.propagator", "spectral.kappa", "current.contract", "spectral.jet"):
         assert tracer.calls[layer] >= 1, layer
     assert tracer.counts["current.contract.terms"] >= 1

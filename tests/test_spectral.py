@@ -75,14 +75,58 @@ def test_evolution_form_rejects_static_system():
         EvolutionSystem(navier_stokes_operator(), TorusGrid((TWO_PI,) * 3, (8,) * 3))
 
 
+def _basis_states(system, j):
+    """The state ``e_j`` on every active mode; ``propagator(dt, .)`` gives column j of ``exp(dt A)``."""
+    E = np.zeros((len(system.active), system.m * system.R), dtype=complex)
+    E[:, j] = 1.0
+    return E
+
+
 def test_propagator_semigroup_property():
     grid = TorusGrid((TWO_PI,), (32,))
     for L in (wave_operator(1), kdvkdv_operator()):
         system = EvolutionSystem(L, grid)
-        P1 = system.propagator(0.3)
-        P2 = system.propagator(0.45)
-        P3 = system.propagator(0.75)
-        assert np.max(np.abs(P1 @ P2 - P3)) <= 1e-12
+        for j in range(system.m * system.R):
+            E = _basis_states(system, j)
+            two_steps = system.propagator(0.45, system.propagator(0.3, E))
+            assert np.max(np.abs(two_steps - system.propagator(0.75, E))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        ("dirac(m=1.0)", TorusGrid((8.0, 6.0, 10.0), (8, 4, 16))),
+        ("dirac(m=0.0)", TorusGrid((8.0,) * 3, (8,) * 3)),
+        ("wave(dim=2)", TorusGrid((TWO_PI, 3.0), (16, 8))),
+        # kmax bounds the phase |dt k^3|: expm and the closed form both lose
+        # about |dt k^3| * 1e-16 to the phase
+        ("kdvkdv", TorusGrid((TWO_PI,), (64,), kmax=8.0)),
+        ("heat(dim=1)", TorusGrid((TWO_PI,), (64,), kmax=3.5)),
+    ],
+)
+@pytest.mark.parametrize("dt", [0.37, -0.37], ids=["forward", "reflected"])
+def test_matrix_free_propagator_equals_expm_of_the_stack(spec, grid, dt):
+    from scipy.linalg import expm
+
+    system = EvolutionSystem(build_operator(spec), grid)
+    assert system.fast.all() and system.A is not system.A  # matrix-free: A is assembled per access
+    rng = np.random.default_rng(11)
+    U = rng.standard_normal((len(system.active), system.m * system.R, 2)) @ [1.0, 1j]
+    want = np.array([expm(dt * a) @ u for a, u in zip(system.A, U)])
+    got = system.propagator(dt, U)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(system.propagator(dt, U, AU=system.apply(U)), got)
+
+
+def test_k_dependent_lead_keeps_the_stacked_propagator():
+    from scipy.linalg import expm
+
+    system = EvolutionSystem(build_operator("jordan2x2"), TorusGrid((TWO_PI,), (32,)))
+    assert system.A is system.A and not system.fast.all()  # a stored stack, expm modes
+    for j in range(2):
+        E = _basis_states(system, j)
+        want = np.array([expm(0.2 * a)[:, j] for a in system.A])
+        assert np.max(np.abs(system.propagator(0.2, E) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_round_trip_propagation():
@@ -159,6 +203,11 @@ def test_amplification_cap_raises_for_backward_heat():
     state = SpectralState(grid, coeffs)
     with pytest.raises(AmplificationError):
         Trajectory(system, state.coeffs).state_at(-1.0)
+    # the cap is checked on the entries of exp(dt A), as from the stacked A
+    amp = np.abs(np.exp(-0.1 * system.A)).max()
+    with pytest.raises(AmplificationError) as err:
+        system.propagator(-0.1, _basis_states(system, 0))
+    assert str(err.value).startswith(f"mode amplification {amp:.3e} exceeds cap 1.0e+06 for dt=-0.1;")
     # under the cap: small backward step on a band-limited grid is fine
     lowpass = TorusGrid((TWO_PI,), (64,), kmax=3.5)
     system = EvolutionSystem(heat_operator(1), lowpass, amp_cap=1e6)
@@ -192,8 +241,23 @@ def test_nan_support_tol_and_amp_cap_fail_closed():
     view = DiffView(traj, DiffFactor((({1: 1}, None, (0, 0)),)))
     with pytest.raises(SupportError):
         kappa_series(concomitant_flux(L), [view], traj, [0.1], support_tol=np.nan)
+    system = EvolutionSystem(L, grid, amp_cap=np.nan)
     with pytest.raises(AmplificationError, match="exceeds cap"):
-        EvolutionSystem(L, grid, amp_cap=np.nan).propagator(0.1)
+        system.propagator(0.1, _basis_states(system, 0))
+
+
+def test_zero_power_chain_has_the_identity_kappa_series():
+    # kdvkdv on 64 modes: the chain x^0 u was once read as the weighted x u,
+    # with kappa(0) = 1.536 against the identity's 9.050
+    grid = TorusGrid((TWO_PI,), (64,))
+    L = kdvkdv_operator()
+    traj = Trajectory(EvolutionSystem(L, grid), build_profile("random(seed=1, kmax=8)", grid, 2))
+    fact = adjoint_factorization(L, semi_conjugacy_solve(L))
+    chains = [SymmetryOp(()), SymmetryOp((DiffFactor((({1: 0}, None, (0, 0)),)),))]
+    views = [symmetry_view(adjoint_characteristic(L, fact, gen), traj) for gen in chains]
+    assert not any(view.weighted for view in views)
+    identity, zero_power = kappa_series(concomitant_flux(L), views, traj, np.linspace(0.0, 0.5, 6))
+    assert zero_power.values == identity.values and zero_power.drift == identity.drift
 
 
 @pytest.mark.parametrize(
@@ -284,7 +348,7 @@ def test_non_finite_propagator_is_an_amplification_error():
     grid = TorusGrid((0.1,), (256,))
     system = EvolutionSystem(parse_operator("Dt^2 + Dx^2"), grid)
     with pytest.raises(AmplificationError, match="non-finite"):
-        system.propagator(0.5)
+        system.propagator(0.5, _basis_states(system, 0))
 
 
 def test_drift_refuses_empty_and_non_finite_series():
@@ -324,7 +388,9 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
     calls = []
     propagator = system.propagator
     monkeypatch.setattr(
-        system, "propagator", lambda dt, modes=slice(None): calls.append(dt) or propagator(dt, modes)
+        system,
+        "propagator",
+        lambda dt, U, modes=slice(None), AU=None: calls.append(dt) or propagator(dt, U, modes, AU),
     )
     jets = []
     jet_values = traj.jet_values
@@ -344,9 +410,10 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
     # u and its three first space derivatives, once per time for all three
     # views: 28 jets, where one pass per view computes 84
     assert len(jets) == len(set(jets)) == 4 * len(times)
-    # a propagator has the size of system.A; holding all seven propagators
-    # and every time's jets peaks near 15 of these, one at a time near 6
-    assert peak < 8 * system.A.nbytes
+    # in units of the companion state (n_active * d complex numbers): the
+    # four jets of one time are about 5 of these, so holding every time's
+    # jets would peak above 34; one time at a time peaks near 9
+    assert peak < 12 * len(system.active) * 4 * 16
 
 
 def _per_mode_companion(L, kspace):
@@ -429,8 +496,10 @@ def test_blocks_of_modes_give_the_one_block_result(monkeypatch, spec, grid):
     assert np.array_equal(whole[2], blocked[2])
 
 
-def test_build_memory_stays_near_the_size_of_a(monkeypatch):
-    # with blocks of 1024 modes the build holds A plus one block's work
+def test_build_memory_is_linear_in_the_state_size(monkeypatch):
+    # the matrix-free Dirac build holds O(d) bytes per mode (the monomials,
+    # lam and the mode index); one (n_active, d, d) stack alone would be d = 4
+    # state sizes
     monkeypatch.setattr(spectral, "MODE_BLOCK", 1024)
     grid = TorusGrid((16.0,) * 3, (32,) * 3)
     tracemalloc.start()
@@ -439,7 +508,8 @@ def test_build_memory_stays_near_the_size_of_a(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * system.A.nbytes
+    state = len(system.active) * 4 * 16
+    assert peak < 2 * state
 
 
 @pytest.mark.parametrize("alpha", [(0, 0, 0, 0), (0, 0, 2, 1)], ids=["u", "d_y^2 d_z u"])

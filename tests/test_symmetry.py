@@ -161,6 +161,18 @@ def test_diff_factor_degree_cap():
         DiffFactor((({1: 2}, None, (0, 0)),))
 
 
+@pytest.mark.parametrize("poly", [{1: -1, 2: 2}, {1: 0.5}, {1: float("nan")}], ids=["negative", "fraction", "nan"])
+def test_diff_factor_refuses_powers_that_are_not_nonnegative_integers(poly):
+    with pytest.raises(ValueError, match="not a nonnegative integer"):
+        DiffFactor(((poly, None, (0, 0)),))
+
+
+def test_diff_factor_drops_zero_powers():
+    # x^0 = 1: the term is the identity's, and its field view is not weighted
+    assert DiffFactor((({1: 0}, None, (0, 0)),)) == DiffFactor((((), None, (0, 0)),))
+    assert DiffFactor((({0: 0, 1: 1.0}, None, (0, 0)),)).terms[0][0] == ((1, 1),)
+
+
 def test_evolution_matrix_rejects_singular_leading_coefficient():
     with pytest.raises(ValueError):
         evolution_matrix(navier_stokes_operator(), (1.0, 2.0, 3.0))
