@@ -24,6 +24,9 @@ __all__ = [
     "kernel_sample",
 ]
 
+# the largest (terms, times, points) temporary ``AnalyticField.evaluate`` builds, in entries
+EVAL_CHUNK = 1 << 17
+
 
 class AnalyticField:
     """Sum of polynomial-times-exponential terms on R^{n+1}.
@@ -167,19 +170,43 @@ class AnalyticField:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, t, points):
-        """Values at time ``t`` on spatial ``points`` of shape (npts, n)."""
+        """Values at time(s) ``t`` on spatial ``points`` of shape (npts, n).
+
+        A scalar ``t`` gives ``(ncomp, npts)``, a 1-d array of times
+        ``(ncomp, ntimes, npts)``.  The term table becomes arrays once per
+        call; each term adds ``(c t^p0 exp(lam t) * x^p) * exp(i k.x)`` to its
+        component, in term order.  Points are taken in chunks, so that no
+        ``(terms, times, points)`` temporary exceeds ``EVAL_CHUNK`` entries.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        times = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(times)
         npts = points.shape[0]
-        out = np.zeros((self.ncomp, npts), dtype=complex)
-        for (i, pol, lam, k), c in self.terms.items():
-            val = c * (t ** pol[0]) * np.exp(lam * t)
-            mono = np.ones(npts, dtype=complex)
-            for d in range(1, self.nvars):
-                if pol[d]:
-                    mono = mono * points[:, d - 1] ** pol[d]
-            phase = np.exp(1j * points @ np.asarray(k, dtype=float))
-            out[i] += val * mono * phase
-        return out
+        out = np.zeros((self.ncomp, len(ts), npts), dtype=complex)
+        comp, tpow, lam, coef, kidx, pidx = [], [], [], [], [], []
+        ks, pols = {}, {}  # distinct wavevectors and spatial monomials
+        for (i, pol, rate, k), c in self.terms.items():
+            comp.append(i)
+            tpow.append(pol[0])
+            lam.append(rate)
+            coef.append(c)
+            kidx.append(ks.setdefault(k, len(ks)))
+            pidx.append(pols.setdefault(pol[1:], len(pols)))
+        if comp:
+            val = (np.array(coef)[:, None] * ts ** np.array(tpow)[:, None]) * np.exp(np.array(lam)[:, None] * ts)
+            kmat = np.array(list(ks), dtype=float)
+            step = max(1, EVAL_CHUNK // (len(comp) * len(ts)))
+            for lo in range(0, npts, step):
+                x = points[lo : lo + step]
+                mono = np.ones((len(pols), len(x)), dtype=complex)
+                for row, pol in zip(mono, pols):
+                    for d, e in enumerate(pol):
+                        if e:
+                            row *= x[:, d] ** e
+                phase = np.exp(1j * (x @ kmat.T)).T
+                terms = (val[:, :, None] * mono[pidx][:, None, :]) * phase[kidx][:, None, :]
+                np.add.at(out[:, :, lo : lo + step], comp, terms)  # sequential: term order per component
+        return out[:, 0] if times.ndim == 0 else out
 
     def __repr__(self):
         return f"<AnalyticField {self.ncomp} comps, {len(self.terms)} terms>"
@@ -303,6 +330,7 @@ def kernel_sample(L, kspace):
     m = L.cols
     kspace = tuple(float(kj) for kj in kspace)
     A = evolution_matrix(L, kspace)
+    symbols = [L.spatial_symbol(kspace, r) for r in range(L.time_order() + 1)]
     lams, vecs = np.linalg.eig(A)
     out = []
     scale = max(np.linalg.norm(A), 1.0)
@@ -314,8 +342,8 @@ def kernel_sample(L, kspace):
         v = v / nv
         # residual of the matrix polynomial at this rate
         acc = np.zeros(m, dtype=complex)
-        for r in range(L.time_order() + 1):
-            acc = acc + L.spatial_symbol(kspace, r) @ v * lam**r
+        for r, C in enumerate(symbols):
+            acc = acc + C @ v * lam**r
         if np.linalg.norm(acc) <= 1e-8 * max(scale, abs(lam) ** L.time_order()):
             out.append(plane_wave(L.nvars, v, lam, kspace))
     if not out:

@@ -267,7 +267,11 @@ class EvolutionSystem:
             monos = [None] + [_monomial(kk, beta) for beta in list(symbol)[1:]]  # None for 1
             self._const = mats[0]
             self._terms = list(zip(monos[1:], mats[1:]))
-            self.lam = np.zeros(n, dtype=complex)
+            # lam is a real polynomial in k when every square coefficient is real
+            real = all(c.imag == 0 for c in squares.values())
+            if real:
+                squares = {ab: c.real for ab, c in squares.items()}
+            self.lam = np.zeros(n, dtype=float if real else complex)
             for (a, b), c in squares.items():
                 term = c
                 for s in (monos[a], monos[b]):
@@ -434,15 +438,26 @@ def _square_coefficients(mats):
 
 
 def _closed_form(dt, lam):
-    """``(c1, c2)`` with ``exp(dt A) = c1 I + c2 A`` where ``A^2 = lam I``."""
-    z = np.sqrt(lam)
-    zt = z * dt
-    c1 = np.cosh(zt)
+    """``(c1, c2)`` with ``exp(dt A) = c1 I + c2 A`` where ``A^2 = lam I``.
+
+    A real ``lam`` takes real functions of ``z = sqrt(|lam|)``: ``cos(z dt)``
+    and ``sin(z dt) / z`` where ``lam <= 0``, ``cosh`` and ``sinh`` where
+    ``lam > 0``.  A complex ``lam`` takes ``cosh`` and ``sinh`` of ``sqrt(lam) dt``.
+    """
+    if np.iscomplexobj(lam):
+        z = np.sqrt(lam)
+        zt = z * dt
+        c1, s = np.cosh(zt), np.sinh(zt)
+    else:
+        z = np.sqrt(np.abs(lam))
+        zt = z * dt
+        c1, s = np.cos(zt), np.sin(zt)
+        grow = lam > 0
+        if grow.any():
+            c1[grow], s[grow] = np.cosh(zt[grow]), np.sinh(zt[grow])
     small = np.abs(zt) < 1e-8
-    c2 = np.empty_like(z)
-    nz = ~small
-    c2[nz] = np.sinh(zt[nz]) / z[nz]
-    c2[small] = dt * (1.0 + zt[small] ** 2 / 6.0)
+    c2 = np.divide(s, z, out=np.empty_like(z), where=~small)
+    c2[small] = dt * (1.0 + lam[small] * dt**2 / 6.0)
     return c1, c2
 
 

@@ -175,11 +175,13 @@ class SymmetryReport:
 
 
 def _random_kernel_superposition(L, kspace_list, rng):
-    u = AnalyticField(L.nvars, L.cols, {})
+    terms = {}
     for kspace in kspace_list:
         for w in kernel_sample(L, kspace):
-            u = u + complex(rng.standard_normal(), rng.standard_normal()) * w
-    return u
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            for key, v in w.terms.items():
+                terms[key] = terms.get(key, 0.0) + c * v
+    return AnalyticField(L.nvars, L.cols, terms)
 
 
 def _default_wavevectors(L, rng):
@@ -198,10 +200,13 @@ def verify_symmetry(L, g, seed=0, s=1.0, kspace_list=None):
 
     Builds a random superposition of exact kernel elements (four random
     wavevectors unless ``kspace_list`` is given), applies ``g`` and measures
-    ``max |L[g u]|`` on random points, relative to the field scale times the
-    coefficient scale; it passes at 1e-8.  Chains flagged ``char_map`` are
-    measured against the formal adjoint (their output is a Q, not a kernel
-    element).  Time-reflecting factors use the parameter ``s``.
+    ``max |L[g u]|`` on random points and times, relative to the field scale
+    (the largest of ``|g u|`` and its first derivatives) times the
+    coefficient scale; it passes at 1e-8.  Each field is evaluated once, over
+    all samples.  Chains flagged ``char_map`` are measured against the formal
+    adjoint (their output is a Q, not a kernel element).  Time-reflecting
+    factors use the parameter ``s``.  Raises ``ValueError`` when a sampled
+    residual or scale is not finite.
     """
     rng = np.random.default_rng(seed)
     kspace_list = kspace_list or _default_wavevectors(L, rng)
@@ -211,17 +216,19 @@ def verify_symmetry(L, g, seed=0, s=1.0, kspace_list=None):
     resid_field = gu.apply_operator(target_op)
     pts = rng.standard_normal((24, L.nvars - 1)) * 2.0
     times = rng.uniform(0.1 * s, 0.9 * s, size=5) if s else rng.uniform(0.0, 1.0, size=5)
-    worst = 0.0
-    scale = 0.0
     coeff_scale = max(L.max_norm(), 1.0)
-    for t in times:
-        worst = max(worst, float(np.max(np.abs(resid_field.evaluate(t, pts)))))
-        gu_scale = float(np.max(np.abs(gu.evaluate(t, pts))))
-        # include first derivatives so pure-derivative residual scales honestly
-        for slot in range(L.nvars):
-            gu_scale = max(gu_scale, float(np.max(np.abs(gu.diff(slot).evaluate(t, pts)))))
-        scale = max(scale, gu_scale * coeff_scale)
-    rel = worst / max(scale, 1e-300)
+    # first derivatives are in the scale so pure-derivative residuals scale honestly
+    fields = [gu] + [gu.diff(slot) for slot in range(L.nvars)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.abs(resid_field.evaluate(times, pts)).max(axis=(0, 2))  # per time
+        scale = np.max([np.abs(f.evaluate(times, pts)).max(axis=(0, 2)) for f in fields], axis=0) * coeff_scale
+    bad = ~(np.isfinite(worst) & np.isfinite(scale))
+    if bad.any():
+        raise ValueError(
+            f"generator check of {g.name or 'the symmetry'} is non-finite at t={times[np.argmax(bad)]:.6g}; "
+            "its residual is undefined"
+        )
+    rel = float(worst.max()) / max(float(scale.max()), 1e-300)
     return SymmetryReport(rel, rel <= 1e-8, "adjoint" if g.char_map else "kernel", len(kspace_list))
 
 

@@ -59,6 +59,10 @@ def test_kappa_layers_record_calls_under_the_tracer():
         tracer.uninstall()
     # the build and the propagator too: a hot path rerouted round
     # ``EvolutionSystem.propagator`` would leave its layer at zero
-    for layer in ("spectral.build", "spectral.propagator", "spectral.kappa", "current.contract", "spectral.jet"):
+    # and the generator check, which the tracer patches by name
+    for layer in (
+        "spectral.build", "spectral.propagator", "spectral.kappa", "current.contract", "spectral.jet",
+        "symmetry.verify",
+    ):
         assert tracer.calls[layer] >= 1, layer
     assert tracer.counts["current.contract.terms"] >= 1

@@ -313,6 +313,28 @@ def test_cli_ill_posed_scenario_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
+# the grid keeps only k = 0, so the trajectory stays finite, but the
+# generator check samples backward heat waves exp(k^2 t) at t ~ 300..2700
+OVERFLOWING_GENERATOR_CHECK = """\
+operator = heat(dim=1, nu=-1.0)
+grid = modes:16 length:6.283185307179586 kmax:0
+profile = random(seed=1, kmax=0)
+times = 0.0, 0.5
+s = 3000.0
+symmetry = heat.space_reflection
+"""
+
+
+def test_cli_non_finite_generator_check_is_an_error(tmp_path, capsys):
+    path = tmp_path / "overflow.scn"
+    path.write_text(OVERFLOWING_GENERATOR_CHECK)
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err.startswith("error: generator check of heat.space_reflection is non-finite at t=")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "times", ["linspace(0, 1, 0)", "0.0, nan", "0.0, inf", "0.5", "0.5, 0.5"]
 )

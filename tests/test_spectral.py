@@ -102,6 +102,9 @@ def test_propagator_semigroup_property():
         # about |dt k^3| * 1e-16 to the phase
         ("kdvkdv", TorusGrid((TWO_PI,), (64,), kmax=8.0)),
         ("heat(dim=1)", TorusGrid((TWO_PI,), (64,), kmax=3.5)),
+        # lam = 1 - k^2 takes every branch of the real closed form: cosh/sinh
+        # at k = 0, the small argument at k = +-1, cos/sin beyond
+        ("Dt^2 - Dx^2 - 1", TorusGrid((TWO_PI,), (16,))),
     ],
 )
 @pytest.mark.parametrize("dt", [0.37, -0.37], ids=["forward", "reflected"])
@@ -110,6 +113,7 @@ def test_matrix_free_propagator_equals_expm_of_the_stack(spec, grid, dt):
 
     system = EvolutionSystem(build_operator(spec), grid)
     assert system.fast.all() and system.A is not system.A  # matrix-free: A is assembled per access
+    assert system.lam.dtype == float  # every square coefficient is real
     rng = np.random.default_rng(11)
     U = rng.standard_normal((len(system.active), system.m * system.R, 2)) @ [1.0, 1j]
     want = np.array([expm(dt * a) @ u for a, u in zip(system.A, U)])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conslaw import fields
+from conslaw.adjoint import formal_adjoint
 from conslaw.catalog import (
+    build_operator,
     build_symmetry,
     dirac_operator,
     heat_operator,
@@ -9,11 +12,13 @@ from conslaw.catalog import (
     navier_stokes_operator,
     wave_operator,
 )
-from conslaw.fields import evolution_matrix, kernel_sample, plane_wave
+from conslaw.fields import AnalyticField, evolution_matrix, kernel_sample, plane_wave
 from conslaw.gamma import energy
 from conslaw.symmetry import (
     DiffFactor,
     MatrixFactor,
+    SymmetryOp,
+    _default_wavevectors,
     apply_symmetry_analytic,
     verify_kernel_shift,
     verify_symmetry,
@@ -111,19 +116,21 @@ def test_kdvkdv_gamma_s_is_a_symmetry():
     assert rep.passed
 
 
+CATALOG_CASES = {
+    heat_operator(1): ["identity", "heat.space_reflection"],
+    wave_operator(1): ["wave.time_translation", "wave.space_translation"],
+    kdvkdv_operator(): ["kdvkdv.identity", "kdvkdv.swap", "kdvkdv.Gamma_s"],
+    dirac_operator(1.0): [
+        "dirac.Gamma0", "dirac.Gamma1", "dirac.Gamma2", "dirac.Gamma3",
+        "dirac.Gamma4", "dirac.Gamma5", "dirac.Gamma6", "dirac.cpt",
+        "dirac.rotation_x", "dirac.rotation_y", "dirac.rotation_z",
+        "dirac.translation_t", "dirac.translation_x",
+    ],
+}
+
+
 def test_catalog_symmetries_verify_against_their_operators():
-    cases = {
-        heat_operator(1): ["identity", "heat.space_reflection"],
-        wave_operator(1): ["wave.time_translation", "wave.space_translation"],
-        kdvkdv_operator(): ["kdvkdv.identity", "kdvkdv.swap", "kdvkdv.Gamma_s"],
-        dirac_operator(1.0): [
-            "dirac.Gamma0", "dirac.Gamma1", "dirac.Gamma2", "dirac.Gamma3",
-            "dirac.Gamma4", "dirac.Gamma5", "dirac.Gamma6", "dirac.cpt",
-            "dirac.rotation_x", "dirac.rotation_y", "dirac.rotation_z",
-            "dirac.translation_t", "dirac.translation_x",
-        ],
-    }
-    for L, names in cases.items():
+    for L, names in CATALOG_CASES.items():
         for name in names:
             rep = verify_symmetry(L, build_symmetry(name), s=0.8, seed=3)
             assert rep.passed, (name, rep.residual)
@@ -206,3 +213,105 @@ def test_dirac_kernel_branches_span_the_standard_spinors():
         # residual after projecting onto the branch's spinor span
         coef, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
         assert np.linalg.norm(vec - basis.T @ coef) <= 1e-10
+
+
+def _reference_evaluate(f, t, points):
+    """``AnalyticField.evaluate`` as a loop over the terms, at one time."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros((f.ncomp, len(points)), dtype=complex)
+    for (i, pol, lam, k), c in f.terms.items():
+        val = c * (t ** pol[0]) * np.exp(lam * t)
+        mono = np.ones(len(points), dtype=complex)
+        for d in range(1, f.nvars):
+            if pol[d]:
+                mono = mono * points[:, d - 1] ** pol[d]
+        out[i] += val * mono * np.exp(1j * points @ np.asarray(k, dtype=float))
+    return out
+
+
+def _probe_field(name):
+    rng = np.random.default_rng(4)
+    u = AnalyticField(4, 4, {})
+    for k in ((0.5, -1.0, 2.0), (1.5, 0.25, -0.75)):
+        for w in kernel_sample(dirac_operator(1.0), k):
+            u = u + complex(*rng.standard_normal(2)) * w
+    # t and x exponents, with the time slot reflected after the multiplication
+    weighted = u.multiply_coordinate(0).multiply_coordinate(1).multiply_coordinate(3)
+    weighted = weighted.point_reflect((True, True, False, False), s=0.7)
+    return {
+        "plane-waves": u,
+        "weighted": weighted,
+        "conjugated": weighted.conjugate(),
+        "empty": AnalyticField(4, 4, {}),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["plane-waves", "weighted", "conjugated", "empty"])
+def test_evaluate_matches_the_per_term_loop(name, monkeypatch):
+    f = _probe_field(name)
+    pts = np.random.default_rng(2).standard_normal((24, 3)) * 2.0
+    times = np.array([0.0, 0.15, -0.4, 1.3])
+    want = np.stack([_reference_evaluate(f, t, pts) for t in times], axis=1)
+    bound = 1e-14 * np.abs(want).max()
+    got = f.evaluate(times, pts)
+    assert got.shape == (4, len(times), 24)
+    assert np.abs(got - want).max() <= bound
+    for j, t in enumerate(times):
+        one = f.evaluate(t, pts)
+        assert one.shape == (4, 24)
+        assert np.abs(one - want[:, j]).max() <= bound
+    monkeypatch.setattr(fields, "EVAL_CHUNK", 7)  # a few points per chunk
+    assert np.abs(f.evaluate(times, pts) - want).max() <= bound
+
+
+def _per_time_residual(L, g, seed, s):
+    """``verify_symmetry``'s residual, sampled one time and one field at a time."""
+    rng = np.random.default_rng(seed)
+    u = AnalyticField(L.nvars, L.cols, {})
+    for kspace in _default_wavevectors(L, rng):
+        for w in kernel_sample(L, kspace):
+            u = u + complex(rng.standard_normal(), rng.standard_normal()) * w
+    gu = apply_symmetry_analytic(g, u, s=s)
+    resid_field = gu.apply_operator(formal_adjoint(L) if g.char_map else L)
+    pts = rng.standard_normal((24, L.nvars - 1)) * 2.0
+    times = rng.uniform(0.1 * s, 0.9 * s, size=5)
+    worst = scale = 0.0
+    for t in times:
+        worst = max(worst, np.abs(_reference_evaluate(resid_field, t, pts)).max())
+        for f in [gu] + [gu.diff(slot) for slot in range(L.nvars)]:
+            scale = max(scale, np.abs(_reference_evaluate(f, t, pts)).max() * max(L.max_norm(), 1.0))
+    return worst / max(scale, 1e-300)
+
+
+def test_generator_residuals_match_the_per_time_reference():
+    for L, names in CATALOG_CASES.items():
+        for name in names:
+            g = build_symmetry(name)
+            if not g.factors:
+                continue
+            got = verify_symmetry(L, g, s=0.8, seed=3).residual
+            want = _per_time_residual(L, g, seed=3, s=0.8)
+            assert abs(got - want) <= 1e-12 * want, (name, got, want)
+
+
+def test_generator_check_evaluates_each_field_once(monkeypatch):
+    shapes = []
+    evaluate = AnalyticField.evaluate
+    monkeypatch.setattr(
+        AnalyticField, "evaluate", lambda f, t, points: shapes.append(np.shape(t)) or evaluate(f, t, points)
+    )
+    for L, name in ((dirac_operator(1.0), "dirac.rotation_x"), (heat_operator(1), "heat.s_reflection")):
+        shapes.clear()
+        verify_symmetry(L, build_symmetry(name), s=0.8, seed=3)
+        # the residual, g u and its first derivatives, each over all five times
+        assert shapes == [(5,)] * (2 + L.nvars), name
+
+
+@pytest.mark.parametrize("s", [300.0, 3000.0])
+def test_generator_check_fails_closed_on_non_finite_samples(s):
+    # x u is no symmetry of backward heat flow, and exp(9 t) overflows at
+    # some (s = 300) or all (s = 3000) of the sampled times
+    L = build_operator("heat(dim=1, nu=-1.0)")
+    g = SymmetryOp((DiffFactor((({1: 1}, None, (0, 0)),)),))
+    with pytest.raises(ValueError, match=r"non-finite at t=\d"):
+        verify_symmetry(L, g, s=s, seed=5, kspace_list=[(3.0,)])
