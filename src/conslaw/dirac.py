@@ -241,15 +241,14 @@ def fock_suite():
 
 def _pair_form(sys):
     """Closed ladder form sum_{p,s} (a'_{p,s} b'_{-p,s} - b_{-p,s} a_{p,s})."""
-    from scipy import sparse
-
-    K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
+    L = sys.ladder
+    terms = []
     for ip in range(len(sys.momenta)):
         im = sys.reflected_index(ip)
         for sp in fk.SPINS:
-            K = K + sys.adag(ip, sp) @ sys.bdag(im, sp)
-            K = K - sys.b(im, sp) @ sys.a(ip, sp)
-    return K
+            terms.append((1.0, L("a", ip, sp, True) @ L("b", im, sp, True)))
+            terms.append((-1.0, L("b", im, sp) @ L("a", ip, sp)))
+    return sys.operator(terms, dtype=complex)
 
 
 # -- continuum drifts ---------------------------------------------------------

@@ -41,12 +41,8 @@ class AnalyticField:
     def __init__(self, nvars, ncomp, terms=None):
         self.nvars = int(nvars)
         self.ncomp = int(ncomp)
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c != 0:
-                    self.terms[key] = self.terms.get(key, 0.0) + complex(c)
-        self.terms = {k: v for k, v in self.terms.items() if v != 0}
+        # ``0.0 +`` turns a signed-zero imaginary part into +0.0
+        self.terms = {k: 0.0 + complex(c) for k, c in (terms or {}).items() if c != 0}
 
     # -- construction helpers ------------------------------------------
 

@@ -2,9 +2,13 @@
 
 Modes are (species, momentum, spin) with species ``a`` (particle) and ``b``
 (antiparticle), spins in {1, 2} (arithmetic mod 2), and a lattice closed
-under ``p -> -p``.  Ladder operators are built by the standard sign-string
-construction on a 2^N-dimensional space, so every anticommutation relation
-is exact in integer arithmetic.  Lattice normalization replaces the continuum
+under ``p -> -p``.  Ladder operators follow the standard sign-string
+construction on a 2^N-dimensional space (Jordan and Wigner): each maps a
+basis state to at most one basis state, with a sign.  They, and their
+products, are therefore kept as signed partial permutations
+(:class:`SignedMap`), composed by index arithmetic, and each operator is
+turned into one sparse matrix once; every anticommutation relation is exact
+in integer arithmetic.  Lattice normalization replaces the continuum
 ``(2pi)^3 delta^3`` by a Kronecker delta; the charge identities are
 homogeneous in this normalization.
 
@@ -31,10 +35,55 @@ from scipy import sparse
 
 from . import gamma as gm
 
-__all__ = ["FockSystem", "build_kappa0", "build_kappa45", "quantize_reflection_charge", "quantize_cpt_charge", "max_abs"]
+__all__ = [
+    "FockSystem",
+    "SignedMap",
+    "build_kappa0",
+    "build_kappa45",
+    "quantize_reflection_charge",
+    "quantize_cpt_charge",
+    "max_abs",
+]
 
 
 SPINS = (1, 2)
+
+
+class SignedMap:
+    """A signed partial permutation of the basis states.
+
+    The operator sends state ``x`` to ``phase[x] * |target[x]>``; where it
+    vanishes, ``target`` is -1 and ``phase`` is 0.  Both arrays may carry
+    leading axes that stack several maps over the same states.
+    """
+
+    __slots__ = ("target", "phase")
+
+    def __init__(self, target, phase):
+        self.target = target
+        self.phase = phase
+
+    def __matmul__(self, other):
+        """The map of the product ``self @ other`` (``other`` acts first).
+
+        At most one side may be stacked.  Where ``other`` vanishes its phase
+        is 0, so the in-range index standing in for its target is masked.
+        """
+        idx = np.maximum(other.target, 0)
+        phase = self.phase[..., idx] * other.phase
+        return SignedMap(np.where(phase != 0, self.target[..., idx], -1), phase)
+
+    @staticmethod
+    def stack(maps):
+        return SignedMap(np.stack([m.target for m in maps]), np.stack([m.phase for m in maps]))
+
+
+def _max_entry(*maps):
+    """Largest ``|entry|`` of the sum of the maps: phases add where targets agree."""
+    return max(
+        int(np.max(np.abs(sum(np.where(other.target == m.target, other.phase, 0) for other in maps))))
+        for m in maps
+    )
 
 
 def max_abs(op):
@@ -46,11 +95,22 @@ def max_abs(op):
 
 
 class FockSystem:
-    """Ladder algebra for two fermionic species on a momentum lattice."""
+    """Ladder algebra for two fermionic species on a momentum lattice.
+
+    The mass and every momentum component must be finite and every mode's
+    energy non-zero: the pairing coefficients divide by ``2 E_p``.
+    """
 
     def __init__(self, momenta, mass=1.0):
         self.momenta = [tuple(float(c) for c in p) for p in momenta]
         self.mass = float(mass)
+        if not np.isfinite(self.mass):
+            raise ValueError(f"mass must be finite, got {mass!r}")
+        for p in self.momenta:
+            if not np.isfinite(p).all():
+                raise ValueError(f"momentum components must be finite, got p={p}")
+            if gm.energy(p, self.mass) == 0:
+                raise ValueError(f"mode energy is zero at p={p} with mass {self.mass!r}")
         self._index = {p: i for i, p in enumerate(self.momenta)}
         if len(self._index) != len(self.momenta):
             raise ValueError("duplicate momenta")
@@ -68,7 +128,8 @@ class FockSystem:
             raise ValueError("lattice too large for exact Fock matrices")
         self.dim = 1 << self.nmodes
         self._mode_index = {m: q for q, m in enumerate(self.modes)}
-        self._lower = {}
+        self._maps = {}  # (mode, dagger) -> SignedMap
+        self._ops = {}  # (mode, dagger) -> CSR matrix
 
     @staticmethod
     def _neg(p):
@@ -94,31 +155,60 @@ class FockSystem:
 
     # -- ladder operators --------------------------------------------------
 
-    def _lowering(self, q):
-        """Annihilator of mode q with the fermionic sign string (exact)."""
-        hit = self._lower.get(q)
+    def _ladder(self, q, dagger):
+        """Signed map of ``c_q`` (or ``c_q'``) with the fermionic sign string."""
+        hit = self._maps.get((q, dagger))
         if hit is not None:
             return hit
         states = np.arange(self.dim, dtype=np.int64)
-        occupied = (states >> q) & 1 == 1
-        src = states[occupied]
-        dst = src & ~(1 << q)
-        below = src & ((1 << q) - 1)
-        phase = 1.0 - 2.0 * (
-            np.array([int(x).bit_count() for x in below], dtype=np.int64) % 2
-        )
-        op = sparse.csr_matrix(
-            (phase.astype(float), (dst, src)), shape=(self.dim, self.dim)
-        )
-        self._lower[q] = op
+        bit = 1 << q
+        acts = (states & bit == 0) if dagger else (states & bit != 0)
+        # (-1)^(occupied modes below q), the same before and after the flip
+        sign = 1 - 2 * (np.bitwise_count(states & (bit - 1)) & 1).astype(np.int8)
+        m = SignedMap(np.where(acts, states ^ bit, -1), np.where(acts, sign, 0).astype(np.int8))
+        self._maps[(q, dagger)] = m
+        return m
+
+    def _mode(self, species, p, s):
+        ip = p if isinstance(p, (int, np.integer)) else self.momentum_index(p)
+        return self._mode_index[(species, ip, s)]
+
+    def ladder(self, species, p, s, dagger=False):
+        """Signed map of the annihilator (``dagger``: creator) of one mode."""
+        return self._ladder(self._mode(species, p, s), dagger)
+
+    def operator(self, terms, dtype=float):
+        """One CSR matrix for ``sum coef * map`` over ``terms = [(coef, SignedMap), ...]``.
+
+        The entries of all terms are sorted stably by position, so the COO to
+        CSR conversion sums coinciding entries in term order; entries that
+        cancel are dropped.
+        """
+        rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, dtype)]
+        for coef, m in terms:
+            hit = np.flatnonzero(m.phase)
+            rows.append(m.target[hit])
+            cols.append(hit)
+            vals.append(coef * m.phase[hit])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.lexsort((cols, rows))
+        vals = np.concatenate(vals).astype(dtype, copy=False)[order]
+        op = sparse.csr_matrix((vals, (rows[order], cols[order])), shape=(self.dim, self.dim))
+        op.eliminate_zeros()
+        return op
+
+    def _ladder_op(self, species, p, s, dagger):
+        q = self._mode(species, p, s)
+        op = self._ops.get((q, dagger))
+        if op is None:
+            op = self._ops[(q, dagger)] = self.operator([(1.0, self._ladder(q, dagger))])
         return op
 
     def annihilate(self, species, p, s):
-        ip = p if isinstance(p, (int, np.integer)) else self.momentum_index(p)
-        return self._lowering(self._mode_index[(species, ip, s)])
+        return self._ladder_op(species, p, s, False)
 
     def create(self, species, p, s):
-        return self.annihilate(species, p, s).conj().T.tocsr()
+        return self._ladder_op(species, p, s, True)
 
     def a(self, p, s):
         return self.annihilate("a", p, s)
@@ -139,28 +229,36 @@ class FockSystem:
 
     def hamiltonian(self):
         """H = sum E_p (a'a + b'b); annihilates the vacuum, Hermitian."""
-        H = sparse.csr_matrix((self.dim, self.dim))
+        L = self.ladder
+        terms = []
         for ip in range(len(self.momenta)):
             E = self.energy(ip)
             for s in SPINS:
-                H = H + E * (self.adag(ip, s) @ self.a(ip, s))
-                H = H + E * (self.bdag(ip, s) @ self.b(ip, s))
-        return H
+                terms.append((E, L("a", ip, s, True) @ L("a", ip, s)))
+                terms.append((E, L("b", ip, s, True) @ L("b", ip, s)))
+        return self.operator(terms)
 
     def anticommutator_report(self):
-        """Exact worst-case deviation of all ladder anticommutators."""
-        eye = sparse.identity(self.dim, format="csr")
-        worst = 0.0
-        ops = [(q, self._lowering(q)) for q in range(self.nmodes)]
-        for q, cq in ops:
-            for r, cr in ops:
-                worst = max(worst, max_abs(cq @ cr + cr @ cq))
-                want = eye if q == r else None
-                anti = cq @ cr.conj().T + cr.conj().T @ cq
-                if want is not None:
-                    anti = anti - want
-                worst = max(worst, max_abs(anti))
-        return worst
+        """Exact worst-case deviation of all ladder anticommutators.
+
+        A column of ``{c_q, c_r}`` or ``{c_q, c_r'} - delta_qr I`` holds at
+        most three entries, from the composed maps of the two products and
+        the identity; they are added where their targets agree, in +-1
+        integer arithmetic, for all ``r`` at once.
+        """
+        n = self.nmodes
+        lower = SignedMap.stack([self._ladder(q, False) for q in range(n)])
+        upper = SignedMap.stack([self._ladder(q, True) for q in range(n)])
+        states = np.arange(self.dim)
+        worst = 0
+        for q in range(n):
+            cq = self._ladder(q, False)
+            delta = SignedMap(np.full((n, self.dim), -1), np.zeros((n, self.dim), np.int8))
+            delta.target[q], delta.phase[q] = states, -1
+            anti = _max_entry(cq @ lower, lower @ cq)
+            mixed = _max_entry(cq @ upper, upper @ cq, delta)
+            worst = max(worst, anti, mixed)
+        return float(worst)
 
 
 def build_kappa0(sys):
@@ -170,25 +268,27 @@ def build_kappa0(sys):
     commutes with the Hamiltonian: it swaps a particle for an antiparticle
     while reversing momentum.
     """
-    K = sparse.csr_matrix((sys.dim, sys.dim))
+    L = sys.ladder
+    terms = []
     for ip in range(len(sys.momenta)):
         im = sys.reflected_index(ip)
         for s in SPINS:
-            K = K + sys.adag(im, s) @ sys.b(ip, s)
-            K = K + sys.bdag(im, s) @ sys.a(ip, s)
-    return K
+            terms.append((1.0, L("a", im, s, True) @ L("b", ip, s)))
+            terms.append((1.0, L("b", im, s, True) @ L("a", ip, s)))
+    return sys.operator(terms)
 
 
 def build_kappa45(sys):
     """Lattice operator sum_{p,s} (-1)^s (a'_{p,s} a_{p,s+1} + b'_{p,s+1} b_{p,s})."""
-    K = sparse.csr_matrix((sys.dim, sys.dim))
+    L = sys.ladder
+    terms = []
     for ip in range(len(sys.momenta)):
         for s in SPINS:
             t = gm.spin_flip(s)
             sign = (-1.0) ** s
-            K = K + sign * (sys.adag(ip, s) @ sys.a(ip, t))
-            K = K + sign * (sys.bdag(ip, t) @ sys.b(ip, s))
-    return K
+            terms.append((sign, L("a", ip, s, True) @ L("a", ip, t)))
+            terms.append((sign, L("b", ip, t, True) @ L("b", ip, s)))
+    return sys.operator(terms)
 
 
 def _quantize_pairing(sys, M, partner, t1, t2):
@@ -197,9 +297,11 @@ def _quantize_pairing(sys, M, partner, t1, t2):
     ``partner(ip)`` is the index of ``q = P p``, the one ket momentum the
     x-integral leaves for the bra momentum ``p``.  All four channels of the
     module docstring are kept with their phases; a channel's ladder product
-    is built only when its coefficient is non-zero.
+    is composed only when its coefficient is non-zero, and a non-finite
+    coefficient raises ``ValueError``.
     """
-    K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
+    L = sys.ladder
+    terms = []
     for ip in range(len(sys.momenta)):
         iq = partner(ip)
         imp, imq = sys.reflected_index(ip), sys.reflected_index(iq)
@@ -211,18 +313,22 @@ def _quantize_pairing(sys, M, partner, t1, t2):
         v = {s: gm.v_spinor(-q, sys.mass, s) for s in SPINS}
         # (bra spinors, ket spinors, phase time, ladder product) per channel
         channels = (
-            (u_bar, u, t1 - t2, lambda r, s: sys.adag(ip, r) @ sys.a(iq, s)),
-            (u_bar, v, t1 + t2, lambda r, s: sys.adag(ip, r) @ sys.bdag(imq, s)),
-            (v_bar, u, -(t1 + t2), lambda r, s: sys.b(imp, r) @ sys.a(iq, s)),
-            (v_bar, v, t2 - t1, lambda r, s: sys.b(imp, r) @ sys.bdag(imq, s)),
+            (u_bar, u, t1 - t2, lambda r, s: L("a", ip, r, True) @ L("a", iq, s)),
+            (u_bar, v, t1 + t2, lambda r, s: L("a", ip, r, True) @ L("b", imq, s, True)),
+            (v_bar, u, -(t1 + t2), lambda r, s: L("b", imp, r) @ L("a", iq, s)),
+            (v_bar, v, t2 - t1, lambda r, s: L("b", imp, r) @ L("b", imq, s, True)),
         )
         for r in SPINS:
             for s in SPINS:
                 for bra, ket, dt, ladder in channels:
                     c = (bra[r] @ ket[s]) / (2 * E) * np.exp(1j * E * dt)
-                    if abs(c) > 0:
-                        K = K + c * ladder(r, s)
-    return K
+                    if not np.isfinite(c):
+                        raise ValueError(
+                            f"non-finite pairing coefficient {c} at p={sys.momenta[ip]}, spins ({r}, {s})"
+                        )
+                    if c != 0:
+                        terms.append((c, ladder(r, s)))
+    return sys.operator(terms, dtype=complex)
 
 
 def quantize_reflection_charge(sys, t=0.0):

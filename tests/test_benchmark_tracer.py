@@ -22,6 +22,7 @@ SPANNED = [
     (dirac, "fock_suite"),
     (dirac, "check_discrete_algebra"),
     (scenario, "run_scenario"),
+    (spectral, "heat_flow_product_oracle"),
     (spectral.ShiftView, "jet"),
 ]
 
@@ -66,3 +67,17 @@ def test_kappa_layers_record_calls_under_the_tracer():
     ):
         assert tracer.calls[layer] >= 1, layer
     assert tracer.counts["current.contract.terms"] >= 1
+
+
+def test_report_layers_record_calls_under_the_tracer():
+    # a rename of the pairings, the Fock suite or the oracle would zero their layers
+    tracer = _tracer_module().Tracer("t")
+    tracer.install()
+    try:
+        scenario.reproduce("dirac-cpt")
+        scenario.reproduce("heat-Es")
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fock.quantize"] == 4
+    assert tracer.calls["dirac.fock_suite"] == 1
+    assert tracer.calls["spectral.oracle"] == 1

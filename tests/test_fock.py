@@ -134,3 +134,145 @@ def test_twelve_mode_lattice():
 def test_lattice_size_cap():
     with pytest.raises(ValueError):
         fk.FockSystem([(float(i), 0.0, 0.0) for i in range(-4, 5)])
+
+
+# -- ladder maps against sparse references ---------------------------------
+
+
+def _reference_lowering(sys, q):
+    """The per-state sign-string construction of ``c_q`` as a CSR matrix."""
+    states = np.arange(sys.dim)
+    src = states[(states >> q) & 1 == 1]
+    phase = [1.0 - 2.0 * (int(x & ((1 << q) - 1)).bit_count() % 2) for x in src]
+    return sparse.csr_matrix((phase, (src & ~(1 << q), src)), shape=(sys.dim, sys.dim))
+
+
+def _same(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and (x != y).nnz == 0
+
+
+def _ladders(sys):
+    """(map, CSR) of all 2N ladder operators."""
+    return [
+        (sys.ladder(species, ip, s, dagger), (sys.create if dagger else sys.annihilate)(species, ip, s))
+        for species, ip, s in sys.modes
+        for dagger in (False, True)
+    ]
+
+
+def test_ladder_operators_match_the_sign_string(sys):
+    for q, (species, ip, s) in enumerate(sys.modes):
+        want = _reference_lowering(sys, q)
+        assert _same(sys.annihilate(species, ip, s), want)
+        assert _same(sys.create(species, ip, s), want.T.tocsr())
+
+
+def test_composed_maps_match_sparse_products(sys):
+    ladders = _ladders(sys)
+    assert len(ladders) == 16
+    for map_a, op_a in ladders:
+        for map_b, op_b in ladders:
+            assert _same(sys.operator([(1.0, map_a @ map_b)]), op_a @ op_b)
+
+
+def _reference_quantize(sys, M, partner, t1, t2):
+    """The pairing summed as ``K = K + c * (A @ B)`` over sparse products."""
+    from conslaw import gamma as gm
+
+    K = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
+    for ip in range(len(sys.momenta)):
+        iq = partner(ip)
+        imp, imq = sys.reflected_index(ip), sys.reflected_index(iq)
+        E = sys.energy(ip)
+        p, q = np.array(sys.momenta[ip]), np.array(sys.momenta[iq])
+        for r in (1, 2):
+            for s in (1, 2):
+                ub = gm.u_spinor(p, sys.mass, r).conj() @ M
+                vb = gm.v_spinor(-p, sys.mass, r).conj() @ M
+                u, v = gm.u_spinor(q, sys.mass, s), gm.v_spinor(-q, sys.mass, s)
+                for bra, ket, dt, ladder in (
+                    (ub, u, t1 - t2, sys.adag(ip, r) @ sys.a(iq, s)),
+                    (ub, v, t1 + t2, sys.adag(ip, r) @ sys.bdag(imq, s)),
+                    (vb, u, -(t1 + t2), sys.b(imp, r) @ sys.a(iq, s)),
+                    (vb, v, t2 - t1, sys.b(imp, r) @ sys.bdag(imq, s)),
+                ):
+                    c = (bra @ ket) / (2 * E) * np.exp(1j * E * dt)
+                    if abs(c) > 0:
+                        K = K + c * ladder
+    return K
+
+
+def test_operators_match_sparse_sums(sys):
+    from conslaw import gamma as gm
+    from conslaw.dirac import _pair_form
+
+    H = sparse.csr_matrix((sys.dim, sys.dim))
+    k0 = sparse.csr_matrix((sys.dim, sys.dim))
+    k45 = sparse.csr_matrix((sys.dim, sys.dim))
+    pair = sparse.csr_matrix((sys.dim, sys.dim), dtype=complex)
+    for ip in range(2):
+        im = sys.reflected_index(ip)
+        E = sys.energy(ip)
+        for s in (1, 2):
+            t, sign = spin_flip(s), (-1.0) ** s
+            H = H + E * (sys.adag(ip, s) @ sys.a(ip, s))
+            H = H + E * (sys.bdag(ip, s) @ sys.b(ip, s))
+            k0 = k0 + sys.adag(im, s) @ sys.b(ip, s)
+            k0 = k0 + sys.bdag(im, s) @ sys.a(ip, s)
+            k45 = k45 + sign * (sys.adag(ip, s) @ sys.a(ip, t))
+            k45 = k45 + sign * (sys.bdag(ip, t) @ sys.b(ip, s))
+            pair = pair + sys.adag(ip, s) @ sys.bdag(im, s)
+            pair = pair - sys.b(im, s) @ sys.a(ip, s)
+    assert _same(sys.hamiltonian(), H)
+    assert _same(fk.build_kappa0(sys), k0)
+    assert _same(fk.build_kappa45(sys), k45)
+    assert _same(_pair_form(sys), pair)
+
+    rep = gm.dirac_representation()
+    for got, M, partner, t1, t2 in (
+        (fk.quantize_reflection_charge(sys, t=0.53), rep.gamma0 @ rep.gamma4, lambda ip: ip, -0.53, 0.53),
+        (
+            fk.quantize_cpt_charge(sys, t=0.37),
+            rep.gamma0 @ rep.gamma(2) @ rep.gamma0 @ rep.gamma4,
+            sys.conjugated_index,
+            0.37,
+            0.37,
+        ),
+    ):
+        want = _reference_quantize(sys, M, partner, t1, t2)
+        assert fk.max_abs(got - want) <= 1e-15 * fk.max_abs(want)
+
+
+def test_anticommutator_report_sees_a_flipped_sign(monkeypatch):
+    flawed = fk.FockSystem(MOMENTA)
+    good = flawed.ladder("b", 1, 2)
+    q = flawed.modes.index(("b", 1, 2))
+    phase = good.phase.copy()
+    phase[np.flatnonzero(phase)[3]] *= -1
+    monkeypatch.setitem(flawed._maps, (q, False), fk.SignedMap(good.target, phase))
+    assert flawed.anticommutator_report() == 2.0
+
+
+# -- the Fock layer fails closed ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "momenta, mass, match",
+    [
+        (((0.0, 0.0, 0.0),), 0.0, "energy is zero"),
+        (MOMENTA, np.nan, "mass must be finite"),
+        (MOMENTA, np.inf, "mass must be finite"),
+        (((np.nan, 0.0, 0.0),), 1.0, "momentum components must be finite"),
+        (((np.inf, 0.0, 0.0), (-np.inf, 0.0, 0.0)), 1.0, "momentum components must be finite"),
+    ],
+    ids=["zero-energy", "mass-nan", "mass-inf", "momentum-nan", "momentum-inf"],
+)
+def test_fock_system_refuses_degenerate_modes(momenta, mass, match):
+    with pytest.raises(ValueError, match=match):
+        fk.FockSystem(momenta, mass=mass)
+
+
+def test_pairing_refuses_a_non_finite_coefficient(sys):
+    # a NaN channel coefficient used to be dropped like a zero one
+    with pytest.raises(ValueError, match="non-finite pairing coefficient"):
+        fk._quantize_pairing(sys, np.full((4, 4), np.nan), lambda ip: ip, 0.0, 0.0)

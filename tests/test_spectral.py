@@ -287,6 +287,36 @@ def test_heat_flow_oracle_internal_consistency():
         heat_flow_product_oracle(prof, s, [1.5 * s])
 
 
+def _direct_oracle(profile, s, times, n):
+    """The oracle's fine-grid values with each solve as one ``np.convolve``."""
+    y, h = np.linspace(-24.0, 24.0, n, retstep=True)
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2
+    wf = w * profile(y)
+    offsets2 = (h * np.arange(-(n - 1), n)) ** 2
+
+    def solve(t):
+        kern = np.exp(-offsets2 / (4.0 * t)) / np.sqrt(4 * np.pi * t)
+        return np.convolve(wf, kern, mode="valid")
+
+    return np.array([np.sum(w * solve(t) * solve(s - t)) for t in times])
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        lambda y: np.exp(-(y**2) / 8.0),
+        lambda y: np.exp(-((y - 3.0) ** 2) / 8.0) - 0.5 * np.exp(-((y + 5.0) ** 2) / 2.0),
+    ],
+    ids=["heat-Es", "asymmetric"],
+)
+def test_heat_flow_oracle_fft_matches_direct_convolution(profile):
+    times = [0.2, 0.5, 0.9]
+    values, _ = heat_flow_product_oracle(profile, 1.0, times)
+    want = _direct_oracle(profile, 1.0, times, 4801)
+    assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-14
+
+
 def test_heat_flow_oracle_memory_is_linear_in_grid():
     # a dense (4801, 4801) kernel alone is 184 MB; the convolution needs O(n)
     prof = lambda y: np.exp(-(y**2) / (2.0 * 4.0))

@@ -315,3 +315,44 @@ def test_generator_check_fails_closed_on_non_finite_samples(s):
     g = SymmetryOp((DiffFactor((({1: 1}, None, (0, 0)),)),))
     with pytest.raises(ValueError, match=r"non-finite at t=\d"):
         verify_symmetry(L, g, s=s, seed=5, kspace_list=[(3.0,)])
+
+
+def _two_pass_terms(terms):
+    """The term dict as built by adding every term into a new dict, then filtering zeros."""
+    out = {}
+    for key, c in terms.items():
+        if c != 0:
+            out[key] = out.get(key, 0.0) + complex(c)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _bits(terms):
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in terms.items()]
+
+
+@pytest.mark.parametrize(
+    "operator, symmetry",
+    [
+        ("dirac(m=1.0)", "dirac.rotation_x"),
+        ("dirac(m=1.0)", "dirac.cpt"),
+        ("dirac(m=1.0)", "dirac.Gamma4"),
+        ("kdvkdv", "kdvkdv.Gamma_s"),
+        ("kdvkdv", "kdvkdv.swap"),
+        ("heat", "heat.s_reflection"),
+    ],
+)
+def test_field_construction_keeps_two_pass_bits(monkeypatch, operator, symmetry):
+    # every term dict a catalog chain's generator check builds a field from
+    seen = []
+    init = AnalyticField.__init__
+
+    def recording(self, nvars, ncomp, terms=None):
+        seen.append(dict(terms or {}))
+        init(self, nvars, ncomp, terms)
+
+    monkeypatch.setattr(AnalyticField, "__init__", recording)
+    verify_symmetry(build_operator(operator), build_symmetry(symmetry), s=1.0)
+    monkeypatch.undo()
+    assert any(-0.0 in (v.real, v.imag) for terms in seen for v in map(complex, terms.values()))
+    for terms in seen:
+        assert _bits(AnalyticField(1, 1, terms).terms) == _bits(_two_pass_terms(terms))
