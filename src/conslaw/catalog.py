@@ -419,8 +419,9 @@ def _text_types(key, default):
 
 
 def _call_entry(kind, name, factory, kwargs, *args):
-    """``factory(*args, **kwargs)`` once every keyword is in its signature
-    and every value has a type :func:`_text_types` allows."""
+    """``factory(*args, **kwargs)`` once every keyword is in its signature,
+    every value has a type :func:`_text_types` allows and every float is
+    finite (text such as ``nan`` or ``1e400`` parses to a non-finite float)."""
     params = list(inspect.signature(factory).parameters.values())[len(args) :]
     defaults = {p.name: p.default for p in params}
     for key, value in kwargs.items():
@@ -437,6 +438,8 @@ def _call_entry(kind, name, factory, kwargs, *args):
             raise ValueError(
                 f"{kind} {name!r} keyword {key!r} takes {want}, got {value!r}"
             )
+        if type(value) is float and not np.isfinite(value):
+            raise ValueError(f"{kind} {name!r} keyword {key!r} must be finite, got {value!r}")
     return factory(*args, **kwargs)
 
 

@@ -1,10 +1,10 @@
 """End-to-end checks for the spin-1/2 operator: algebra, Fock space, drifts.
 
-``check_discrete_algebra`` measures every anticommutator of the seven
-reflection/conjugation generators on exact plane-wave probes and reports what
-it finds (scalar multiples of the identity, zeros, or twisted operators),
-together with the realized normalization constants, rather than asserting a
-single uniform Clifford normalization.
+``check_discrete_algebra`` takes every anticommutator of the seven
+reflection/conjugation generators from exact products of their point-chain
+normal forms and reports what it finds (scalar multiples of the identity,
+zeros, or twisted operators), together with the realized normalization
+constants, rather than asserting a single uniform Clifford normalization.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import numpy as np
 from . import fock as fk
 from . import gamma as gm
 from .catalog import named_symmetries
-from .fields import plane_wave
 from .spectral import SUPPORT_TOL
-from .symmetry import apply_symmetry_analytic
 
 __all__ = [
     "discrete_generators",
@@ -40,77 +38,34 @@ _DISCRETE_METRIC = np.diag([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
 _BRACKET_TOL = 1e-10  # a measured bracket entry below this counts as zero
 
 
-def _classify_pair(ga, gb, probes):
-    """Classify the anticommutator of two chains on plane-wave probes at s = 0."""
-    tol = _BRACKET_TOL
-
-    def act(g, f):
-        return apply_symmetry_analytic(g, f, s=0.0)
-
-    def anti(f):
-        return act(ga, act(gb, f)) + act(gb, act(ga, f))
-
-    def comm(f):
-        return act(ga, act(gb, f)) - act(gb, act(ga, f))
-
-    values = []
-    twisted = 0.0
-    for probe, key in probes:
-        out = anti(probe)
-        amp = np.zeros(4, dtype=complex)
-        local = True
-        for (i, pol, lam, k), c in out.terms.items():
-            if any(pol) or (lam, k) != key:
-                local = False
-                break
-            amp[i] = c
-        if not local:
-            twisted = max(twisted, out.max_coeff())
-            continue
-        values.append(amp)
-    if twisted > tol:
-        cnorm = max(
-            comm(probe).max_coeff() for probe, _ in probes
-        )
-        return {
-            "type": "twisted",
-            "anticommutator_norm": float(twisted),
-            "commutator_norm": float(cnorm),
-            "commutes": bool(cnorm <= tol),
-        }
-    # probes are the four basis spinors at a shared wave; values stack to C
-    C = np.stack(values, axis=1)
-    c = np.trace(C) / 4.0
-    if np.max(np.abs(C - c * np.eye(4))) > tol:
-        return {"type": "matrix", "norm": float(np.max(np.abs(C)))}
-    if abs(c) <= tol:
+def _classify_pair(ga, gb):
+    """Classify ``{a, b}`` of two point chains: ``ab`` and ``ba`` share one class
+    (reflections and conjugation), so ``{a, b} = (M_ab + M_ba) R_s [conj^c .]``."""
+    ab, ba = ga @ gb, gb @ ga
+    S = ab.matrix + ba.matrix
+    norm = float(np.max(np.abs(S)))
+    if norm <= _BRACKET_TOL:
         return {"type": "zero", "value": 0.0}
-    val = complex(c)
-    return {"type": "scalar", "value": val.real if abs(val.imag) < tol else val}
+    if any(ab.mask) or ab.conj:
+        cnorm = float(np.max(np.abs(ab.matrix - ba.matrix)))
+        commutes = bool(cnorm <= _BRACKET_TOL)
+        return {"type": "twisted", "anticommutator_norm": norm, "commutator_norm": cnorm, "commutes": commutes}
+    c = complex(np.trace(S)) / 4.0
+    if np.max(np.abs(S - c * np.eye(4))) > _BRACKET_TOL:
+        return {"type": "matrix", "norm": norm}
+    return {"type": "scalar", "value": c.real if abs(c.imag) < _BRACKET_TOL else c}
 
 
 def check_discrete_algebra():
-    """Measure every pair bracket of the discrete generators.
+    """Every pair bracket of the discrete generators, from exact normal-form products.
 
     Returns a report with one entry per unordered pair, the realized
     normalization constant of the reflection block (generators 0..4) and
     the value of the conjugation-block diagonal.  ``pass`` holds when the
     reflection block is ``c * g_ab`` with one constant ``c``.
     """
-    gens = discrete_generators()
-    rng = np.random.default_rng(5)
-    lam = complex(rng.standard_normal(), rng.standard_normal())
-    k = tuple(float(x) for x in rng.integers(1, 4, size=3))
-    probes = []
-    for i in range(4):
-        e = np.zeros(4, dtype=complex)
-        e[i] = 1.0
-        probes.append((plane_wave(4, e, lam, k), (lam, k)))
-
-    pairs = {}
-    for a in range(7):
-        for b in range(a, 7):
-            pairs[(a, b)] = _classify_pair(gens[a], gens[b], probes)
+    gens = [g.point_form(4, 4) for g in discrete_generators()]
+    pairs = {(a, b): _classify_pair(gens[a], gens[b]) for a in range(7) for b in range(a, 7)}
 
     # realized constant on the reflection block: {G_a, G_b} = c * g_ab there
     c_block = None
@@ -121,10 +76,9 @@ def check_discrete_algebra():
             want = _DISCRETE_METRIC[a, b]
             if want == 0:
                 block_ok &= entry["type"] == "zero"
+            elif entry["type"] != "scalar":
+                block_ok = False
             else:
-                if entry["type"] != "scalar":
-                    block_ok = False
-                    continue
                 ratio = entry["value"] / want
                 if c_block is None:
                     c_block = ratio

@@ -97,8 +97,9 @@ def max_abs(op):
 class FockSystem:
     """Ladder algebra for two fermionic species on a momentum lattice.
 
-    The mass and every momentum component must be finite and every mode's
-    energy non-zero: the pairing coefficients divide by ``2 E_p``.
+    The mass must be finite and non-negative, every momentum component
+    finite and every mode's energy non-zero: the pairing coefficients divide
+    by ``2 E_p``, and the spinors by ``E_p + m``.
     """
 
     def __init__(self, momenta, mass=1.0):
@@ -106,6 +107,8 @@ class FockSystem:
         self.mass = float(mass)
         if not np.isfinite(self.mass):
             raise ValueError(f"mass must be finite, got {mass!r}")
+        if self.mass < 0:
+            raise ValueError(f"mass must be >= 0, got {mass!r}")
         for p in self.momenta:
             if not np.isfinite(p).all():
                 raise ValueError(f"momentum components must be finite, got p={p}")

@@ -6,7 +6,8 @@ differential operators, per-variable point reflections (the time slot
 reflecting as ``t -> s - t`` with a stored parameter), complex
 conjugation, and kernel shifts (a constant map ``u -> w``, innermost in an
 adjoint characteristic's chain).  A chain is linear iff it contains an even
-number of conjugations.
+number of conjugations.  A *point chain* (matrix, reflection and conjugation
+factors only) has one normal form ``u -> M R_s [conj^c u]``, a :class:`PointChain`.
 
 Verification is kernel preservation: random exact kernel superpositions are
 pushed through the chain and the operator residual is evaluated pointwise.
@@ -29,6 +30,7 @@ __all__ = [
     "PointReflect",
     "Conjugation",
     "SymmetryOp",
+    "PointChain",
     "KernelShift",
     "apply_symmetry_analytic",
     "verify_symmetry",
@@ -123,6 +125,49 @@ class SymmetryOp:
     @property
     def is_linear(self):
         return sum(isinstance(f, Conjugation) for f in self.factors) % 2 == 0
+
+    def point_form(self, nvars, ncomp):
+        """The :class:`PointChain` of this chain on ``ncomp`` components of
+        ``nvars`` variables; ``None`` if it holds a ``DiffFactor`` or ``KernelShift``."""
+        still = (False,) * nvars
+        form = PointChain(np.eye(ncomp), still)
+        for f in reversed(self.factors):
+            if isinstance(f, MatrixFactor):
+                form = PointChain(f.matrix, still) @ form
+            elif isinstance(f, PointReflect):
+                form = PointChain(np.eye(len(form.matrix)), f.mask, s=f.s) @ form
+            elif isinstance(f, Conjugation):
+                form = PointChain(np.eye(len(form.matrix)), still, conj=True) @ form
+            else:
+                return None
+        return form
+
+
+@dataclass(frozen=True)
+class PointChain:
+    """The normal form ``u -> M R_s [conj^c u]`` of a point chain.
+
+    ``R_s`` reflects the masked slots, time as ``t -> s - t`` (a product keeps
+    ``s`` only when it reflects time).  ``@`` is exact, ``(M1, e1, c1)(M2, e2, c2) =
+    (M1 conj^c1(M2), e1 xor e2, c1 xor c2)``, and refuses time reflections at two
+    stored ``s``: they compose to a time translation.
+    """
+
+    matrix: np.ndarray
+    mask: tuple
+    conj: bool = False
+    s: float | None = None
+
+    def __post_init__(self):
+        MatrixFactor.__post_init__(self)  # a read-only complex copy of the matrix
+
+    def __matmul__(self, other):
+        if self.mask[0] and other.mask[0] and self.s != other.s:
+            raise ValueError(f"time reflections at s={self.s} and s={other.s} compose to a time translation")
+        inner = other.matrix.conj() if self.conj else other.matrix
+        mask = tuple(a != b for a, b in zip(self.mask, other.mask))
+        s = (self.s if self.mask[0] else other.s) if mask[0] else None
+        return PointChain(self.matrix @ inner, mask, self.conj != other.conj, s)
 
 
 @dataclass(frozen=True)

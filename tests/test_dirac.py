@@ -60,6 +60,36 @@ def test_report_lists_every_pair(algebra):
     assert len(algebra["pairs"]) == 28  # all unordered pairs of 7 generators
 
 
+ZERO = {"type": "zero", "value": 0.0}
+# the conjugation generators commute with every reflection generator
+TWISTED = {"type": "twisted", "anticommutator_norm": 2.0, "commutator_norm": 0.0, "commutes": True}
+BRACKET_TABLE = {
+    "(0,0)": {"type": "scalar", "value": -2.0},
+    "(0,1)": ZERO, "(0,2)": ZERO, "(0,3)": ZERO, "(0,4)": ZERO,
+    "(0,5)": TWISTED, "(0,6)": TWISTED,
+    "(1,1)": {"type": "scalar", "value": 2.0},
+    "(1,2)": ZERO, "(1,3)": ZERO, "(1,4)": ZERO,
+    "(1,5)": TWISTED, "(1,6)": TWISTED,
+    "(2,2)": {"type": "scalar", "value": 2.0},
+    "(2,3)": ZERO, "(2,4)": ZERO,
+    "(2,5)": TWISTED, "(2,6)": TWISTED,
+    "(3,3)": {"type": "scalar", "value": 2.0},
+    "(3,4)": ZERO,
+    "(3,5)": TWISTED, "(3,6)": TWISTED,
+    "(4,4)": {"type": "scalar", "value": -2.0},
+    "(4,5)": TWISTED, "(4,6)": TWISTED,
+    "(5,5)": {"type": "scalar", "value": 2.0},
+    "(5,6)": ZERO,
+    "(6,6)": {"type": "scalar", "value": 2.0},
+}
+
+
+def test_whole_bracket_table_is_pinned(algebra):
+    assert len(BRACKET_TABLE) == 28
+    assert algebra["pairs"] == BRACKET_TABLE
+    assert list(algebra["pairs"]) == list(BRACKET_TABLE)  # the report's pair order
+
+
 def test_spinor_suite_passes():
     rep = spinor_suite(ndraws=30)
     assert rep["passed"]

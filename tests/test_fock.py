@@ -262,10 +262,21 @@ def test_anticommutator_report_sees_a_flipped_sign(monkeypatch):
         (((0.0, 0.0, 0.0),), 0.0, "energy is zero"),
         (MOMENTA, np.nan, "mass must be finite"),
         (MOMENTA, np.inf, "mass must be finite"),
+        # E + m = 0 at p = 0: the spinors would divide by zero
+        (((0.0, 0.0, 0.0),), -1.0, "mass must be >= 0"),
+        (MOMENTA, -0.5, "mass must be >= 0"),
         (((np.nan, 0.0, 0.0),), 1.0, "momentum components must be finite"),
         (((np.inf, 0.0, 0.0), (-np.inf, 0.0, 0.0)), 1.0, "momentum components must be finite"),
     ],
-    ids=["zero-energy", "mass-nan", "mass-inf", "momentum-nan", "momentum-inf"],
+    ids=[
+        "zero-energy",
+        "mass-nan",
+        "mass-inf",
+        "mass-negative-rest",
+        "mass-negative",
+        "momentum-nan",
+        "momentum-inf",
+    ],
 )
 def test_fock_system_refuses_degenerate_modes(momenta, mass, match):
     with pytest.raises(ValueError, match=match):

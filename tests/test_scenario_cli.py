@@ -525,6 +525,41 @@ def test_catalog_rejects_unknown_keywords():
     assert build_operator("heat(nu=2)") == build_operator("heat(nu=2.0)")  # an int for a float
 
 
+@pytest.mark.parametrize(
+    "kind, spec, keyword",
+    [
+        ("operator", "dirac(m=nan)", "m"),
+        ("operator", "heat(nu=inf)", "nu"),
+        ("symmetry", "dirac.Gamma0(s=nan)", "s"),
+        ("symmetry", "dirac.cpt(s=1e400)", "s"),
+        ("symmetry", "kdvkdv.Gamma_s(s=-inf)", "s"),
+        ("profile", "gaussian(amp=nan)", "amp"),
+        ("profile", "random(scale=1e400)", "scale"),
+    ],
+)
+def test_catalog_rejects_non_finite_numbers(kind, spec, keyword):
+    build = {
+        "operator": build_operator,
+        "symmetry": build_symmetry,
+        "profile": lambda text: build_profile(text, TorusGrid((6.28,), (16,)), 1),
+    }[kind]
+    name = spec.split("(")[0]
+    with pytest.raises(ValueError, match=rf"{kind} '{name}' keyword '{keyword}' must be finite"):
+        build(spec)
+
+
+def test_cli_rejects_non_finite_operator_mass(tmp_path, capsys):
+    path = tmp_path / "nan_mass.scn"
+    text = (SCENARIOS / "dirac_charges.scn").read_text()
+    lines = [ln for ln in text.splitlines() if ln.startswith("operator")]
+    assert len(lines) == 1
+    path.write_text(text.replace(lines[0], "operator = dirac(m=nan)"))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out and "Traceback" not in err
+    assert err == "error: operator 'dirac' keyword 'm' must be finite, got nan\n"
+
+
 def test_reproduce_scenario_writes_one_summary(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path), "reproduce", "wave-energy"]) == 0
     assert main(["list"]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conslaw import fields
-from conslaw.adjoint import formal_adjoint
+from conslaw.adjoint import adjoint_factorization, formal_adjoint, semi_conjugacy_solve
 from conslaw.catalog import (
     build_operator,
     build_symmetry,
@@ -14,11 +14,15 @@ from conslaw.catalog import (
 )
 from conslaw.fields import AnalyticField, evolution_matrix, kernel_sample, plane_wave
 from conslaw.gamma import energy
+from conslaw.current import adjoint_characteristic
 from conslaw.symmetry import (
+    Conjugation,
     DiffFactor,
     MatrixFactor,
+    PointReflect,
     SymmetryOp,
     _default_wavevectors,
+    _random_kernel_superposition,
     apply_symmetry_analytic,
     verify_kernel_shift,
     verify_symmetry,
@@ -356,3 +360,77 @@ def test_field_construction_keeps_two_pass_bits(monkeypatch, operator, symmetry)
     assert any(-0.0 in (v.real, v.imag) for terms in seen for v in map(complex, terms.values()))
     for terms in seen:
         assert _bits(AnalyticField(1, 1, terms).terms) == _bits(_two_pass_terms(terms))
+
+
+# -- point chains in normal form -----------------------------------------------
+
+
+def _point_chain_cases():
+    """(operator, chain): every catalog point chain, every product of two
+    discrete Dirac generators and two adjoint characteristics."""
+    heat1, heat2, kdv, dirac = heat_operator(1), heat_operator(2), kdvkdv_operator(), dirac_operator(1.0)
+    cases = [
+        (heat1, build_symmetry("identity")),
+        (heat2, build_symmetry("heat.space_reflection(dim=2)")),
+        (heat1, build_symmetry("heat.s_reflection")),
+        (heat1, build_symmetry("heat.time_reversal")),
+        (kdv, build_symmetry("kdvkdv.swap")),
+        (kdv, build_symmetry("kdvkdv.Gamma_s")),
+    ]
+    names = [f"dirac.Gamma{i}" for i in range(7)] + ["dirac.cpt", "dirac.bad_time_reflection"]
+    cases += [(dirac, build_symmetry(name)) for name in names]
+    gens = [build_symmetry(f"dirac.Gamma{i}") for i in range(7)]
+    cases += [(dirac, ga @ gb) for ga in gens for gb in gens]
+    for L, name in ((dirac, "dirac.cpt"), (kdv, "kdvkdv.Gamma_s(s=0.3)")):
+        fact = adjoint_factorization(L, semi_conjugacy_solve(L))
+        cases.append((L, adjoint_characteristic(L, fact, build_symmetry(name))))
+    return cases
+
+
+def _rebuilt(form):
+    """The normal form as a factor chain ``M . R_s . conj^c``."""
+    factors = (MatrixFactor(form.matrix), PointReflect(form.mask, form.s))
+    return SymmetryOp(factors + ((Conjugation(),) if form.conj else ()))
+
+
+def test_point_form_matches_the_factor_chain():
+    rng = np.random.default_rng(4)
+    for L, g in _point_chain_cases():
+        form = g.point_form(L.nvars, L.cols)
+        assert form is not None, g.name
+        u = _random_kernel_superposition(L, _default_wavevectors(L, rng), rng)
+        want = apply_symmetry_analytic(g, u, s=0.7).terms
+        got = apply_symmetry_analytic(_rebuilt(form), u, s=0.7).terms
+        assert want and got.keys() == want.keys(), g.name
+        scale = max(abs(c) for c in want.values())
+        assert max(abs(got[key] - c) for key, c in want.items()) <= 1e-13 * scale, g.name
+
+
+def test_point_form_composes_exactly():
+    gens = [build_symmetry(f"dirac.Gamma{i}") for i in range(7)]
+    for ga in gens:
+        for gb in gens:
+            ab = (ga @ gb).point_form(4, 4)
+            prod = ga.point_form(4, 4) @ gb.point_form(4, 4)
+            assert np.array_equal(ab.matrix, prod.matrix)
+            assert (ab.mask, ab.conj, ab.s) == (prod.mask, prod.conj, prod.s)
+    cpt = build_symmetry("dirac.cpt").point_form(4, 4)
+    assert cpt.mask == (True,) * 4 and cpt.conj and cpt.s is None
+
+
+def test_point_form_is_none_off_point_chains():
+    kdv = kdvkdv_operator()
+    fact = adjoint_factorization(kdv, semi_conjugacy_solve(kdv))
+    shift = adjoint_characteristic(kdv, fact, build_symmetry("kdvkdv.shift_u"))
+    assert build_symmetry("dirac.rotation_z").point_form(4, 4) is None
+    assert shift.point_form(2, 2) is None
+
+
+def test_time_reflections_at_different_s_do_not_compose():
+    a = build_symmetry("kdvkdv.Gamma_s(s=0.3)").point_form(2, 2)
+    b = build_symmetry("kdvkdv.Gamma_s(s=0.5)").point_form(2, 2)
+    with pytest.raises(ValueError, match="time translation"):
+        a @ b
+    same = a @ a  # the two reflections cancel, and so does their s
+    assert same.mask == (False, False) and same.s is None
+    assert np.array_equal(same.matrix, np.eye(2))
