@@ -310,10 +310,14 @@ def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0):
         vals = rng.standard_normal(nsel) + 1j * rng.standard_normal(nsel)
         coeffs[c][idx_ok] = scale * vals / np.sqrt(nsel)
     if real:
+        # the transforms run in place; fftn casts a real input to complex with
+        # a zero imaginary part, which is what zeroing it leaves
         axes = tuple(range(1, grid.ndim + 1))
-        vals = np.fft.ifftn(coeffs, axes=axes).real
-        coeffs = np.fft.fftn(vals, axes=axes)
-    return coeffs * grid.mode_mask()
+        np.fft.ifftn(coeffs, axes=axes, out=coeffs)
+        coeffs.imag = 0.0
+        np.fft.fftn(coeffs, axes=axes, out=coeffs)
+    coeffs *= grid.mode_mask()
+    return coeffs
 
 
 def _check_seed(profile, seed):
@@ -344,15 +348,21 @@ def _profile_packet(grid, ncomp, seed=0, width=1.0, kmax=4, real=True):
     """Gaussian envelope times random band-limited modulation; compact support."""
     _check_seed("packet", seed)
     _check_width("packet", width)
-    mod = _profile_random(grid, ncomp, seed=seed, kmax=kmax, real=real)
+    coeffs = _profile_random(grid, ncomp, seed=seed, kmax=kmax, real=real)
+    # in place: the unscaled inverse transform is ifftn(.) * npoints and the
+    # forward-scaled one fftn(.) / npoints bit for bit, since every mode count
+    # is a power of two (see spectral._to_grid)
     axes = tuple(range(1, grid.ndim + 1))
-    mod_vals = np.fft.ifftn(mod, axes=axes) * grid.npoints
-    mesh = np.meshgrid(*grid.coordinates(), indexing="ij")
-    r2 = sum(x * x for x in mesh)
-    env = np.exp(-r2 / (2.0 * float(width) ** 2))
-    vals = mod_vals * env
-    coeffs = np.fft.fftn(vals, axes=axes) / grid.npoints
-    return coeffs * grid.mode_mask()
+    np.fft.ifftn(coeffs, axes=axes, norm="forward", out=coeffs)
+    mesh = np.meshgrid(*grid.coordinates(), indexing="ij", sparse=True)
+    env = sum(x * x for x in mesh)
+    np.negative(env, out=env)
+    env /= 2.0 * float(width) ** 2
+    np.exp(env, out=env)
+    coeffs *= env
+    np.fft.fftn(coeffs, axes=axes, norm="forward", out=coeffs)
+    coeffs *= grid.mode_mask()
+    return coeffs
 
 
 def named_profiles():

@@ -9,7 +9,7 @@ condition ``L*[Q] = 0`` is equivalent to ``Lt[conj(Q)] = 0``.
 
 For evaluation a characteristic's density terms are compiled into groups
 keyed by Q-side source instead of ``beta`` (``spectral.density``), and
-``evaluate_terms`` contracts those.
+``evaluate_terms`` contracts those, ``CHUNK`` grid points at a time.
 
 The flux is canonical: derivatives are peeled off P lowest variable first
 (t before x1 before x2 ...), so X is deterministic; it is only unique up to
@@ -133,6 +133,10 @@ def concomitant_flux(L):
     return BilinearFlux(nv, L.rows, components)
 
 
+CHUNK = 2048  # grid points per block of the density contraction
+_LANES = 8  # each block's window spans a multiple of this many points
+
+
 def evaluate_terms(groups, jet_q, jet_p, weight):
     """Numerically contract compiled bilinear groups against two jet providers.
 
@@ -144,32 +148,60 @@ def evaluate_terms(groups, jet_q, jet_p, weight):
     ``weight(w)`` the ``n`` values of a weight other than ``()`` (which is 1).
     The groups of one weight are summed before it multiplies them.  Returns the
     flat ``(n,)`` sum, or None for no groups.
+
+    Each source, P jet and weight is read once.  The contraction then runs
+    over blocks of at most ``CHUNK`` points, so no ``(k, n)`` temporary
+    exists; every point takes the same steps in the same order whatever the
+    block size (matmul, conj, multiply, sum over components, conj, the sum
+    per weight in group order, the weight product, the sum over weights in
+    first-seen order), which leaves the result bit-identical to one block.
+    BLAS and numpy's vector loops treat a trailing partial group of points
+    with other arithmetic, so each block is widened to a window of a
+    multiple of ``_LANES`` points inside the grid (the whole grid when it is
+    shorter): on a grid whose size is a multiple of ``_LANES`` every point
+    then takes the full-width path, as in one whole-grid pass.  Windows of
+    neighbouring blocks may overlap; a point in both gets the same bits twice.
     """
-    pieces = {}
-    bufs = {}
+    terms = []
+    sources = {}
     for (w, src, gamma), B in groups.items():
-        x, conj = jet_q(src)
+        if src not in sources:
+            sources[src] = jet_q(src)
+        x, conj = sources[src]
         p = jet_p(gamma)
-        if x.shape not in bufs:
-            bufs[x.shape] = np.empty(x.shape, dtype=complex)
-        v = np.matmul(B, p.reshape(len(p), -1), out=bufs[x.shape])
-        # conj(S) is x when conj is set; otherwise sum_a conj(S[a]) v[a] is
-        # conj(sum_a S[a] conj(v[a])), which needs no copy of S
-        if not conj:
-            np.conj(v, out=v)
-        np.multiply(x, v, out=v)
-        piece = v.sum(axis=0)
-        if not conj:
-            np.conj(piece, out=piece)
-        if w in pieces:
-            pieces[w] += piece
-        else:
-            pieces[w] = piece
-    out = None
-    for w, piece in pieces.items():
-        if w:
-            piece *= weight(w)
-        out = piece if out is None else out + piece
+        terms.append((w, B, x, conj, p.reshape(len(p), -1)))
+    if not terms:
+        return None
+    n = terms[0][2].shape[1]
+    weights = {w: weight(w) for w, *_ in terms if w}
+    width = min(-(-CHUNK // _LANES) * _LANES, n)
+    bufs = {len(B): np.empty((len(B), width), dtype=complex) for _w, B, *_ in terms}
+    out = np.empty(n, dtype=complex)
+    for start in range(0, n, CHUNK):
+        span = min(-(-min(CHUNK, n - start) // _LANES) * _LANES, n)
+        lo = min(start, n - span)
+        win = slice(lo, lo + span)
+        total = out[win]  # the first weight's piece is summed straight into it
+        pieces = {}
+        for w, B, x, conj, p in terms:
+            v = np.matmul(B, p[:, win], out=bufs[len(B)][:, :span])
+            # conj(S) is x when conj is set; otherwise sum_a conj(S[a]) v[a] is
+            # conj(sum_a S[a] conj(v[a])), which needs no copy of S
+            if not conj:
+                np.conj(v, out=v)
+            np.multiply(x[:, win], v, out=v)
+            piece = v.sum(axis=0, out=None if pieces else total)
+            if not conj:
+                np.conj(piece, out=piece)
+            if w in pieces:
+                pieces[w] += piece
+            else:
+                pieces[w] = piece
+        for w, piece in pieces.items():
+            if w:
+                piece *= weights[w][win]
+            if piece is not total:
+                total += piece
     return out
 
 

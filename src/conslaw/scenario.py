@@ -29,17 +29,19 @@ view.  One pass over the sample times integrates every density at each time
 and, for position-weighted functionals, checks the data's support.
 
 The scenario files of the built-in reproductions ship with the package in
-``conslaw/scenarios/`` and are read when the registry is built, not at
-import; each reproduction's ``pass`` field is its one verdict, and ``reproduce``
-writes one JSON summary per reproduction.  Reports keep complex and numpy
-values until they are written; ``_json_default`` encodes them, for the
-summary files and for the command line's stdout alike.
+``conslaw/scenarios/`` and are read when the registry is first built, not at
+import, and parsed once per process; each reproduction's ``pass`` field is
+its one verdict, and ``reproduce`` writes one JSON summary per reproduction.
+Reports keep complex and numpy values until they are written;
+``_json_default`` encodes them, for the summary files and for the command
+line's stdout alike.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -332,8 +334,13 @@ def run_scenario(scn, out_dir=None, write_csv=True):
 # -- canned reproductions ------------------------------------------------------
 
 
+@functools.cache
 def _packaged_scenario(stem):
-    """Parse ``<stem>.scn`` from the scenario files shipped in the package."""
+    """Parse ``<stem>.scn`` from the scenario files shipped in the package, once.
+
+    Every caller shares the returned scenario, so none may mutate its ``grid``
+    dict; ``dataclasses.replace`` with a copied dict makes a variant.
+    """
     path = resources.files(__package__) / "scenarios" / f"{stem}.scn"
     return parse_scenario(path.read_text(), name=stem)
 

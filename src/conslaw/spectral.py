@@ -23,9 +23,10 @@ system assembles on demand for readers; no solver path reads it.  Work over
 modes goes one block of at most ``MODE_BLOCK`` active modes at a time, and
 blocking leaves every number bit-identical to a one-block run.
 
-A trajectory jet is taken in place: the active modes are scattered straight
-into one ``(m, npoints)`` array, multiplied by the wavevector powers and
-inverse-transformed into the same array.
+A trajectory scatters the active modes of each time and time order once,
+into one ``(m, npoints)`` array of coefficients.  A jet with space
+derivatives multiplies them by the wavevector powers into its own array;
+the plain jet is inverse-transformed in place of them.
 
 A field view (a symmetry chain over a trajectory) computes no grid values.
 Its ``jet(t, alpha)`` is a linear form over the trajectory: a short list of
@@ -38,12 +39,20 @@ matrix ``B`` per group ``(w, S, gamma)`` and contracts each group as
 small matrix products run on the grid.
 
 The module keeps one cache, and it lives for one sample time: a ``Trajectory``
-memoises the companion-state stacks and field jets asked for while one time
-is evaluated, and ``kappa_series``, which serves every characteristic of a
-run in one pass over the times, empties it before the next.  Propagators are
-not kept.  ``kappa_series`` is also the one support guard: when a field view
-is ``weighted`` by a spatial coordinate, it checks the boundary fraction of
-each memoised jet once, before the jets are forgotten.
+memoises the companion-state stacks, the scattered coefficients and the
+field jets asked for while one time is evaluated, and ``kappa_series``, which
+serves every characteristic of a run in one pass over the times, empties it
+before the next.  At each time ``kappa_series`` compiles every view's groups
+first, so it knows every jet the time needs; the trajectory then makes them
+derivative jets first, so each time order is scattered once and becomes the
+plain jet, and drops the time's companion stack once its last order is
+scattered.  ``current.evaluate_terms`` contracts the groups ``CHUNK`` grid
+points at a time, so the only ``(k, N)`` arrays are the jets and the
+reflected copies of reflected sources.  Propagators are not kept.
+``kappa_series`` is also the one support guard: when a field view is
+``weighted`` by a spatial coordinate, it checks the boundary fraction of
+each memoised jet once, one component at a time, before the jets are
+forgotten.
 """
 
 from __future__ import annotations
@@ -116,11 +125,11 @@ class TorusGrid:
     def ndim(self):
         return len(self.modes)
 
-    @property
+    @functools.cached_property
     def npoints(self):
         return int(np.prod(self.modes))
 
-    @property
+    @functools.cached_property
     def volume(self):
         return float(np.prod(self.lengths))
 
@@ -219,17 +228,22 @@ def integrate(grid, values):
 
 
 def boundary_fraction(grid, values):
-    """Max |values| on the outermost grid layer relative to the global max."""
-    mags = np.abs(values)
-    top = float(mags.max())
+    """Max |values| on the outermost grid layer relative to the global max.
+
+    ``values`` has the component axis first; ``|.|`` is taken one component at
+    a time.  A NaN anywhere gives NaN.
+    """
+    tops = np.empty(len(values))
+    edges = np.empty((len(values), grid.ndim))
+    for c, comp in enumerate(values):
+        mags = np.abs(comp)
+        tops[c] = mags.max()
+        for d in range(grid.ndim):
+            edges[c, d] = mags[(slice(None),) * d + (0,)].max()
+    top = float(tops.max())
     if top == 0.0:
         return 0.0
-    edge = 0.0
-    for d in range(grid.ndim):
-        sl = [slice(None)] * values.ndim
-        sl[d + 1] = 0
-        edge = max(edge, float(mags[tuple(sl)].max()))
-    return edge / top
+    return float(edges.max()) / top
 
 
 class EvolutionSystem:
@@ -465,9 +479,11 @@ class Trajectory:
     """Exactly evolvable solution: companion state at t0 plus the system.
 
     Over a matrix-free system with ``d > 1`` it forms ``A U0`` once, so each
-    time's state is ``c1 U0 + c2 (A U0)``.  The one cache holds, per time asked for since
-    ``forget``, the stack ``[U, A U, A^2 U, ...]`` of the companion state and
-    the jets read through ``jet``; ``state_at`` bypasses it.
+    time's state is ``c1 U0 + c2 (A U0)``.  The one cache holds, per time asked
+    for since ``forget``, the stack ``[U, A U, A^2 U, ...]`` of the companion
+    state, the scattered full-grid coefficients of each time order not yet
+    taken by its plain jet, and the jets read through ``jet``; ``state_at``
+    bypasses it.  ``load`` memoises many jets in the order that keeps it small.
     """
 
     weighted = False
@@ -484,6 +500,8 @@ class Trajectory:
         # the closed form reads A U0; scalar modes take exp(dt a) U0 instead
         self._AU0 = self._apply(self.U0) if system.matrix_free and d > 1 else None
         self._stacks = {}
+        self._coeffs = {}  # (t, time order) -> scattered coefficients, (m, *modes)
+        self._last = {}  # t -> the highest time order ``load`` needs at t
         self._jets = {}
 
     @property
@@ -495,8 +513,10 @@ class Trajectory:
         return self.system.m
 
     def forget(self):
-        """Empty the cache of stacks and jets."""
+        """Empty the cache of stacks, scattered coefficients and jets."""
         self._stacks.clear()
+        self._coeffs.clear()
+        self._last.clear()
         self._jets.clear()
 
     def _companion(self, t):
@@ -530,6 +550,19 @@ class Trajectory:
         coeffs[:, self.system.active] = U[:, :m].T
         return coeffs.reshape((m,) + self.grid.modes)
 
+    def _scattered(self, t, order):
+        """The kept coefficients of ``d_t^order u(t)``, scattered when missing.
+
+        Scattering the last order ``load`` needs at ``t`` drops the time's stack.
+        """
+        key = (float(t), order)
+        coeffs = self._coeffs.get(key)
+        if coeffs is None:
+            coeffs = self._coeffs[key] = self._field_coeffs(self._time_derivative(t, order))
+            if self._last.get(key[0]) == order:
+                del self._stacks[key[0]]
+        return coeffs
+
     def state_at(self, t):
         """Physical field (first companion block) as a SpectralState."""
         return SpectralState(self.grid, self._field_coeffs(self._companion(t)), time=t)
@@ -537,14 +570,21 @@ class Trajectory:
     def jet_values(self, t, alpha):
         """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn).
 
-        One array holds the coefficients, their derivatives and the values.
+        The active modes of ``(t, alpha[0])`` are scattered once and kept: a jet
+        with space derivatives multiplies them out into its own array, and the
+        plain jet is inverse-transformed in place of them.  A request after
+        that scatters them again.
         """
-        vals = self._field_coeffs(self._time_derivative(t, alpha[0]))
+        coeffs = self._scattered(t, alpha[0])
+        vals = None
         for d, (k, e) in enumerate(zip(self.grid.wavenumbers(), alpha[1:])):
             if e:
-                shape = [1] * vals.ndim
+                shape = [1] * coeffs.ndim
                 shape[d + 1] = len(k)
-                vals *= ((1j * k) ** e).reshape(shape)
+                factor = ((1j * k) ** e).reshape(shape)
+                vals = coeffs * factor if vals is None else np.multiply(vals, factor, out=vals)
+        if vals is None:
+            vals = self._coeffs.pop((float(t), alpha[0]))
         return _to_grid(vals)
 
     def jet(self, t, alpha):
@@ -553,6 +593,21 @@ class Trajectory:
         if key not in self._jets:
             self._jets[key] = self.jet_values(t, alpha)
         return self._jets[key]
+
+    def load(self, keys):
+        """Memoise the jets ``keys``, ``(t, alpha)`` pairs, as ``jet`` would.
+
+        Per time, the time orders go up and the jets of one order with space
+        derivatives come before its plain jet, which takes their scattered
+        coefficients; the time's stack is dropped once its last order is
+        scattered.  So each time order is scattered once and each time
+        propagated once.
+        """
+        keys = {(float(t), tuple(alpha)) for t, alpha in keys}
+        for t, alpha in keys:
+            self._last[t] = max(self._last.get(t, 0), alpha[0])
+        for t, alpha in sorted(keys, key=lambda k: (k[0], k[1][0], not any(k[1][1:]), k[1])):
+            self.jet(t, alpha)
 
 
 # -- field views -------------------------------------------------------------
@@ -797,9 +852,8 @@ def _weight_values(grid, w):
     return out.reshape(-1)
 
 
-def density(flux, qview, traj, t):
-    """Grid values at time ``t`` of the density ``X0(Q, u)`` of the view ``qview`` of Q."""
-    groups = _groups(flux, qview, t, traj.ncomp)
+def _contract(groups, traj, t):
+    """Grid values at time ``t`` of the density whose compiled groups are ``groups``."""
     out = evaluate_terms(
         groups,
         _source,
@@ -811,13 +865,20 @@ def density(flux, qview, traj, t):
     return out.reshape(traj.grid.modes)
 
 
+def density(flux, qview, traj, t):
+    """Grid values at time ``t`` of the density ``X0(Q, u)`` of the view ``qview`` of Q."""
+    return _contract(_groups(flux, qview, t, traj.ncomp), traj, t)
+
+
 def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     """Evaluate ``kappa(t) = integral X0(Q, u) dx`` for each characteristic.
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
     views of the characteristics over the trajectory ``traj``.  At each time
-    every view's ``density`` reads the trajectory's jets of that time, which
-    are forgotten before the next.  Returns one series with its relative drift per view.
+    every view's groups are compiled first, so the trajectory ``load``s every
+    jet of the time they read in one go (derivative jets before the plain
+    one); the densities are then contracted, and the jets forgotten before
+    the next time.  Returns one series with its relative drift per view.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
     whose boundary fraction is not within ``support_tol`` raises ``SupportError``.
     """
@@ -828,12 +889,19 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     values = [[] for _ in qviews]
     scales = [0.0] * len(qviews)
     for t in times:
-        for i, qview in enumerate(qviews):
-            integrand = density(flux, qview, traj, t)
+        compiled = [_groups(flux, qview, t, traj.ncomp) for qview in qviews]
+        keys = [(t, u)] if weighted else []
+        for groups in compiled:
+            for _w, (field, ts, alpha, _flip, _conj), gamma in groups:
+                keys.append((t, gamma))
+                if field is traj:
+                    keys.append((ts, alpha))
+        traj.load(keys)
+        for i, groups in enumerate(compiled):
+            integrand = _contract(groups, traj, t)
             values[i].append(integrate(grid, integrand))
             scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand))))
         if weighted:
-            traj.jet(t, u)
             fractions = {key: boundary_fraction(grid, vals) for key, vals in traj._jets.items()}
             worst = max(worst, fractions[(float(t), u)])
             for (tj, alpha), bf in fractions.items():

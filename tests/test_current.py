@@ -9,10 +9,12 @@ from conslaw.catalog import (
     kdvkdv_operator,
     wave_operator,
 )
+from conslaw import current
 from conslaw.current import (
     adjoint_characteristic,
     bilinear_concomitant_terms,
     concomitant_flux,
+    evaluate_terms,
 )
 from conslaw.fields import kernel_sample, plane_wave
 from conslaw.gamma import dirac_representation
@@ -183,3 +185,56 @@ def test_flux_requires_square_operator():
 
     with pytest.raises(ValueError):
         concomitant_flux(zero_operator(2, (2, 3)))
+
+
+def _evaluate_whole(groups, jet_q, jet_p, weight):
+    # the contraction over whole (k, n) arrays, one group at a time
+    pieces = {}
+    for (w, src, gamma), B in groups.items():
+        x, conj = jet_q(src)
+        p = jet_p(gamma)
+        v = np.matmul(B, p.reshape(len(p), -1))
+        if not conj:
+            np.conj(v, out=v)
+        np.multiply(x, v, out=v)
+        piece = v.sum(axis=0)
+        if not conj:
+            np.conj(piece, out=piece)
+        if w in pieces:
+            pieces[w] += piece
+        else:
+            pieces[w] = piece
+    out = None
+    for w, piece in pieces.items():
+        if w:
+            piece *= weight(w)
+        out = piece if out is None else out + piece
+    return out
+
+
+# a grid has a power of two of at least 4 points per axis, so n is 4 or a
+# multiple of 8
+@pytest.mark.parametrize("n", [4, 8, 128, 4096])
+def test_evaluate_terms_gives_the_same_bits_for_any_chunk(monkeypatch, n):
+    rng = np.random.default_rng(n)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    m = 3
+    sources = {"a": (cplx(2, n), True), "b": (cplx(2, n), False), "c": (cplx(5, n), False)}
+    jets = {(0,): cplx(m, n), (1,): cplx(m, n)}
+    weights = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
+    groups = {
+        ("x", "a", (0,)): cplx(2, m),  # conjugated source, weighted
+        ((), "b", (1,)): cplx(2, m),  # plain source, unweighted
+        ("x", "c", (1,)): cplx(5, m),  # shares the weight "x"; k = 5 != m
+        ("y", "b", (0,)): cplx(2, m),
+        ((), "a", (1,)): cplx(2, m),
+    }
+    args = (groups, sources.__getitem__, jets.__getitem__, weights.__getitem__)
+    want = _evaluate_whole(*args)
+    for chunk in (7, n, n + 5):
+        monkeypatch.setattr(current, "CHUNK", chunk)
+        assert np.array_equal(evaluate_terms(*args), want), chunk
+    assert evaluate_terms({}, *args[1:]) is None

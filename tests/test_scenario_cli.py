@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conslaw
@@ -248,6 +249,23 @@ def test_reproduce_writes_named_json(tmp_path):
     assert data["certifies"]
 
 
+def test_packaged_scenarios_are_parsed_once(monkeypatch):
+    # each registry build reads the four packaged scenario files; only the
+    # first parses them
+    calls = []
+    monkeypatch.setattr(
+        scenario, "parse_scenario", lambda text, name="scenario": calls.append(name) or parse_scenario(text, name)
+    )
+    scenario._packaged_scenario.cache_clear()
+    try:
+        first = reproduce("jordan-2x2")
+        assert sorted(calls) == ["dirac_angular_momentum", "dirac_charges", "heat_negative_control", "wave_energy"]
+        assert reproduce("jordan-2x2") == first
+        assert len(calls) == 4
+    finally:
+        scenario._packaged_scenario.cache_clear()
+
+
 def test_cli_verify_on_a_directory_is_an_error_line(tmp_path, capsys):
     assert main(["verify", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -393,6 +411,56 @@ def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profi
 def test_negative_profile_seed_names_the_profile(spec):
     with pytest.raises(ValueError, match=r"(random|packet) profile seed must be an integer >= 0"):
         build_profile(spec, TorusGrid((6.28,), (16,)), 1)
+
+
+def _random_by_copies(grid, ncomp, seed, kmax, real):
+    # the random profile with a new array at every step
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((ncomp,) + grid.modes, dtype=complex)
+    idx_ok = np.ones(grid.modes, dtype=bool)
+    for d, n in enumerate(grid.modes):
+        idx = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int)) <= kmax
+        sh = [1] * grid.ndim
+        sh[d] = n
+        idx_ok &= idx.reshape(sh)
+    idx_ok &= grid.mode_mask()
+    nsel = int(idx_ok.sum())
+    for c in range(ncomp):
+        vals = rng.standard_normal(nsel) + 1j * rng.standard_normal(nsel)
+        coeffs[c][idx_ok] = vals / np.sqrt(nsel)
+    if real:
+        axes = tuple(range(1, grid.ndim + 1))
+        vals = np.fft.ifftn(coeffs, axes=axes).real
+        coeffs = np.fft.fftn(vals, axes=axes)
+    return coeffs * grid.mode_mask()
+
+
+def _packet_by_copies(grid, ncomp, seed, width, kmax, real):
+    axes = tuple(range(1, grid.ndim + 1))
+    mod_vals = np.fft.ifftn(_random_by_copies(grid, ncomp, seed, kmax, real), axes=axes) * grid.npoints
+    mesh = np.meshgrid(*grid.coordinates(), indexing="ij")
+    r2 = sum(x * x for x in mesh)
+    env = np.exp(-r2 / (2.0 * width**2))
+    coeffs = np.fft.fftn(mod_vals * env, axes=axes) / grid.npoints
+    return coeffs * grid.mode_mask()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "grid", [TorusGrid((16.0, 12.0, 16.0), (16, 8, 32), kmax=3.0), TorusGrid((6.0,), (64,))], ids=["3d", "1d"]
+)
+def test_profiles_built_in_place_keep_their_bits(grid, real):
+    # the in-place transforms, sparse mesh and in-place products give the
+    # bits of the formulas above, signed zeros included
+    def bits(c):
+        return c.view(float), np.signbit(c.view(float))
+
+    got = build_profile(f"random(seed=4, kmax=3, real={real})", grid, 3)
+    want = _random_by_copies(grid, 3, 4, 3, real)
+    assert all(np.array_equal(a, b) for a, b in zip(bits(got), bits(want)))
+    got = build_profile(f"packet(seed=2, width=1.3, kmax=2, real={real})", grid, 4)
+    want = _packet_by_copies(grid, 4, 2, 1.3, 2, real)
+    assert all(np.array_equal(a, b) for a, b in zip(bits(got), bits(want)))
 
 
 @pytest.mark.parametrize(

@@ -399,12 +399,11 @@ def test_drift_refuses_empty_and_non_finite_series():
         kappa_series(concomitant_flux(L), [MatrixView(traj, [[np.nan]])], traj, [0.0, 0.5])[0]
 
 
-def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
-    # the three rotation charges on a 16^3 Dirac torus over 7 sample times,
-    # in one pass; the grid is too coarse for a compactly supported packet,
-    # so the support guard is off: this checks what is cached, not the drift
+def _rotation_charges(modes):
+    # the three rotation charges of the unit-mass Dirac flow on a packet over
+    # 7 sample times on a modes^3 box of side 16
     L = dirac_operator(1.0)
-    grid = TorusGrid((16.0,) * 3, (16,) * 3)
+    grid = TorusGrid((16.0,) * 3, (modes,) * 3)
     system = EvolutionSystem(L, grid)
     coeffs = build_profile("packet(seed=3, width=1.2, kmax=2, real=False)", grid, 4)
     traj = Trajectory(system, coeffs)
@@ -416,9 +415,12 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
         )
         for axis in "xyz"
     ]
-    flux = concomitant_flux(L)
-    times = np.linspace(0.0, 0.5, 7)
+    return concomitant_flux(L), qviews, traj, np.linspace(0.0, 0.5, 7)
 
+
+def _traced_kappa_series(monkeypatch, flux, qviews, traj, times):
+    """``kappa_series`` under tracemalloc: (series, peak bytes, propagator dts, jets made)."""
+    system = traj.system
     calls = []
     propagator = system.propagator
     monkeypatch.setattr(
@@ -437,6 +439,14 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return series, peak, calls, jets
+
+
+def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
+    # the grid is too coarse for a compactly supported packet, so the support
+    # guard is off: this checks what is cached, not the drift
+    flux, qviews, traj, times = _rotation_charges(16)
+    series, peak, calls, jets = _traced_kappa_series(monkeypatch, flux, qviews, traj, times)
 
     assert len(series) == 3 and all(np.isfinite(s.drift) for s in series)
     assert sorted(calls) == sorted(set(calls))
@@ -446,8 +456,44 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
     assert len(jets) == len(set(jets)) == 4 * len(times)
     # in units of the companion state (n_active * d complex numbers): the
     # four jets of one time are about 5 of these, so holding every time's
-    # jets would peak above 34; one time at a time peaks near 9
-    assert peak < 12 * len(system.active) * 4 * 16
+    # jets would peak above 34; one time at a time peaks near 7.5
+    assert peak < 12 * len(traj.system.active) * 4 * 16
+
+
+def test_kappa_series_streams_each_time(monkeypatch):
+    # at 32^3 a jet is 1.1 companion states (n_active * d complex numbers):
+    # a time's four jets are 4.4 of them.  Only they outlive their making:
+    # the companion state goes once its one time order is scattered, the
+    # scattered coefficients become the plain jet, and the densities are
+    # contracted in blocks
+    flux, qviews, traj, times = _rotation_charges(32)
+    series, peak, calls, jets = _traced_kappa_series(monkeypatch, flux, qviews, traj, times)
+
+    assert all(np.isfinite(s.drift) for s in series)
+    assert len(calls) == len(set(calls)) == len(times)
+    assert len(jets) == len(set(jets)) == 4 * len(times)
+    assert peak < 6 * len(traj.system.active) * 4 * 16
+
+
+@pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "derivative-first"])
+def test_jets_do_not_depend_on_the_order_they_are_asked_for(plain_first):
+    # the plain jet is transformed in place of the scattered coefficients, so
+    # a derivative asked for after it scatters them again
+    grid = TorusGrid((8.0, 6.0, 10.0), (8, 4, 16))
+    L = dirac_operator(1.0)
+    coeffs = build_profile("random(seed=8, kmax=3, real=False)", grid, 4)
+    alphas = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (1, 0, 0, 0), (1, 0, 0, 1)]
+    order = sorted(alphas, key=lambda a: any(a[1:]) == plain_first)
+    traj = Trajectory(EvolutionSystem(L, grid), coeffs)
+    got = {alpha: traj.jet_values(0.3, alpha) for alpha in order}
+    for alpha in alphas:
+        fresh = Trajectory(EvolutionSystem(L, grid), coeffs)
+        assert np.array_equal(got[alpha], fresh.jet_values(0.3, alpha))
+    # load: every key memoised, each time order scattered once
+    traj.forget()
+    traj.load([(0.3, alpha) for alpha in order])
+    assert all(np.array_equal(traj.jet(0.3, alpha), got[alpha]) for alpha in alphas)
+    assert not traj._stacks and not traj._coeffs
 
 
 def _per_mode_companion(L, kspace):
