@@ -473,13 +473,20 @@ def build_symmetry(spec):
 
 
 def build_profile(spec, grid, ncomp):
-    """Initial companion coefficients; ``+``-separated entries are summed."""
+    """Initial companion coefficients; ``+``-separated entries are summed.
+
+    Raises ``ValueError`` when the sum is not finite (a width so small or an
+    amplitude so large that the samples overflow).
+    """
     profs = named_profiles()
     total = None
-    for piece in spec.split(" + "):
-        name, kwargs = parse_entry(piece)
-        if name not in profs:
-            raise KeyError(f"unknown profile {name!r}; see `conslaw list`")
-        coeffs = _call_entry("profile", name, profs[name], kwargs, grid, ncomp)
-        total = coeffs if total is None else total + coeffs
+    with np.errstate(all="ignore"):
+        for piece in spec.split(" + "):
+            name, kwargs = parse_entry(piece)
+            if name not in profs:
+                raise KeyError(f"unknown profile {name!r}; see `conslaw list`")
+            coeffs = _call_entry("profile", name, profs[name], kwargs, grid, ncomp)
+            total = coeffs if total is None else total + coeffs
+    if not np.isfinite(total).all():
+        raise ValueError(f"profile {spec!r} has non-finite coefficients")
     return total

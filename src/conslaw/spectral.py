@@ -17,7 +17,7 @@ the identity (Dirac, wave, kdvkdv, heat) ``A(k)^2 = lam(k) I``, so ``exp(dt
 A) U = c1 U + c2 A U`` needs no matrix at all.  Such a system holds ``O(d)``
 numbers per mode; a trajectory forms ``A U0`` once and each sample time's
 state is ``c1 U0 + c2 (A U0)``.  A ``k``-dependent lead or a symbol that is
-not fast keeps a stacked ``A(k)`` with the per-mode closed form or ``expm``.
+not fast keeps a stacked ``A(k)`` and takes one batched ``expm`` per block.
 ``EvolutionSystem.A`` is a read-only view of the stack, which a matrix-free
 system assembles on demand for readers; no solver path reads it.  Work over
 modes goes one block of at most ``MODE_BLOCK`` active modes at a time, and
@@ -38,21 +38,18 @@ matrix ``B`` per group ``(w, S, gamma)`` and contracts each group as
 ``w * sum_a conj(S[a]) (B @ d^gamma u)[a]``: only ``N``-point products and
 small matrix products run on the grid.
 
-The module keeps one cache, and it lives for one sample time: a ``Trajectory``
-memoises the companion-state stacks, the scattered coefficients and the
-field jets asked for while one time is evaluated, and ``kappa_series``, which
-serves every characteristic of a run in one pass over the times, empties it
-before the next.  At each time ``kappa_series`` compiles every view's groups
-first, so it knows every jet the time needs; the trajectory then makes them
-derivative jets first, so each time order is scattered once and becomes the
-plain jet, and drops the time's companion stack once its last order is
-scattered.  ``current.evaluate_terms`` contracts the groups ``CHUNK`` grid
-points at a time, so the only ``(k, N)`` arrays are the jets and the
-reflected copies of reflected sources.  Propagators are not kept.
-``kappa_series`` is also the one support guard: when a field view is
-``weighted`` by a spatial coordinate, it checks the boundary fraction of
-each memoised jet once, one component at a time, before the jets are
-forgotten.
+A trajectory keeps no cache; ``kappa_series`` owns one sample time's jets.
+At each time it compiles every view's groups first, so it knows every jet
+the time needs, and one ``Trajectory.jets`` call makes them: each time they
+read is propagated once, only the current order's companion state is kept,
+and derivative jets come first, so each time order is scattered once and
+becomes the plain jet.  The jets are dropped before the next time.
+``current.evaluate_terms`` contracts the groups ``CHUNK`` grid points at a
+time, so the only ``(k, N)`` arrays are the jets and the reflected copies
+of reflected sources.  Propagators are not kept.  ``kappa_series`` is also
+the one support guard: when a field view is ``weighted`` by a spatial
+coordinate, it checks the boundary fraction of each of the time's jets
+once, one component at a time, before they are dropped.
 """
 
 from __future__ import annotations
@@ -258,8 +255,9 @@ class EvolutionSystem:
     ``lam``, and ``exp(dt A) U = c1 U + c2 A U`` (``exp(dt a) U`` for scalar
     modes).  A ``k``-dependent lead or a symbol that is not fast keeps the
     stacked ``A`` from ``fields.evolution_matrices``, built one block of at
-    most ``MODE_BLOCK`` modes at a time, with a per-mode test for the closed
-    form and ``expm`` on the other modes.  ``propagator`` serves both.
+    most ``MODE_BLOCK`` modes at a time, and propagates every mode by
+    ``expm``: its ``fast`` is all False and its ``lam`` None.  ``propagator``
+    serves both.
     """
 
     def __init__(self, L, grid, amp_cap=AMP_CAP):
@@ -303,19 +301,11 @@ class EvolutionSystem:
             return
         kspace = np.stack([k.reshape(-1)[self.active] for k in grid.wavevector_grids()], axis=-1)
         self._stack = np.empty((n, d, d), dtype=complex)
-        self.lam = np.empty(n, dtype=complex)
-        self.fast = np.empty(n, dtype=bool)
-        eye = np.eye(d)
         for block in self.blocks():
-            A = evolution_matrices(L, kspace[block])
-            # fast closed-form exponential where A^2 is a multiple of the identity
-            A2 = A @ A
-            lam = np.einsum("mii->m", A2) / d
-            resid = np.abs(A2 - lam[:, None, None] * eye).max(axis=(1, 2))
-            scale = np.abs(A).max(axis=(1, 2)) ** 2 + 1e-300
-            self._stack[block], self.lam[block] = A, lam
-            self.fast[block] = resid <= 1e-13 * scale
+            self._stack[block] = evolution_matrices(L, kspace[block])
         self._stack.flags.writeable = False
+        self.lam = None
+        self.fast = np.zeros(n, dtype=bool)
 
     @property
     def A(self):
@@ -362,6 +352,7 @@ class EvolutionSystem:
     def propagator(self, dt, U, modes=slice(None), AU=None):
         """``exp(dt A) U`` for the states ``U``, shape ``(modes, d)``, of the active modes ``modes``.
 
+        A stacked system takes one batched ``expm`` of its modes' ``dt A(k)``.
         A matrix-free system returns ``c1 U + c2 A U`` and takes ``A U`` from
         ``AU`` when the caller has formed it; scalar modes and the stacked
         path ignore ``AU``.
@@ -370,20 +361,12 @@ class EvolutionSystem:
         entry gives NaN).  A matrix-free system takes each entry ``c1
         delta_ij + c2 A_ij(k)`` from the symbols, and forms no matrix.
         """
-        d = U.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
             if self._stack is not None:
-                A = self._stack[modes]
-                if d == 1:
-                    P = np.exp(dt * A)
-                else:
-                    c1, c2 = _closed_form(dt, self.lam[modes])
-                    P = c1[:, None, None] * np.eye(d) + c2[:, None, None] * A
-                    for idx in np.flatnonzero(~self.fast[modes]):
-                        P[idx] = expm(dt * A[idx])
+                P = expm(dt * self._stack[modes])
                 self._check_amplification(dt, float(np.abs(P).max()))
                 return np.einsum("mij,mj->mi", P, U)
-            if d == 1:
+            if U.shape[1] == 1:
                 # scalar modes: direct exponential (the cosh/sinh split would
                 # overflow on strongly decaying modes)
                 (a,) = self._diag
@@ -479,11 +462,9 @@ class Trajectory:
     """Exactly evolvable solution: companion state at t0 plus the system.
 
     Over a matrix-free system with ``d > 1`` it forms ``A U0`` once, so each
-    time's state is ``c1 U0 + c2 (A U0)``.  The one cache holds, per time asked
-    for since ``forget``, the stack ``[U, A U, A^2 U, ...]`` of the companion
-    state, the scattered full-grid coefficients of each time order not yet
-    taken by its plain jet, and the jets read through ``jet``; ``state_at``
-    bypasses it.  ``load`` memoises many jets in the order that keeps it small.
+    time's state is ``c1 U0 + c2 (A U0)``; a stacked system propagates ``U0``
+    by ``expm``.  A trajectory holds nothing else: ``jet_values`` makes one
+    jet and ``jets`` one pass's jets, each from a fresh propagation.
     """
 
     weighted = False
@@ -493,16 +474,14 @@ class Trajectory:
         d = system.m * system.R
         if companion_coeffs.shape != (d,) + system.grid.modes:
             raise ValueError(f"companion state must have {d} components on the grid")
+        if not np.isfinite(companion_coeffs).all():
+            raise ValueError("non-finite companion coefficients")
         flat = companion_coeffs.reshape(d, -1)
         self.system = system
         self.t0 = float(t0)
         self.U0 = flat[:, system.active].T.copy()  # (n_active, d)
         # the closed form reads A U0; scalar modes take exp(dt a) U0 instead
         self._AU0 = self._apply(self.U0) if system.matrix_free and d > 1 else None
-        self._stacks = {}
-        self._coeffs = {}  # (t, time order) -> scattered coefficients, (m, *modes)
-        self._last = {}  # t -> the highest time order ``load`` needs at t
-        self._jets = {}
 
     @property
     def grid(self):
@@ -511,13 +490,6 @@ class Trajectory:
     @property
     def ncomp(self):
         return self.system.m
-
-    def forget(self):
-        """Empty the cache of stacks, scattered coefficients and jets."""
-        self._stacks.clear()
-        self._coeffs.clear()
-        self._last.clear()
-        self._jets.clear()
 
     def _companion(self, t):
         dt = float(t) - self.t0
@@ -534,15 +506,6 @@ class Trajectory:
             out[block] = self.system.apply(U[block], block)
         return out
 
-    def _time_derivative(self, t, order):
-        key = float(t)
-        stack = self._stacks.get(key)
-        if stack is None:
-            stack = self._stacks[key] = [self._companion(key)]
-        while len(stack) <= order:
-            stack.append(self._apply(stack[-1]))
-        return stack[order]
-
     def _field_coeffs(self, U):
         """Full-grid Fourier coefficients of the first companion block, (m, *modes)."""
         m = self.system.m
@@ -550,64 +513,57 @@ class Trajectory:
         coeffs[:, self.system.active] = U[:, :m].T
         return coeffs.reshape((m,) + self.grid.modes)
 
-    def _scattered(self, t, order):
-        """The kept coefficients of ``d_t^order u(t)``, scattered when missing.
-
-        Scattering the last order ``load`` needs at ``t`` drops the time's stack.
-        """
-        key = (float(t), order)
-        coeffs = self._coeffs.get(key)
-        if coeffs is None:
-            coeffs = self._coeffs[key] = self._field_coeffs(self._time_derivative(t, order))
-            if self._last.get(key[0]) == order:
-                del self._stacks[key[0]]
-        return coeffs
-
     def state_at(self, t):
         """Physical field (first companion block) as a SpectralState."""
         return SpectralState(self.grid, self._field_coeffs(self._companion(t)), time=t)
 
-    def jet_values(self, t, alpha):
+    def jet_values(self, t, alpha, coeffs=None):
         """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn).
 
-        The active modes of ``(t, alpha[0])`` are scattered once and kept: a jet
-        with space derivatives multiplies them out into its own array, and the
-        plain jet is inverse-transformed in place of them.  A request after
-        that scatters them again.
+        ``coeffs`` hands over the scattered coefficients of ``d_t^alpha[0]
+        u(t)`` (``jets`` does); without it they are propagated and scattered
+        here.  A jet with space derivatives multiplies them out into its own
+        array, and the plain jet is inverse-transformed in place of them.
         """
-        coeffs = self._scattered(t, alpha[0])
-        vals = None
+        if coeffs is None:
+            U = self._companion(t)
+            for _ in range(alpha[0]):
+                U = self._apply(U)
+            coeffs = self._field_coeffs(U)
+        vals = coeffs
         for d, (k, e) in enumerate(zip(self.grid.wavenumbers(), alpha[1:])):
             if e:
                 shape = [1] * coeffs.ndim
                 shape[d + 1] = len(k)
                 factor = ((1j * k) ** e).reshape(shape)
-                vals = coeffs * factor if vals is None else np.multiply(vals, factor, out=vals)
-        if vals is None:
-            vals = self._coeffs.pop((float(t), alpha[0]))
+                vals = coeffs * factor if vals is coeffs else np.multiply(vals, factor, out=vals)
         return _to_grid(vals)
 
-    def jet(self, t, alpha):
-        """Field-view interface: ``jet_values``, memoised until ``forget``."""
-        key = (float(t), tuple(alpha))
-        if key not in self._jets:
-            self._jets[key] = self.jet_values(t, alpha)
-        return self._jets[key]
+    def jets(self, keys):
+        """The jets ``keys``, ``(t, alpha)`` pairs, as ``{(t, alpha): values}``.
 
-    def load(self, keys):
-        """Memoise the jets ``keys``, ``(t, alpha)`` pairs, as ``jet`` would.
-
-        Per time, the time orders go up and the jets of one order with space
-        derivatives come before its plain jet, which takes their scattered
-        coefficients; the time's stack is dropped once its last order is
-        scattered.  So each time order is scattered once and each time
-        propagated once.
+        Each time is propagated once and only the current order's state ``A^r
+        U`` is kept.  Each time order is scattered once: its jets with space
+        derivatives come first, and its plain jet takes the scattered
+        coefficients in place.
         """
         keys = {(float(t), tuple(alpha)) for t, alpha in keys}
-        for t, alpha in keys:
-            self._last[t] = max(self._last.get(t, 0), alpha[0])
-        for t, alpha in sorted(keys, key=lambda k: (k[0], k[1][0], not any(k[1][1:]), k[1])):
-            self.jet(t, alpha)
+        out = {}
+        for t in sorted({t for t, _alpha in keys}):
+            alphas = sorted((a for tt, a in keys if tt == t), key=lambda a: (a[0], not any(a[1:]), a))
+            top = alphas[-1][0]
+            U = self._companion(t)
+            for order in range(top + 1):
+                if order:
+                    U = self._apply(U)
+                now = [a for a in alphas if a[0] == order]
+                if now:
+                    coeffs = self._field_coeffs(U)
+                    if order == top:
+                        del U
+                    for alpha in now:
+                        out[(t, alpha)] = self.jet_values(t, alpha, coeffs)
+        return out
 
 
 # -- field views -------------------------------------------------------------
@@ -830,10 +786,13 @@ def _groups(flux, qview, t, m):
     return groups
 
 
-def _source(src):
-    """A form's source as ``(x, conj)``, ``x`` a ``(k, npoints)`` array: ``S = conj(x)`` if ``conj``."""
+def _source(jets, src):
+    """A form's source as ``(x, conj)``, ``x`` a ``(k, npoints)`` array: ``S = conj(x)`` if ``conj``.
+
+    A trajectory's jet is read from ``jets``, a ``Trajectory.jets`` result.
+    """
     field, t, alpha, flip, conj = src
-    vals = field.values(t, alpha) if isinstance(field, ShiftView) else field.jet(t, alpha)
+    vals = field.values(t, alpha) if isinstance(field, ShiftView) else jets[(t, alpha)]
     if any(flip):
         vals = _reflect_values(field.grid, vals, flip)
     return vals.reshape(len(vals), -1), conj
@@ -852,22 +811,38 @@ def _weight_values(grid, w):
     return out.reshape(-1)
 
 
-def _contract(groups, traj, t):
-    """Grid values at time ``t`` of the density whose compiled groups are ``groups``."""
+def _contract(groups, jets, grid, t):
+    """Grid values at time ``t`` of the density whose compiled groups are ``groups``.
+
+    ``jets`` holds every trajectory jet the groups read (``_jet_keys``).
+    """
+    t = float(t)
     out = evaluate_terms(
         groups,
-        _source,
-        functools.partial(traj.jet, t),
-        functools.partial(_weight_values, traj.grid),
+        functools.partial(_source, jets),
+        lambda gamma: jets[(t, gamma)],
+        functools.partial(_weight_values, grid),
     )
     if out is None:
-        return np.zeros(traj.grid.modes, dtype=complex)
-    return out.reshape(traj.grid.modes)
+        return np.zeros(grid.modes, dtype=complex)
+    return out.reshape(grid.modes)
+
+
+def _jet_keys(compiled, traj, t):
+    """The ``(t, alpha)`` jets of ``traj`` that the compiled groups of time ``t`` read."""
+    keys = []
+    for groups in compiled:
+        for _w, (field, ts, alpha, _flip, _conj), gamma in groups:
+            keys.append((t, gamma))
+            if field is traj:
+                keys.append((ts, alpha))
+    return keys
 
 
 def density(flux, qview, traj, t):
     """Grid values at time ``t`` of the density ``X0(Q, u)`` of the view ``qview`` of Q."""
-    return _contract(_groups(flux, qview, t, traj.ncomp), traj, t)
+    groups = _groups(flux, qview, t, traj.ncomp)
+    return _contract(groups, traj.jets(_jet_keys([groups], traj, t)), traj.grid, t)
 
 
 def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
@@ -875,10 +850,10 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
     views of the characteristics over the trajectory ``traj``.  At each time
-    every view's groups are compiled first, so the trajectory ``load``s every
-    jet of the time they read in one go (derivative jets before the plain
-    one); the densities are then contracted, and the jets forgotten before
-    the next time.  Returns one series with its relative drift per view.
+    every view's groups are compiled first, so one ``traj.jets`` call makes
+    every jet of the time they read (derivative jets before the plain one);
+    the densities are then contracted, and the jets dropped before the next
+    time.  Returns one series with its relative drift per view.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
     whose boundary fraction is not within ``support_tol`` raises ``SupportError``.
     """
@@ -890,26 +865,21 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     scales = [0.0] * len(qviews)
     for t in times:
         compiled = [_groups(flux, qview, t, traj.ncomp) for qview in qviews]
-        keys = [(t, u)] if weighted else []
-        for groups in compiled:
-            for _w, (field, ts, alpha, _flip, _conj), gamma in groups:
-                keys.append((t, gamma))
-                if field is traj:
-                    keys.append((ts, alpha))
-        traj.load(keys)
+        jets = traj.jets(([(t, u)] if weighted else []) + _jet_keys(compiled, traj, t))
         for i, groups in enumerate(compiled):
-            integrand = _contract(groups, traj, t)
+            integrand = _contract(groups, jets, grid, t)
             values[i].append(integrate(grid, integrand))
-            scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand))))
+            # a float's abs never raises; a complex NaN's may (a stale errno)
+            scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand)).real))
         if weighted:
-            fractions = {key: boundary_fraction(grid, vals) for key, vals in traj._jets.items()}
+            fractions = {key: boundary_fraction(grid, vals) for key, vals in jets.items()}
             worst = max(worst, fractions[(float(t), u)])
             for (tj, alpha), bf in fractions.items():
                 if not (bf <= support_tol):
                     raise SupportError(
                         f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
                     )
-        traj.forget()
+        del jets
     times = tuple(float(t) for t in times)
     return [
         KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)

@@ -69,6 +69,28 @@ def test_kappa_layers_record_calls_under_the_tracer():
     assert tracer.counts["current.contract.terms"] >= 1
 
 
+def test_every_jet_passes_through_the_traced_jet_layer(monkeypatch):
+    # ``Trajectory.jets`` makes its jets through ``jet_values``, which the
+    # tracer spans; a jet made round it would be missing from that layer
+    made = []
+    jets = spectral.Trajectory.jets
+
+    def counted(traj, keys):
+        out = jets(traj, keys)
+        made.append(len(out))
+        return out
+
+    monkeypatch.setattr(spectral.Trajectory, "jets", counted)
+    tracer = _tracer_module().Tracer("t")
+    tracer.install()
+    try:
+        scenario.run_scenario(_packaged_scenario("kdvkdv_quadratic"))
+    finally:
+        tracer.uninstall()
+    assert sum(made) >= 1
+    assert tracer.calls["spectral.jet"] == sum(made)
+
+
 def test_report_layers_record_calls_under_the_tracer():
     # a rename of the pairings, the Fock suite or the oracle would zero their layers
     tracer = _tracer_module().Tracer("t")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -364,6 +365,26 @@ def test_cli_rejects_empty_or_non_finite_times(tmp_path, capsys, times):
     )
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: times")
+
+
+@pytest.mark.parametrize(
+    "profile",
+    ["gaussian(width=1e-300)", "gaussian(amp=1e308)", "packet(seed=1, kmax=4, width=1e-200)"],
+)
+def test_cli_rejects_non_finite_initial_data(tmp_path, capsys, profile):
+    # every sample overflows or divides by zero: the profile is refused by
+    # name, without numpy warnings, before any evolution runs
+    path = tmp_path / "overflow.scn"
+    path.write_text(
+        "operator = heat(dim=1)\ngrid = modes:64 length:6.28\n"
+        f"times = 0, 1\nsymmetry = identity\nprofile = {profile}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err == f"error: profile {profile!r} has non-finite coefficients\n"
 
 
 def test_cli_rejects_unknown_operator_keyword(capsys):

@@ -126,11 +126,44 @@ def test_k_dependent_lead_keeps_the_stacked_propagator():
     from scipy.linalg import expm
 
     system = EvolutionSystem(build_operator("jordan2x2"), TorusGrid((TWO_PI,), (32,)))
-    assert system.A is system.A and not system.fast.all()  # a stored stack, expm modes
+    assert system.A is system.A and not system.fast.any()  # a stored stack, expm on every mode
     for j in range(2):
         E = _basis_states(system, j)
         want = np.array([expm(0.2 * a)[:, j] for a in system.A])
         assert np.max(np.abs(system.propagator(0.2, E) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _stacked_systems():
+    # a diagonal pair with unequal rates and a random dispersive system: the
+    # symmetrised square of the symbol is no multiple of I, so A(k) is stacked
+    from test_pipeline_random import _random_dispersive_system
+
+    grid = TorusGrid((TWO_PI,), (64,))
+    pair = parse_operator("[[1,0],[0,1]]*Dt - [[1,0],[0,2]]*Dx^2")
+    random, _S = _random_dispersive_system(np.random.default_rng(5), 3)
+    return [EvolutionSystem(pair, grid), EvolutionSystem(random, grid)]
+
+
+@pytest.mark.parametrize("dt", [0.37, -0.005], ids=["forward", "reflected"])
+def test_stacked_propagator_is_expm_on_every_mode(dt):
+    from scipy.linalg import expm
+
+    for system in _stacked_systems():
+        assert not system.matrix_free and not system.fast.any() and system.lam is None
+        for j in range(system.m * system.R):
+            want = np.array([expm(dt * a)[:, j] for a in system.A])
+            got = system.propagator(dt, _basis_states(system, j))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stacked_propagator_refuses_amplification():
+    jordan = EvolutionSystem(build_operator("jordan2x2"), TorusGrid((TWO_PI,), (64,)))
+    with pytest.raises(AmplificationError, match=r"mode amplification 2\.771e\+06 exceeds cap"):
+        jordan.propagator(-3.0, _basis_states(jordan, 0))
+    # exp(2 k^2) overflows at |k| = 31
+    pair = _stacked_systems()[0]
+    with pytest.raises(AmplificationError, match="non-finite"):
+        pair.propagator(-1.0, _basis_states(pair, 0))
 
 
 def test_round_trip_propagation():
@@ -431,7 +464,9 @@ def _traced_kappa_series(monkeypatch, flux, qviews, traj, times):
     jets = []
     jet_values = traj.jet_values
     monkeypatch.setattr(
-        traj, "jet_values", lambda t, alpha: jets.append((t, alpha)) or jet_values(t, alpha)
+        traj,
+        "jet_values",
+        lambda t, alpha, *rest: jets.append((t, alpha)) or jet_values(t, alpha, *rest),
     )
     tracemalloc.start()
     try:
@@ -489,11 +524,47 @@ def test_jets_do_not_depend_on_the_order_they_are_asked_for(plain_first):
     for alpha in alphas:
         fresh = Trajectory(EvolutionSystem(L, grid), coeffs)
         assert np.array_equal(got[alpha], fresh.jet_values(0.3, alpha))
-    # load: every key memoised, each time order scattered once
-    traj.forget()
-    traj.load([(0.3, alpha) for alpha in order])
-    assert all(np.array_equal(traj.jet(0.3, alpha), got[alpha]) for alpha in alphas)
-    assert not traj._stacks and not traj._coeffs
+    # jets: every key made in one pass, each time order scattered once
+    jets = traj.jets([(0.3, alpha) for alpha in order])
+    assert all(np.array_equal(jets[(0.3, alpha)], got[alpha]) for alpha in alphas)
+
+
+def test_a_trajectory_refuses_non_finite_coefficients():
+    grid = TorusGrid((TWO_PI,), (16,))
+    system = EvolutionSystem(build_operator("heat(dim=1)"), grid)
+    coeffs = np.zeros((1, 16), dtype=complex)
+    coeffs[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(system, coeffs)
+
+
+def test_a_trajectory_is_stateless():
+    flux, qviews, traj, times = _rotation_charges(8)
+    first = kappa_series(flux, qviews, traj, times, support_tol=1.0)
+    assert set(vars(traj)) == {"system", "t0", "U0", "_AU0"}
+    second = kappa_series(flux, qviews, traj, times, support_tol=1.0)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_jets_propagate_each_time_and_scatter_each_order_once(monkeypatch):
+    grid = TorusGrid((8.0, 6.0, 10.0), (8, 4, 16))
+    L = dirac_operator(1.0)
+    coeffs = build_profile("random(seed=8, kmax=3, real=False)", grid, 4)
+    alphas = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (1, 0, 0, 0), (1, 0, 0, 1)]
+    keys = [(t, alpha) for t in (0.3, -0.2) for alpha in alphas]
+    traj = Trajectory(EvolutionSystem(L, grid), coeffs)
+    companions, scatters = [], []
+    companion, field_coeffs = traj._companion, traj._field_coeffs
+    monkeypatch.setattr(traj, "_companion", lambda t: companions.append(t) or companion(t))
+    monkeypatch.setattr(traj, "_field_coeffs", lambda U: scatters.append(U.shape) or field_coeffs(U))
+    jets = traj.jets(keys)
+    assert sorted(companions) == [-0.2, 0.3]
+    assert len(scatters) == 4  # two times, time orders 0 and 1
+    fresh = Trajectory(EvolutionSystem(L, grid), coeffs)
+    assert set(jets) == set(keys)
+    for (t, alpha), vals in jets.items():
+        assert np.array_equal(vals, fresh.jet_values(t, alpha))
 
 
 def _per_mode_companion(L, kspace):
@@ -535,8 +606,8 @@ def test_batched_companion_matrices_equal_the_per_mode_formula(spec, grid):
     kk = [k.reshape(-1)[system.active] for k in grid.wavevector_grids()]
     ref = np.array([_per_mode_companion(L, [k[i] for k in kk]) for i in range(len(system.active))])
     assert np.array_equal(system.A, ref)
-    if spec == "jordan2x2":  # k-dependent leading coefficient, expm modes
-        assert not system.fast.all()
+    if spec == "jordan2x2":  # k-dependent leading coefficient, expm on every mode
+        assert not system.fast.any()
 
 
 def test_singular_leading_coefficient_names_the_first_singular_mode():
@@ -570,8 +641,12 @@ def test_blocks_of_modes_give_the_one_block_result(monkeypatch, spec, grid):
     monkeypatch.setattr(spectral, "MODE_BLOCK", 5)
     blocked = run()
     assert len(blocked[0].blocks()) > 2
-    for name in ("A", "lam", "fast"):
+    for name in ("A", "fast"):
         assert np.array_equal(getattr(whole[0], name), getattr(blocked[0], name))
+    if whole[0].matrix_free:
+        assert np.array_equal(whole[0].lam, blocked[0].lam)
+    else:  # jordan2x2: a stacked system has no closed form
+        assert whole[0].lam is None and blocked[0].lam is None
     assert np.array_equal(whole[1], blocked[1])
     assert np.array_equal(whole[2], blocked[2])
 
