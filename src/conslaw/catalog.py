@@ -76,19 +76,17 @@ def kdvkdv_operator():
 def navier_stokes_operator(nu=1.0):
     """Linearised incompressible Navier-Stokes on (u1, u2, u3, p)."""
     nv = 4
-    terms = {}
     vel = np.diag([1.0, 1.0, 1.0, 0.0])
-    terms[(1, 0, 0, 0)] = vel
+    pieces = [((1, 0, 0, 0), vel)]
     for d in range(3):
         alpha = tuple(2 if j == d + 1 else 0 for j in range(nv))
-        terms[alpha] = -nu * vel
+        pieces.append((alpha, -nu * vel))
     for d in range(3):
         grad = np.zeros((4, 4))
         grad[d, 3] = 1.0  # pressure gradient
         grad[3, d] = 1.0  # divergence constraint
-        alpha = tuple(1 if j == d + 1 else 0 for j in range(nv))
-        terms[alpha] = terms.get(alpha, np.zeros((4, 4))) + grad
-    return ConstCoeffOperator(nv, (4, 4), terms)
+        pieces.append((tuple(1 if j == d + 1 else 0 for j in range(nv)), grad))
+    return ConstCoeffOperator(nv, (4, 4), pieces)
 
 
 def dirac_operator(m=1.0, rep=None):

@@ -268,15 +268,12 @@ def parse_operator(text, nvars=None):
     elif max_slot + 1 > nvars:
         raise DslError(f"operator uses variable slot {max_slot} but nvars={nvars}", 1, 1)
 
-    terms = {}
-    for coeff, matrix, exps in parts:
-        alpha = tuple(exps.get(slot, 0) for slot in range(nvars))
-        mat = coeff * (matrix if matrix is not None else np.eye(shape[0], shape[1]))
-        if alpha in terms:
-            terms[alpha] = terms[alpha] + mat
-        else:
-            terms[alpha] = mat
-    return ConstCoeffOperator(nvars, shape, terms)
+    eye = np.eye(*shape)
+    pieces = (
+        (tuple(exps.get(slot, 0) for slot in range(nvars)), coeff * (eye if matrix is None else matrix))
+        for coeff, matrix, exps in parts
+    )
+    return ConstCoeffOperator(nvars, shape, pieces)
 
 
 # -- printing ----------------------------------------------------------------

@@ -6,16 +6,23 @@ application, coordinate multiplication, point reflections (with the time slot
 reflecting as ``t -> s - t``), and complex conjugation, so operators and
 symmetry chains act on it exactly.  This is the workhorse for kernel
 construction and residual-free verification.
+
+Every operation that makes a field has one summation rule, :func:`collect`:
+its ``(key, coef)`` pieces are added in order, a zero piece is skipped, a key
+keeps the place of its first non-zero piece, and a total that cancels to
+zero is dropped.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 import numpy as np
 
 __all__ = [
     "AnalyticField",
+    "collect",
     "plane_wave",
     "polynomial_field",
     "evolution_matrices",
@@ -44,33 +51,18 @@ class AnalyticField:
         # ``0.0 +`` turns a signed-zero imaginary part into +0.0
         self.terms = {k: 0.0 + complex(c) for k, c in (terms or {}).items() if c != 0}
 
-    # -- construction helpers ------------------------------------------
-
-    def copy(self):
-        return AnalyticField(self.nvars, self.ncomp, dict(self.terms))
-
-    def _like(self, terms):
-        return AnalyticField(self.nvars, self.ncomp, terms)
+    # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
         if other.nvars != self.nvars or other.ncomp != self.ncomp:
             raise ValueError("field shape mismatch")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0.0) + c
-        return self._like(terms)
-
-    def __sub__(self, other):
-        return self + (other * (-1.0))
+        return collect(self.nvars, self.ncomp, chain(self.terms.items(), other.terms.items()))
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return self._like({key: scalar * c for key, c in self.terms.items()})
+        return collect(self.nvars, self.ncomp, ((key, scalar * c) for key, c in self.terms.items()))
 
     __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
 
     def max_coeff(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -79,20 +71,15 @@ class AnalyticField:
 
     def diff(self, slot):
         """Partial derivative along variable ``slot`` (0 = time)."""
-        terms = {}
 
-        def put(key, c):
-            if c != 0:
-                terms[key] = terms.get(key, 0.0) + c
+        def pieces():
+            for (i, pol, lam, k), c in self.terms.items():
+                e = pol[slot]
+                if e:
+                    yield (i, pol[:slot] + (e - 1,) + pol[slot + 1 :], lam, k), e * c
+                yield (i, pol, lam, k), (lam if slot == 0 else 1j * k[slot - 1]) * c
 
-        for (i, pol, lam, k), c in self.terms.items():
-            e = pol[slot]
-            if e:
-                newpol = pol[:slot] + (e - 1,) + pol[slot + 1 :]
-                put((i, newpol, lam, k), e * c)
-            rate = lam if slot == 0 else 1j * k[slot - 1]
-            put((i, pol, lam, k), rate * c)
-        return self._like(terms)
+        return collect(self.nvars, self.ncomp, pieces())
 
     def diff_multi(self, alpha):
         out = self
@@ -105,63 +92,53 @@ class AnalyticField:
         mat = np.asarray(mat, dtype=complex)
         if mat.shape[1] != self.ncomp:
             raise ValueError("matrix does not fit field components")
-        terms = {}
-        for (i, pol, lam, k), c in self.terms.items():
-            for r in range(mat.shape[0]):
-                m = mat[r, i]
-                if m != 0:
-                    key = (r, pol, lam, k)
-                    terms[key] = terms.get(key, 0.0) + m * c
-        return AnalyticField(self.nvars, mat.shape[0], terms)
+        cols = [[(r, m) for r, m in enumerate(col) if m != 0] for col in mat.T]
+        pieces = (((r, pol, lam, k), m * c) for (i, pol, lam, k), c in self.terms.items() for r, m in cols[i])
+        return collect(self.nvars, mat.shape[0], pieces)
 
     def apply_operator(self, L):
         if L.nvars != self.nvars or L.cols != self.ncomp:
             raise ValueError("operator does not fit field")
-        out = AnalyticField(self.nvars, L.rows, {})
-        for alpha, mat in L.terms.items():
-            out = out + self.diff_multi(alpha).apply_matrix(mat)
-        return out
+        # each alpha's field is summed first, then the fields in operator order
+        fields = (self.diff_multi(alpha).apply_matrix(mat) for alpha, mat in L.terms.items())
+        return collect(self.nvars, L.rows, chain.from_iterable(f.terms.items() for f in fields))
 
     def multiply_coordinate(self, slot):
         """Multiply by the coordinate of variable ``slot``."""
-        terms = {}
-        for (i, pol, lam, k), c in self.terms.items():
-            newpol = pol[:slot] + (pol[slot] + 1,) + pol[slot + 1 :]
-            terms[(i, newpol, lam, k)] = terms.get((i, newpol, lam, k), 0.0) + c
-        return self._like(terms)
+        pieces = (
+            ((i, pol[:slot] + (pol[slot] + 1,) + pol[slot + 1 :], lam, k), c)
+            for (i, pol, lam, k), c in self.terms.items()
+        )
+        return collect(self.nvars, self.ncomp, pieces)
 
     def point_reflect(self, mask, s=0.0):
         """Compose with the reflection of masked variables; time uses t -> s - t."""
-        terms = {}
 
-        def put(key, c):
-            if c != 0:
-                terms[key] = terms.get(key, 0.0) + c
+        def pieces():
+            for (i, pol, lam, k), c in self.terms.items():
+                newk = tuple(-kj if mask[d + 1] else kj for d, kj in enumerate(k))
+                sign = 1.0
+                for d in range(1, self.nvars):
+                    if mask[d] and pol[d] % 2:
+                        sign = -sign
+                base = sign * c
+                if mask[0]:
+                    # t^a exp(lam t) -> (s-t)^a exp(lam s) exp(-lam t)
+                    a = pol[0]
+                    amp = base * np.exp(lam * s)
+                    for r in range(a + 1):
+                        cc = amp * comb(a, r) * (s ** (a - r)) * ((-1.0) ** r)
+                        yield (i, (r,) + pol[1:], -lam, newk), cc
+                else:
+                    yield (i, pol, lam, newk), base
 
-        for (i, pol, lam, k), c in self.terms.items():
-            newk = tuple(-kj if mask[d + 1] else kj for d, kj in enumerate(k))
-            sign = 1.0
-            for d in range(1, self.nvars):
-                if mask[d] and pol[d] % 2:
-                    sign = -sign
-            base = sign * c
-            if mask[0]:
-                # t^a exp(lam t) -> (s-t)^a exp(lam s) exp(-lam t)
-                a = pol[0]
-                amp = base * np.exp(lam * s)
-                for r in range(a + 1):
-                    cc = amp * comb(a, r) * (s ** (a - r)) * ((-1.0) ** r)
-                    put((i, (r,) + pol[1:], -lam, newk), cc)
-            else:
-                put((i, pol, lam, newk), base)
-        return self._like(terms)
+        return collect(self.nvars, self.ncomp, pieces())
 
     def conjugate(self):
-        terms = {}
-        for (i, pol, lam, k), c in self.terms.items():
-            key = (i, pol, np.conj(lam), tuple(-kj for kj in k))
-            terms[key] = terms.get(key, 0.0) + np.conj(c)
-        return self._like(terms)
+        pieces = (
+            ((i, pol, np.conj(lam), tuple(-kj for kj in k)), np.conj(c)) for (i, pol, lam, k), c in self.terms.items()
+        )
+        return collect(self.nvars, self.ncomp, pieces)
 
     # -- evaluation --------------------------------------------------------
 
@@ -208,26 +185,33 @@ class AnalyticField:
         return f"<AnalyticField {self.ncomp} comps, {len(self.terms)} terms>"
 
 
+def collect(nvars, ncomp, pieces):
+    """The field whose terms are the ``(key, coef)`` pieces summed in order.
+
+    This is the one summation rule of the field algebra: a zero piece is
+    skipped, a key sits where its first non-zero piece put it, and a total
+    that cancels to zero is dropped by the constructor.
+    """
+    terms = {}
+    for key, c in pieces:
+        if c != 0:
+            terms[key] = terms[key] + c if key in terms else c
+    return AnalyticField(nvars, ncomp, terms)
+
+
 def plane_wave(nvars, vector, lam, kspace):
     """Field ``v * exp(lam t + i k.x)`` for a complex amplitude vector."""
     vector = np.asarray(vector, dtype=complex)
     pol = (0,) * nvars
     k = tuple(float(kj) for kj in kspace)
-    terms = {
-        (i, pol, complex(lam), k): vector[i] for i in range(len(vector)) if vector[i] != 0
-    }
-    return AnalyticField(nvars, len(vector), terms)
+    return collect(nvars, len(vector), (((i, pol, complex(lam), k), v) for i, v in enumerate(vector)))
 
 
 def polynomial_field(nvars, ncomp, comp_polys):
     """Static polynomial field; ``comp_polys[i]`` maps exponent tuple -> coeff."""
-    terms = {}
     k = (0.0,) * (nvars - 1)
-    for i, poly in enumerate(comp_polys):
-        for pol, c in poly.items():
-            if c != 0:
-                terms[(i, tuple(pol), 0j, k)] = complex(c)
-    return AnalyticField(nvars, ncomp, terms)
+    pieces = (((i, tuple(pol), 0j, k), c) for i, poly in enumerate(comp_polys) for pol, c in poly.items())
+    return collect(nvars, ncomp, pieces)
 
 
 def _evolution_order(L):

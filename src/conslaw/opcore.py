@@ -54,32 +54,35 @@ class ConstCoeffOperator:
         Number of independent variables (time + space), so ``nvars = n + 1``.
     shape : (int, int)
         Matrix shape ``(rows, cols)`` of the coefficients.
-    terms : dict
-        Map multi-index -> array_like of shape ``shape``.  Zero matrices are
-        dropped; term order never matters.
+    terms : dict or iterable
+        Map multi-index -> array_like of shape ``shape``, or an iterable of
+        ``(multi-index, matrix)`` pieces.  This is the one summation rule of
+        the operator algebra: pieces are added in order, a multi-index keeps
+        the place of its first piece, and zero totals are dropped at the end.
+        A non-finite total raises ``ValueError``.
     """
 
     __slots__ = ("nvars", "shape", "terms")
 
     def __init__(self, nvars, shape, terms):
         shape = (int(shape[0]), int(shape[1]))
+        sums = {}
+        # lazy pieces compute their matrices here too, so overflow shows as a non-finite total
+        with np.errstate(over="ignore", invalid="ignore"):
+            for alpha, mat in terms.items() if isinstance(terms, dict) else terms:
+                alpha = tuple(int(a) for a in alpha)
+                _check_multiindex(alpha, nvars)
+                mat = np.array(mat, dtype=complex)
+                if mat.shape != shape:
+                    raise ValueError(f"term {alpha} has shape {mat.shape}, expected {shape}")
+                sums[alpha] = sums[alpha] + mat if alpha in sums else mat
         canon = {}
-        for alpha, mat in terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            _check_multiindex(alpha, nvars)
-            mat = np.asarray(mat, dtype=complex)
-            if mat.shape != shape:
-                raise ValueError(f"term {alpha} has shape {mat.shape}, expected {shape}")
-            if not mat.any():
-                continue
-            if alpha in canon:
-                mat = canon[alpha] + mat
-                if not mat.any():
-                    del canon[alpha]
-                    continue
-            mat = mat.copy()
-            mat.flags.writeable = False
-            canon[alpha] = mat
+        for alpha, mat in sums.items():
+            if not np.isfinite(mat).all():
+                raise ValueError(f"term {alpha} has a non-finite coefficient")
+            if mat.any():
+                mat.flags.writeable = False
+                canon[alpha] = mat
         object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "terms", canon)
@@ -242,13 +245,7 @@ def op_add(L1, L2):
         raise ValueError("operators act on different variable counts")
     if L1.shape != L2.shape:
         raise ValueError(f"shape mismatch: {L1.shape} vs {L2.shape}")
-    terms = {a: m.copy() for a, m in L1.terms.items()}
-    for alpha, mat in L2.terms.items():
-        if alpha in terms:
-            terms[alpha] = terms[alpha] + mat
-        else:
-            terms[alpha] = mat
-    return ConstCoeffOperator(L1.nvars, L1.shape, terms)
+    return ConstCoeffOperator(L1.nvars, L1.shape, [*L1.terms.items(), *L2.terms.items()])
 
 
 def op_compose(L1, L2):
@@ -257,16 +254,8 @@ def op_compose(L1, L2):
         raise ValueError("operators act on different variable counts")
     if L1.cols != L2.rows:
         raise ValueError(f"shape mismatch for composition: {L1.shape} o {L2.shape}")
-    terms = {}
-    for a1, m1 in L1.terms.items():
-        for a2, m2 in L2.terms.items():
-            alpha = midx_add(a1, a2)
-            prod = m1 @ m2
-            if alpha in terms:
-                terms[alpha] = terms[alpha] + prod
-            else:
-                terms[alpha] = prod
-    return ConstCoeffOperator(L1.nvars, (L1.rows, L2.cols), terms)
+    pieces = ((midx_add(a1, a2), m1 @ m2) for a1, m1 in L1.terms.items() for a2, m2 in L2.terms.items())
+    return ConstCoeffOperator(L1.nvars, (L1.rows, L2.cols), pieces)
 
 
 def op_commutator(L, G):

@@ -168,7 +168,7 @@ class TorusGrid:
             mask &= keep.reshape(shape)
         if self.kmax is not None:
             kk = self.wavevector_grids()
-            mask &= sum(k * k for k in kk) <= self.kmax**2 + 1e-12
+            mask &= sum(k * k for k in kk) <= self.kmax * self.kmax + 1e-12
         mask.flags.writeable = False
         return mask
 
@@ -454,7 +454,7 @@ def _closed_form(dt, lam):
             c1[grow], s[grow] = np.cosh(zt[grow]), np.sinh(zt[grow])
     small = np.abs(zt) < 1e-8
     c2 = np.divide(s, z, out=np.empty_like(z), where=~small)
-    c2[small] = dt * (1.0 + lam[small] * dt**2 / 6.0)
+    c2[small] = dt * (1.0 + lam[small] * dt * dt / 6.0)
     return c1, c2
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import formal_adjoint
-from .fields import AnalyticField, kernel_sample
+from .fields import AnalyticField, collect, kernel_sample
 
 __all__ = [
     "MatrixFactor",
@@ -191,16 +191,18 @@ def apply_factor_analytic(factor, f, s=None):
     if isinstance(factor, PointReflect):
         return f.point_reflect(factor.mask, s=factor.resolve_s(s))
     if isinstance(factor, DiffFactor):
-        out = AnalyticField(f.nvars, f.ncomp, {})
-        for poly, mat, alpha in factor.terms:
-            piece = f.diff_multi(alpha)
-            if mat is not None:
-                piece = piece.apply_matrix(mat)
-            for slot, e in poly:
-                for _ in range(e):
-                    piece = piece.multiply_coordinate(slot)
-            out = out + piece
-        return out
+
+        def pieces():
+            for poly, mat, alpha in factor.terms:
+                piece = f.diff_multi(alpha)
+                if mat is not None:
+                    piece = piece.apply_matrix(mat)
+                for slot, e in poly:
+                    for _ in range(e):
+                        piece = piece.multiply_coordinate(slot)
+                yield from piece.terms.items()
+
+        return collect(f.nvars, f.ncomp, pieces())
     raise TypeError(f"unknown factor {factor!r}")
 
 
@@ -220,13 +222,13 @@ class SymmetryReport:
 
 
 def _random_kernel_superposition(L, kspace_list, rng):
-    terms = {}
-    for kspace in kspace_list:
-        for w in kernel_sample(L, kspace):
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            for key, v in w.terms.items():
-                terms[key] = terms.get(key, 0.0) + c * v
-    return AnalyticField(L.nvars, L.cols, terms)
+    def pieces():
+        for kspace in kspace_list:
+            for w in kernel_sample(L, kspace):
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                yield from ((key, c * v) for key, v in w.terms.items())
+
+    return collect(L.nvars, L.cols, pieces())
 
 
 def _default_wavevectors(L, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conslaw.catalog import dirac_operator, kdvkdv_operator, wave_operator
-from conslaw.dsl import parse_operator
+from conslaw.dsl import _Parser, parse_operator
 from conslaw.gamma import dirac_representation
 from conslaw.opcore import (
     ConstCoeffOperator,
@@ -162,3 +162,95 @@ def test_operator_immutability():
         L.shape = (3, 3)
     with pytest.raises(ValueError):
         L.terms[(0, 0)][0, 0] = 5.0
+
+
+# -- the one summation rule --------------------------------------------------
+
+
+def _presummed(pieces):
+    """Reference accumulator: the pieces summed into a dict in order, each key
+    where its first piece put it, then the zero totals dropped."""
+    terms = {}
+    for alpha, mat in pieces:
+        terms[alpha] = terms[alpha] + mat if alpha in terms else mat
+    return {a: np.asarray(m, dtype=complex) for a, m in terms.items() if np.asarray(m).any()}
+
+
+def _same_terms(L, terms):
+    return list(L.terms) == list(terms) and all(L.terms[a].tobytes() == m.tobytes() for a, m in terms.items())
+
+
+def test_sums_and_products_match_the_reference_accumulator():
+    rng = np.random.default_rng(5)
+    pairs = [(random_operator(rng, nterms=4), random_operator(rng, nterms=4)) for _ in range(20)]
+    L = random_operator(rng)
+    pairs.append((L, -L))
+    # (Dt + 1)(Dt - 1): the two Dt products cancel; (N Dt + 1)(Dt - N): the
+    # first Dt product N @ -N is zero, and the key keeps its place
+    eye, nil = np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])
+    def first_order(lead, const):
+        return ConstCoeffOperator(2, (2, 2), {(1, 0): lead, (0, 0): const})
+
+    pairs.append((first_order(eye, eye), first_order(eye, -eye)))
+    pairs.append((first_order(nil, eye), first_order(eye, -nil)))
+    for L1, L2 in pairs:
+        assert _same_terms(op_add(L1, L2), _presummed([*L1.terms.items(), *L2.terms.items()]))
+        products = [
+            (tuple(a + b for a, b in zip(a1, a2)), m1 @ m2)
+            for a1, m1 in L1.terms.items()
+            for a2, m2 in L2.terms.items()
+        ]
+        assert _same_terms(op_compose(L1, L2), _presummed(products))
+    assert not (pairs[-3][0] + pairs[-3][1]).terms
+    assert list(op_compose(*pairs[-2]).terms) == [(2, 0), (0, 0)]
+    assert list(op_compose(*pairs[-1]).terms) == [(2, 0), (1, 0), (0, 0)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Dt - Dx^2 + 2*Dx^2 - Dt + 3*Dt",
+        "Dx - Dx + Dt",
+        "[[1,2],[3,4]]*Dx + Dt - [[1,2],[3,4]]*Dx + 0.5*Dx",
+        "1e-3*Dy + Dx*Dy - 1e-3*Dy",
+    ],
+)
+def test_parsed_terms_match_the_reference_accumulator(text):
+    L = parse_operator(text)
+    shape = next(iter(L.terms.values())).shape
+    pieces = [
+        (tuple(exps.get(slot, 0) for slot in range(L.nvars)), coeff * (np.eye(*shape) if matrix is None else matrix))
+        for coeff, matrix, exps in _Parser(text).parse_operator()
+    ]
+    assert _same_terms(L, _presummed(pieces))
+
+
+def test_pieces_with_a_repeated_key_are_summed_in_order():
+    pieces = [((0, 1), [[1.0]]), ((1, 0), [[2.0]]), ((0, 1), [[-1.0]]), ((0, 1), [[0.25]])]
+    pieces.append(((1, 0), [[0.5]]))
+    L = ConstCoeffOperator(2, (1, 1), pieces)
+    assert list(L.terms) == [(0, 1), (1, 0)]  # (0, 1) cancels on the way and keeps its first place
+    assert L.terms[(0, 1)][0, 0] == 0.25 and L.terms[(1, 0)][0, 0] == 2.5
+    # in order: 1e16 + 1 rounds to 1e16, so the 1 is lost; the other order keeps it
+    def summed(*values):
+        return ConstCoeffOperator(2, (1, 1), [((0, 1), [[v]]) for v in values]).terms
+
+    assert not summed(1e16, 1.0, -1e16)
+    assert summed(1e16, -1e16, 1.0)[(0, 1)][0, 0] == 1.0
+    # a dict is its items, and a zero total is dropped
+    assert ConstCoeffOperator(2, (1, 1), dict(pieces[:2])) == ConstCoeffOperator(2, (1, 1), pieces[:2])
+    assert not summed(1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ConstCoeffOperator(2, (1, 1), {(0, 1): [[np.inf]]}),
+        lambda: ConstCoeffOperator(2, (1, 1), [((1, 0), [[1.0]]), ((0, 1), [[np.nan]])]),
+        lambda: parse_operator("Dt - 1e400*Dx^2"),
+        lambda: parse_operator("1e308*Dx + 1e308*Dx + Dt"),
+    ],
+)
+def test_non_finite_coefficients_are_refused_by_multi_index(build):
+    with pytest.raises(ValueError, match=r"term \(0, [12]\) has a non-finite coefficient"):
+        build()

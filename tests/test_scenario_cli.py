@@ -387,6 +387,57 @@ def test_cli_rejects_non_finite_initial_data(tmp_path, capsys, profile):
     assert err == f"error: profile {profile!r} has non-finite coefficients\n"
 
 
+def test_cli_refuses_a_huge_sample_time_by_the_amplification_cap(tmp_path, capsys):
+    # the k = 0 mode takes the small-argument branch of the closed form at dt = 1e200
+    path = tmp_path / "late.scn"
+    path.write_text(
+        "operator = wave(dim=1)\ngrid = modes:16 length:6.28\nprofile = random(seed=1)\n"
+        "times = 0, 1e200\nsymmetry = wave.time_translation\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: mode amplification 1.000e+200 exceeds cap")
+
+
+def test_a_huge_kmax_is_no_cutoff(tmp_path, capsys):
+    grid = TorusGrid((6.28,), (16,), kmax=1e308)
+    assert np.array_equal(grid.mode_mask(), TorusGrid((6.28,), (16,)).mode_mask())
+    path = tmp_path / "kmax.scn"
+    path.write_text(
+        "operator = heat(dim=1)\ngrid = modes:16 length:6.28 kmax:1e308\n"
+        "profile = gaussian(width=0.5)\ntimes = 0, 1\nsymmetry = identity\n"
+    )
+    assert main(["verify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["pass"] is True and not err
+
+
+@pytest.mark.parametrize("command", ["current", "adjoint", "conjugacy"])
+def test_cli_rejects_non_finite_operator_coefficients(capsys, command):
+    # 1e400 parses to inf; the operator constructor refuses it by multi-index
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "Dt - 1e400*Dx^2"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: term (0, 2) has a non-finite coefficient\n"
+
+
+def test_cli_reports_an_allocation_failure(tmp_path, capsys, monkeypatch):
+    # stands in for a grid too large to allocate; the real allocation is never tried
+    def refuse(self):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type complex128")
+
+    monkeypatch.setattr(TorusGrid, "mode_mask", refuse)
+    path = tmp_path / "huge.scn"
+    path.write_text(
+        "operator = heat(dim=1)\ngrid = modes:16 length:6.28\nprofile = random(seed=1)\n"
+        "times = 0, 1\nsymmetry = identity\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type complex128\n"
+
+
 def test_cli_rejects_unknown_operator_keyword(capsys):
     assert main(["adjoint", "wave(dimm=1)"]) == 2
     err = capsys.readouterr().err

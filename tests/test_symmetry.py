@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from conslaw.catalog import (
 from conslaw.fields import AnalyticField, evolution_matrix, kernel_sample, plane_wave
 from conslaw.gamma import energy
 from conslaw.current import adjoint_characteristic
+from conslaw.opcore import ConstCoeffOperator
 from conslaw.symmetry import (
     Conjugation,
     DiffFactor,
@@ -23,6 +26,7 @@ from conslaw.symmetry import (
     SymmetryOp,
     _default_wavevectors,
     _random_kernel_superposition,
+    apply_factor_analytic,
     apply_symmetry_analytic,
     verify_kernel_shift,
     verify_symmetry,
@@ -360,6 +364,174 @@ def test_field_construction_keeps_two_pass_bits(monkeypatch, operator, symmetry)
     assert any(-0.0 in (v.real, v.imag) for terms in seen for v in map(complex, terms.values()))
     for terms in seen:
         assert _bits(AnalyticField(1, 1, terms).terms) == _bits(_two_pass_terms(terms))
+        assert _bits(fields.collect(1, 1, terms.items()).terms) == _bits(_two_pass_terms(terms))
+
+
+# -- reference accumulators: each operation summing into its own dict ------------
+
+
+def _ref_add(f, g):
+    terms = dict(f.terms)
+    for key, c in g.terms.items():
+        terms[key] = terms.get(key, 0.0) + c
+    return AnalyticField(f.nvars, f.ncomp, terms)
+
+
+def _ref_diff(f, slot):
+    terms = {}
+
+    def put(key, c):
+        if c != 0:
+            terms[key] = terms.get(key, 0.0) + c
+
+    for (i, pol, lam, k), c in f.terms.items():
+        e = pol[slot]
+        if e:
+            put((i, pol[:slot] + (e - 1,) + pol[slot + 1 :], lam, k), e * c)
+        put((i, pol, lam, k), (lam if slot == 0 else 1j * k[slot - 1]) * c)
+    return AnalyticField(f.nvars, f.ncomp, terms)
+
+
+def _ref_diff_multi(f, alpha):
+    for slot, e in enumerate(alpha):
+        for _ in range(e):
+            f = _ref_diff(f, slot)
+    return f
+
+
+def _ref_apply_matrix(f, mat):
+    mat = np.asarray(mat, dtype=complex)
+    terms = {}
+    for (i, pol, lam, k), c in f.terms.items():
+        for r in range(mat.shape[0]):
+            m = mat[r, i]
+            if m != 0:
+                terms[(r, pol, lam, k)] = terms.get((r, pol, lam, k), 0.0) + m * c
+    return AnalyticField(f.nvars, mat.shape[0], terms)
+
+
+def _ref_apply_operator(f, L):
+    out = AnalyticField(f.nvars, L.rows, {})
+    for alpha, mat in L.terms.items():
+        out = _ref_add(out, _ref_apply_matrix(_ref_diff_multi(f, alpha), mat))
+    return out
+
+
+def _ref_multiply_coordinate(f, slot):
+    terms = {}
+    for (i, pol, lam, k), c in f.terms.items():
+        key = (i, pol[:slot] + (pol[slot] + 1,) + pol[slot + 1 :], lam, k)
+        terms[key] = terms.get(key, 0.0) + c
+    return AnalyticField(f.nvars, f.ncomp, terms)
+
+
+def _ref_point_reflect(f, mask, s):
+    terms = {}
+
+    def put(key, c):
+        if c != 0:
+            terms[key] = terms.get(key, 0.0) + c
+
+    for (i, pol, lam, k), c in f.terms.items():
+        newk = tuple(-kj if mask[d + 1] else kj for d, kj in enumerate(k))
+        sign = 1.0
+        for d in range(1, f.nvars):
+            if mask[d] and pol[d] % 2:
+                sign = -sign
+        base = sign * c
+        if mask[0]:
+            a = pol[0]
+            amp = base * np.exp(lam * s)
+            for r in range(a + 1):
+                put((i, (r,) + pol[1:], -lam, newk), amp * comb(a, r) * (s ** (a - r)) * ((-1.0) ** r))
+        else:
+            put((i, pol, lam, newk), base)
+    return AnalyticField(f.nvars, f.ncomp, terms)
+
+
+def _ref_conjugate(f):
+    terms = {}
+    for (i, pol, lam, k), c in f.terms.items():
+        key = (i, pol, np.conj(lam), tuple(-kj for kj in k))
+        terms[key] = terms.get(key, 0.0) + np.conj(c)
+    return AnalyticField(f.nvars, f.ncomp, terms)
+
+
+def _ref_apply_factor(factor, f, s):
+    if isinstance(factor, DiffFactor):
+        out = AnalyticField(f.nvars, f.ncomp, {})
+        for poly, mat, alpha in factor.terms:
+            piece = _ref_diff_multi(f, alpha)
+            if mat is not None:
+                piece = _ref_apply_matrix(piece, mat)
+            for slot, e in poly:
+                for _ in range(e):
+                    piece = _ref_multiply_coordinate(piece, slot)
+            out = _ref_add(out, piece)
+        return out
+    if isinstance(factor, MatrixFactor):
+        return _ref_apply_matrix(f, factor.matrix)
+    if isinstance(factor, PointReflect):
+        return _ref_point_reflect(f, factor.mask, factor.resolve_s(s))
+    if isinstance(factor, Conjugation):
+        return _ref_conjugate(f)
+    return apply_factor_analytic(factor, f, s=s)  # a kernel shift sums nothing
+
+
+def _ref_kernel_superposition(L, kspace_list, rng):
+    terms = {}
+    for kspace in kspace_list:
+        for w in kernel_sample(L, kspace):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            for key, v in w.terms.items():
+                terms[key] = terms.get(key, 0.0) + c * v
+    return AnalyticField(L.nvars, L.cols, terms)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("s", [0.0, 0.8])
+def test_field_algebra_matches_the_reference_accumulators(seed, s):
+    # on every field of every catalog generator check: keys, order and bits
+    for L, names in CATALOG_CASES.items():
+        for name in names:
+            g = build_symmetry(name)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = _random_kernel_superposition(L, _default_wavevectors(L, rng), rng)
+            want = _ref_kernel_superposition(L, _default_wavevectors(L, ref_rng), ref_rng)
+            assert _bits(u.terms) == _bits(want.terms)
+            chain = [u]
+            for factor in reversed(g.factors):
+                chain.append(apply_factor_analytic(factor, chain[-1], s=s))
+                assert _bits(chain[-1].terms) == _bits(_ref_apply_factor(factor, chain[-2], s).terms), name
+            target = formal_adjoint(L) if g.char_map else L
+            gu = chain[-1]
+            assert _bits(gu.apply_operator(target).terms) == _bits(_ref_apply_operator(gu, target).terms)
+            mat = ref_rng.standard_normal((L.cols, L.cols)) * (ref_rng.random((L.cols, L.cols)) < 0.6)
+            for f in chain:
+                cases = [
+                    (f.conjugate(), _ref_conjugate(f)),
+                    (f.apply_matrix(mat), _ref_apply_matrix(f, mat)),
+                    (f + f.diff(0), _ref_add(f, _ref_diff(f, 0))),
+                ]
+                for slot in range(L.nvars):
+                    cases.append((f.diff(slot), _ref_diff(f, slot)))
+                    cases.append((f.multiply_coordinate(slot), _ref_multiply_coordinate(f, slot)))
+                still = (False,) * (L.nvars - 2)
+                for mask in ((True, True) + still, (True, False) + still, (False, True) + still):
+                    cases.append((f.point_reflect(mask, s=s), _ref_point_reflect(f, mask, s)))
+                for got, want in cases:
+                    assert _bits(got.terms) == _bits(want.terms), name
+
+
+def test_a_cancelled_key_keeps_its_first_place_in_apply_operator():
+    # exp(ix) + exp(2ix) under 1 + i Dx + Dx^2: after the i Dx field the
+    # exp(ix) total is exactly 0, and the Dx^2 field brings it back
+    k1, k2 = (0, (0, 0), 0j, (1.0,)), (0, (0, 0), 0j, (2.0,))
+    f = AnalyticField(2, 1, {k1: 1.0, k2: 1.0})
+    L = ConstCoeffOperator(2, (1, 1), {(0, 0): [[1.0]], (0, 1): [[1j]], (0, 2): [[1.0]]})
+    assert list(f.apply_operator(L).terms.items()) == [(k1, -1.0), (k2, -5.0)]
+    # adding the fields one by one dropped the key at 0 and appended it again
+    assert list(_ref_apply_operator(f, L).terms.items()) == [(k2, -5.0), (k1, -1.0)]
 
 
 # -- point chains in normal form -----------------------------------------------
