@@ -29,6 +29,7 @@ __all__ = [
     "evolution_matrix",
     "evolution_symbol",
     "kernel_sample",
+    "kernel_samples",
 ]
 
 # the largest (terms, times, points) temporary ``AnalyticField.evaluate`` builds, in entries
@@ -300,32 +301,42 @@ def evolution_matrix(L, kspace):
     return evolution_matrices(L, [kspace])[0]
 
 
-def kernel_sample(L, kspace):
-    """Exact plane-wave kernel elements of ``L`` at one spatial wavevector.
+def kernel_samples(L, kspaces):
+    """Exact plane-wave kernel elements of ``L``, one list per spatial wavevector.
 
-    Solves the per-mode dispersion via the companion matrix and returns one
-    field ``v exp(lam t + i k.x)`` per eigenpair (defective modes contribute
-    only their genuine eigenvectors).  Raises when nothing is found.
+    Solves the per-mode dispersion via the companion matrices, made and
+    eigendecomposed for all wavevectors at once, and returns one field ``v
+    exp(lam t + i k.x)`` per accepted eigenpair (defective modes contribute
+    only their genuine eigenvectors).  Raises when a wavevector has none.
     """
-    m = L.cols
-    kspace = tuple(float(kj) for kj in kspace)
-    A = evolution_matrix(L, kspace)
-    symbols = [L.spatial_symbol(kspace, r) for r in range(L.time_order() + 1)]
+    m, R = L.cols, L.time_order()
+    kspaces = [tuple(float(kj) for kj in kspace) for kspace in kspaces]
+    ks = np.reshape(kspaces, (len(kspaces), L.nvars - 1))
+    A = evolution_matrices(L, ks)
+    symbols = [L.spatial_symbol(ks, r) for r in range(R + 1)]
     lams, vecs = np.linalg.eig(A)
     out = []
-    scale = max(np.linalg.norm(A), 1.0)
-    for lam, w in zip(lams, vecs.T):
-        v = w[:m]
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            continue
-        v = v / nv
-        # residual of the matrix polynomial at this rate
-        acc = np.zeros(m, dtype=complex)
-        for r, C in enumerate(symbols):
-            acc = acc + C @ v * lam**r
-        if np.linalg.norm(acc) <= 1e-8 * max(scale, abs(lam) ** L.time_order()):
-            out.append(plane_wave(L.nvars, v, lam, kspace))
-    if not out:
-        raise ValueError(f"no plane-wave kernel elements at k={kspace}")
+    for i, kspace in enumerate(kspaces):
+        waves = []
+        scale = max(np.linalg.norm(A[i]), 1.0)
+        for lam, w in zip(lams[i], vecs[i].T):
+            v = w[:m]
+            nv = np.linalg.norm(v)
+            if nv < 1e-12:
+                continue
+            v = v / nv
+            # residual of the matrix polynomial at this rate
+            acc = np.zeros(m, dtype=complex)
+            for r, C in enumerate(symbols):
+                acc = acc + C[i] @ v * lam**r
+            if np.linalg.norm(acc) <= 1e-8 * max(scale, abs(lam) ** R):
+                waves.append(plane_wave(L.nvars, v, lam, kspace))
+        if not waves:
+            raise ValueError(f"no plane-wave kernel elements at k={kspace}")
+        out.append(waves)
     return out
+
+
+def kernel_sample(L, kspace):
+    """Exact plane-wave kernel elements of ``L`` at one spatial wavevector (see ``kernel_samples``)."""
+    return kernel_samples(L, [kspace])[0]

@@ -139,9 +139,8 @@ class ConstCoeffOperator:
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return ConstCoeffOperator(
-            self.nvars, self.shape, {a: scalar * m for a, m in self.terms.items()}
-        )
+        # lazy pieces: the product overflows inside the constructor's errstate
+        return ConstCoeffOperator(self.nvars, self.shape, ((a, scalar * m) for a, m in self.terms.items()))
 
     __rmul__ = __mul__
 
@@ -187,20 +186,22 @@ class ConstCoeffOperator:
         """Evaluate the symbol ``sum_a M_a (ik)^a`` at wavevector ``k``.
 
         ``k`` may be real or complex with ``nvars`` entries (slot 0 is the
-        dual of time).  The symbol of a composition is the matrix product of
-        the symbols.
+        dual of time), or an ``(n, nvars)`` stack of them, which gives a stack
+        of ``n`` matrices.  The symbol of a composition is the matrix product
+        of the symbols.
         """
         k = np.asarray(k, dtype=complex)
-        if k.shape != (self.nvars,):
+        if k.ndim not in (1, 2) or k.shape[-1] != self.nvars:
             raise ValueError(f"wavevector must have {self.nvars} entries")
+        batch = k.shape[:-1]
         ik = 1j * k
-        out = np.zeros(self.shape, dtype=complex)
+        out = np.zeros(batch + self.shape, dtype=complex)
         for alpha, mat in self.terms.items():
-            factor = 1.0 + 0j
-            for e, z in zip(alpha, ik):
+            factor = np.ones(batch, dtype=complex)
+            for e, z in zip(alpha, np.moveaxis(ik, -1, 0)):
                 if e:
                     factor *= z**e
-            out += factor * mat
+            out += factor[..., None, None] * mat
         return out
 
     def spatial_symbol(self, kspace, time_power):

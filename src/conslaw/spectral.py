@@ -849,41 +849,63 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     """Evaluate ``kappa(t) = integral X0(Q, u) dx`` for each characteristic.
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
-    views of the characteristics over the trajectory ``traj``.  At each time
-    every view's groups are compiled first, so one ``traj.jets`` call makes
-    every jet of the time they read (derivative jets before the plain one);
-    the densities are then contracted, and the jets dropped before the next
-    time.  Returns one series with its relative drift per view.
+    views of the characteristics over the trajectory ``traj``.  Every view's
+    groups are compiled for every time first.  A sample time is then
+    contracted together with the sample times whose jets it reads (a
+    reflected time ``s - t`` that is sampled too), so one ``traj.jets`` call
+    makes each of their jets once (derivative jets before the plain one); the
+    jets are dropped before the next such batch.  Returns one series with its
+    relative drift per view, its values in sample-time order.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
-    whose boundary fraction is not within ``support_tol`` raises ``SupportError``.
+    whose boundary fraction is not within ``support_tol`` raises ``SupportError``,
+    for the first such time in sample order.
     """
     grid = traj.grid
     weighted = any(qview.weighted for qview in qviews)
     u = (0,) * (grid.ndim + 1)
-    worst = 0.0
-    values = [[] for _ in qviews]
-    scales = [0.0] * len(qviews)
-    for t in times:
-        compiled = [_groups(flux, qview, t, traj.ncomp) for qview in qviews]
-        jets = traj.jets(([(t, u)] if weighted else []) + _jet_keys(compiled, traj, t))
-        for i, groups in enumerate(compiled):
-            integrand = _contract(groups, jets, grid, t)
-            values[i].append(integrate(grid, integrand))
-            # a float's abs never raises; a complex NaN's may (a stale errno)
-            scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand)).real))
-        if weighted:
-            fractions = {key: boundary_fraction(grid, vals) for key, vals in jets.items()}
-            worst = max(worst, fractions[(float(t), u)])
-            for (tj, alpha), bf in fractions.items():
-                if not (bf <= support_tol):
-                    raise SupportError(
-                        f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
-                    )
-        del jets
     times = tuple(float(t) for t in times)
+    compiled = [[_groups(flux, qview, t, traj.ncomp) for qview in qviews] for t in times]
+    reads = [
+        set(([(t, u)] if weighted else []) + _jet_keys(groups, traj, t)) for t, groups in zip(times, compiled)
+    ]
+    read_times = [{tk for tk, _alpha in keys} for keys in reads]
+    done = [False] * len(times)
+    values = [[None] * len(times) for _ in qviews]
+    mags = [[None] * len(times) for _ in qviews]  # the L1 magnitude of each density
+    fractions_u = [0.0] * len(times)
+    failures = {}  # sample index -> the SupportError of its first jet outside the support
+    for i, t in enumerate(times):
+        if not done[i]:
+            batch = [
+                j for j in range(i, len(times))
+                if not done[j] and (times[j] in read_times[i] or t in read_times[j])
+            ]
+            jets = traj.jets(set().union(*(reads[j] for j in batch)))
+            if weighted:
+                fractions = {key: boundary_fraction(grid, vals) for key, vals in jets.items()}
+            for j in batch:
+                done[j] = True
+                for v, groups in enumerate(compiled[j]):
+                    integrand = _contract(groups, jets, grid, times[j])
+                    values[v][j] = integrate(grid, integrand)
+                    # a float's abs never raises; a complex NaN's may (a stale errno)
+                    mags[v][j] = abs(integrate(grid, np.abs(integrand)).real)
+                if weighted:
+                    fractions_u[j] = fractions[(times[j], u)]
+                    # ``jets`` lists a time's keys in the order ``traj.jets(reads[j])`` would
+                    bad = [(key, bf) for key, bf in fractions.items() if key in reads[j] and not (bf <= support_tol)]
+                    if bad:
+                        (tj, alpha), bf = bad[0]
+                        failures[j] = (
+                            f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
+                        )
+            del jets
+        if i in failures:
+            raise SupportError(failures[i])
+    worst = functools.reduce(max, fractions_u, 0.0)
     return [
         KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)
-        for v, sc, qview in zip(values, scales, qviews)
+        for v, sc, qview in zip(values, (functools.reduce(max, m, 0.0) for m in mags), qviews)
     ]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import formal_adjoint
-from .fields import AnalyticField, collect, kernel_sample
+from .fields import AnalyticField, collect, kernel_samples
 
 __all__ = [
     "MatrixFactor",
@@ -222,9 +222,11 @@ class SymmetryReport:
 
 
 def _random_kernel_superposition(L, kspace_list, rng):
+    samples = kernel_samples(L, kspace_list)  # before the first draw: the rng stream stays the same
+
     def pieces():
-        for kspace in kspace_list:
-            for w in kernel_sample(L, kspace):
+        for waves in samples:
+            for w in waves:
                 c = complex(rng.standard_normal(), rng.standard_normal())
                 yield from ((key, c * v) for key, v in w.terms.items())
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conslaw.adjoint import (
+    ConjugacyPair,
     SemiConjugacyNotFound,
     _pair_residual,
+    _symbol_identity_residual,
     adjoint_factorization,
     classify_adjointness,
     clifford_conjugators,
@@ -157,6 +159,49 @@ def test_factorization_symbol_identity():
         pair = semi_conjugacy_solve(L)
         fact = adjoint_factorization(L, pair)
         assert fact.symbol_residual <= 1e-10
+
+
+def _per_wavevector_residual(L, pair):
+    """The symbol-identity residual as a loop over the 50 seeded wavevectors (the reference)."""
+    Ls = formal_adjoint(L)
+    rng = np.random.default_rng(7)
+    A1inv = np.linalg.inv(pair.A1)
+    worst = 0.0
+    for _ in range(50):
+        k = rng.standard_normal(L.nvars)
+        sig = k.astype(complex)
+        if any(pair.parity_mask):
+            sig = sig.copy()
+            for slot, flip in enumerate(pair.parity_mask):
+                if flip:
+                    sig[slot] = -sig[slot]
+        lhs = Ls.symbol(k)
+        rhs = pair.A2 @ L.symbol(sig) @ A1inv
+        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+        worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
+    return worst
+
+
+def test_symbol_identity_residual_matches_the_per_wavevector_loop():
+    # the solved pair of every catalog operator (heat and ns reflect every
+    # variable), and pairs with a full and a partial mask whose residual is
+    # not zero
+    cases = []
+    for L in (
+        heat_operator(1), heat_operator(2, nu=0.5), wave_operator(1), wave_operator(3), kdvkdv_operator(),
+        navier_stokes_operator(), dirac_operator(1.0), dirac_operator(0.0), jordan_block_operator(),
+    ):
+        for seed in (0, 1):
+            cases.append((L, semi_conjugacy_solve(L, seed=seed)))
+    L = dirac_operator(1.0)
+    pair = semi_conjugacy_solve(L)
+    for mask in ((True,) * 4, (True, False, True, False)):
+        cases.append((L, ConjugacyPair(pair.A1, pair.A2, mask)))
+    assert any(any(pair.parity_mask) for _L, pair in cases)
+    for L, pair in cases:
+        got, want = _symbol_identity_residual(L, pair), _per_wavevector_residual(L, pair)
+        assert got.hex() == want.hex(), (L, pair.parity_mask)
+    assert _symbol_identity_residual(L, cases[-1][1]) > 1.0  # a wrong mask is measured, not refused
 
 
 def test_dirac_factorization_has_no_reflection():

@@ -120,6 +120,54 @@ def test_symbol_heat_and_dirac():
     assert np.allclose(L.symbol(kvec), want, atol=1e-14)
 
 
+def _scalar_symbol(L, k):
+    """The symbol at one wavevector as a loop of Python-complex products (the reference)."""
+    ik = 1j * np.asarray(k, dtype=complex)
+    out = np.zeros(L.shape, dtype=complex)
+    for alpha, mat in L.terms.items():
+        factor = 1.0 + 0j
+        for e, z in zip(alpha, ik):
+            if e:
+                factor *= z**e
+        out += factor * mat
+    return out
+
+
+def _hex(a):
+    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(a)]
+
+
+def _symbol_cases():
+    from conslaw.catalog import named_operators
+    from test_pipeline_random import _random_dispersive_system
+
+    ops = [factory() for factory in named_operators().values()]
+    ops += [wave_operator(3), dirac_operator(0.0)]
+    ops += [random_operator(np.random.default_rng(seed), nvars=3, max_order=3) for seed in range(4)]
+    ops += [_random_dispersive_system(np.random.default_rng(200 + seed), 3)[0] for seed in range(4)]
+    return ops
+
+
+def test_symbol_of_a_stack_equals_the_rows():
+    # on real wavevectors, as every caller passes them (also as complex
+    # arrays, negated, and with signed zeros), every row of a stacked symbol
+    # has the bits of the one-wavevector call and of the scalar reference
+    for L in _symbol_cases():
+        rng = np.random.default_rng(L.nvars)
+        real = rng.standard_normal((12, L.nvars))
+        real[0] = 0.0
+        real[1] = -0.0
+        for ks in (real, real.astype(complex), -real.astype(complex)):
+            stack = L.symbol(ks)
+            assert stack.shape == (len(ks),) + L.shape
+            for k, row in zip(ks, stack):
+                assert _hex(row) == _hex(L.symbol(k)) == _hex(_scalar_symbol(L, k)), L
+        # numpy's vectorised complex multiply may round a genuinely complex
+        # product's last bit differently from the one-element loop
+        cplx = real - 1j * rng.standard_normal(real.shape)
+        assert np.allclose(L.symbol(cplx), [L.symbol(k) for k in cplx], rtol=1e-14, atol=0)
+
+
 def test_composition_associative_on_random_triples():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -249,6 +297,9 @@ def test_pieces_with_a_repeated_key_are_summed_in_order():
         lambda: ConstCoeffOperator(2, (1, 1), [((1, 0), [[1.0]]), ((0, 1), [[np.nan]])]),
         lambda: parse_operator("Dt - 1e400*Dx^2"),
         lambda: parse_operator("1e308*Dx + 1e308*Dx + Dt"),
+        # a scalar product that overflows is refused, not warned about
+        lambda: 1e308 * parse_operator("Dt + 10*Dx"),
+        lambda: parse_operator("Dt + 10*Dx") * 1e308,
     ],
 )
 def test_non_finite_coefficients_are_refused_by_multi_index(build):

@@ -510,6 +510,108 @@ def test_kappa_series_streams_each_time(monkeypatch):
     assert peak < 6 * len(traj.system.active) * 4 * 16
 
 
+def _per_time_kappa_series(flux, qviews, traj, times, support_tol):
+    """``kappa_series`` with one ``traj.jets`` pass per sample time (the reference)."""
+    grid = traj.grid
+    weighted = any(qview.weighted for qview in qviews)
+    u = (0,) * (grid.ndim + 1)
+    worst = 0.0
+    values = [[] for _ in qviews]
+    scales = [0.0] * len(qviews)
+    for t in times:
+        compiled = [spectral._groups(flux, qview, t, traj.ncomp) for qview in qviews]
+        jets = traj.jets(([(t, u)] if weighted else []) + spectral._jet_keys(compiled, traj, t))
+        for i, groups in enumerate(compiled):
+            integrand = spectral._contract(groups, jets, grid, t)
+            values[i].append(integrate(grid, integrand))
+            scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand)).real))
+        if weighted:
+            fractions = {key: spectral.boundary_fraction(grid, vals) for key, vals in jets.items()}
+            worst = max(worst, fractions[(float(t), u)])
+            for (tj, alpha), bf in fractions.items():
+                if not (bf <= support_tol):
+                    raise SupportError(
+                        f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
+                    )
+    times = tuple(float(t) for t in times)
+    return [
+        spectral.KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)
+        for v, sc, qview in zip(values, scales, qviews)
+    ]
+
+
+def _scenario_kappa_inputs(stem):
+    """``kappa_series``'s inputs as ``run_scenario`` builds them for a packaged scenario."""
+    from conslaw.scenario import _packaged_scenario
+
+    scn = _packaged_scenario(stem)
+    L = build_operator(scn.operator)
+    system = EvolutionSystem(L, TorusGrid(**scn.grid), amp_cap=scn.amp_cap)
+    traj = Trajectory(system, build_profile(scn.profile, system.grid, L.cols * system.R))
+    fact = adjoint_factorization(L, semi_conjugacy_solve(L, seed=scn.seed))
+    qviews = [
+        symmetry_view(adjoint_characteristic(L, fact, build_symmetry(case.spec)), traj, s=scn.s)
+        for case in scn.symmetries
+    ]
+    return concomitant_flux(L), qviews, traj, scn.times, scn.support_tol
+
+
+def _series_bits(series):
+    return [
+        (s.times, [(v.real.hex(), v.imag.hex()) for v in s.values], s.scale.hex(), s.drift.hex(), s.boundary_fraction)
+        for s in series
+    ]
+
+
+@pytest.mark.parametrize("stem", ["heat_es", "kdvkdv_quadratic"])
+def test_kappa_series_makes_each_reflected_jet_once(monkeypatch, stem):
+    # a reflected view at t reads u(s - t); when s - t is sampled too, the two
+    # times are contracted from one set of jets
+    flux, qviews, traj, times, support_tol = _scenario_kappa_inputs(stem)
+    want = _per_time_kappa_series(flux, qviews, traj, times, support_tol)
+    made = []
+    jet_values = spectral.Trajectory.jet_values
+    monkeypatch.setattr(
+        spectral.Trajectory,
+        "jet_values",
+        lambda traj, t, alpha, *rest: made.append((t, alpha)) or jet_values(traj, t, alpha, *rest),
+    )
+    got = kappa_series(flux, qviews, traj, times, support_tol)
+    assert len(made) == len(set(made))
+    assert any(float(t) != 0.5 and 1.0 - float(t) in times for t in times)  # there are reflected pairs
+    assert _series_bits(got) == _series_bits(want)
+
+
+def test_support_error_names_the_first_sample_time(monkeypatch):
+    # x d/dx of the reflected heat flow reads d_x u(s - t) but u(t): the pair
+    # (0.125, 0.875) is contracted first, yet a jet outside the support at
+    # t = 0.5 must be named before one at 0.875, as sample order has it
+    L = heat_operator(1)
+    grid = TorusGrid((TWO_PI,), (32,))
+    traj = Trajectory(EvolutionSystem(L, grid), build_profile("random(seed=5, kmax=8)", grid, 1))
+    factor = DiffFactor((({1: 1}, None, (0, 1)),))
+    view = DiffView(ReflectView(traj, (True, False), s=1.0), factor)
+    times = [0.125, 0.25, 0.5, 0.75, 0.875]
+    outside = {(0.5, (0, 0)), (0.875, (0, 0))}
+    names = {}
+    jets = spectral.Trajectory.jets
+
+    def named_jets(traj, keys):
+        out = jets(traj, keys)
+        names.update({id(vals): key for key, vals in out.items()})
+        return out
+
+    monkeypatch.setattr(spectral.Trajectory, "jets", named_jets)
+    monkeypatch.setattr(spectral, "boundary_fraction", lambda grid, vals: float(names[id(vals)] in outside))
+    messages = []
+    for run in (kappa_series, _per_time_kappa_series):
+        with pytest.raises(SupportError) as exc:
+            run(concomitant_flux(L), [view], traj, times, 1e-10)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "at t=0.5 in d^(0, 0) u" in messages[0]
+
+
 @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "derivative-first"])
 def test_jets_do_not_depend_on_the_order_they_are_asked_for(plain_first):
     # the plain jet is transformed in place of the scattered coefficients, so

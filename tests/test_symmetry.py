@@ -14,7 +14,8 @@ from conslaw.catalog import (
     navier_stokes_operator,
     wave_operator,
 )
-from conslaw.fields import AnalyticField, evolution_matrix, kernel_sample, plane_wave
+from conslaw.fields import AnalyticField, evolution_matrix, kernel_sample, kernel_samples, plane_wave
+from conslaw.dsl import parse_operator
 from conslaw.gamma import energy
 from conslaw.current import adjoint_characteristic
 from conslaw.opcore import ConstCoeffOperator
@@ -197,6 +198,66 @@ def test_kernel_sample_wave_branches():
     # e^{+i k t} and e^{-i k t} at spatial mode k
     waves = kernel_sample(wave_operator(1), (5.0,))
     assert len(waves) == 2
+
+
+def _per_wavevector_kernel_sample(L, kspace):
+    """Plane-wave kernel elements at one wavevector, one companion matrix at a time (the reference)."""
+    m = L.cols
+    kspace = tuple(float(kj) for kj in kspace)
+    A = evolution_matrix(L, kspace)
+    symbols = [L.spatial_symbol(kspace, r) for r in range(L.time_order() + 1)]
+    lams, vecs = np.linalg.eig(A)
+    out = []
+    scale = max(np.linalg.norm(A), 1.0)
+    for lam, w in zip(lams, vecs.T):
+        v = w[:m]
+        nv = np.linalg.norm(v)
+        if nv < 1e-12:
+            continue
+        v = v / nv
+        acc = np.zeros(m, dtype=complex)
+        for r, C in enumerate(symbols):
+            acc = acc + C @ v * lam**r
+        if np.linalg.norm(acc) <= 1e-8 * max(scale, abs(lam) ** L.time_order()):
+            out.append(plane_wave(L.nvars, v, lam, kspace))
+    if not out:
+        raise ValueError(f"no plane-wave kernel elements at k={kspace}")
+    return out
+
+
+def _wave_bits(waves):
+    return [
+        [
+            ((i, pol, lam.real.hex(), lam.imag.hex(), k), c.real.hex(), c.imag.hex())
+            for (i, pol, lam, k), c in w.terms.items()
+        ]
+        for w in waves
+    ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_samples_match_the_per_wavevector_reference(seed):
+    # one stacked eigendecomposition gives each wavevector's plane waves:
+    # the same term keys, in the same order, with the same coefficient bits
+    ops = [build_operator(spec) for spec in ("heat", "heat(dim=2, nu=0.5)", "wave", "wave(dim=3)", "kdvkdv")]
+    ops += [dirac_operator(1.0), dirac_operator(0.0), build_operator("jordan2x2")]
+    for L in ops:
+        ks = _default_wavevectors(L, np.random.default_rng(seed))
+        got = kernel_samples(L, ks)
+        assert len(got) == len(ks)
+        for k, waves in zip(ks, got):
+            want = _per_wavevector_kernel_sample(L, k)
+            assert _wave_bits(waves) == _wave_bits(want) == _wave_bits(kernel_sample(L, k)), (L, k)
+
+
+def test_kernel_samples_name_a_wavevector_without_kernel_elements():
+    # at |k| = 1 the rates are +-1e15 i, so every eigenvector's field block is
+    # below 1e-12; k = 0 has the rate 0 and is fine
+    L = parse_operator("1e-30*Dt^2 - Dx^2")
+    assert kernel_samples(L, [(0.0,)])[0]
+    for call in (lambda: kernel_samples(L, [(0.0,), (1.0,), (2.0,)]), lambda: _per_wavevector_kernel_sample(L, (1.0,))):
+        with pytest.raises(ValueError, match=r"no plane-wave kernel elements at k=\(1\.0,\)"):
+            call()
 
 
 def test_dirac_kernel_branches_span_the_standard_spinors():
