@@ -394,6 +394,8 @@ def parse_entry(text):
             key, val = part.split("=", 1)
             key = key.strip()
             val = val.strip()
+            if key in kwargs:
+                raise ValueError(f"catalog entry {text!r} repeats keyword {key!r}")
             try:
                 parsed = int(val)
             except ValueError:
@@ -455,10 +457,12 @@ def build_operator(spec):
     """Operator from a catalog entry or an inline DSL string."""
     from .dsl import parse_operator
 
-    name, kwargs = parse_entry(spec)
+    # only a catalog name makes ``spec`` an entry: DSL text such as ``(1+2i)*Dt``
+    # has parentheses too
     ops = named_operators()
+    name = spec.split("(", 1)[0].strip()
     if name in ops:
-        return _call_entry("operator", name, ops[name], kwargs)
+        return _call_entry("operator", name, ops[name], parse_entry(spec)[1])
     return parse_operator(spec)
 
 

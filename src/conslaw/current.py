@@ -33,37 +33,33 @@ __all__ = [
 ]
 
 
-def _add_term(terms, key, c):
-    if c == 0:
-        return
-    cur = terms.get(key)
-    if cur is None:
-        terms[key] = c
-    else:
-        cur = cur + c
-        if cur == 0:
-            del terms[key]
-        else:
-            terms[key] = cur
+def _collect(pieces):
+    """The ``(key, c)`` pieces summed by the rule of ``fields.collect``."""
+    terms = {}
+    for key, c in pieces:
+        if c != 0:
+            terms[key] = terms[key] + c if key in terms else c
+    return {key: c for key, c in terms.items() if c != 0}
+
+
+def _step(alpha, v, by):
+    """``alpha`` with ``by`` added to slot ``v``."""
+    return tuple(a + by if d == v else a for d, a in enumerate(alpha))
 
 
 def bilinear_concomitant_terms(L):
     """Jet terms of ``Q.L[P] - P.Lt[Q]`` for square ``L``."""
     if not L.is_square():
         raise ValueError("the bilinear pairing needs a square operator")
-    nv = L.nvars
-    zero = (0,) * nv
-    terms = {}
+    zero = (0,) * L.nvars
+    pieces = []
     for alpha, mat in L.terms.items():
         sign = (-1.0) ** midx_order(alpha)
         for i in range(L.rows):
             for j in range(L.cols):
                 c = mat[i, j]
-                if c == 0:
-                    continue
-                _add_term(terms, (zero, i, alpha, j), c)
-                _add_term(terms, (alpha, i, zero, j), -sign * c)
-    return terms
+                pieces += [((zero, i, alpha, j), c), ((alpha, i, zero, j), -sign * c)]
+    return _collect(pieces)
 
 
 @dataclass(frozen=True)
@@ -80,13 +76,12 @@ class BilinearFlux:
 
     def divergence_terms(self):
         """Symbolic expansion of Div X as a jet bilinear."""
-        out = {}
-        for v, comp in enumerate(self.components):
-            ev = tuple(1 if d == v else 0 for d in range(self.nvars))
-            for (beta, i, gamma, j), c in comp.items():
-                _add_term(out, (tuple(b + e for b, e in zip(beta, ev)), i, gamma, j), c)
-                _add_term(out, (beta, i, tuple(g + e for g, e in zip(gamma, ev)), j), c)
-        return out
+        return _collect(
+            piece
+            for v, comp in enumerate(self.components)
+            for (beta, i, gamma, j), c in comp.items()
+            for piece in (((_step(beta, v, 1), i, gamma, j), c), ((beta, i, _step(gamma, v, 1), j), c))
+        )
 
     def divergence_defect(self, L):
         """Max |coefficient| of Div X - (Q.L[P] - P.Lt[Q]); zero when exact."""
@@ -125,10 +120,11 @@ def concomitant_flux(L):
                 coeff = c
                 while any(gamma):
                     v = next(d for d in range(nv) if gamma[d])
-                    gm = tuple(g - 1 if d == v else g for d, g in enumerate(gamma))
-                    _add_term(components[v], (beta, i, gm, j), coeff)
-                    beta = tuple(b + 1 if d == v else b for d, b in enumerate(beta))
-                    gamma = gm
+                    gamma = _step(gamma, v, -1)
+                    # the key gives alpha = beta + gamma + e_v, and beta grows at
+                    # every peel, so no other deposit in component v has this key
+                    components[v][(beta, i, gamma, j)] = coeff
+                    beta = _step(beta, v, 1)
                     coeff = -coeff
     return BilinearFlux(nv, L.rows, components)
 

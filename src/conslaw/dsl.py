@@ -2,14 +2,16 @@
 
 Grammar (whitespace is free, ``#`` starts a comment to end of line)::
 
-    operator := term (('+' | '-') term)*
+    operator := ('+' | '-')? term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := matrix | deriv | scalar | '(' centry ')'
-    deriv    := 'D' var ('^' uint)?          var in {t, x, y, z}
+    factor   := matrix | deriv | snum | '(' centry ')'
+    deriv    := 'D' var ('^' power)?         var in {t, x, y, z}, any case
+    power    := [0-9]+                       a positive integer literal
     matrix   := '[' row (',' row)* ']'
     row      := '[' centry (',' centry)* ']'
     centry   := snum (('+' | '-') snum)?     a complex literal, e.g. 1+2i
-    snum     := ('+' | '-')? (number 'i'? | 'i')
+    snum     := ('+' | '-')? (number | 'i' | 'j')
+    number   := ([0-9]+ '.'? [0-9]* | '.' [0-9]+) ([eE] [+-]? [0-9]+)? [ij]?
 
 Examples::
 
@@ -17,12 +19,18 @@ Examples::
     [[1,0],[0,1]]*Dt + [[0,1],[0,0]]*Dt*Dx^1
     (1+2i)*Dx*Dy - 3i
 
+Only ASCII digits and letters are read.  Any other text, a power such as
+``2.5`` or ``1e3``, and a malformed number such as ``1..2`` are a
+:class:`DslError` at the line and column of the offending token.
+
 Derivative slot 0 is always ``t``; ``x``, ``y``, ``z`` are slots 1..3.
 ``format_operator`` and ``parse_operator`` round-trip exactly: coefficients
 are printed with full precision (``repr`` of the float parts).
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -44,65 +52,30 @@ class DslError(ValueError):
 
 # -- tokenizer -------------------------------------------------------------
 
-_PUNCT = set("+-*^[](),")
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)"
+    r"|(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ij]?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<punct>[-+*^\[\](),])"
+    r"|(?P<bad>.)",
+    re.S,
+)
+
+
+def _where(text, pos):
+    """1-based ``(line, column)`` of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text):
-    tokens = []  # (kind, value, line, col)
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < n:
-                cj = text[j]
-                if cj.isdigit() or cj == ".":
-                    j += 1
-                elif cj in "eE" and not seen_e and j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-"):
-                    seen_e = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
-            num = text[i:j]
-            imag = False
-            if j < n and text[j] in "ij":
-                imag = True
-                j += 1
-            tokens.append(("number", (num, imag), line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            tokens.append(("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslError(f"unexpected character {c!r}", line, col)
-    tokens.append(("end", "", line, col))
+    """``(kind, text, offset)`` tokens, closed by an ``end`` token."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise DslError(f"unexpected character {m.group()!r}", *_where(text, m.start()))
+        if m.lastgroup != "skip":
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -111,6 +84,7 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -118,127 +92,98 @@ class _Parser:
         return self.tokens[self.pos]
 
     def next(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise DslError(message, tok[2], tok[3])
+        raise DslError(message, *_where(self.text, (tok or self.peek())[2]))
+
+    def accept(self, *puncts):
+        """Take the next token if it is one of ``puncts``; return it or None."""
+        kind, value, _ = self.peek()
+        if kind == "punct" and value in puncts:
+            self.pos += 1
+            return value
+        return None
 
     def expect(self, value):
-        tok = self.next()
-        if tok[0] != "punct" or tok[1] != value:
-            self.error(f"expected {value!r}", tok)
+        if not self.accept(value):
+            self.error(f"expected {value!r}")
 
     # scalar pieces
 
-    def parse_snum(self):
-        sign = 1.0
-        tok = self.peek()
-        if tok[0] == "punct" and tok[1] in "+-":
-            self.next()
-            if tok[1] == "-":
-                sign = -1.0
-            tok = self.peek()
+    def parse_snum(self, sign=None):
+        """A signed real or imaginary literal; ``sign`` is one already taken."""
+        sign = -1.0 if (sign or self.accept("+", "-")) == "-" else 1.0
+        tok = self.next()
         if tok[0] == "name" and tok[1] in ("i", "j"):
-            self.next()
             return complex(0.0, sign)
         if tok[0] != "number":
-            self.error("expected a number")
-        self.next()
-        num, imag = tok[1]
-        val = float(num)
-        return complex(0.0, sign * val) if imag else complex(sign * val, 0.0)
+            self.error("expected a number", tok)
+        if tok[1][-1] in "ij":
+            return complex(0.0, sign * float(tok[1][:-1]))
+        return complex(sign * float(tok[1]), 0.0)
 
     def parse_centry(self):
         val = self.parse_snum()
-        tok = self.peek()
-        if tok[0] == "punct" and tok[1] in "+-":
-            val = val + self.parse_snum()
-        return val
+        sign = self.accept("+", "-")
+        return val + self.parse_snum(sign) if sign else val
 
-    def parse_matrix(self):
-        self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = [self.parse_centry()]
-            while self.peek()[:2] == ("punct", ","):
-                self.next()
-                row.append(self.parse_centry())
-            self.expect("]")
-            rows.append(row)
-            if self.peek()[:2] == ("punct", ","):
-                self.next()
-                continue
-            break
+    def parse_list(self, item):
+        """``item (',' item)* ']'``, the opening ``'['`` already taken."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
         self.expect("]")
-        if len({len(r) for r in rows}) != 1:
-            self.error("matrix rows have unequal lengths")
-        return np.array(rows, dtype=complex)
+        return items
 
-    def parse_deriv(self, tok):
-        name = tok[1]
-        var = name[1:].lower()
-        if var not in VAR_NAMES:
-            self.error(f"unknown derivative variable {var!r}", tok)
-        power = 1
-        if self.peek()[:2] == ("punct", "^"):
-            self.next()
-            ptok = self.next()
-            if ptok[0] != "number" or ptok[1][1]:
-                self.error("expected an integer power", ptok)
-            power = int(float(ptok[1][0]))
-            if power < 1:
-                self.error("derivative power must be >= 1", ptok)
-        return VAR_NAMES.index(var), power
-
-    def parse_factor(self, state):
-        coeff, matrix, exps = state
-        tok = self.peek()
-        if tok[0] == "punct" and tok[1] == "[":
-            mat = self.parse_matrix()
-            matrix = mat if matrix is None else matrix @ mat
-        elif tok[0] == "punct" and tok[1] == "(":
-            self.next()
-            coeff *= self.parse_centry()
-            self.expect(")")
-        elif tok[0] == "name" and len(tok[1]) >= 2 and tok[1][0] == "D":
-            self.next()
-            slot, power = self.parse_deriv(tok)
-            exps[slot] = exps.get(slot, 0) + power
-        elif tok[0] == "name" and tok[1] in ("i", "j"):
-            coeff *= self.parse_snum()
-        elif tok[0] == "number":
-            coeff *= self.parse_snum()
-        else:
-            self.error("expected a factor (matrix, number, or derivative)")
-        return coeff, matrix, exps
+    def parse_row(self):
+        self.expect("[")
+        return self.parse_list(self.parse_centry)
 
     def parse_term(self):
         """Returns (coeff, matrix or None, exponents dict slot->power)."""
-        state = (complex(1.0), None, {})
-        state = self.parse_factor(state)
-        while self.peek()[:2] == ("punct", "*"):
-            self.next()
-            state = self.parse_factor(state)
-        return state
+        coeff, matrix, exps = complex(1.0), None, {}
+        while True:
+            kind, value, _ = tok = self.peek()
+            if self.accept("["):
+                rows = self.parse_list(self.parse_row)
+                if len({len(r) for r in rows}) != 1:
+                    self.error("matrix rows have unequal lengths")
+                mat = np.array(rows, dtype=complex)
+                matrix = mat if matrix is None else matrix @ mat
+            elif self.accept("("):
+                coeff *= self.parse_centry()
+                self.expect(")")
+            elif kind == "name" and len(value) >= 2 and value[0] == "D":
+                self.pos += 1
+                var = value[1:].lower()
+                if var not in VAR_NAMES:
+                    self.error(f"unknown derivative variable {var!r}", tok)
+                power = 1
+                if self.accept("^"):
+                    ptok = self.next()
+                    power = int(ptok[1]) if ptok[0] == "number" and ptok[1].isdigit() else 0
+                    if power < 1:
+                        self.error(f"a derivative power must be a positive integer, got {ptok[1]!r}", ptok)
+                slot = VAR_NAMES.index(var)
+                exps[slot] = exps.get(slot, 0) + power
+            elif kind == "number" or (kind == "name" and value in ("i", "j")):
+                coeff *= self.parse_snum()
+            else:
+                self.error("expected a factor (matrix, number, or derivative)")
+            if not self.accept("*"):
+                return coeff, matrix, exps
 
     def parse_operator(self):
         parts = []
+        sign = self.accept("+", "-")
         while True:
-            sign = 1.0
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] in "+-":
-                self.next()
-                sign = -1.0 if tok[1] == "-" else 1.0
             coeff, matrix, exps = self.parse_term()
-            parts.append((sign * coeff, matrix, exps))
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] in "+-":
-                continue
-            break
+            parts.append(((-1.0 if sign == "-" else 1.0) * coeff, matrix, exps))
+            sign = self.accept("+", "-")
+            if not sign:
+                break
         tok = self.peek()
         if tok[0] != "end":
             self.error(f"unexpected trailing input {tok[1]!r}")
@@ -287,10 +232,10 @@ def _format_float(x):
 
 def format_complex(z):
     z = complex(z)
-    re, im = z.real, z.imag
+    real, im = z.real, z.imag
     if im == 0:
-        return _format_float(re)
-    if re == 0:
+        return _format_float(real)
+    if real == 0:
         if im == 1:
             return "i"
         if im == -1:
@@ -298,7 +243,7 @@ def format_complex(z):
         return _format_float(im) + "i"
     sgn = "+" if im > 0 else "-"
     istr = "i" if abs(im) == 1 else _format_float(abs(im)) + "i"
-    return f"{_format_float(re)}{sgn}{istr}"
+    return f"{_format_float(real)}{sgn}{istr}"
 
 
 def _format_matrix(mat):

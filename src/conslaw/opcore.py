@@ -193,16 +193,7 @@ class ConstCoeffOperator:
         k = np.asarray(k, dtype=complex)
         if k.ndim not in (1, 2) or k.shape[-1] != self.nvars:
             raise ValueError(f"wavevector must have {self.nvars} entries")
-        batch = k.shape[:-1]
-        ik = 1j * k
-        out = np.zeros(batch + self.shape, dtype=complex)
-        for alpha, mat in self.terms.items():
-            factor = np.ones(batch, dtype=complex)
-            for e, z in zip(alpha, np.moveaxis(ik, -1, 0)):
-                if e:
-                    factor *= z**e
-            out += factor[..., None, None] * mat
-        return out
+        return _symbol_sum(1j * k, self.shape, self.terms.items())
 
     def spatial_symbol(self, kspace, time_power):
         """Matrix coefficient of ``(d/dt)^time_power`` at spatial wavevectors.
@@ -212,17 +203,8 @@ class ConstCoeffOperator:
         gives one matrix, an ``(n, nvars - 1)`` array a stack of ``n``.
         """
         kspace = np.asarray(kspace, dtype=complex)
-        batch = kspace.shape[:-1]
-        out = np.zeros(batch + self.shape, dtype=complex)
-        for alpha, mat in self.terms.items():
-            if alpha[0] != time_power:
-                continue
-            factor = np.ones(batch, dtype=complex)
-            for e, kj in zip(alpha[1:], np.moveaxis(kspace, -1, 0)):
-                if e:
-                    factor *= (1j * kj) ** e
-            out += factor[..., None, None] * mat
-        return out
+        terms = ((alpha[1:], mat) for alpha, mat in self.terms.items() if alpha[0] == time_power)
+        return _symbol_sum(1j * kspace, self.shape, terms)
 
     # -- display ----------------------------------------------------------
 
@@ -230,6 +212,19 @@ class ConstCoeffOperator:
         from .dsl import format_operator
 
         return f"<ConstCoeffOperator {self.shape[0]}x{self.shape[1]}: {format_operator(self)}>"
+
+
+def _symbol_sum(ik, shape, terms):
+    """``sum M (ik)^alpha`` over ``(alpha, M)`` terms, ``ik`` one row or a stack."""
+    batch = ik.shape[:-1]
+    out = np.zeros(batch + shape, dtype=complex)
+    for alpha, mat in terms:
+        factor = np.ones(batch, dtype=complex)
+        for e, z in zip(alpha, np.moveaxis(ik, -1, 0)):
+            if e:
+                factor *= z**e
+        out += factor[..., None, None] * mat
+    return out
 
 
 def zero_operator(nvars, shape):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,76 @@ def test_nvars_inference_and_override():
     assert L.nvars == 4
     with pytest.raises(DslError):
         parse_operator("Dz", nvars=2)
+
+
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("Dt - Dx^2.5", 1, 9, "positive integer, got '2.5'"),
+        ("Dt - Dx^2.0", 1, 9, "positive integer, got '2.0'"),
+        ("Dt - Dx^1e400", 1, 9, "positive integer, got '1e400'"),
+        ("Dt # comment\n - Dx^1e1", 2, 7, "positive integer, got '1e1'"),
+        ("Dt - Dx^-2", 1, 9, "positive integer, got '-'"),
+        (".", 1, 1, "unexpected character '.'"),
+        ("1..2", 1, 3, "unexpected trailing input '.2'"),
+        ("Dt - .*Dx", 1, 6, "unexpected character '.'"),
+        ("1e+x", 1, 2, "unexpected trailing input 'e'"),
+        ("Dt - ٣*Dx", 1, 6, "unexpected character '٣'"),
+        ("Dt - 2 3*Dx", 1, 8, "unexpected trailing input '3'"),
+        ("Dt + # c", 1, 9, "expected a factor"),
+        ("Dt +\t# c\r\n", 2, 1, "expected a factor"),
+    ],
+)
+def test_refusals_carry_line_and_column(text, line, col, message):
+    with pytest.raises(DslError) as err:
+        parse_operator(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        (".5*Dx", {(0, 1): 0.5}),
+        ("2.*Dx", {(0, 1): 2.0}),
+        ("1E+3*Dt", {(1, 0): 1000.0}),
+        ("3i*Dx", {(0, 1): 3j}),
+        ("-i*Dt", {(1, 0): -1j}),
+        ("(1-2i)*Dx", {(0, 1): 1 - 2j}),
+        ("Dt\t-\tDx^2", {(1, 0): 1.0, (0, 2): -1.0}),
+        ("Dt\r\n - Dx^2\r\n", {(1, 0): 1.0, (0, 2): -1.0}),
+        ("Dt # c\n - Dx^2 # d", {(1, 0): 1.0, (0, 2): -1.0}),
+        ("1e-3j*Dx + .5e2", {(0, 1): 0.001j, (0, 0): 50.0}),
+        ("DT - 2*DX^007", {(1, 0): 1.0, (0, 7): -2.0}),
+        ("(+2-.5j)*Dx*Dt*Dx", {(1, 2): 2 - 0.5j}),
+    ],
+)
+def test_tricky_literals(text, terms):
+    L = parse_operator(text)
+    assert (L.nvars, L.shape) == (2, (1, 1))
+    assert [(a, complex(m[0, 0])) for a, m in L.terms.items()] == list(terms.items())
+
+
+def _readme_dsl_examples():
+    """The backquoted bullets of README's "Operator DSL" section, by list."""
+    section = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    section = section.split("\n## Operator DSL\n", 1)[1].split("\n## ", 1)[0]
+    lists, label = {}, None
+    for line in section.splitlines():
+        bullet = re.fullmatch(r"- `([^`]+)`.*", line)
+        if bullet:
+            lists.setdefault(label, []).append(bullet.group(1))
+        elif line.strip():
+            label = line.split()[0].strip(":,")
+    return lists
+
+
+def test_readme_dsl_examples():
+    lists = _readme_dsl_examples()
+    assert sorted(lists) == ["Examples", "Refused"]
+    for text in lists["Examples"]:
+        L = parse_operator(text)
+        assert parse_operator(format_operator(L), nvars=L.nvars) == L
+    for text in lists["Refused"]:
+        with pytest.raises(DslError):
+            parse_operator(text)

@@ -446,7 +446,10 @@ def test_cli_rejects_unknown_operator_keyword(capsys):
 
 @pytest.mark.parametrize(
     "operator",
-    ["heat(dim=abc)", "wave(dim=1.5)", "heat(nu=abc)", "dirac(rep=chiral)", "dirac(rep=5)"],
+    [
+        "heat(dim=abc)", "wave(dim=1.5)", "heat(nu=abc)", "dirac(rep=chiral)", "dirac(rep=5)",
+        "Dt - Dx^1e400", "Dt - Dx^2.5",
+    ],
 )
 def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
     assert main(["adjoint", operator]) == 2
@@ -477,6 +480,35 @@ def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profi
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "operator, profile, symmetry, key",
+    [
+        ("heat(dim=1, dim=2)", "random(seed=1, kmax=4)", "identity", "dim"),
+        ("heat(dim=1)", "random(seed=1, seed=2, kmax=4)", "identity", "seed"),
+        ("kdvkdv", "random(seed=1, kmax=4)", "kdvkdv.Gamma_s(s=1.0, s=2.0)", "s"),
+    ],
+)
+def test_cli_verify_refuses_a_repeated_catalog_keyword(tmp_path, capsys, operator, profile, symmetry, key):
+    path = tmp_path / "repeated.scn"
+    path.write_text(
+        f"operator = {operator}\ngrid = modes:16 length:6.28\nprofile = {profile}\n"
+        f"times = 0.0, 0.5\nsymmetry = {symmetry}\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and len(err.splitlines()) == 1
+    assert err.startswith("error: catalog entry") and f"repeats keyword {key!r}" in err
+
+
+@pytest.mark.parametrize("text", ["(1+2i)*Dt - Dx^2", "Dt - Dx*(2)", "Dt - Dx^2 # heat(dim=1)"])
+def test_dsl_text_with_parentheses_is_not_a_catalog_entry(capsys, text):
+    from conslaw.dsl import parse_operator
+
+    assert build_operator(text) == parse_operator(text)
+    assert main(["current", text]) == 0
+    assert capsys.readouterr().out.startswith("divergence defect: 0.000e+00\n")
 
 
 @pytest.mark.parametrize("spec", ["random(seed=-7, kmax=40)", "packet(seed=-1, width=1.0)"])
