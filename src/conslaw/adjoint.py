@@ -64,9 +64,9 @@ def classify_adjointness(L):
     if not L.is_square():
         raise ValueError("classification needs a square operator")
     Ls = formal_adjoint(L)
-    if Ls == L or Ls.allclose(L):
+    if Ls.allclose(L):
         return "self_adjoint"
-    if Ls == -L or Ls.allclose(-L):
+    if Ls.allclose(-L):
         return "skew_adjoint"
     return "neither"
 
@@ -92,8 +92,6 @@ class ConjugacyPair:
     A2: np.ndarray
     parity_mask: tuple  # bool per variable; all-True or all-False here
     residual: float = 0.0
-    seed: int | None = None
-    sample_index: int | None = None
 
     @property
     def sign_absorbed(self):
@@ -116,45 +114,39 @@ def _pair_residual(L, A1, A2, sign_absorbed):
 
 
 def _joint_nullspace(L, sign_absorbed):
-    """Nullspace basis of the stacked constraints, as (2m^2, k) array."""
+    """Nullspace basis of the stacked constraints, as (2m^2, k) array: the
+    right-singular vectors past the numerical rank (``sv`` comes sorted)."""
     m = L.rows
     eye = np.eye(m)
     blocks = []
     for alpha, mat in L.terms.items():
         s = (-1) ** midx_order(alpha) if sign_absorbed else 1.0
         scale = max(np.linalg.norm(mat), 1e-300)
-        left = np.kron(mat.conj().T, eye) / scale
-        right = -s * np.kron(eye, mat.T) / scale
-        blocks.append(np.hstack([left, right]))
-    K = np.vstack(blocks)
-    _, sv, vh = np.linalg.svd(K)
-    smax = sv[0] if len(sv) else 0.0
-    if smax == 0.0:
-        return np.eye(2 * m * m, dtype=complex)
-    keep = sv <= 1e-10 * smax
-    null = vh[len(sv) :].conj().T  # rows beyond rank when K is wide
-    extra = vh[: len(sv)][keep].conj().T
-    if null.size and extra.size:
-        return np.hstack([extra, null])
-    return extra if extra.size else null
+        blocks.append(np.hstack([np.kron(mat.conj().T, eye), -s * np.kron(eye, mat.T)]) / scale)
+    _, sv, vh = np.linalg.svd(np.vstack(blocks))
+    rank = np.count_nonzero(sv > 1e-10 * sv[0])
+    return vh[rank:].conj().T
 
 
-def _try_pair(L, A1, A2, sign_absorbed):
+def _candidates(L, seed):
+    """``(sign_absorbed, A1, A2)`` to try: per variant with a nullspace, the
+    identity pairs, then ``_MAX_SAMPLES`` seeded samples scaled by A1's largest
+    entry (each takes its draw, also one skipped for a zero block)."""
     m = L.rows
-    if np.linalg.matrix_rank(A1) < m or np.linalg.matrix_rank(A2) < m:
-        return None
-    if np.linalg.cond(A1) > 1e8 or np.linalg.cond(A2) > 1e8:
-        return None
-    res = _pair_residual(L, A1, A2, sign_absorbed)
-    if res > _RESIDUAL_TOL:
-        return None
-    return res
-
-
-def _normalize(A1, A2):
-    idx = np.unravel_index(np.argmax(np.abs(A1)), A1.shape)
-    c = A1[idx]
-    return A1 / c, A2 / c
+    for sign_absorbed in (True, False):
+        null = _joint_nullspace(L, sign_absorbed)
+        if null.shape[1] == 0:
+            continue
+        eye = np.eye(m, dtype=complex)
+        yield sign_absorbed, eye, eye.copy()
+        yield sign_absorbed, eye.copy(), -eye
+        rng = np.random.default_rng(seed)
+        for _ in range(_MAX_SAMPLES):
+            g = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
+            A1, A2 = (null @ g).reshape(2, m, m)
+            if np.linalg.norm(A1) >= 1e-12 and np.linalg.norm(A2) >= 1e-12:
+                c = A1.flat[np.argmax(np.abs(A1))]
+                yield sign_absorbed, A1 / c, A2 / c
 
 
 def semi_conjugacy_solve(L, seed=0):
@@ -162,38 +154,19 @@ def semi_conjugacy_solve(L, seed=0):
 
     Solves the joint linear system over all terms, first in the sign-absorbed
     variant (no reflection needed), then in the plain variant (full
-    reflection).  In each variant the identity pair is tried first, then
-    ``_MAX_SAMPLES`` random elements of the solution space (seeded, so NotFound
-    is reproducible).  Raises :class:`SemiConjugacyNotFound` if no invertible
-    pair with condition number at most 1e8 turns up.
+    reflection).  The first candidate (seeded, so NotFound is reproducible)
+    with both condition numbers at most 1e8 and coefficient residual at most
+    ``_RESIDUAL_TOL`` is returned; else :class:`SemiConjugacyNotFound`.
     """
     if not L.is_square():
         raise ValueError("semi-conjugacy needs a square operator")
     if L.is_zero():
         raise ValueError("semi-conjugacy of the zero operator is vacuous")
-    m = L.rows
-    eye = np.eye(m, dtype=complex)
-    for sign_absorbed in (True, False):
-        mask = (False,) * L.nvars if sign_absorbed else (True,) * L.nvars
-        null = _joint_nullspace(L, sign_absorbed)
-        if null.shape[1] == 0:
-            continue
-        for cand in ((eye, eye), (eye, -eye)):
-            res = _try_pair(L, cand[0], cand[1], sign_absorbed)
-            if res is not None:
-                return ConjugacyPair(cand[0].copy(), cand[1].copy(), mask, res, seed, None)
-        rng = np.random.default_rng(seed)
-        for i in range(_MAX_SAMPLES):
-            g = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
-            vec = null @ g
-            A1 = vec[: m * m].reshape(m, m)
-            A2 = vec[m * m :].reshape(m, m)
-            if np.linalg.norm(A1) < 1e-12 or np.linalg.norm(A2) < 1e-12:
-                continue
-            A1, A2 = _normalize(A1, A2)
-            res = _try_pair(L, A1, A2, sign_absorbed)
-            if res is not None:
-                return ConjugacyPair(A1, A2, mask, res, seed, i)
+    for sign_absorbed, A1, A2 in _candidates(L, seed):
+        if np.linalg.cond(A1) <= 1e8 and np.linalg.cond(A2) <= 1e8:
+            res = _pair_residual(L, A1, A2, sign_absorbed)
+            if res <= _RESIDUAL_TOL:
+                return ConjugacyPair(A1, A2, (not sign_absorbed,) * L.nvars, res)
     raise SemiConjugacyNotFound(
         f"no invertible conjugating pair found after {_MAX_SAMPLES} samples (seed={seed})"
     )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import sum_pieces
 from .opcore import midx_order
 from .symmetry import DiffFactor, KernelShift, MatrixFactor, PointReflect, SymmetryOp
 
@@ -34,12 +35,8 @@ __all__ = [
 
 
 def _collect(pieces):
-    """The ``(key, c)`` pieces summed by the rule of ``fields.collect``."""
-    terms = {}
-    for key, c in pieces:
-        if c != 0:
-            terms[key] = terms[key] + c if key in terms else c
-    return {key: c for key, c in terms.items() if c != 0}
+    """The ``(key, c)`` pieces summed by ``fields.sum_pieces``, zero totals dropped."""
+    return {key: c for key, c in sum_pieces(pieces).items() if c != 0}
 
 
 def _step(alpha, v, by):

@@ -6,7 +6,7 @@ Grammar (whitespace is free, ``#`` starts a comment to end of line)::
     term     := factor ('*' factor)*
     factor   := matrix | deriv | snum | '(' centry ')'
     deriv    := 'D' var ('^' power)?         var in {t, x, y, z}, any case
-    power    := [0-9]+                       a positive integer literal
+    power    := [0-9]+                       a positive integer, at most MAX_POWER
     matrix   := '[' row (',' row)* ']'
     row      := '[' centry (',' centry)* ']'
     centry   := snum (('+' | '-') snum)?     a complex literal, e.g. 1+2i
@@ -20,8 +20,10 @@ Examples::
     (1+2i)*Dx*Dy - 3i
 
 Only ASCII digits and letters are read.  Any other text, a power such as
-``2.5`` or ``1e3``, and a malformed number such as ``1..2`` are a
-:class:`DslError` at the line and column of the offending token.
+``2.5`` or ``1e3``, a variable whose powers in one term add up to more than
+``MAX_POWER``, a malformed number such as ``1..2``, matrices that cannot
+multiply and terms of different shapes are a :class:`DslError` at the line
+and column of the offending token or term.
 
 Derivative slot 0 is always ``t``; ``x``, ``y``, ``z`` are slots 1..3.
 ``format_operator`` and ``parse_operator`` round-trip exactly: coefficients
@@ -36,9 +38,10 @@ import numpy as np
 
 from .opcore import ConstCoeffOperator, midx_order
 
-__all__ = ["parse_operator", "format_operator", "DslError", "VAR_NAMES"]
+__all__ = ["parse_operator", "format_operator", "DslError", "VAR_NAMES", "MAX_POWER"]
 
 VAR_NAMES = ("t", "x", "y", "z")
+MAX_POWER = 64  # largest power of one variable in a term; the flux peels one per step
 
 
 class DslError(ValueError):
@@ -142,7 +145,8 @@ class _Parser:
         return self.parse_list(self.parse_centry)
 
     def parse_term(self):
-        """Returns (coeff, matrix or None, exponents dict slot->power)."""
+        """Returns (offset, coeff, matrix or None, exponents dict slot->power)."""
+        start = self.peek()[2]
         coeff, matrix, exps = complex(1.0), None, {}
         while True:
             kind, value, _ = tok = self.peek()
@@ -151,6 +155,8 @@ class _Parser:
                 if len({len(r) for r in rows}) != 1:
                     self.error("matrix rows have unequal lengths")
                 mat = np.array(rows, dtype=complex)
+                if matrix is not None and matrix.shape[1] != mat.shape[0]:
+                    self.error(f"matrices of shapes {matrix.shape} and {mat.shape} cannot multiply", tok)
                 matrix = mat if matrix is None else matrix @ mat
             elif self.accept("("):
                 coeff *= self.parse_centry()
@@ -163,24 +169,31 @@ class _Parser:
                 power = 1
                 if self.accept("^"):
                     ptok = self.next()
-                    power = int(ptok[1]) if ptok[0] == "number" and ptok[1].isdigit() else 0
-                    if power < 1:
+                    digits = ptok[1].lstrip("0") if ptok[0] == "number" and ptok[1].isdigit() else ""
+                    if not digits:
                         self.error(f"a derivative power must be a positive integer, got {ptok[1]!r}", ptok)
+                    # a long digit string is refused before int() reads it
+                    if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+                        shown = ptok[1] if len(ptok[1]) <= 24 else ptok[1][:20] + "..."
+                        self.error(f"a derivative power must be at most {MAX_POWER}, got '{shown}'", ptok)
+                    power = int(digits)
                 slot = VAR_NAMES.index(var)
                 exps[slot] = exps.get(slot, 0) + power
+                if exps[slot] > MAX_POWER:
+                    self.error(f"the powers of {value} in a term add up to {exps[slot]} > {MAX_POWER}", tok)
             elif kind == "number" or (kind == "name" and value in ("i", "j")):
                 coeff *= self.parse_snum()
             else:
                 self.error("expected a factor (matrix, number, or derivative)")
             if not self.accept("*"):
-                return coeff, matrix, exps
+                return start, coeff, matrix, exps
 
     def parse_operator(self):
         parts = []
         sign = self.accept("+", "-")
         while True:
-            coeff, matrix, exps = self.parse_term()
-            parts.append(((-1.0 if sign == "-" else 1.0) * coeff, matrix, exps))
+            start, coeff, matrix, exps = self.parse_term()
+            parts.append((start, (-1.0 if sign == "-" else 1.0) * coeff, matrix, exps))
             sign = self.accept("+", "-")
             if not sign:
                 break
@@ -194,29 +207,28 @@ def parse_operator(text, nvars=None):
     """Parse the DSL into a :class:`ConstCoeffOperator`.
 
     ``nvars`` is inferred as ``1 + highest spatial slot used`` (at least 2)
-    unless given explicitly.
+    unless given explicitly.  A shape or slot error names the first token of
+    the term it is found in.
     """
     parts = _Parser(text).parse_operator()
-
-    max_slot = 1
-    shapes = set()
-    for _, matrix, exps in parts:
-        if exps:
-            max_slot = max(max_slot, max(exps))
-        if matrix is not None:
-            shapes.add(matrix.shape)
-    if len(shapes) > 1:
-        raise DslError(f"inconsistent matrix shapes {sorted(shapes)}", 1, 1)
-    shape = shapes.pop() if shapes else (1, 1)
+    shape = next((matrix.shape for _, _, matrix, _ in parts if matrix is not None), (1, 1))
     if nvars is None:
-        nvars = max_slot + 1
-    elif max_slot + 1 > nvars:
-        raise DslError(f"operator uses variable slot {max_slot} but nvars={nvars}", 1, 1)
+        nvars = 1 + max([1, *(slot for *_, exps in parts for slot in exps)])
+    for start, _, matrix, exps in parts:
+        if matrix is not None and matrix.shape != shape:
+            message = f"inconsistent matrix shapes {shape} and {matrix.shape}"
+        elif matrix is None and shape[0] != shape[1]:
+            message = f"a term without a matrix needs a square operator, not {shape[0]}x{shape[1]}"
+        elif exps and max(exps) >= nvars:
+            message = f"operator uses variable slot {max(exps)} but nvars={nvars}"
+        else:
+            continue
+        raise DslError(message, *_where(text, start))
 
     eye = np.eye(*shape)
     pieces = (
         (tuple(exps.get(slot, 0) for slot in range(nvars)), coeff * (eye if matrix is None else matrix))
-        for coeff, matrix, exps in parts
+        for _, coeff, matrix, exps in parts
     )
     return ConstCoeffOperator(nvars, shape, pieces)
 

@@ -8,9 +8,9 @@ symmetry chains act on it exactly.  This is the workhorse for kernel
 construction and residual-free verification.
 
 Every operation that makes a field has one summation rule, :func:`collect`:
-its ``(key, coef)`` pieces are added in order, a zero piece is skipped, a key
-keeps the place of its first non-zero piece, and a total that cancels to
-zero is dropped.
+its ``(key, coef)`` pieces are added in order by :func:`sum_pieces` (a zero
+piece is skipped, a key keeps the place of its first non-zero piece), and a
+total that cancels to zero is dropped.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "AnalyticField",
     "collect",
+    "sum_pieces",
     "plane_wave",
     "polynomial_field",
     "evolution_matrices",
@@ -186,18 +187,24 @@ class AnalyticField:
         return f"<AnalyticField {self.ncomp} comps, {len(self.terms)} terms>"
 
 
-def collect(nvars, ncomp, pieces):
-    """The field whose terms are the ``(key, coef)`` pieces summed in order.
+def sum_pieces(pieces):
+    """The ``(key, coef)`` pieces summed in order, as a dict.
 
-    This is the one summation rule of the field algebra: a zero piece is
-    skipped, a key sits where its first non-zero piece put it, and a total
-    that cancels to zero is dropped by the constructor.
+    This is the one summation rule of the field algebra and of the jet
+    bilinears: a zero piece is skipped and a key sits where its first non-zero
+    piece put it.  A total that cancels to zero is kept.
     """
     terms = {}
     for key, c in pieces:
         if c != 0:
             terms[key] = terms[key] + c if key in terms else c
-    return AnalyticField(nvars, ncomp, terms)
+    return terms
+
+
+def collect(nvars, ncomp, pieces):
+    """The field whose terms are the pieces summed by :func:`sum_pieces`; the
+    constructor drops a total that cancels to zero."""
+    return AnalyticField(nvars, ncomp, sum_pieces(pieces))
 
 
 def plane_wave(nvars, vector, lam, kspace):

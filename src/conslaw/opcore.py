@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "midx_order",
     "midx_add",
     "ConstCoeffOperator",
@@ -25,9 +24,6 @@ __all__ = [
     "identity_operator",
     "zero_operator",
 ]
-
-MultiIndex = tuple  # tuple of n+1 nonnegative ints, slot 0 = time
-
 
 def midx_order(alpha):
     """Total order |alpha| of a multi-index."""
@@ -100,11 +96,6 @@ class ConstCoeffOperator:
     def cols(self):
         return self.shape[1]
 
-    @property
-    def order(self):
-        """Highest total derivative order appearing (0 for the zero operator)."""
-        return max((midx_order(a) for a in self.terms), default=0)
-
     def is_zero(self):
         return not self.terms
 
@@ -114,15 +105,6 @@ class ConstCoeffOperator:
     def time_order(self):
         """Highest power of D_t appearing."""
         return max((a[0] for a in self.terms), default=0)
-
-    def coefficient(self, alpha):
-        """Coefficient matrix of D^alpha (zero matrix if absent)."""
-        alpha = tuple(int(a) for a in alpha)
-        _check_multiindex(alpha, self.nvars)
-        mat = self.terms.get(alpha)
-        if mat is None:
-            return np.zeros(self.shape, dtype=complex)
-        return mat.copy()
 
     # -- algebra ----------------------------------------------------------
 

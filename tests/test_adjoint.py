@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from conslaw.adjoint import (
+    _MAX_SAMPLES,
+    _RESIDUAL_TOL,
     ConjugacyPair,
     SemiConjugacyNotFound,
+    _joint_nullspace,
     _pair_residual,
     _symbol_identity_residual,
     adjoint_factorization,
@@ -21,9 +24,10 @@ from conslaw.catalog import (
     navier_stokes_operator,
     wave_operator,
 )
+from conslaw.catalog import named_operators
 from conslaw.dsl import parse_operator
 from conslaw.gamma import PAULI, dirac_representation
-from conslaw.opcore import ConstCoeffOperator, op_compose
+from conslaw.opcore import ConstCoeffOperator, midx_order, op_compose
 
 from test_opcore import random_operator
 
@@ -238,3 +242,142 @@ def test_factorization_rejects_bad_pair():
     bad = ConjugacyPair(np.eye(4), np.eye(4), (False,) * 4)
     with pytest.raises(ValueError):
         adjoint_factorization(L, bad)
+
+
+# -- the solver against the stitched nullspace and the two-loop search -------
+
+
+def _reference_nullspace(L, sign_absorbed):
+    """The nullspace stitched from the wide part and the kept rows of ``vh`` (the reference)."""
+    m = L.rows
+    eye = np.eye(m)
+    blocks = []
+    for alpha, mat in L.terms.items():
+        s = (-1) ** midx_order(alpha) if sign_absorbed else 1.0
+        scale = max(np.linalg.norm(mat), 1e-300)
+        left = np.kron(mat.conj().T, eye) / scale
+        right = -s * np.kron(eye, mat.T) / scale
+        blocks.append(np.hstack([left, right]))
+    _, sv, vh = np.linalg.svd(np.vstack(blocks))
+    keep = sv <= 1e-10 * sv[0]
+    null = vh[len(sv) :].conj().T
+    extra = vh[: len(sv)][keep].conj().T
+    if null.size and extra.size:
+        return np.hstack([extra, null])
+    return extra if extra.size else null
+
+
+def _reference_solve(L, seed):
+    """The search with a rank test per pair, the identity loop, then the sample loop (the reference).
+
+    Returns the pair and the index of its sample (None for an identity pair).
+    """
+    m = L.rows
+    eye = np.eye(m, dtype=complex)
+
+    def try_pair(A1, A2, sign_absorbed):
+        if np.linalg.matrix_rank(A1) < m or np.linalg.matrix_rank(A2) < m:
+            return None
+        if np.linalg.cond(A1) > 1e8 or np.linalg.cond(A2) > 1e8:
+            return None
+        res = _pair_residual(L, A1, A2, sign_absorbed)
+        return None if res > _RESIDUAL_TOL else res
+
+    for sign_absorbed in (True, False):
+        mask = (not sign_absorbed,) * L.nvars
+        null = _reference_nullspace(L, sign_absorbed)
+        if null.shape[1] == 0:
+            continue
+        for A1, A2 in ((eye, eye), (eye, -eye)):
+            res = try_pair(A1, A2, sign_absorbed)
+            if res is not None:
+                return ConjugacyPair(A1.copy(), A2.copy(), mask, res), None
+        rng = np.random.default_rng(seed)
+        for i in range(_MAX_SAMPLES):
+            g = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
+            vec = null @ g
+            A1 = vec[: m * m].reshape(m, m)
+            A2 = vec[m * m :].reshape(m, m)
+            if np.linalg.norm(A1) < 1e-12 or np.linalg.norm(A2) < 1e-12:
+                continue
+            c = A1[np.unravel_index(np.argmax(np.abs(A1)), A1.shape)]
+            A1, A2 = A1 / c, A2 / c
+            res = try_pair(A1, A2, sign_absorbed)
+            if res is not None:
+                return ConjugacyPair(A1, A2, mask, res), i
+    raise SemiConjugacyNotFound(
+        f"no invertible conjugating pair found after {_MAX_SAMPLES} samples (seed={seed})"
+    )
+
+
+def _catalog_operators():
+    ops = [make() for make in named_operators().values()]
+    return ops + [wave_operator(3), heat_operator(2, nu=0.5), dirac_operator(0.0)]
+
+
+def test_joint_nullspace_matches_the_stitched_reference():
+    rng = np.random.default_rng(23)
+    ops = _catalog_operators()
+    for _ in range(120):
+        m = int(rng.integers(1, 4))
+        ops.append(random_operator(rng, nvars=int(rng.integers(2, 4)), m=m, nterms=int(rng.integers(1, 4))))
+    # one rank-one term: a wide system that is also rank-deficient
+    ops.append(ConstCoeffOperator(2, (2, 2), {(0, 1): [[1, 2], [2, 4]]}))
+    for L in (L for L in ops if not L.is_zero()):
+        for sign_absorbed in (True, False):
+            got, want = _joint_nullspace(L, sign_absorbed), _reference_nullspace(L, sign_absorbed)
+            assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes(), L
+
+
+def _bytes(pair):
+    return pair.A1.tobytes(), pair.A2.tobytes(), pair.parity_mask, pair.residual.hex()
+
+
+def _near_pair_operators(rng, count, eps=1e-9):
+    """Similarity transforms of Hermitian-coefficient operators, one coefficient
+    moved by ``eps``: the moved direction stays in the nullspace while its
+    residual is near ``_RESIDUAL_TOL``, so some samples are refused."""
+    for _ in range(count):
+        m = int(rng.integers(2, 4))
+        terms = {}
+        for alpha in ((1, 0), (0, 1), (0, 2)):
+            X = rng.integers(-2, 3, size=(m, m)) + 1j * rng.integers(-2, 3, size=(m, m))
+            terms[alpha] = X + X.conj().T
+        P = np.eye(m) + np.triu(rng.integers(-2, 3, size=(m, m)), 1)
+        Pinv = np.linalg.inv(P)
+        terms = {alpha: P @ M @ Pinv for alpha, M in terms.items()}
+        terms[(0, 1)] = terms[(0, 1)] + eps * rng.standard_normal((m, m))
+        yield ConstCoeffOperator(2, (m, m), terms)
+
+
+def test_solver_matches_the_two_loop_search():
+    # random operators (mostly NotFound after every draw), their self-adjoint
+    # sums (identity pairs), similarity transforms of those (first samples)
+    # and near pairs (later samples, after refused ones)
+    rng = np.random.default_rng(11)
+    ops = _catalog_operators()
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        L = random_operator(rng, nvars=2, m=m)
+        S = L + formal_adjoint(L)
+        P = np.eye(m) + np.triu(rng.integers(-2, 3, size=(m, m)), 1)
+        Pinv = np.linalg.inv(P)
+        ops += [L, S, ConstCoeffOperator(2, (m, m), {a: P @ M @ Pinv for a, M in S.terms.items()})]
+    ops += _near_pair_operators(np.random.default_rng(5), 60)
+    indices = []
+    for L in ops:
+        if L.is_zero():
+            continue
+        for seed in (0, 3):
+            try:
+                pair, index = _reference_solve(L, seed)
+            except SemiConjugacyNotFound as err:
+                with pytest.raises(SemiConjugacyNotFound) as got:
+                    semi_conjugacy_solve(L, seed=seed)
+                assert str(got.value) == str(err)
+                indices.append("NotFound")
+                continue
+            assert _bytes(semi_conjugacy_solve(L, seed=seed)) == _bytes(pair), (L, seed)
+            indices.append(index)
+    assert indices.count(None) >= 40 and indices.count(0) >= 40 and indices.count("NotFound") >= 40
+    assert any(i not in (None, 0, "NotFound") for i in indices)

@@ -74,6 +74,8 @@ def test_nvars_inference_and_override():
     assert L.nvars == 4
     with pytest.raises(DslError):
         parse_operator("Dz", nvars=2)
+    with pytest.raises(DslError, match=r"slot 3 but nvars=2 \(line 2, column 4\)"):
+        parse_operator("Dt\n + Dz", nvars=2)
 
 
 @pytest.mark.parametrize(
@@ -92,6 +94,13 @@ def test_nvars_inference_and_override():
         ("Dt - 2 3*Dx", 1, 8, "unexpected trailing input '3'"),
         ("Dt + # c", 1, 9, "expected a factor"),
         ("Dt +\t# c\r\n", 2, 1, "expected a factor"),
+        ("Dt - Dx^65", 1, 9, "at most 64, got '65'"),
+        ("Dt - Dx^100000000000000000000", 1, 9, "at most 64, got '100000000000000000000'"),
+        ("Dt - Dx^" + "9" * 4400, 1, 9, "at most 64, got '99999999999999999999...'"),
+        ("Dt - Dx^40*Dt*Dx^40", 1, 15, "powers of Dx in a term add up to 80 > 64"),
+        ("[[1,2]]*[[1,2]]*Dt", 1, 9, "matrices of shapes (1, 2) and (1, 2) cannot multiply"),
+        ("[[1,2]]*Dt + Dx", 1, 14, "a term without a matrix needs a square operator, not 1x2"),
+        ("Dt -\n  [[1,0],[0,1]]*Dx + [[1]]*Dt", 2, 22, "inconsistent matrix shapes (2, 2) and (1, 1)"),
     ],
 )
 def test_refusals_carry_line_and_column(text, line, col, message):
@@ -116,6 +125,7 @@ def test_refusals_carry_line_and_column(text, line, col, message):
         ("1e-3j*Dx + .5e2", {(0, 1): 0.001j, (0, 0): 50.0}),
         ("DT - 2*DX^007", {(1, 0): 1.0, (0, 7): -2.0}),
         ("(+2-.5j)*Dx*Dt*Dx", {(1, 2): 2 - 0.5j}),
+        ("Dt + Dx^0032*Dx^32", {(1, 0): 1.0, (0, 64): 1.0}),
     ],
 )
 def test_tricky_literals(text, terms):

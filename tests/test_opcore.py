@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import conslaw
 from conslaw.catalog import dirac_operator, kdvkdv_operator, wave_operator
 from conslaw.dsl import _Parser, parse_operator
 from conslaw.gamma import dirac_representation
@@ -268,7 +272,7 @@ def test_parsed_terms_match_the_reference_accumulator(text):
     shape = next(iter(L.terms.values())).shape
     pieces = [
         (tuple(exps.get(slot, 0) for slot in range(L.nvars)), coeff * (np.eye(*shape) if matrix is None else matrix))
-        for coeff, matrix, exps in _Parser(text).parse_operator()
+        for _start, coeff, matrix, exps in _Parser(text).parse_operator()
     ]
     assert _same_terms(L, _presummed(pieces))
 
@@ -305,3 +309,11 @@ def test_pieces_with_a_repeated_key_are_summed_in_order():
 def test_non_finite_coefficients_are_refused_by_multi_index(build):
     with pytest.raises(ValueError, match=r"term \(0, [12]\) has a non-finite coefficient"):
         build()
+
+
+@pytest.mark.parametrize(
+    "module", ["conslaw"] + [f"conslaw.{info.name}" for info in pkgutil.iter_modules(conslaw.__path__)]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

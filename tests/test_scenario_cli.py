@@ -448,7 +448,7 @@ def test_cli_rejects_unknown_operator_keyword(capsys):
     "operator",
     [
         "heat(dim=abc)", "wave(dim=1.5)", "heat(nu=abc)", "dirac(rep=chiral)", "dirac(rep=5)",
-        "Dt - Dx^1e400", "Dt - Dx^2.5",
+        "Dt - Dx^1e400", "Dt - Dx^2.5", "Dt - Dx^100000000000000000000",
     ],
 )
 def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
