@@ -15,6 +15,7 @@ import numpy as np
 from . import gamma as gm
 from .fields import polynomial_field
 from .opcore import ConstCoeffOperator
+from .spectral import _to_coeffs, _to_grid
 from .symmetry import (
     Conjugation,
     DiffFactor,
@@ -44,24 +45,28 @@ __all__ = [
 # -- operators ---------------------------------------------------------------
 
 
-def heat_operator(dim=1, nu=1.0):
-    """Scalar heat flow: D_t - nu * Laplace."""
+def _dt_minus_laplace(name, dim, time_power, c):
+    """Scalar D_t^time_power - c * Laplace in ``dim`` space variables, 1..3
+    (the DSL names x, y and z; a larger ``dim`` builds an operator too large
+    to check)."""
+    if not 1 <= dim <= 3:
+        raise ValueError(f"operator {name!r} keyword 'dim' must be 1, 2 or 3, got {dim!r}")
     nv = dim + 1
-    terms = {(1,) + (0,) * dim: [[1.0]]}
+    terms = {(time_power,) + (0,) * dim: [[1.0]]}
     for d in range(dim):
         alpha = tuple(2 if j == d + 1 else 0 for j in range(nv))
-        terms[alpha] = [[-nu]]
+        terms[alpha] = [[-c]]
     return ConstCoeffOperator(nv, (1, 1), terms)
+
+
+def heat_operator(dim=1, nu=1.0):
+    """Scalar heat flow: D_t - nu * Laplace."""
+    return _dt_minus_laplace("heat", dim, 1, nu)
 
 
 def wave_operator(dim=1):
     """Scalar d'Alembert operator: D_t^2 - Laplace."""
-    nv = dim + 1
-    terms = {(2,) + (0,) * dim: [[1.0]]}
-    for d in range(dim):
-        alpha = tuple(2 if j == d + 1 else 0 for j in range(nv))
-        terms[alpha] = [[-1.0]]
-    return ConstCoeffOperator(nv, (1, 1), terms)
+    return _dt_minus_laplace("wave", dim, 2, 1.0)
 
 
 def kdvkdv_operator():
@@ -308,12 +313,12 @@ def _profile_random(grid, ncomp, seed=0, kmax=8, real=True, scale=1.0):
         vals = rng.standard_normal(nsel) + 1j * rng.standard_normal(nsel)
         coeffs[c][idx_ok] = scale * vals / np.sqrt(nsel)
     if real:
-        # the transforms run in place; fftn casts a real input to complex with
-        # a zero imaginary part, which is what zeroing it leaves
-        axes = tuple(range(1, grid.ndim + 1))
-        np.fft.ifftn(coeffs, axes=axes, out=coeffs)
+        # the projection onto real grid values, in place: a transform casts a
+        # real input to complex with a zero imaginary part, which is what
+        # zeroing it leaves
+        _to_grid(coeffs)
         coeffs.imag = 0.0
-        np.fft.fftn(coeffs, axes=axes, out=coeffs)
+        _to_coeffs(coeffs)
     coeffs *= grid.mode_mask()
     return coeffs
 
@@ -338,27 +343,23 @@ def _profile_gaussian(grid, ncomp, width=1.0, amp=1.0, comp=0, center=0.0):
     r2 = sum((x - c) ** 2 for x, c in zip(mesh, centers))
     vals = np.zeros((int(ncomp),) + grid.modes, dtype=complex)
     vals[int(comp)] = amp * np.exp(-r2 / (2.0 * float(width) ** 2))
-    axes = tuple(range(1, grid.ndim + 1))
-    return np.fft.fftn(vals, axes=axes) / grid.npoints * grid.mode_mask()
+    _to_coeffs(vals)
+    vals *= grid.mode_mask()
+    return vals
 
 
 def _profile_packet(grid, ncomp, seed=0, width=1.0, kmax=4, real=True):
     """Gaussian envelope times random band-limited modulation; compact support."""
     _check_seed("packet", seed)
     _check_width("packet", width)
-    coeffs = _profile_random(grid, ncomp, seed=seed, kmax=kmax, real=real)
-    # in place: the unscaled inverse transform is ifftn(.) * npoints and the
-    # forward-scaled one fftn(.) / npoints bit for bit, since every mode count
-    # is a power of two (see spectral._to_grid)
-    axes = tuple(range(1, grid.ndim + 1))
-    np.fft.ifftn(coeffs, axes=axes, norm="forward", out=coeffs)
+    coeffs = _to_grid(_profile_random(grid, ncomp, seed=seed, kmax=kmax, real=real))
     mesh = np.meshgrid(*grid.coordinates(), indexing="ij", sparse=True)
     env = sum(x * x for x in mesh)
     np.negative(env, out=env)
     env /= 2.0 * float(width) ** 2
     np.exp(env, out=env)
     coeffs *= env
-    np.fft.fftn(coeffs, axes=axes, norm="forward", out=coeffs)
+    _to_coeffs(coeffs)
     coeffs *= grid.mode_mask()
     return coeffs
 
@@ -375,17 +376,15 @@ def named_profiles():
 
 
 def parse_entry(text):
-    """Parse ``name(key=value, ...)`` into (name, kwargs).
-
-    Values are ints, floats, or bare strings; ``name`` alone is allowed.
-    """
+    """Split ``name(key=value, ...)`` into the name and a dict of keyword
+    texts; ``name`` alone is allowed. :func:`_call_entry` reads the texts."""
     text = text.strip()
     if "(" not in text:
         return text, {}
     if not text.endswith(")"):
         raise ValueError(f"malformed catalog entry {text!r}")
     name, inner = text[:-1].split("(", 1)
-    kwargs = {}
+    texts = {}
     inner = inner.strip()
     if inner:
         for part in inner.split(","):
@@ -393,63 +392,56 @@ def parse_entry(text):
                 raise ValueError(f"catalog arguments must be key=value: {part!r}")
             key, val = part.split("=", 1)
             key = key.strip()
-            val = val.strip()
-            if key in kwargs:
+            if key in texts:
                 raise ValueError(f"catalog entry {text!r} repeats keyword {key!r}")
-            try:
-                parsed = int(val)
-            except ValueError:
-                try:
-                    parsed = float(val)
-                except ValueError:
-                    if val in ("True", "true"):
-                        parsed = True
-                    elif val in ("False", "false"):
-                        parsed = False
-                    else:
-                        parsed = val
-            kwargs[key] = parsed
-    return name.strip(), kwargs
+            texts[key] = val.strip()
+    return name.strip(), texts
 
 
-def _text_types(key, default):
-    """Value types a keyword takes from text, by its default's type.
+_BOOLS = {"True": True, "true": True, "False": False, "false": False}
 
-    An int stands in for a float, and a ``None``-default ``s`` (a deferred
-    reflection time) takes a number; any other keyword, such as ``dirac``'s
-    representation object, is for library callers only.
+
+def _call_entry(kind, table, spec, *args):
+    """``factory(*args, **kwargs)`` for the factory that the entry ``spec``
+    names in ``table``, each keyword text read once, by the type of the
+    keyword's default in the factory's signature.
+
+    A bool default takes ``True``, ``true``, ``False`` or ``false``; an int
+    default ``int(text)``; a float default, or an ``s`` whose ``None`` default
+    defers a reflection time, ``float(text)``, which must be finite (``nan``,
+    ``1e400`` or a long integer reads as a non-finite float). Any other
+    keyword, such as ``dirac``'s representation object, is for library
+    callers only.
     """
-    if isinstance(default, bool):
-        return (bool,)
-    if isinstance(default, int):
-        return (int,)
-    if isinstance(default, float) or (default is None and key == "s"):
-        return (int, float)
-    return ()
-
-
-def _call_entry(kind, name, factory, kwargs, *args):
-    """``factory(*args, **kwargs)`` once every keyword is in its signature,
-    every value has a type :func:`_text_types` allows and every float is
-    finite (text such as ``nan`` or ``1e400`` parses to a non-finite float)."""
+    name, texts = parse_entry(spec)
+    if name not in table:
+        raise KeyError(f"unknown {kind} {name!r}; see `conslaw list`")
+    factory = table[name]
     params = list(inspect.signature(factory).parameters.values())[len(args) :]
     defaults = {p.name: p.default for p in params}
-    for key, value in kwargs.items():
+    kwargs = {}
+    for key, text in texts.items():
         if key not in defaults:
             takes = ", ".join(defaults) if defaults else "none"
             raise ValueError(
                 f"{kind} {name!r} has no keyword {key!r} (keywords: {takes})"
             )
-        types = _text_types(key, defaults[key])
-        if not types:
+        default = defaults[key]
+        if isinstance(default, bool):
+            want, read = "bool", _BOOLS.__getitem__
+        elif isinstance(default, int):
+            want, read = "int", int
+        elif isinstance(default, float) or (default is None and key == "s"):
+            want, read = "int or float", float
+        else:
             raise ValueError(f"{kind} {name!r} keyword {key!r} cannot be set from text")
-        if type(value) not in types:
-            want = " or ".join(t.__name__ for t in types)
-            raise ValueError(
-                f"{kind} {name!r} keyword {key!r} takes {want}, got {value!r}"
-            )
-        if type(value) is float and not np.isfinite(value):
+        try:
+            value = read(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{kind} {name!r} keyword {key!r} takes {want}, got {text!r}") from None
+        if read is float and not np.isfinite(value):
             raise ValueError(f"{kind} {name!r} keyword {key!r} must be finite, got {value!r}")
+        kwargs[key] = value
     return factory(*args, **kwargs)
 
 
@@ -460,18 +452,13 @@ def build_operator(spec):
     # only a catalog name makes ``spec`` an entry: DSL text such as ``(1+2i)*Dt``
     # has parentheses too
     ops = named_operators()
-    name = spec.split("(", 1)[0].strip()
-    if name in ops:
-        return _call_entry("operator", name, ops[name], parse_entry(spec)[1])
+    if spec.split("(", 1)[0].strip() in ops:
+        return _call_entry("operator", ops, spec)
     return parse_operator(spec)
 
 
 def build_symmetry(spec):
-    name, kwargs = parse_entry(spec)
-    syms = named_symmetries()
-    if name not in syms:
-        raise KeyError(f"unknown symmetry {name!r}; see `conslaw list`")
-    return _call_entry("symmetry", name, syms[name], kwargs)
+    return _call_entry("symmetry", named_symmetries(), spec)
 
 
 def build_profile(spec, grid, ncomp):
@@ -484,10 +471,7 @@ def build_profile(spec, grid, ncomp):
     total = None
     with np.errstate(all="ignore"):
         for piece in spec.split(" + "):
-            name, kwargs = parse_entry(piece)
-            if name not in profs:
-                raise KeyError(f"unknown profile {name!r}; see `conslaw list`")
-            coeffs = _call_entry("profile", name, profs[name], kwargs, grid, ncomp)
+            coeffs = _call_entry("profile", profs, piece, grid, ncomp)
             total = coeffs if total is None else total + coeffs
     if not np.isfinite(total).all():
         raise ValueError(f"profile {spec!r} has non-finite coefficients")

@@ -36,12 +36,11 @@ import re
 
 import numpy as np
 
-from .opcore import ConstCoeffOperator, midx_order
+from .opcore import MAX_POWER, ConstCoeffOperator, midx_order
 
 __all__ = ["parse_operator", "format_operator", "DslError", "VAR_NAMES", "MAX_POWER"]
 
 VAR_NAMES = ("t", "x", "y", "z")
-MAX_POWER = 64  # largest power of one variable in a term; the flux peels one per step
 
 
 class DslError(ValueError):

@@ -219,6 +219,13 @@ def _to_grid(coeffs):
     return np.fft.ifftn(coeffs, axes=axes, norm="forward", out=coeffs)
 
 
+def _to_coeffs(values):
+    """Fourier coefficients of grid values (component axis first), in place:
+    the inverse of :func:`_to_grid`, and ``fftn(values) / npoints`` bit for bit."""
+    axes = tuple(range(1, values.ndim))
+    return np.fft.fftn(values, axes=axes, norm="forward", out=values)
+
+
 def integrate(grid, values):
     """Spectral quadrature: box volume times the grid mean (the zero mode)."""
     return grid.volume * complex(np.mean(values))

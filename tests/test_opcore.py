@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import conslaw
+from conslaw import dsl
 from conslaw.catalog import dirac_operator, kdvkdv_operator, wave_operator
+from conslaw.current import concomitant_flux
 from conslaw.dsl import _Parser, parse_operator
 from conslaw.gamma import dirac_representation
 from conslaw.opcore import (
+    MAX_POWER,
     ConstCoeffOperator,
     identity_operator,
     op_add,
@@ -206,6 +209,19 @@ def test_shape_errors():
         ConstCoeffOperator(2, (2, 2), {(0, -1): np.eye(2)})
     with pytest.raises(ValueError):
         L.symbol([1.0])
+
+
+def test_derivative_order_is_bounded_by_max_power():
+    assert dsl.MAX_POWER == MAX_POWER == 64
+    assert ConstCoeffOperator(2, (1, 1), {(0, 64): [[1]]}).terms
+    with pytest.raises(ValueError, match=r"multi-index \(0, 65\) has a slot outside 0..64"):
+        ConstCoeffOperator(2, (1, 1), {(0, 65): [[1]]})
+    # refused by the constructor, before the flux would peel 1e20 derivatives
+    with pytest.raises(ValueError, match=r"multi-index \(0, 100000000000000000000\)"):
+        concomitant_flux(ConstCoeffOperator(2, (1, 1), {(1, 0): [[1]], (0, 10**20): [[1]]}))
+    L = ConstCoeffOperator(2, (1, 1), {(1, 0): [[1]], (0, 40): [[1]]})
+    with pytest.raises(ValueError, match=r"multi-index \(0, 80\) has a slot outside 0..64"):
+        op_compose(L, L)
 
 
 def test_operator_immutability():

@@ -13,7 +13,7 @@ import pytest
 import conslaw
 from conslaw import dirac, scenario
 from conslaw.adjoint import adjoint_factorization, semi_conjugacy_solve
-from conslaw.catalog import build_operator, build_profile, build_symmetry
+from conslaw.catalog import build_operator, build_profile, build_symmetry, heat_operator, wave_operator
 from conslaw.cli import main
 from conslaw.current import adjoint_characteristic, concomitant_flux
 from conslaw.scenario import (
@@ -449,6 +449,9 @@ def test_cli_rejects_unknown_operator_keyword(capsys):
     [
         "heat(dim=abc)", "wave(dim=1.5)", "heat(nu=abc)", "dirac(rep=chiral)", "dirac(rep=5)",
         "Dt - Dx^1e400", "Dt - Dx^2.5", "Dt - Dx^100000000000000000000",
+        # a long integer for a float reads as a non-finite float; a dim outside 1..3 is refused
+        *(pytest.param(f"{entry}=1{'0' * 400})", id=f"{entry}=<401 digits>)") for entry in ("dirac(m", "heat(nu", "heat(dim")),
+        "heat(dim=-1)", "wave(dim=100000)",
     ],
 )
 def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
@@ -469,6 +472,10 @@ def test_cli_rejects_mistyped_operator_keyword(capsys, operator):
         ("heat(dim=1)", "packet(seed=1, width=-2.0)", "identity"),
         ("heat(dim=1)", "random(seed=-7, kmax=40)", "identity"),
         ("heat(dim=1)", "packet(seed=-1, width=1.0)", "identity"),
+        # integers too long for a float
+        pytest.param("heat(dim=1)", f"gaussian(width=1{'0' * 400})", "identity", id="gaussian(width=<401 digits>)"),
+        pytest.param("heat(dim=1)", f"gaussian(amp=1{'0' * 400})", "identity", id="gaussian(amp=<401 digits>)"),
+        pytest.param("kdvkdv", "random(seed=1, kmax=4)", f"kdvkdv.Gamma_s(s=1{'0' * 400})", id="kdvkdv.Gamma_s(s=<401 digits>)"),
     ],
 )
 def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profile, symmetry):
@@ -695,6 +702,33 @@ def test_catalog_rejects_unknown_keywords():
         build_profile("random(grid=3)", TorusGrid((6.28,), (16,)), 1)
     assert build_symmetry("dirac.Gamma0(s=0.5)").factors
     assert build_operator("heat(nu=2)") == build_operator("heat(nu=2.0)")  # an int for a float
+
+
+@pytest.mark.parametrize(
+    "ints, floats",
+    [
+        ("heat(nu=2)", "heat(nu=2.0)"),
+        ("dirac(m=0)", "dirac(m=0.0)"),
+        ("random(scale=2)", "random(scale=2.0)"),
+        ("gaussian(amp=1, center=3)", "gaussian(amp=1.0, center=3.0)"),
+    ],
+)
+def test_integer_text_for_a_float_keyword_builds_the_same_bits(ints, floats):
+    grid = TorusGrid((16.0, 12.0), (16, 8))
+    if ints.split("(")[0] in ("heat", "dirac"):
+        got, want = build_operator(ints), build_operator(floats)
+        assert list(got.terms) == list(want.terms)
+        assert all(got.terms[a].tobytes() == want.terms[a].tobytes() for a in want.terms)
+    else:
+        assert build_profile(ints, grid, 2).tobytes() == build_profile(floats, grid, 2).tobytes()
+
+
+@pytest.mark.parametrize("build", [heat_operator, wave_operator])
+@pytest.mark.parametrize("dim", [0, 4, -1, 100000])
+def test_laplace_operators_refuse_a_dim_outside_one_to_three(build, dim):
+    name = build.__name__.split("_")[0]
+    with pytest.raises(ValueError, match=rf"operator '{name}' keyword 'dim' must be 1, 2 or 3, got {dim}$"):
+        build(dim=dim)
 
 
 @pytest.mark.parametrize(
