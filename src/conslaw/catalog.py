@@ -45,12 +45,16 @@ __all__ = [
 # -- operators ---------------------------------------------------------------
 
 
-def _dt_minus_laplace(name, dim, time_power, c):
-    """Scalar D_t^time_power - c * Laplace in ``dim`` space variables, 1..3
-    (the DSL names x, y and z; a larger ``dim`` builds an operator too large
-    to check)."""
+def _check_dim(kind, name, dim):
+    """Refuse a space dimension outside 1..3 (the DSL names x, y and z; a
+    larger ``dim`` builds an operator or mask too large to check)."""
     if not 1 <= dim <= 3:
-        raise ValueError(f"operator {name!r} keyword 'dim' must be 1, 2 or 3, got {dim!r}")
+        raise ValueError(f"{kind} {name!r} keyword 'dim' must be 1, 2 or 3, got {dim!r}")
+
+
+def _dt_minus_laplace(name, dim, time_power, c):
+    """Scalar D_t^time_power - c * Laplace in ``dim`` space variables, 1..3."""
+    _check_dim("operator", name, dim)
     nv = dim + 1
     terms = {(time_power,) + (0,) * dim: [[1.0]]}
     for d in range(dim):
@@ -130,18 +134,21 @@ def _identity():
 
 
 def _heat_space_reflection(dim=1):
+    _check_dim("symmetry", "heat.space_reflection", dim)
     mask = (False,) + (True,) * dim
     return SymmetryOp((PointReflect(mask),), name="heat.space_reflection")
 
 
 def _heat_s_reflection(s=None, dim=1):
     """Direct adjoint-characteristic map u -> u(x, s - t)."""
+    _check_dim("symmetry", "heat.s_reflection", dim)
     mask = (True,) + (False,) * dim
     return SymmetryOp((PointReflect(mask, s=s),), name="heat.s_reflection", char_map=True)
 
 
 def _heat_time_reversal(dim=1):
     """Bare time reversal; NOT a heat symmetry (negative control)."""
+    _check_dim("symmetry", "heat.time_reversal", dim)
     mask = (True,) + (False,) * dim
     return SymmetryOp((PointReflect(mask, s=0.0),), name="heat.time_reversal")
 
@@ -152,10 +159,12 @@ def _partial(slot, nvars, name):
 
 
 def _wave_time_translation(dim=1):
+    _check_dim("symmetry", "wave.time_translation", dim)
     return _partial(0, dim + 1, "wave.time_translation")
 
 
 def _wave_space_translation(dim=1, axis=1):
+    _check_dim("symmetry", "wave.space_translation", dim)
     if not 1 <= axis <= dim:
         raise ValueError(f"wave.space_translation axis {axis} is outside 1..{dim}")
     return _partial(int(axis), dim + 1, "wave.space_translation")

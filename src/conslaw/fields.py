@@ -29,6 +29,7 @@ __all__ = [
     "evolution_matrices",
     "evolution_matrix",
     "evolution_symbol",
+    "kernel_probes",
     "kernel_sample",
     "kernel_samples",
 ]
@@ -308,14 +309,9 @@ def evolution_matrix(L, kspace):
     return evolution_matrices(L, [kspace])[0]
 
 
-def kernel_samples(L, kspaces):
-    """Exact plane-wave kernel elements of ``L``, one list per spatial wavevector.
-
-    Solves the per-mode dispersion via the companion matrices, made and
-    eigendecomposed for all wavevectors at once, and returns one field ``v
-    exp(lam t + i k.x)`` per accepted eigenpair (defective modes contribute
-    only their genuine eigenvectors).  Raises when a wavevector has none.
-    """
+def _kernel_eigenpairs(L, kspaces):
+    """``(kspace, pairs)`` per wavevector: ``kspace`` as a tuple of floats and
+    ``pairs`` its accepted eigenpairs ``(lam, v)``."""
     m, R = L.cols, L.time_order()
     kspaces = [tuple(float(kj) for kj in kspace) for kspace in kspaces]
     ks = np.reshape(kspaces, (len(kspaces), L.nvars - 1))
@@ -324,7 +320,7 @@ def kernel_samples(L, kspaces):
     lams, vecs = np.linalg.eig(A)
     out = []
     for i, kspace in enumerate(kspaces):
-        waves = []
+        pairs = []
         scale = max(np.linalg.norm(A[i]), 1.0)
         for lam, w in zip(lams[i], vecs[i].T):
             v = w[:m]
@@ -337,11 +333,39 @@ def kernel_samples(L, kspaces):
             for r, C in enumerate(symbols):
                 acc = acc + C[i] @ v * lam**r
             if np.linalg.norm(acc) <= 1e-8 * max(scale, abs(lam) ** R):
-                waves.append(plane_wave(L.nvars, v, lam, kspace))
-        if not waves:
+                pairs.append((lam, v))
+        if not pairs:
             raise ValueError(f"no plane-wave kernel elements at k={kspace}")
-        out.append(waves)
+        out.append((kspace, pairs))
     return out
+
+
+def kernel_probes(L, kspaces):
+    """Kernel probes of ``L``: stacked arrays ``(mu, k, v)``, one row per probe.
+
+    Each row is an exact kernel plane wave ``v exp(mu t + i k.x)`` with
+    ``|v| = 1``: the accepted eigenpairs of the companion matrices, made and
+    eigendecomposed for all wavevectors at once, in wavevector order
+    (defective modes contribute only their genuine eigenvectors).  Shapes are
+    ``(p,)``, ``(p, nvars - 1)`` and ``(p, cols)``.  Raises when a wavevector
+    has no kernel element.
+    """
+    rows = [(lam, kspace, v) for kspace, pairs in _kernel_eigenpairs(L, kspaces) for lam, v in pairs]
+    mu = np.array([lam for lam, _, _ in rows], dtype=complex)
+    k = np.array([kspace for _, kspace, _ in rows], dtype=float).reshape(len(rows), L.nvars - 1)
+    v = np.array([v for _, _, v in rows], dtype=complex)
+    return mu, k, v
+
+
+def kernel_samples(L, kspaces):
+    """Exact plane-wave kernel elements of ``L``, one list per spatial wavevector.
+
+    The kernel probes of :func:`kernel_probes` as fields ``v exp(lam t +
+    i k.x)``, grouped by wavevector.  Raises when a wavevector has none.
+    """
+    return [
+        [plane_wave(L.nvars, v, lam, kspace) for lam, v in pairs] for kspace, pairs in _kernel_eigenpairs(L, kspaces)
+    ]
 
 
 def kernel_sample(L, kspace):

@@ -3,8 +3,9 @@
 An operator is a finite sum ``sum_a M_a * D^a`` where ``a`` ranges over
 multi-indices in ``n + 1`` variables (slot 0 is always time) and every ``M_a``
 is a complex ``l x m`` matrix.  Multi-indices are plain tuples of ints in
-``0..MAX_POWER``.  All operations are pure; operators are immutable after
-construction.
+``0..MAX_POWER`` (a slot given as an integral float such as ``1.0`` reads as
+an int; a fractional one is refused).  All operations are pure; operators
+are immutable after construction.
 
 Coefficient arithmetic is done in complex128.  When entries are exact (small
 integers, Gaussian integers scaled to floats) sums and products stay exact, so
@@ -64,7 +65,13 @@ class ConstCoeffOperator:
         # lazy pieces compute their matrices here too, so overflow shows as a non-finite total
         with np.errstate(over="ignore", invalid="ignore"):
             for alpha, mat in terms.items() if isinstance(terms, dict) else terms:
-                alpha = tuple(int(a) for a in alpha)
+                given = tuple(alpha)
+                try:
+                    alpha = tuple(int(a) for a in given)
+                except (OverflowError, ValueError):  # inf or nan
+                    alpha = None
+                if alpha != given:
+                    raise ValueError(f"multi-index {given} has a slot that is not an integer")
                 if len(alpha) != nvars:
                     raise ValueError(f"multi-index {alpha} has {len(alpha)} slots, expected {nvars}")
                 if not all(0 <= a <= MAX_POWER for a in alpha):

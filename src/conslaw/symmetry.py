@@ -9,10 +9,19 @@ adjoint characteristic's chain).  A chain is linear iff it contains an even
 number of conjugations.  A *point chain* (matrix, reflection and conjugation
 factors only) has one normal form ``u -> M R_s [conj^c u]``, a :class:`PointChain`.
 
-Verification is kernel preservation: random exact kernel superpositions are
-pushed through the chain and the operator residual is evaluated pointwise.
-Chains flagged ``char_map`` build adjoint-kernel elements directly and are
-verified against the formal adjoint instead.
+Verification is kernel preservation, checked in one of two ways; both pass
+at 1e-8 and raise on a non-finite sample, and chains flagged ``char_map``,
+which build adjoint-kernel elements directly, are checked against the formal
+adjoint instead.  A chain of matrices, reflections, conjugations and
+constant-coefficient ``DiffFactor``s (``SymmetryOp.symbol_checkable``) is
+checked in symbol space by :func:`verify_symbol`: each kernel probe ``(mu, k,
+v)`` of :func:`~conslaw.fields.kernel_probes` is mapped through the chain and
+``P(mu'', k'') v''`` is one matrix product.  :func:`verify_symmetry`, the
+oracle, checks any chain: random exact kernel superpositions are pushed
+through it as closed-form fields and the operator residual is evaluated
+pointwise; the pipeline uses it for chains with ``x``- or ``t``-weighted
+``DiffFactor``s (the rotations).  Kernel shifts are checked exactly by
+:func:`verify_kernel_shift`.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import formal_adjoint
-from .fields import AnalyticField, collect, kernel_samples
+from .fields import AnalyticField, collect, kernel_probes, kernel_samples
+from .opcore import ConstCoeffOperator
 
 __all__ = [
     "MatrixFactor",
@@ -36,6 +46,9 @@ __all__ = [
     "verify_symmetry",
     "verify_kernel_shift",
     "SymmetryReport",
+    "SymbolProbes",
+    "symbol_probes",
+    "verify_symbol",
 ]
 
 
@@ -125,6 +138,16 @@ class SymmetryOp:
     @property
     def is_linear(self):
         return sum(isinstance(f, Conjugation) for f in self.factors) % 2 == 0
+
+    @property
+    def symbol_checkable(self):
+        """Whether every factor is a matrix, a reflection, a conjugation or a
+        constant-coefficient ``DiffFactor``: then :func:`verify_symbol` applies."""
+        return all(
+            isinstance(f, (MatrixFactor, PointReflect, Conjugation))
+            or (isinstance(f, DiffFactor) and not any(poly for poly, _, _ in f.terms))
+            for f in self.factors
+        )
 
     def point_form(self, nvars, ncomp):
         """The :class:`PointChain` of this chain on ``ncomp`` components of
@@ -285,3 +308,94 @@ def verify_kernel_shift(L, shift):
     """Exact check that the fixed field is annihilated by ``L``."""
     resid = shift.field.apply_operator(L)
     return resid.max_coeff() <= 1e-12 * max(L.max_norm(), 1.0) * max(shift.field.max_coeff(), 1.0)
+
+
+# -- the generator check in symbol space ----------------------------------------
+
+
+@dataclass(frozen=True)
+class SymbolProbes:
+    """Kernel probes ``(mu, k, v)`` of an operator, the five sample times and
+    the context reflection time ``s`` of a symbol-space generator check."""
+
+    mu: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    times: np.ndarray
+    s: float
+    samples: int  # wavevectors drawn
+
+
+def symbol_probes(L, seed=0, s=1.0):
+    """The probes and times of :func:`verify_symbol`, drawn as ``verify_symmetry``
+    draws its wavevectors and times: the same generator stream, so both checks
+    sample the same wavevectors and name the same time in a non-finite error."""
+    rng = np.random.default_rng(seed)
+    kspace_list = _default_wavevectors(L, rng)
+    mu, k, v = kernel_probes(L, kspace_list)
+    rng.standard_normal((len(mu), 2))  # verify_symmetry's superposition coefficients
+    rng.standard_normal((24, L.nvars - 1))  # and sample points
+    times = rng.uniform(0.1 * s, 0.9 * s, size=5) if s else rng.uniform(0.0, 1.0, size=5)
+    return SymbolProbes(mu, k, v, times, s, len(kspace_list))
+
+
+def _symbol_at(op, mu, k):
+    """``sum_a M_a mu^a0 (ik)^a'`` of ``op`` on each plane wave ``exp(mu t + i k.x)``."""
+    return op.symbol(np.column_stack((-1j * mu, k)))
+
+
+def _diff_operator(factor, nvars, ncomp):
+    """A constant-coefficient ``DiffFactor`` on ``ncomp`` components as an operator."""
+    mats = [np.eye(ncomp) if mat is None else mat for _, mat, _ in factor.terms]
+    return ConstCoeffOperator(nvars, mats[0].shape, [(alpha, mat) for (_, _, alpha), mat in zip(factor.terms, mats)])
+
+
+def verify_symbol(L, g, probes):
+    """:func:`verify_symmetry`'s verdict for a ``symbol_checkable`` chain, from
+    one matrix product per kernel probe.
+
+    Each probe ``v exp(mu t + i k.x)`` goes through the chain right to left: a
+    matrix maps ``v -> M v``, a conjugation ``(mu, k, v) -> (conj mu, -k,
+    conj v)``, a reflection negates the masked ``k_j`` and, for the time slot,
+    ``mu`` (the image of ``t -> s - t`` gains the amplitude ``exp(mu s)``), and
+    a constant-coefficient ``DiffFactor`` maps ``v -> Q(mu, k) v``.  The image
+    ``(mu'', k'', v'')`` is a kernel element iff ``P(mu'', k'') v'' = 0``, with
+    ``P`` the symbol of ``L`` (of its formal adjoint for ``char_map`` chains).
+    The residual is the largest ``|P v''| / (|v''| max(1, |mu''|, |k''|_inf)
+    max(|L|_max, 1))``, a probe with ``v'' = 0`` counting as 0; it passes at
+    1e-8.  Raises ``ValueError`` when an image's amplitude ``exp(Re(log amp +
+    mu'' t))`` at a sample time, or the residual, is not finite.
+    """
+    if not g.symbol_checkable:
+        raise TypeError(f"{g.name or 'the chain'} has a factor with no action on kernel probes")
+    mu, k, v = probes.mu, probes.k, probes.v
+    logamp = np.zeros(len(mu), dtype=complex)
+    for f in reversed(g.factors):
+        if isinstance(f, MatrixFactor):
+            v = v @ f.matrix.T
+        elif isinstance(f, Conjugation):
+            mu, k, v, logamp = mu.conj(), -k, v.conj(), logamp.conj()
+        elif isinstance(f, PointReflect):
+            if len(f.mask) != L.nvars:
+                raise ValueError(f"reflection mask {f.mask} has {len(f.mask)} slots, expected {L.nvars}")
+            if f.mask[0]:
+                logamp = logamp + mu * f.resolve_s(probes.s)
+                mu = -mu
+            k = np.where(f.mask[1:], -k, k)
+        else:  # a constant-coefficient DiffFactor
+            v = np.einsum("pij,pj->pi", _symbol_at(_diff_operator(f, L.nvars, v.shape[1]), mu, k), v)
+    target = formal_adjoint(L) if g.char_map else L
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.linalg.norm(np.einsum("pij,pj->pi", _symbol_at(target, mu, k), v), axis=1)
+        freq = np.maximum(1.0, np.maximum(np.abs(mu), np.abs(k).max(axis=1)))
+        size = np.linalg.norm(v, axis=1) * freq * max(L.max_norm(), 1.0)
+        rel = np.divide(resid, size, out=np.zeros(len(mu)), where=size != 0)  # a NaN size stays NaN
+        amp = np.exp((logamp[:, None] + mu[:, None] * probes.times).real)
+    bad = ~np.isfinite(amp).all(axis=0) | ~np.isfinite(rel).all()
+    if bad.any():
+        raise ValueError(
+            f"generator check of {g.name or 'the symmetry'} is non-finite at t={probes.times[np.argmax(bad)]:.6g}; "
+            "its residual is undefined"
+        )
+    worst = float(rel.max())
+    return SymmetryReport(worst, worst <= 1e-8, "adjoint" if g.char_map else "kernel", probes.samples)

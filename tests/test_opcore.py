@@ -224,6 +224,20 @@ def test_derivative_order_is_bounded_by_max_power():
         op_compose(L, L)
 
 
+@pytest.mark.parametrize("slot", [1.5, 0.999, float("nan"), float("inf")])
+def test_non_integral_multi_index_slots_are_refused(slot):
+    # a fraction used to be truncated by int(): (0, 1.5) became the key (0, 1)
+    with pytest.raises(ValueError, match=r"multi-index \(0, \S+\) has a slot that is not an integer"):
+        ConstCoeffOperator(2, (1, 1), {(0, slot): [[1]], (1, 0): [[1]]})
+
+
+def test_integral_float_multi_index_slots_read_as_ints():
+    L = ConstCoeffOperator(2, (1, 1), {(0, 1.0): [[1]], (np.int64(1), np.float64(0.0)): [[1]]})
+    assert list(L.terms) == [(0, 1), (1, 0)]
+    assert all(type(a) is int for alpha in L.terms for a in alpha)
+    assert L == ConstCoeffOperator(2, (1, 1), {(0, 1): [[1]], (1, 0): [[1]]})
+
+
 def test_operator_immutability():
     L = identity_operator(2, 2)
     with pytest.raises(AttributeError):

@@ -21,7 +21,15 @@ from conslaw.spectral import (
     kappa_series,
     symmetry_view,
 )
-from conslaw.symmetry import DiffFactor, KernelShift, MatrixFactor, SymmetryOp, verify_symmetry
+from conslaw.symmetry import (
+    DiffFactor,
+    KernelShift,
+    MatrixFactor,
+    SymmetryOp,
+    symbol_probes,
+    verify_symbol,
+    verify_symmetry,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -37,6 +45,16 @@ def _random_dispersive_system(rng, m):
     return ConstCoeffOperator(2, (m, m), terms), S
 
 
+def _symmetry_chains(m, S):
+    """Polynomials in S and the two translations: symmetries of every random system."""
+    return [
+        SymmetryOp((MatrixFactor(np.eye(m)),), name="id"),
+        SymmetryOp((MatrixFactor(S @ S + 0.5 * S),), name="poly(S)"),
+        SymmetryOp((DiffFactor((((), None, (0, 1)),)),), name="d/dx"),
+        SymmetryOp((DiffFactor((((), None, (1, 0)),)),), name="d/dt"),
+    ]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_system_charges_are_conserved(seed):
     rng = np.random.default_rng(200 + seed)
@@ -48,12 +66,7 @@ def test_random_system_charges_are_conserved(seed):
     flux = concomitant_flux(L)
     assert flux.divergence_defect(L) == 0.0
 
-    generators = [
-        SymmetryOp((MatrixFactor(np.eye(m)),), name="id"),
-        SymmetryOp((MatrixFactor(S @ S + 0.5 * S),), name="poly(S)"),
-        SymmetryOp((DiffFactor((((), None, (0, 1)),)),), name="d/dx"),
-        SymmetryOp((DiffFactor((((), None, (1, 0)),)),), name="d/dt"),
-    ]
+    generators = _symmetry_chains(m, S)
     w = polynomial_field(2, m, [{(0, 0): float(rng.standard_normal())} for _ in range(m)])
     generators.append(KernelShift(w, name="const"))
 
@@ -94,3 +107,17 @@ def test_random_system_negative_control_drifts():
     qview = symmetry_view(char, traj, s=1.0)
     series = kappa_series(flux, [qview], traj, np.linspace(0.0, 0.8, 7))[0]
     assert series.drift >= 1e-2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_symbol_check_gives_the_verdict_of_verify_symmetry(seed):
+    # the symmetries pass and a matrix that does not commute with S fails, in both checks
+    rng = np.random.default_rng(200 + seed)
+    m = int(rng.integers(2, 4))
+    L, S = _random_dispersive_system(rng, m)
+    bad = SymmetryOp((MatrixFactor(rng.standard_normal((m, m))),), name="bad")
+    probes = symbol_probes(L, seed=seed, s=1.0)
+    for gen in _symmetry_chains(m, S) + [bad]:
+        want = verify_symmetry(L, gen, seed=seed, s=1.0)
+        got = verify_symbol(L, gen, probes)
+        assert got.passed == want.passed == (gen is not bad), (gen.name, got.residual, want.residual)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conslaw
-from conslaw import dirac, scenario
+from conslaw import dirac, scenario, symmetry
 from conslaw.adjoint import adjoint_factorization, semi_conjugacy_solve
 from conslaw.catalog import build_operator, build_profile, build_symmetry, heat_operator, wave_operator
 from conslaw.cli import main
@@ -354,6 +354,53 @@ def test_cli_non_finite_generator_check_is_an_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def _count_field_checks(monkeypatch):
+    """The names of the chains ``verify_symmetry`` checks, wherever a module holds it."""
+    names = []
+    original = symmetry.verify_symmetry
+
+    def counted(L, g, **kwargs):
+        names.append(g.name)
+        return original(L, g, **kwargs)
+
+    for module in (symmetry, scenario):
+        monkeypatch.setattr(module, "verify_symmetry", counted)
+    return names
+
+
+@pytest.mark.parametrize("stem", ["dirac_charges", "kdvkdv_quadratic", "wave_energy"])
+def test_point_and_constant_coefficient_chains_skip_the_field_check(monkeypatch, stem):
+    names = _count_field_checks(monkeypatch)
+    report = run_scenario(load_scenario(SCENARIOS / f"{stem}.scn"))
+    assert names == []
+    assert report["pass"]
+    assert any("generator_residual" in entry for entry in report["results"])
+
+
+def test_rotations_keep_the_field_check(monkeypatch):
+    names = _count_field_checks(monkeypatch)
+    scn = load_scenario(SCENARIOS / "dirac_angular_momentum.scn")
+    small = dataclasses.replace(scn, grid={**scn.grid, "modes": (8, 8, 8)})
+    # the generator checks come before the trajectory pass, whose support
+    # guard then refuses the packet on this coarse grid
+    with pytest.raises(ScenarioError, match="needs compactly supported data"):
+        run_scenario(small)
+    assert names == ["dirac.rotation_x", "dirac.rotation_y", "dirac.rotation_z"]
+
+
+def test_symbol_path_fails_closed_on_non_finite_amplitudes(monkeypatch):
+    names = _count_field_checks(monkeypatch)
+    scn = parse_scenario(OVERFLOWING_GENERATOR_CHECK)
+    with pytest.raises(ValueError, match="generator check of heat.space_reflection is non-finite at t=") as err:
+        run_scenario(scn)
+    assert names == []
+    # every sampled time overflows: both checks name the first of the same five times
+    L, g = build_operator(scn.operator), build_symmetry("heat.space_reflection")
+    with pytest.raises(ValueError) as want:
+        symmetry.verify_symmetry(L, g, seed=scn.seed, s=scn.s)
+    assert str(err.value) == str(want.value)
+
+
 @pytest.mark.parametrize(
     "times", ["linspace(0, 1, 0)", "0.0, nan", "0.0, inf", "0.5", "0.5, 0.5"]
 )
@@ -487,6 +534,30 @@ def test_cli_rejects_mistyped_scenario_entries(tmp_path, capsys, operator, profi
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "dim", ["0", "4", "-1", "100000", pytest.param(f"1{'0' * 400}", id="<401 digits>")]
+)
+@pytest.mark.parametrize(
+    "symmetry",
+    [
+        "heat.space_reflection", "heat.s_reflection", "heat.time_reversal",
+        "wave.time_translation", "wave.space_translation",
+    ],
+)
+def test_cli_rejects_a_symmetry_dim_outside_one_to_three(tmp_path, capsys, symmetry, dim):
+    # a 401-digit dim was an OverflowError traceback (heat) or ran without end
+    # (wave.time_translation); dim=100000 built a 100001-slot mask first
+    path = tmp_path / "dim.scn"
+    path.write_text(
+        f"operator = {symmetry.split('.')[0]}(dim=1)\ngrid = modes:16 length:6.28\n"
+        f"profile = random(seed=1, kmax=4)\ntimes = 0.0, 0.5\nsymmetry = {symmetry}(dim={dim})\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: symmetry '{symmetry}' keyword 'dim' must be 1, 2 or 3, got {dim}")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from conslaw.catalog import (
     navier_stokes_operator,
     wave_operator,
 )
-from conslaw.fields import AnalyticField, evolution_matrix, kernel_sample, kernel_samples, plane_wave
+from conslaw.fields import AnalyticField, evolution_matrix, kernel_probes, kernel_sample, kernel_samples, plane_wave
 from conslaw.dsl import parse_operator
 from conslaw.gamma import energy
 from conslaw.current import adjoint_characteristic
@@ -29,7 +29,9 @@ from conslaw.symmetry import (
     _random_kernel_superposition,
     apply_factor_analytic,
     apply_symmetry_analytic,
+    symbol_probes,
     verify_kernel_shift,
+    verify_symbol,
     verify_symmetry,
 )
 
@@ -146,6 +148,66 @@ def test_catalog_symmetries_verify_against_their_operators():
             assert rep.residual <= 1e-8
 
 
+def _symbol_checkable_cases():
+    """Every catalog chain with a symbol-space check, the characteristic map
+    ``heat.s_reflection`` and the two negative controls."""
+    cases = [(L, name) for L, names in CATALOG_CASES.items() for name in names]
+    cases += [(heat_operator(1), "heat.s_reflection"), (heat_operator(1), "heat.time_reversal")]
+    cases += [(dirac_operator(1.0), "dirac.bad_time_reflection")]
+    return [(L, build_symmetry(name)) for L, name in cases if build_symmetry(name).factors]
+
+
+@pytest.mark.parametrize("seed, s", [(3, 0.8), (0, 1.0), (23, 0.0)])
+def test_symbol_check_gives_the_verdict_of_verify_symmetry(seed, s):
+    failed = []
+    for L, g in _symbol_checkable_cases():
+        if not g.symbol_checkable:
+            assert g.name.startswith("dirac.rotation_"), g.name  # x-weighted
+            continue
+        want = verify_symmetry(L, g, seed=seed, s=s)
+        got = verify_symbol(L, g, symbol_probes(L, seed=seed, s=s))
+        assert (got.passed, got.target, got.samples) == (want.passed, want.target, want.samples), g.name
+        if not got.passed:
+            failed.append(g.name)
+            assert got.residual >= 1e-2, g.name
+    assert failed == ["heat.time_reversal", "dirac.bad_time_reflection"]
+
+
+def test_symbol_check_refuses_chains_it_cannot_check():
+    L = dirac_operator(1.0)
+    with pytest.raises(TypeError, match="no action on kernel probes"):
+        verify_symbol(L, build_symmetry("dirac.rotation_x"), symbol_probes(L))  # x-weighted
+    H = heat_operator(1)
+    with pytest.raises(ValueError, match=r"reflection mask .* has 4 slots, expected 2"):
+        verify_symbol(H, build_symmetry("dirac.Gamma1"), symbol_probes(H))
+
+
+def test_symbol_check_tracks_the_reflected_amplitude():
+    # u(s - t) on forward heat flow is exp(-k^2 s) exp(k^2 t): finite for t < s,
+    # though exp(k^2 t) alone overflows at some sampled times
+    L = heat_operator(1)
+    probes = symbol_probes(L, seed=5, s=3000.0)
+    assert (np.abs(probes.mu.real)[:, None] * probes.times > 710).any()
+    rep = verify_symbol(L, build_symmetry("heat.s_reflection"), probes)
+    assert rep.passed and rep.target == "adjoint"
+
+
+def test_symbol_check_fails_a_time_reflection_whose_image_underflows():
+    # t -> s - t is no forward heat symmetry; at s = 3000 the image's amplitude
+    # exp(-k^2 s) is below the smallest double, but the check reads P v'', not it
+    L = heat_operator(1)
+    g = SymmetryOp((PointReflect((True, False)),), name="t->s-t")
+    rep = verify_symbol(L, g, symbol_probes(L, seed=5, s=3000.0))
+    assert not rep.passed and rep.residual == 2.0
+
+
+def test_symbol_check_fails_closed_on_a_non_finite_image():
+    L = kdvkdv_operator()
+    g = SymmetryOp((MatrixFactor([[np.nan, 0.0], [0.0, 1.0]]),), name="nan")
+    with pytest.raises(ValueError, match="generator check of nan is non-finite at t="):
+        verify_symbol(L, g, symbol_probes(L))
+
+
 def test_discrete_composition_closure():
     # products of verified symmetries verify (spot check on the discrete set)
     L = dirac_operator(1.0)
@@ -248,6 +310,19 @@ def test_kernel_samples_match_the_per_wavevector_reference(seed):
         for k, waves in zip(ks, got):
             want = _per_wavevector_kernel_sample(L, k)
             assert _wave_bits(waves) == _wave_bits(want) == _wave_bits(kernel_sample(L, k)), (L, k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_probes_are_the_plane_waves_of_kernel_samples(seed):
+    # the probe rows, in order, are the plane waves' rates, wavevectors and amplitudes, to the bit
+    ops = [build_operator(spec) for spec in ("heat", "wave(dim=3)", "kdvkdv")]
+    ops += [dirac_operator(1.0), build_operator("jordan2x2")]
+    for L in ops:
+        ks = _default_wavevectors(L, np.random.default_rng(seed))
+        mu, k, v = kernel_probes(L, ks)
+        assert mu.shape == (len(k),) and k.shape == (len(k), L.nvars - 1) and v.shape == (len(k), L.cols)
+        rebuilt = [plane_wave(L.nvars, vv, lam, kk) for lam, kk, vv in zip(mu, k, v)]
+        assert _wave_bits(rebuilt) == _wave_bits([w for waves in kernel_samples(L, ks) for w in waves]), L
 
 
 def test_kernel_samples_name_a_wavevector_without_kernel_elements():
