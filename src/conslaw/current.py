@@ -9,7 +9,8 @@ condition ``L*[Q] = 0`` is equivalent to ``Lt[conj(Q)] = 0``.
 
 For evaluation a characteristic's density terms are compiled into groups
 keyed by Q-side source instead of ``beta`` (``spectral.density``), and
-``evaluate_terms`` contracts those, ``CHUNK`` grid points at a time.
+``evaluate_terms`` contracts those for a stack of sample times at once,
+``CHUNK`` grid points at a time.
 
 The flux is canonical: derivatives are peeled off P lowest variable first
 (t before x1 before x2 ...), so X is deterministic; it is only unique up to
@@ -126,64 +127,72 @@ def concomitant_flux(L):
     return BilinearFlux(nv, L.rows, components)
 
 
-CHUNK = 2048  # grid points per block of the density contraction
+CHUNK = 2048  # grid points per block of the density contraction, over all rows
 _LANES = 8  # each block's window spans a multiple of this many points
 
 
 def evaluate_terms(groups, jet_q, jet_p, weight):
     """Numerically contract compiled bilinear groups against two jet providers.
 
-    ``groups`` maps ``(w, src, gamma)`` to a ``(k, m)`` matrix ``B``: the term
-    ``weight(w) * sum_a conj(S)[a] * (B @ d^gamma P)[a]``, conjugated on the Q
-    side (the Hermitian pairing).  ``jet_q(src)`` returns ``(x, conj)``, a
-    ``(k, n)`` array with ``S = conj(x)`` when ``conj`` is set and ``S = x``
-    otherwise; ``jet_p(gamma)`` the jet of P indexed by component in axis 0;
-    ``weight(w)`` the ``n`` values of a weight other than ``()`` (which is 1).
-    The groups of one weight are summed before it multiplies them.  Returns the
-    flat ``(n,)`` sum, or None for no groups.
+    Every array carries a leading axis of ``T`` rows, one per sample time.
+    ``groups`` maps ``(w, src, gamma)`` to a ``(T, k, m)`` stack of matrices
+    ``B``: the term ``weight(w) * sum_a conj(S)[a] * (B @ d^gamma P)[a]``,
+    row by row, conjugated on the Q side (the Hermitian pairing).
+    ``jet_q(src)`` returns ``(x, conj, order)``: ``x`` a ``(T, k, n)`` array
+    whose points are taken in the order of the index array ``order`` (in
+    their own order when it is None), with ``S = conj(x)`` when ``conj`` is
+    set and ``S = x`` otherwise; ``jet_p(gamma)`` the ``(T, m, n)`` jets of P;
+    ``weight(w)`` the ``n`` values of a weight other than ``()`` (which is
+    1), shared by every row.  The groups of one weight are summed before it
+    multiplies them.  Returns the ``(T, n)`` sum, or None for no groups.
 
-    Each source, P jet and weight is read once.  The contraction then runs
-    over blocks of at most ``CHUNK`` points, so no ``(k, n)`` temporary
-    exists; every point takes the same steps in the same order whatever the
-    block size (matmul, conj, multiply, sum over components, conj, the sum
-    per weight in group order, the weight product, the sum over weights in
-    first-seen order), which leaves the result bit-identical to one block.
+    Each source, P jet and weight is read once, and a reordered source is
+    gathered one block at a time.  The contraction runs over blocks of
+    ``CHUNK // T`` points per row, so no ``(T, k, n)`` temporary exists;
+    every point takes the same steps in the same order whatever the block
+    size and the rows beside it (matmul, conj, multiply, sum over
+    components, conj, the sum per weight in group order, the weight product,
+    the sum over weights in first-seen order), which leaves each row
+    bit-identical to a one-block call with that row alone.
     BLAS and numpy's vector loops treat a trailing partial group of points
     with other arithmetic, so each block is widened to a window of a
     multiple of ``_LANES`` points inside the grid (the whole grid when it is
     shorter): on a grid whose size is a multiple of ``_LANES`` every point
-    then takes the full-width path, as in one whole-grid pass.  Windows of
-    neighbouring blocks may overlap; a point in both gets the same bits twice.
+    then takes the full-width path, as in one whole-grid pass, and every row
+    of a block starts on a multiple of ``_LANES``.  Windows of neighbouring
+    blocks may overlap; a point in both gets the same bits twice.
     """
     terms = []
     sources = {}
+    ps = {}
     for (w, src, gamma), B in groups.items():
         if src not in sources:
             sources[src] = jet_q(src)
-        x, conj = sources[src]
-        p = jet_p(gamma)
-        terms.append((w, B, x, conj, p.reshape(len(p), -1)))
+        if gamma not in ps:
+            ps[gamma] = jet_p(gamma)
+        terms.append((w, B, *sources[src], ps[gamma]))
     if not terms:
         return None
-    n = terms[0][2].shape[1]
+    rows, _k, n = terms[0][2].shape
     weights = {w: weight(w) for w, *_ in terms if w}
-    width = min(-(-CHUNK // _LANES) * _LANES, n)
-    bufs = {len(B): np.empty((len(B), width), dtype=complex) for _w, B, *_ in terms}
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, CHUNK):
-        span = min(-(-min(CHUNK, n - start) // _LANES) * _LANES, n)
+    chunk = max(CHUNK // rows, 1)
+    width = min(-(-chunk // _LANES) * _LANES, n)
+    bufs = {B.shape[1]: np.empty((rows, B.shape[1], width), dtype=complex) for _w, B, *_ in terms}
+    out = np.empty((rows, n), dtype=complex)
+    for start in range(0, n, chunk):
+        span = min(-(-min(chunk, n - start) // _LANES) * _LANES, n)
         lo = min(start, n - span)
         win = slice(lo, lo + span)
-        total = out[win]  # the first weight's piece is summed straight into it
+        total = out[:, win]  # the first weight's piece is summed straight into it
         pieces = {}
-        for w, B, x, conj, p in terms:
-            v = np.matmul(B, p[:, win], out=bufs[len(B)][:, :span])
+        for w, B, x, conj, order, p in terms:
+            v = np.matmul(B, p[:, :, win], out=bufs[B.shape[1]][:, :, :span])
             # conj(S) is x when conj is set; otherwise sum_a conj(S[a]) v[a] is
             # conj(sum_a S[a] conj(v[a])), which needs no copy of S
             if not conj:
                 np.conj(v, out=v)
-            np.multiply(x[:, win], v, out=v)
-            piece = v.sum(axis=0, out=None if pieces else total)
+            np.multiply(x[:, :, win] if order is None else x[:, :, order[win]], v, out=v)
+            piece = v.sum(axis=1, out=None if pieces else total)
             if not conj:
                 np.conj(piece, out=piece)
             if w in pieces:

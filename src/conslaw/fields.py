@@ -309,31 +309,48 @@ def evolution_matrix(L, kspace):
     return evolution_matrices(L, [kspace])[0]
 
 
+def frobenius_norms(mats):
+    """``np.linalg.norm`` of each matrix (or vector) of the stack ``mats``, bit for bit.
+
+    The norm sums the squares of the real and the imaginary parts as two dot
+    products of strided views; a ``(1, size) @ (size, 1)`` product of each
+    entry's row view reaches the same BLAS dot on the same strides.
+    """
+    rows = mats.reshape(len(mats), 1, -1)
+    return np.sqrt(rows.real @ rows.real.mT + rows.imag @ rows.imag.mT).reshape(-1)
+
+
 def _kernel_eigenpairs(L, kspaces):
     """``(kspace, pairs)`` per wavevector: ``kspace`` as a tuple of floats and
-    ``pairs`` its accepted eigenpairs ``(lam, v)``."""
+    ``pairs`` its accepted eigenpairs ``(lam, v)``.
+
+    The acceptance test runs on every eigenpair of every wavevector at once:
+    ``v`` is the field block of the eigenvector, normalised, and the pair is
+    kept when that block is not negligible and the matrix polynomial at the
+    rate annihilates it.  Each norm has the bits of ``np.linalg.norm``.
+    """
     m, R = L.cols, L.time_order()
     kspaces = [tuple(float(kj) for kj in kspace) for kspace in kspaces]
     ks = np.reshape(kspaces, (len(kspaces), L.nvars - 1))
     A = evolution_matrices(L, ks)
     symbols = [L.spatial_symbol(ks, r) for r in range(R + 1)]
     lams, vecs = np.linalg.eig(A)
+    n, d = lams.shape
+    # row e of blocks[i] is the field block of eigenvector e, a contiguous copy as norm makes
+    blocks = np.ascontiguousarray(vecs[:, :m, :].mT)
+    nv = frobenius_norms(blocks.reshape(n * d, m)).reshape(n, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vs = blocks / nv[:, :, None]
+    # residual of the matrix polynomial at each rate
+    acc = np.zeros((n, d, m), dtype=complex)
+    for r, C in enumerate(symbols):
+        acc = acc + (vs @ C.mT) * (lams**r)[:, :, None]
+    res = frobenius_norms(acc.reshape(n * d, m)).reshape(n, d)
+    scale = np.maximum(frobenius_norms(A), 1.0)[:, None]
+    accept = (nv >= 1e-12) & (res <= 1e-8 * np.maximum(scale, np.abs(lams) ** R))
     out = []
     for i, kspace in enumerate(kspaces):
-        pairs = []
-        scale = max(np.linalg.norm(A[i]), 1.0)
-        for lam, w in zip(lams[i], vecs[i].T):
-            v = w[:m]
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                continue
-            v = v / nv
-            # residual of the matrix polynomial at this rate
-            acc = np.zeros(m, dtype=complex)
-            for r, C in enumerate(symbols):
-                acc = acc + C[i] @ v * lam**r
-            if np.linalg.norm(acc) <= 1e-8 * max(scale, abs(lam) ** R):
-                pairs.append((lam, v))
+        pairs = [(lams[i, e], vs[i, e]) for e in np.flatnonzero(accept[i])]
         if not pairs:
             raise ValueError(f"no plane-wave kernel elements at k={kspace}")
         out.append((kspace, pairs))

@@ -8,7 +8,9 @@ the retained mode set symmetric under k -> -k; an optional spherical cutoff
 ``kmax`` band-limits further (needed whenever a reflected time evolution
 would otherwise amplify beyond the configured cap).  A propagator with an
 entry above the cap or a non-finite entry raises ``AmplificationError``, and
-a non-finite kappa value raises instead of yielding a drift.
+a non-finite kappa value raises instead of yielding a drift.  A matrix-free
+propagator checks its entries one by one only when a per-block bound does
+not already clear the cap.
 
 Propagation is matrix-free whenever the leading time coefficient is
 constant: ``A(k)`` is a sum of constant matrices times real monomials in
@@ -38,18 +40,24 @@ matrix ``B`` per group ``(w, S, gamma)`` and contracts each group as
 ``w * sum_a conj(S[a]) (B @ d^gamma u)[a]``: only ``N``-point products and
 small matrix products run on the grid.
 
-A trajectory keeps no cache; ``kappa_series`` owns one sample time's jets.
-At each time it compiles every view's groups first, so it knows every jet
-the time needs, and one ``Trajectory.jets`` call makes them: each time they
-read is propagated once, only the current order's companion state is kept,
-and derivative jets come first, so each time order is scattered once and
-becomes the plain jet.  The jets are dropped before the next time.
-``current.evaluate_terms`` contracts the groups ``CHUNK`` grid points at a
-time, so the only ``(k, N)`` arrays are the jets and the reflected copies
-of reflected sources.  Propagators are not kept.  ``kappa_series`` is also
+A trajectory keeps no cache; ``kappa_series`` owns the jets.  It compiles
+every view's groups at every sample time first, so it knows every jet the
+run needs, and one ``Trajectory.jets`` call per sample time (with the
+sampled times it reads) makes them: each time they read is propagated once,
+only the current order's companion state is kept, and derivative jets come
+first, so each time order is scattered once and becomes the plain jet.  On
+a small grid, where the jets of every time read fit in ``MODE_BLOCK // 2``
+points, ``kappa_series`` keeps them all, one array per derivative with a
+row per time, and contracts each view once: ``current.evaluate_terms`` takes a
+leading time axis, so one call with a row per sample time replaces one call
+per time, with the same bits in every row.  On a larger grid each time is
+contracted on its own and its jets are dropped before the next, the one-row
+case of the same call.  ``evaluate_terms`` works ``CHUNK`` grid points at a
+time and gathers reflected sources block by block, so the only ``(k, N)``
+arrays are the jets.  Propagators are not kept.  ``kappa_series`` is also
 the one support guard: when a field view is ``weighted`` by a spatial
-coordinate, it checks the boundary fraction of each of the time's jets
-once, one component at a time, before they are dropped.
+coordinate, it checks the boundary fraction of each jet once, one
+component at a time, as it is made.
 """
 
 from __future__ import annotations
@@ -137,10 +145,15 @@ class TorusGrid:
         ]
 
     def wavenumbers(self):
-        return [
-            2 * np.pi * np.fft.fftfreq(n, d=L / n)
-            for L, n in zip(self.lengths, self.modes)
-        ]
+        """Angular wavenumbers in FFT order, one read-only 1-d array per dimension."""
+        return self._wavenumbers
+
+    @functools.cached_property
+    def _wavenumbers(self):
+        ks = tuple(2 * np.pi * np.fft.fftfreq(n, d=L / n) for L, n in zip(self.lengths, self.modes))
+        for k in ks:
+            k.flags.writeable = False
+        return ks
 
     def wavevector_grids(self):
         """Full-grid wavevector components, one read-only array per dimension."""
@@ -305,6 +318,12 @@ class EvolutionSystem:
             self._off = {
                 _up_to_sign(coefs[:, i, j]) for i in range(d) for j in range(d) if i != j and coefs[:, i, j].any()
             }
+            # E = max |A_ij(k)| per block bounds every entry of exp(dt A) there
+            # by max|c1| + max|c2| E; scalar modes take no bound
+            self._entry_bound = {} if d == 1 else {
+                (b.start, b.stop): max(float(np.max(np.abs(self._entry(v, b)))) for v in self._diag | self._off)
+                for b in self.blocks()
+            }
             return
         kspace = np.stack([k.reshape(-1)[self.active] for k in grid.wavevector_grids()], axis=-1)
         self._stack = np.empty((n, d, d), dtype=complex)
@@ -366,7 +385,10 @@ class EvolutionSystem:
         Raises ``AmplificationError`` if an entry of ``exp(dt A)`` exceeds
         ``amp_cap`` or is not finite (an overflowing cosh/sinh times a zero
         entry gives NaN).  A matrix-free system takes each entry ``c1
-        delta_ij + c2 A_ij(k)`` from the symbols, and forms no matrix.
+        delta_ij + c2 A_ij(k)`` from the symbols, and forms no matrix; it
+        does so only when ``max|c1| + max|c2| E``, with ``E`` the largest
+        ``|A_ij(k)|`` of the block (found once, at build), does not clear
+        the cap.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             if self._stack is not None:
@@ -381,12 +403,27 @@ class EvolutionSystem:
                 self._check_amplification(dt, float(np.abs(p).max()))
                 return p[:, None] * U
             c1, c2 = _closed_form(dt, self.lam[modes])
-            amp = [np.abs(c1 + c2 * self._entry(v, modes)).max() for v in self._diag]
-            amp += [np.abs(c2 * self._entry(v, modes)).max() for v in self._off]
-            self._check_amplification(dt, float(np.max(amp)))  # np.max keeps a NaN
+            if not self._within_cap(c1, c2, modes):
+                amp = [np.abs(c1 + c2 * self._entry(v, modes)).max() for v in self._diag]
+                amp += [np.abs(c2 * self._entry(v, modes)).max() for v in self._off]
+                self._check_amplification(dt, float(np.max(amp)))  # np.max keeps a NaN
             if AU is None:
                 AU = self.apply(U, modes)
             return c1[:, None] * U + c2[:, None] * AU
+
+    def _within_cap(self, c1, c2, modes):
+        """Whether ``max|c1| + max|c2| E`` clears the cap with room for rounding.
+
+        ``E`` is the bound of the block ``modes`` (of all blocks for other
+        modes).  A NaN or infinite bound does not clear it, so the caller's
+        exact per-entry check decides and words any refusal.
+        """
+        key = (modes.start, modes.stop) if isinstance(modes, slice) else None
+        E = self._entry_bound.get(key)
+        if E is None:
+            E = max(self._entry_bound.values())
+        bound = float(np.abs(c1).max()) + float(np.abs(c2).max()) * E
+        return math.isfinite(bound) and bound <= self.amp_cap * (1 - 1e-9)
 
     def _check_amplification(self, dt, amp):
         """Refuse a propagator whose largest entry ``amp`` is non-finite or above the cap."""
@@ -627,12 +664,13 @@ def _grid_flip(n):
     return (n - np.arange(n)) % n
 
 
-def _reflect_values(grid, values, spatial_mask):
-    out = values
+def _flip_order(grid, spatial_mask):
+    """Flat grid index of each point's reflection on the masked spatial axes."""
+    index = np.arange(grid.npoints).reshape(grid.modes)
     for d, flip in enumerate(spatial_mask):
         if flip:
-            out = np.take(out, _grid_flip(grid.modes[d]), axis=d + 1)
-    return out
+            index = np.take(index, _grid_flip(grid.modes[d]), axis=d)
+    return index.reshape(-1)
 
 
 class ReflectView(_InnerView):
@@ -698,9 +736,10 @@ class ShiftView:
     def jet(self, t, alpha):
         return [(1.0, (), None, (self, float(t), tuple(alpha), (False,) * self.grid.ndim, False))]
 
-    def values(self, t, alpha):
-        vals = self.field.diff_multi(alpha).evaluate(t, self._points)
-        return vals.reshape((self.ncomp,) + self.grid.modes)
+    def values(self, times, alpha):
+        """Grid values of ``d^alpha`` of the field at each of ``times``, ``(T, ncomp, *modes)``."""
+        vals = self.field.diff_multi(alpha).evaluate(np.asarray(times, dtype=float), self._points)
+        return np.moveaxis(vals, 1, 0).reshape((len(times), self.ncomp) + self.grid.modes)
 
 
 def symmetry_view(generator, base, s=None):
@@ -793,16 +832,21 @@ def _groups(flux, qview, t, m):
     return groups
 
 
-def _source(jets, src):
-    """A form's source as ``(x, conj)``, ``x`` a ``(k, npoints)`` array: ``S = conj(x)`` if ``conj``.
+def _sources(read, srcs):
+    """Alike sources, one per time, as ``(x, conj, order)`` (``evaluate_terms``).
 
-    A trajectory's jet is read from ``jets``, a ``Trajectory.jets`` result.
+    ``x`` is a ``(T, k, npoints)`` array, ``S = conj(x)`` if ``conj``, and
+    ``order`` the reflection of the grid points (None when nothing is
+    reflected), which the contraction gathers one block at a time.  The
+    sources differ only in their time.  A trajectory's jets come from
+    ``read(alpha, times)``; a fixed field is evaluated at every time in one
+    call.
     """
-    field, t, alpha, flip, conj = src
-    vals = field.values(t, alpha) if isinstance(field, ShiftView) else jets[(t, alpha)]
-    if any(flip):
-        vals = _reflect_values(field.grid, vals, flip)
-    return vals.reshape(len(vals), -1), conj
+    field, _t, alpha, flip, conj = srcs[0]
+    times = [src[1] for src in srcs]
+    vals = field.values(times, alpha) if isinstance(field, ShiftView) else read(alpha, times)
+    order = _flip_order(field.grid, flip) if any(flip) else None
+    return vals.reshape(vals.shape[:2] + (-1,)), conj, order
 
 
 def _weight_values(grid, w):
@@ -818,21 +862,91 @@ def _weight_values(grid, w):
     return out.reshape(-1)
 
 
-def _contract(groups, jets, grid, t):
-    """Grid values at time ``t`` of the density whose compiled groups are ``groups``.
+def _rows(arrays):
+    """``arrays`` stacked on a new leading axis; a single array as a view of itself."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    ``jets`` holds every trajectory jet the groups read (``_jet_keys``).
+
+def _reader(jets):
+    """``read(alpha, times)``: the jets ``d^alpha`` at ``times`` of a ``Trajectory.jets`` result, stacked."""
+    return lambda alpha, times: _rows([jets[(t, alpha)] for t in times])
+
+
+class _JetStore:
+    """A run's trajectory jets, kept row by row in one array per ``alpha``.
+
+    A run knows the jets it reads (``reads``, one key set per sample time)
+    before it makes them.  The rows of each ``alpha`` hold first the sample
+    times that read it at their own time, in sample order, then the other
+    times, in the order they are first read.  Calling the store as a
+    ``read(alpha, times)`` then returns a slice of its array for the P jets
+    of consecutive sample times, and a gathered copy otherwise.
     """
-    t = float(t)
-    out = evaluate_terms(
-        groups,
-        functools.partial(_source, jets),
-        lambda gamma: jets[(t, gamma)],
-        functools.partial(_weight_values, grid),
-    )
+
+    def __init__(self, times, reads, shape):
+        self.rows = {}
+        for own in (True, False):
+            for t, keys in zip(times, reads):
+                for tk, alpha in sorted(keys):
+                    if (tk == t) == own:
+                        rows = self.rows.setdefault(alpha, {})
+                        rows.setdefault(tk, len(rows))
+        self.arrays = {alpha: np.empty((len(rows),) + shape, dtype=complex) for alpha, rows in self.rows.items()}
+
+    def put(self, jets):
+        for (t, alpha), vals in jets.items():
+            self.arrays[alpha][self.rows[alpha][t]] = vals
+
+    def __call__(self, alpha, times):
+        idx = [self.rows[alpha][t] for t in times]
+        if idx == list(range(idx[0], idx[0] + len(idx))):
+            return self.arrays[alpha][idx[0] : idx[0] + len(idx)]
+        return self.arrays[alpha][idx]
+
+
+def _contract_rows(column, read, grid, times):
+    """Grid values, one flat row per time of ``times``, of the densities whose compiled groups are ``column``.
+
+    ``column`` holds one view's groups at each time.  A view maps every time
+    of its forms alike, so its groups have the same keys at every time but
+    for the times, in the same order; their ``B`` matrices, sources and P
+    jets are stacked time by time into one ``evaluate_terms`` call.
+    ``read(alpha, times)`` stacks the trajectory jets the groups read
+    (``_jet_keys``).
+    """
+    stacked = {}
+    for keys in zip(*column):
+        w, _src, gamma = keys[0]
+        srcs = tuple(src for _w, src, _gamma in keys)
+        stacked[(w, srcs, gamma)] = _rows([groups[key] for groups, key in zip(column, keys)])
+
+    def jet_p(gamma):
+        p = read(gamma, times)
+        return p.reshape(p.shape[:2] + (-1,))
+
+    out = evaluate_terms(stacked, functools.partial(_sources, read), jet_p, functools.partial(_weight_values, grid))
     if out is None:
-        return np.zeros(grid.modes, dtype=complex)
-    return out.reshape(grid.modes)
+        return np.zeros((len(times), grid.npoints), dtype=complex)
+    return out
+
+
+def _contract(groups, jets, grid, t):
+    """Grid values at time ``t`` of the density whose compiled groups are ``groups``;
+    ``jets`` is a ``Trajectory.jets`` result."""
+    return _contract_rows([groups], _reader(jets), grid, [float(t)])[0].reshape(grid.modes)
+
+
+def _integrals(column, read, grid, times):
+    """``(kappa, L1 scale)`` at each of ``times`` of one view, whose compiled
+    groups at each time are ``column``: one contraction, and ``kappa`` and
+    its scale each one mean over the rows, as ``integrate`` takes them one
+    row at a time."""
+    dens = _contract_rows(column, read, grid, times)
+    # a float's abs never raises; a complex NaN's may (a stale errno)
+    return [
+        (grid.volume * complex(k), abs((grid.volume * complex(a)).real))
+        for k, a in zip(dens.mean(axis=1), np.abs(dens).mean(axis=1))
+    ]
 
 
 def _jet_keys(compiled, traj, t):
@@ -857,12 +971,16 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
     views of the characteristics over the trajectory ``traj``.  Every view's
-    groups are compiled for every time first.  A sample time is then
-    contracted together with the sample times whose jets it reads (a
+    groups are compiled for every time first.  A sample time's jets are then
+    made together with those of the sample times whose jets it reads (a
     reflected time ``s - t`` that is sampled too), so one ``traj.jets`` call
-    makes each of their jets once (derivative jets before the plain one); the
-    jets are dropped before the next such batch.  Returns one series with its
-    relative drift per view, its values in sample-time order.
+    makes each of their jets once (derivative jets before the plain one).
+    When the jets of every time fit in ``MODE_BLOCK // 2`` grid points
+    (``npoints`` times the distinct times read), they are kept, and each view
+    is contracted once over all its sample times; otherwise each time is
+    contracted on its own and the jets are dropped before the next such
+    batch.  Returns one series with its relative drift per view, its values
+    in sample-time order.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
     whose boundary fraction is not within ``support_tol`` raises ``SupportError``,
     for the first such time in sample order.
@@ -876,9 +994,18 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
         set(([(t, u)] if weighted else []) + _jet_keys(groups, traj, t)) for t, groups in zip(times, compiled)
     ]
     read_times = [{tk for tk, _alpha in keys} for keys in reads]
+    keep = grid.npoints * len(set().union(*read_times)) <= MODE_BLOCK // 2
+    store = _JetStore(times, reads, (traj.ncomp,) + grid.modes) if keep else None
     done = [False] * len(times)
     values = [[None] * len(times) for _ in qviews]
     mags = [[None] * len(times) for _ in qviews]  # the L1 magnitude of each density
+
+    def integrate_views(read, rows):
+        for v in range(len(qviews)):
+            column = [compiled[j][v] for j in rows]
+            for j, (k, a) in zip(rows, _integrals(column, read, grid, [times[j] for j in rows])):
+                values[v][j], mags[v][j] = k, a
+
     fractions_u = [0.0] * len(times)
     failures = {}  # sample index -> the SupportError of its first jet outside the support
     for i, t in enumerate(times):
@@ -892,11 +1019,8 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
                 fractions = {key: boundary_fraction(grid, vals) for key, vals in jets.items()}
             for j in batch:
                 done[j] = True
-                for v, groups in enumerate(compiled[j]):
-                    integrand = _contract(groups, jets, grid, times[j])
-                    values[v][j] = integrate(grid, integrand)
-                    # a float's abs never raises; a complex NaN's may (a stale errno)
-                    mags[v][j] = abs(integrate(grid, np.abs(integrand)).real)
+                if not keep:
+                    integrate_views(_reader(jets), [j])
                 if weighted:
                     fractions_u[j] = fractions[(times[j], u)]
                     # ``jets`` lists a time's keys in the order ``traj.jets(reads[j])`` would
@@ -906,9 +1030,13 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
                         failures[j] = (
                             f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
                         )
+            if keep:
+                store.put(jets)
             del jets
         if i in failures:
             raise SupportError(failures[i])
+    if keep:
+        integrate_views(store, range(len(times)))
     worst = functools.reduce(max, fractions_u, 0.0)
     return [
         KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)

@@ -278,12 +278,18 @@ def verify_symmetry(L, g, seed=0, s=1.0, kspace_list=None):
     all samples.  Chains flagged ``char_map`` are measured against the formal
     adjoint (their output is a Q, not a kernel element).  Time-reflecting
     factors use the parameter ``s``.  Raises ``ValueError`` when a sampled
-    residual or scale is not finite.
+    residual or scale is not finite.  An image with no terms fails with
+    residual 1, the whole field lost: a time reflection whose amplitude
+    ``exp(lam s)`` underflows on every term would otherwise leave the zero
+    field, which every kernel holds.
     """
     rng = np.random.default_rng(seed)
     kspace_list = kspace_list or _default_wavevectors(L, rng)
     u = _random_kernel_superposition(L, kspace_list, rng)
     gu = apply_symmetry_analytic(g, u, s=s)
+    target = "adjoint" if g.char_map else "kernel"
+    if u.terms and not gu.terms:
+        return SymmetryReport(1.0, False, target, len(kspace_list))
     target_op = formal_adjoint(L) if g.char_map else L
     resid_field = gu.apply_operator(target_op)
     pts = rng.standard_normal((24, L.nvars - 1)) * 2.0
@@ -301,7 +307,7 @@ def verify_symmetry(L, g, seed=0, s=1.0, kspace_list=None):
             "its residual is undefined"
         )
     rel = float(worst.max()) / max(float(scale.max()), 1e-300)
-    return SymmetryReport(rel, rel <= 1e-8, "adjoint" if g.char_map else "kernel", len(kspace_list))
+    return SymmetryReport(rel, rel <= 1e-8, target, len(kspace_list))
 
 
 def verify_kernel_shift(L, shift):
@@ -362,7 +368,8 @@ def verify_symbol(L, g, probes):
     ``(mu'', k'', v'')`` is a kernel element iff ``P(mu'', k'') v'' = 0``, with
     ``P`` the symbol of ``L`` (of its formal adjoint for ``char_map`` chains).
     The residual is the largest ``|P v''| / (|v''| max(1, |mu''|, |k''|_inf)
-    max(|L|_max, 1))``, a probe with ``v'' = 0`` counting as 0; it passes at
+    max(|L|_max, 1))``, a probe with ``v'' = 0`` counting as 0, and 1 when
+    every probe's is (the chain maps the kernel to zero); it passes at
     1e-8.  Raises ``ValueError`` when an image's amplitude ``exp(Re(log amp +
     mu'' t))`` at a sample time, or the residual, is not finite.
     """
@@ -397,5 +404,5 @@ def verify_symbol(L, g, probes):
             f"generator check of {g.name or 'the symmetry'} is non-finite at t={probes.times[np.argmax(bad)]:.6g}; "
             "its residual is undefined"
         )
-    worst = float(rel.max())
+    worst = 1.0 if not v.any() else float(rel.max())  # no image at all fails, as in verify_symmetry
     return SymmetryReport(worst, worst <= 1e-8, "adjoint" if g.char_map else "kernel", probes.samples)

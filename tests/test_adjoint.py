@@ -199,13 +199,23 @@ def test_symbol_identity_residual_matches_the_per_wavevector_loop():
             cases.append((L, semi_conjugacy_solve(L, seed=seed)))
     L = dirac_operator(1.0)
     pair = semi_conjugacy_solve(L)
-    for mask in ((True,) * 4, (True, False, True, False)):
-        cases.append((L, ConjugacyPair(pair.A1, pair.A2, mask)))
+    wrong = ConjugacyPair(pair.A1, pair.A2, (True, False, True, False))
+    cases += [(L, ConjugacyPair(pair.A1, pair.A2, (True,) * 4)), (L, wrong)]
+    # 40 random operators with random pairs: residuals of order one, real and
+    # complex symbols, one to four variables, one to three components
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        nvars, m = 1 + i % 4, 1 + i % 3
+        R = random_operator(rng, nvars=nvars, m=m, nterms=3)
+        if i % 5 == 0:
+            R = ConstCoeffOperator(nvars, (m, m), {a: mat.real for a, mat in R.terms.items()})
+        A1, A2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
+        cases.append((R, ConjugacyPair(A1, A2, tuple(bool(b) for b in rng.integers(0, 2, nvars)))))
     assert any(any(pair.parity_mask) for _L, pair in cases)
     for L, pair in cases:
         got, want = _symbol_identity_residual(L, pair), _per_wavevector_residual(L, pair)
         assert got.hex() == want.hex(), (L, pair.parity_mask)
-    assert _symbol_identity_residual(L, cases[-1][1]) > 1.0  # a wrong mask is measured, not refused
+    assert _symbol_identity_residual(dirac_operator(1.0), wrong) > 1.0  # a wrong mask is measured, not refused
 
 
 def test_dirac_factorization_has_no_reflection():

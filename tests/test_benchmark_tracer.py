@@ -71,7 +71,8 @@ def test_kappa_layers_record_calls_under_the_tracer():
 
 def test_every_jet_passes_through_the_traced_jet_layer(monkeypatch):
     # ``Trajectory.jets`` makes its jets through ``jet_values``, which the
-    # tracer spans; a jet made round it would be missing from that layer
+    # tracer spans; a jet made round it would be missing from that layer.
+    # Both scenarios keep every time's jets and contract each view once
     made = []
     jets = spectral.Trajectory.jets
 
@@ -81,14 +82,17 @@ def test_every_jet_passes_through_the_traced_jet_layer(monkeypatch):
         return out
 
     monkeypatch.setattr(spectral.Trajectory, "jets", counted)
-    tracer = _tracer_module().Tracer("t")
-    tracer.install()
-    try:
-        scenario.run_scenario(_packaged_scenario("kdvkdv_quadratic"))
-    finally:
-        tracer.uninstall()
-    assert sum(made) >= 1
-    assert tracer.calls["spectral.jet"] == sum(made)
+    for stem in ("kdvkdv_quadratic", "dirac_charges"):
+        made.clear()
+        tracer = _tracer_module().Tracer("t")
+        tracer.install()
+        try:
+            scenario.run_scenario(_packaged_scenario(stem))
+        finally:
+            tracer.uninstall()
+        assert sum(made) >= 1
+        assert tracer.calls["spectral.jet"] == sum(made), stem
+        assert tracer.calls["current.contract"] >= 1, stem
 
 
 def test_report_layers_record_calls_under_the_tracer():

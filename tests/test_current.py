@@ -191,7 +191,9 @@ def _evaluate_whole(groups, jet_q, jet_p, weight):
     # the contraction over whole (k, n) arrays, one group at a time
     pieces = {}
     for (w, src, gamma), B in groups.items():
-        x, conj = jet_q(src)
+        x, conj, order = jet_q(src)
+        if order is not None:
+            x = x[:, order]
         p = jet_p(gamma)
         v = np.matmul(B, p.reshape(len(p), -1))
         if not conj:
@@ -216,25 +218,42 @@ def _evaluate_whole(groups, jet_q, jet_p, weight):
 # multiple of 8
 @pytest.mark.parametrize("n", [4, 8, 128, 4096])
 def test_evaluate_terms_gives_the_same_bits_for_any_chunk(monkeypatch, n):
+    # each row, one sample time, has the bits of a whole-array pass over that row alone
     rng = np.random.default_rng(n)
+    for rows in (1, 3):
 
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        def cplx(*shape):
+            return rng.standard_normal((rows,) + shape) + 1j * rng.standard_normal((rows,) + shape)
 
-    m = 3
-    sources = {"a": (cplx(2, n), True), "b": (cplx(2, n), False), "c": (cplx(5, n), False)}
-    jets = {(0,): cplx(m, n), (1,): cplx(m, n)}
-    weights = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
-    groups = {
-        ("x", "a", (0,)): cplx(2, m),  # conjugated source, weighted
-        ((), "b", (1,)): cplx(2, m),  # plain source, unweighted
-        ("x", "c", (1,)): cplx(5, m),  # shares the weight "x"; k = 5 != m
-        ("y", "b", (0,)): cplx(2, m),
-        ((), "a", (1,)): cplx(2, m),
-    }
-    args = (groups, sources.__getitem__, jets.__getitem__, weights.__getitem__)
-    want = _evaluate_whole(*args)
-    for chunk in (7, n, n + 5):
-        monkeypatch.setattr(current, "CHUNK", chunk)
-        assert np.array_equal(evaluate_terms(*args), want), chunk
-    assert evaluate_terms({}, *args[1:]) is None
+        m = 3
+        # "b" is read in a permuted order of its points, as a reflected source is
+        sources = {
+            "a": (cplx(2, n), True, None),
+            "b": (cplx(2, n), False, rng.permutation(n)),
+            "c": (cplx(5, n), False, None),
+        }
+        jets = {(0,): cplx(m, n), (1,): cplx(m, n)}
+        weights = {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
+        groups = {
+            ("x", "a", (0,)): cplx(2, m),  # conjugated source, weighted
+            ((), "b", (1,)): cplx(2, m),  # plain source, unweighted
+            ("x", "c", (1,)): cplx(5, m),  # shares the weight "x"; k = 5 != m
+            ("y", "b", (0,)): cplx(2, m),
+            ((), "a", (1,)): cplx(2, m),
+        }
+        args = (groups, sources.__getitem__, jets.__getitem__, weights.__getitem__)
+        want = [
+            _evaluate_whole(
+                {key: B[r] for key, B in groups.items()},
+                lambda src: (sources[src][0][r], *sources[src][1:]),
+                lambda gamma: jets[gamma][r],
+                weights.__getitem__,
+            )
+            for r in range(rows)
+        ]
+        for chunk in (7, n, n + 5):
+            monkeypatch.setattr(current, "CHUNK", chunk)
+            got = evaluate_terms(*args)
+            assert got.shape == (rows, n)
+            assert all(np.array_equal(got[r], want[r]) for r in range(rows)), (rows, chunk)
+        assert evaluate_terms({}, *args[1:]) is None

@@ -54,6 +54,17 @@ def test_grid_mode_set_is_symmetric():
     assert not mask[8]
 
 
+def test_wavenumbers_are_made_once_and_read_only():
+    grid = TorusGrid((TWO_PI, 3.0), (16, 8))
+    ks = grid.wavenumbers()
+    assert grid.wavenumbers() is ks
+    for k, L, n in zip(ks, grid.lengths, grid.modes):
+        assert not k.flags.writeable
+        assert np.array_equal(k, 2 * np.pi * np.fft.fftfreq(n, d=L / n))
+    with pytest.raises(ValueError):
+        ks[0][1] = 0.0
+
+
 def test_evolution_forms():
     heat = EvolutionSystem(heat_operator(1), TorusGrid((TWO_PI,), (16,)))
     k = TorusGrid((TWO_PI,), (16,)).wavenumbers()[0]
@@ -251,6 +262,45 @@ def test_amplification_cap_raises_for_backward_heat():
     state = SpectralState(lowpass, build_profile("random(seed=4, kmax=3)", lowpass, 1))
     out = Trajectory(system, state.coeffs).state_at(-1.0)
     assert np.all(np.isfinite(out.coeffs))
+
+
+@pytest.mark.parametrize(
+    "spec, grid, dt",
+    [
+        ("wave", TorusGrid((TWO_PI,), (64,)), 0.7),
+        ("kdvkdv", TorusGrid((TWO_PI,), (64,)), -0.3),
+        ("dirac(m=1.0)", TorusGrid((8.0, 6.0, 10.0), (8, 4, 16)), 0.4),
+    ],
+)
+@pytest.mark.parametrize("block", [None, 100], ids=["one-block", "blocks"])
+def test_amplification_bound_keeps_the_exact_decision(monkeypatch, spec, grid, dt, block):
+    # a matrix-free propagator skips the per-entry check when max|c1| +
+    # max|c2| max|A_ij| clears the cap; at the cap the exact check decides
+    if block:
+        monkeypatch.setattr(spectral, "MODE_BLOCK", block)
+    system = EvolutionSystem(build_operator(spec), grid)
+    assert system.matrix_free and len(system.blocks()) == (1 if block is None else -(-len(system.active) // block))
+    d = system.m * system.R
+    traj = Trajectory(system, build_profile("random(seed=2, kmax=3, real=False)", grid, d))
+    amps = []
+    check = EvolutionSystem._check_amplification
+    monkeypatch.setattr(EvolutionSystem, "_check_amplification", lambda self, dt, amp: amps.append(amp))
+    system.amp_cap = 1e6
+    want = traj._companion(dt)
+    assert amps == []  # the bound clears a generous cap
+    system.amp_cap = 0.0
+    traj._companion(dt)
+    amp = max(amps)  # the exact largest entry, as every block's check measured it
+    monkeypatch.setattr(EvolutionSystem, "_check_amplification", check)
+    system.amp_cap = amp
+    assert np.array_equal(traj._companion(dt), want)
+    system.amp_cap = np.nextafter(amp, 0.0)
+    with pytest.raises(AmplificationError) as err:
+        traj._companion(dt)
+    assert str(err.value) == (
+        f"mode amplification {amp:.3e} exceeds cap {system.amp_cap:.1e} "
+        f"for dt={dt:+.6g}; reduce kmax or the reflected time span"
+    )
 
 
 def test_support_guard_for_position_weighting():
@@ -610,6 +660,72 @@ def test_support_error_names_the_first_sample_time(monkeypatch):
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert "at t=0.5 in d^(0, 0) u" in messages[0]
+
+
+SMALL_GRID_SCENARIOS = [
+    "wave_energy", "kdvkdv_quadratic", "kdvkdv_affine", "heat_es", "heat_negative_control", "dirac_charges",
+]
+
+
+@pytest.mark.parametrize("stem", SMALL_GRID_SCENARIOS)
+def test_batched_kappa_series_has_the_per_time_bits(monkeypatch, stem):
+    # every sample time's jets fit in MODE_BLOCK // 2 points, so each view is
+    # contracted in one evaluate_terms call over every time: dirac's
+    # 343 active modes of 512 points, kdvkdv_affine's time- and x-weighted
+    # views under the support guard, the kernel shifts, a negative control
+    flux, qviews, traj, times, support_tol = _scenario_kappa_inputs(stem)
+    want = _per_time_kappa_series(flux, qviews, traj, times, support_tol)
+    rows = []
+    evaluate_terms = spectral.evaluate_terms
+    monkeypatch.setattr(
+        spectral,
+        "evaluate_terms",
+        lambda groups, *rest: rows.append(len(next(iter(groups.values())))) or evaluate_terms(groups, *rest),
+    )
+    got = kappa_series(flux, qviews, traj, times, support_tol)
+    assert _series_bits(got) == _series_bits(want)
+    assert rows == [len(times)] * len(qviews)
+
+
+@pytest.mark.parametrize("stem", ["heat_es", "dirac_charges"])
+def test_batched_kappa_series_takes_the_times_in_any_order(stem):
+    # reversed and repeated sample times read the kept jets' rows gathered, not sliced
+    flux, qviews, traj, times, support_tol = _scenario_kappa_inputs(stem)
+    times = list(times)
+    for variant in (times[::-1], times[:3] + times[:3]):
+        want = _per_time_kappa_series(flux, qviews, traj, variant, support_tol)
+        assert _series_bits(kappa_series(flux, qviews, traj, variant, support_tol)) == _series_bits(want)
+
+
+def test_batched_kappa_series_raises_the_per_time_error(monkeypatch):
+    # x d/dx of the reflected heat flow: the jets at t = 0.25 leave the support,
+    # and t = 1.5 reads u(-0.5), whose backward propagator exceeds amp_cap;
+    # the support error of the earlier time comes first, as one time at a time
+    L = heat_operator(1)
+    grid = TorusGrid((TWO_PI,), (32,))
+    traj = Trajectory(EvolutionSystem(L, grid), build_profile("random(seed=5, kmax=8)", grid, 1))
+    view = DiffView(ReflectView(traj, (True, False), s=1.0), DiffFactor((({1: 1}, None, (0, 1)),)))
+    names = {}
+    jets = spectral.Trajectory.jets
+
+    def named_jets(traj, keys):
+        out = jets(traj, keys)
+        names.update({id(vals): key for key, vals in out.items()})
+        return out
+
+    monkeypatch.setattr(spectral.Trajectory, "jets", named_jets)
+    monkeypatch.setattr(spectral, "boundary_fraction", lambda grid, vals: float(names[id(vals)][0] == 0.25))
+    cases = [
+        ([0.125, 0.25, 0.5, 1.5], SupportError, "at t=0.25 in d^(0, 0) u"),
+        ([0.125, 1.5, 0.25], AmplificationError, "for dt=-0.5;"),
+    ]
+    for times, error, where in cases:
+        messages = []
+        for run in (kappa_series, _per_time_kappa_series):
+            with pytest.raises(error) as exc:
+                run(concomitant_flux(L), [view], traj, times, 1e-10)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] and where in messages[0]
 
 
 @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "derivative-first"])

@@ -297,12 +297,30 @@ def _wave_bits(waves):
     ]
 
 
+def _random_evolution_operators(count, seed):
+    """Operators ``I Dt^R + ...`` with random integer lower terms: one to three
+    space variables, one to three components, time order one or two."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for i in range(count):
+        nvars, m, R = 2 + i % 3, 1 + i % 3, 1 + i % 2
+        terms = {(R,) + (0,) * (nvars - 1): np.eye(m, dtype=complex)}
+        for _ in range(3):
+            alpha = (int(rng.integers(0, R)),) + tuple(int(e) for e in rng.integers(0, 3, nvars - 1))
+            terms[alpha] = terms.get(alpha, 0) + rng.integers(-3, 4, (m, m)) + 1j * rng.integers(-3, 4, (m, m))
+        ops.append(ConstCoeffOperator(nvars, (m, m), terms))
+    return ops
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_kernel_samples_match_the_per_wavevector_reference(seed):
-    # one stacked eigendecomposition gives each wavevector's plane waves:
-    # the same term keys, in the same order, with the same coefficient bits
+    # one stacked eigendecomposition and one stacked acceptance test give each
+    # wavevector's plane waves: the same term keys, in the same order, with
+    # the same coefficient bits, on every catalog evolution operator and
+    # random ones
     ops = [build_operator(spec) for spec in ("heat", "heat(dim=2, nu=0.5)", "wave", "wave(dim=3)", "kdvkdv")]
     ops += [dirac_operator(1.0), dirac_operator(0.0), build_operator("jordan2x2")]
+    ops += _random_evolution_operators(40 if seed == 0 else 8, seed)
     for L in ops:
         ks = _default_wavevectors(L, np.random.default_rng(seed))
         got = kernel_samples(L, ks)
@@ -742,3 +760,18 @@ def test_time_reflections_at_different_s_do_not_compose():
     same = a @ a  # the two reflections cancel, and so does their s
     assert same.mask == (False, False) and same.s is None
     assert np.array_equal(same.matrix, np.eye(2))
+
+
+def test_oracle_fails_a_time_reflection_whose_image_underflows():
+    # exp(-k^2 s) underflows on every term at s = 3000, so the image of the
+    # kernel superposition has no terms; the zero field would pass vacuously
+    L = heat_operator(1)
+    g = SymmetryOp((PointReflect((True, False)),))
+    rep = verify_symmetry(L, g, seed=5, s=3000.0)
+    assert not rep.passed and rep.residual == 1.0
+    assert not verify_symbol(L, g, symbol_probes(L, seed=5, s=3000.0)).passed  # residual 2.0
+    assert not verify_symmetry(L, g, seed=5, s=3.0).passed  # measured where nothing underflows
+    # a chain that maps the kernel to zero fails both checks alike
+    zero = SymmetryOp((MatrixFactor(np.zeros((1, 1))),))
+    for rep in (verify_symmetry(L, zero, seed=5), verify_symbol(L, zero, symbol_probes(L, seed=5))):
+        assert not rep.passed and rep.residual == 1.0
