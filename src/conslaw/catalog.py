@@ -8,7 +8,8 @@ Catalog entries are addressable from scenario files and the CLI as
 from __future__ import annotations
 
 import inspect
-from functools import partial
+from functools import cache, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -410,6 +411,18 @@ def parse_entry(text):
 _BOOLS = {"True": True, "true": True, "False": False, "false": False}
 
 
+@cache
+def _keyword_defaults(func, args, keywords, skip):
+    """``{name: default}``, read-only, of the parameters after the first
+    ``skip`` of ``partial(func, *args, **dict(keywords))``.
+
+    Keyed on the function and its bound arguments, not on the factory:
+    ``named_symmetries()`` builds fresh ``partial`` objects on every call.
+    """
+    params = list(inspect.signature(partial(func, *args, **dict(keywords))).parameters.values())[skip:]
+    return MappingProxyType({p.name: p.default for p in params})
+
+
 def _call_entry(kind, table, spec, *args):
     """``factory(*args, **kwargs)`` for the factory that the entry ``spec``
     names in ``table``, each keyword text read once, by the type of the
@@ -426,8 +439,10 @@ def _call_entry(kind, table, spec, *args):
     if name not in table:
         raise KeyError(f"unknown {kind} {name!r}; see `conslaw list`")
     factory = table[name]
-    params = list(inspect.signature(factory).parameters.values())[len(args) :]
-    defaults = {p.name: p.default for p in params}
+    if isinstance(factory, partial):
+        defaults = _keyword_defaults(factory.func, factory.args, tuple(factory.keywords.items()), len(args))
+    else:
+        defaults = _keyword_defaults(factory, (), (), len(args))
     kwargs = {}
     for key, text in texts.items():
         if key not in defaults:

@@ -135,9 +135,11 @@ def evaluate_terms(groups, jet_q, jet_p, weight):
     """Numerically contract compiled bilinear groups against two jet providers.
 
     Every array carries a leading axis of ``T`` rows, one per sample time.
-    ``groups`` maps ``(w, src, gamma)`` to a ``(T, k, m)`` stack of matrices
-    ``B``: the term ``weight(w) * sum_a conj(S)[a] * (B @ d^gamma P)[a]``,
-    row by row, conjugated on the Q side (the Hermitian pairing).
+    ``groups`` maps ``(w, src, gamma)`` to a ``(k, m)`` matrix ``B`` shared by
+    every row, or to a ``(T, k, m)`` stack of them: the term ``weight(w) *
+    sum_a conj(S)[a] * (B @ d^gamma P)[a]``, row by row, conjugated on the Q
+    side (the Hermitian pairing).  A shared ``B`` broadcasts in the matmul,
+    which multiplies each row as a stacked one would.
     ``jet_q(src)`` returns ``(x, conj, order)``: ``x`` a ``(T, k, n)`` array
     whose points are taken in the order of the index array ``order`` (in
     their own order when it is None), with ``S = conj(x)`` when ``conj`` is
@@ -177,7 +179,7 @@ def evaluate_terms(groups, jet_q, jet_p, weight):
     weights = {w: weight(w) for w, *_ in terms if w}
     chunk = max(CHUNK // rows, 1)
     width = min(-(-chunk // _LANES) * _LANES, n)
-    bufs = {B.shape[1]: np.empty((rows, B.shape[1], width), dtype=complex) for _w, B, *_ in terms}
+    bufs = {B.shape[-2]: np.empty((rows, B.shape[-2], width), dtype=complex) for _w, B, *_ in terms}
     out = np.empty((rows, n), dtype=complex)
     for start in range(0, n, chunk):
         span = min(-(-min(chunk, n - start) // _LANES) * _LANES, n)
@@ -186,7 +188,7 @@ def evaluate_terms(groups, jet_q, jet_p, weight):
         total = out[:, win]  # the first weight's piece is summed straight into it
         pieces = {}
         for w, B, x, conj, order, p in terms:
-            v = np.matmul(B, p[:, :, win], out=bufs[B.shape[1]][:, :, :span])
+            v = np.matmul(B, p[:, :, win], out=bufs[B.shape[-2]][:, :, :span])
             # conj(S) is x when conj is set; otherwise sum_a conj(S[a]) v[a] is
             # conj(sum_a S[a] conj(v[a])), which needs no copy of S
             if not conj:

@@ -107,14 +107,26 @@ class Scenario:
     certifies: str = ""
 
 
+MAX_TIMES = 10_000  # most sample times a scenario may list or ask of linspace
+
+
+def _time_count(n):
+    """``n``, a count of sample times, refused above ``MAX_TIMES`` before any time is made."""
+    if n > MAX_TIMES:
+        raise ScenarioError(f"at most {MAX_TIMES} sample times are allowed, got {n}")
+    return n
+
+
 def _parse_times(text):
     text = text.strip()
     if text.startswith("linspace(") and text.endswith(")"):
         inner = text[len("linspace(") : -1]
         a, b, n = [x.strip() for x in inner.split(",")]
-        times = tuple(np.linspace(float(a), float(b), int(n)))
+        times = tuple(np.linspace(float(a), float(b), _time_count(int(n))))
     else:
-        times = tuple(float(x) for x in text.split(","))
+        parts = text.split(",")
+        _time_count(len(parts))
+        times = tuple(float(x) for x in parts)
     if not times or not np.isfinite(times).all():
         raise ScenarioError(f"must be a non-empty list of finite numbers, got {text!r}")
     if len(set(times)) < 2:

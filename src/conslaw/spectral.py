@@ -31,19 +31,21 @@ derivatives multiplies them by the wavevector powers into its own array;
 the plain jet is inverse-transformed in place of them.
 
 A field view (a symmetry chain over a trajectory) computes no grid values.
-Its ``jet(t, alpha)`` is a linear form over the trajectory: a short list of
-terms ``coef * w(x) * M @ S``, where ``S`` is a trajectory jet at a (maybe
-reflected) time, reflected on some spatial axes and maybe conjugated, or a
-fixed kernel field, and ``w`` a product of coordinates.  ``density`` folds a
-characteristic's density terms, once per sample time, into one ``(k, m)``
-matrix ``B`` per group ``(w, S, gamma)`` and contracts each group as
-``w * sum_a conj(S[a]) (B @ d^gamma u)[a]``: only ``N``-point products and
+Its ``jet(times, alpha)`` is a linear form over the trajectory at every
+sample time of a run at once: a short list of terms ``coef * w(x) * M @ S``,
+where ``S`` is a trajectory jet at a (maybe reflected) source time per
+sample time, reflected on some spatial axes and maybe conjugated, or a
+fixed kernel field, and ``w`` a product of coordinates.  A characteristic's
+density terms are compiled once per run into one ``(k, m)`` matrix ``B``
+per group ``(w, S, gamma)``, shared by every time (a ``(T, k, m)`` stack
+only when a time slot weights a term), and each group is contracted as ``w
+* sum_a conj(S[a]) (B @ d^gamma u)[a]``: only ``N``-point products and
 small matrix products run on the grid.
 
 A trajectory keeps no cache; ``kappa_series`` owns the jets.  It compiles
-every view's groups at every sample time first, so it knows every jet the
-run needs, and one ``Trajectory.jets`` call per sample time (with the
-sampled times it reads) makes them: each time they read is propagated once,
+each view once, for every sample time, so it knows every jet the run
+needs, and one ``Trajectory.jets`` call per sample time (with the sampled
+times it reads) makes them: each time they read is propagated once,
 only the current order's companion state is kept, and derivative jets come
 first, so each time order is scattered once and becomes the plain jet.  On
 a small grid, where the jets of every time read fit in ``MODE_BLOCK // 2``
@@ -226,17 +228,22 @@ def _to_grid(coeffs):
     """Grid values of Fourier coefficients (component axis first), in place.
 
     The unscaled inverse transform (``norm="forward"``) is ``ifftn(coeffs) *
-    npoints`` bit for bit, because every mode count is a power of two.
+    npoints`` bit for bit, because every mode count is a power of two.  A
+    one-axis grid takes ``ifft``, which gives ``ifftn``'s bits without its
+    n-d wrapper.
     """
-    axes = tuple(range(1, coeffs.ndim))
-    return np.fft.ifftn(coeffs, axes=axes, norm="forward", out=coeffs)
+    if coeffs.ndim == 2:
+        return np.fft.ifft(coeffs, norm="forward", out=coeffs)
+    return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), norm="forward", out=coeffs)
 
 
 def _to_coeffs(values):
     """Fourier coefficients of grid values (component axis first), in place:
-    the inverse of :func:`_to_grid`, and ``fftn(values) / npoints`` bit for bit."""
-    axes = tuple(range(1, values.ndim))
-    return np.fft.fftn(values, axes=axes, norm="forward", out=values)
+    the inverse of :func:`_to_grid`, and ``fftn(values) / npoints`` bit for bit
+    (``fft`` on a one-axis grid)."""
+    if values.ndim == 2:
+        return np.fft.fft(values, norm="forward", out=values)
+    return np.fft.fftn(values, axes=tuple(range(1, values.ndim)), norm="forward", out=values)
 
 
 def integrate(grid, values):
@@ -612,22 +619,35 @@ class Trajectory:
 
 # -- field views -------------------------------------------------------------
 #
-# A view's ``jet(t, alpha)`` is a linear form over the trajectory: a list of
-# terms ``(coef, w, M, src)`` that stands for ``coef * w(x) * M @ S``.
-# ``src = (field, t, alpha, flip, conj)`` names ``S``: the jet ``d^alpha`` at
-# time ``t`` of ``field`` (the trajectory or a ``ShiftView``), reflected on the
-# spatial axes where ``flip`` is set and conjugated when ``conj`` is.  ``M`` is
-# None for the identity; ``w`` is a sorted tuple of coordinate factors
-# ``(axis, flipped)``, ``()`` for 1, where a flipped factor is the grid flip of
-# the coordinate array (which differs from ``-x`` at index 0).
+# A view's ``jet(times, alpha)`` is a linear form over the trajectory at every
+# time of ``times`` (a tuple of sample times) at once: a list of terms ``(coef,
+# w, M, src)`` that stands for ``coef * w(x) * M @ S`` at each time.
+# ``src = (field, ts, alpha, flip, conj)`` names ``S``: the jet ``d^alpha`` of
+# ``field`` (the trajectory or a ``ShiftView``) at the source time ``ts[r]`` of
+# each time ``times[r]``, reflected on the spatial axes where ``flip`` is set
+# and conjugated when ``conj`` is.  ``M`` is None for the identity; ``w`` is a
+# sorted tuple of coordinate factors ``(axis, flipped)``, ``()`` for 1, where a
+# flipped factor is the grid flip of the coordinate array (which differs from
+# ``-x`` at index 0).  ``coef`` is one number for every time, or a tuple of one
+# number per time once a time slot has weighted it; each of its values takes
+# the arithmetic a one-time form would.
 
 
-def _form(view, t, alpha):
-    """The linear form of ``view``'s jet; a trajectory's is its own jet."""
+def _form(view, times, alpha):
+    """The linear form of ``view``'s jet at ``times``; a trajectory's is its own jet."""
     if isinstance(view, Trajectory):
-        src = (view, float(t), tuple(alpha), (False,) * view.grid.ndim, False)
-        return [(1.0, (), None, src)]
-    return view.jet(t, alpha)
+        return [(1.0, (), None, (view, times, tuple(alpha), (False,) * view.grid.ndim, False))]
+    return view.jet(times, alpha)
+
+
+def _each(c, f):
+    """``f`` of the coefficient ``c``, value by value when ``c`` is a per-time tuple."""
+    return tuple(map(f, c)) if isinstance(c, tuple) else f(c)
+
+
+def _time_weighted(c, times):
+    """The coefficient ``c * t`` at each ``t`` of ``times``, a per-time tuple."""
+    return tuple(v * t for v, t in zip(c if isinstance(c, tuple) else (c,) * len(times), times))
 
 
 class _InnerView:
@@ -644,18 +664,18 @@ class MatrixView(_InnerView):
         super().__init__(inner)
         self.matrix = np.asarray(matrix, dtype=complex)
 
-    def jet(self, t, alpha):
+    def jet(self, times, alpha):
         return [
             (c, w, self.matrix if M is None else self.matrix @ M, src)
-            for c, w, M, src in _form(self.inner, t, alpha)
+            for c, w, M, src in _form(self.inner, times, alpha)
         ]
 
 
 class ConjView(_InnerView):
-    def jet(self, t, alpha):
+    def jet(self, times, alpha):
         return [
-            (np.conj(c), w, None if M is None else M.conj(), (f, tt, a, flip, not conj))
-            for c, w, M, (f, tt, a, flip, conj) in _form(self.inner, t, alpha)
+            (_each(c, np.conj), w, None if M is None else M.conj(), (f, ts, a, flip, not conj))
+            for c, w, M, (f, ts, a, flip, conj) in _form(self.inner, times, alpha)
         ]
 
 
@@ -679,13 +699,13 @@ class ReflectView(_InnerView):
         self.mask = tuple(bool(b) for b in mask)
         self.s = float(s)
 
-    def jet(self, t, alpha):
-        tt = self.s - t if self.mask[0] else t
+    def jet(self, times, alpha):
+        tt = tuple(self.s - t for t in times) if self.mask[0] else times
         sign = (-1) ** sum(a for a, flip in zip(alpha, self.mask) if flip)
         space = self.mask[1:]
         return [
             (
-                sign * c,
+                _each(c, lambda v: sign * v),
                 tuple(sorted((axis, f != space[axis]) for axis, f in w)),
                 M,
                 (field, ts, a, tuple(f != r for f, r in zip(flip, space)), conj),
@@ -702,21 +722,24 @@ class DiffView(_InnerView):
         self.factor = factor
         self.weighted |= any(slot for poly, _m, _d in factor.terms for slot, _e in poly)
 
-    def jet(self, t, alpha):
+    def jet(self, times, alpha):
         out = []
         for poly, mat, delta in self.factor.terms:
             total = tuple(a + d for a, d in zip(alpha, delta))
-            piece = _form(self.inner, t, total)
+            piece = _form(self.inner, times, total)
             if poly:
                 (slot, _e) = poly[0]
                 if slot == 0:
-                    piece = [(c * t, w, M, src) for c, w, M, src in piece]
+                    piece = [(_time_weighted(c, times), w, M, src) for c, w, M, src in piece]
                 else:
                     piece = [(c, tuple(sorted(w + ((slot - 1, False),))), M, src) for c, w, M, src in piece]
                 if alpha[slot]:
                     # product rule: d^alpha (x f) = x d^alpha f + alpha_x d^(alpha - e_x) f
                     lower = tuple(v - (d == slot) for d, v in enumerate(total))
-                    piece += [(alpha[slot] * c, w, M, src) for c, w, M, src in _form(self.inner, t, lower)]
+                    piece += [
+                        (_each(c, lambda v: alpha[slot] * v), w, M, src)
+                        for c, w, M, src in _form(self.inner, times, lower)
+                    ]
             if mat is not None:
                 piece = [(c, w, mat if M is None else mat @ M, src) for c, w, M, src in piece]
             out += piece
@@ -733,8 +756,8 @@ class ShiftView:
         self.ncomp = field.ncomp
         self._points = grid.point_list()
 
-    def jet(self, t, alpha):
-        return [(1.0, (), None, (self, float(t), tuple(alpha), (False,) * self.grid.ndim, False))]
+    def jet(self, times, alpha):
+        return [(1.0, (), None, (self, times, tuple(alpha), (False,) * self.grid.ndim, False))]
 
     def values(self, times, alpha):
         """Grid values of ``d^alpha`` of the field at each of ``times``, ``(T, ncomp, *modes)``."""
@@ -810,41 +833,49 @@ def drift_of(values, scale=0.0):
     return max(abs(v - k0) for v in values) / (abs(k0) + scale + 1e-300)
 
 
-def _groups(flux, qview, t, m):
-    """The density terms of ``qview`` at time ``t`` folded into bilinear groups.
+def _groups(flux, qview, times, m):
+    """The density terms of ``qview`` at ``times`` folded into bilinear groups.
 
-    Each group ``(w, src, gamma)`` maps to a ``(k, m)`` matrix ``B`` such that
-    the density is ``sum w * sum_a conj(S[a]) (B @ d^gamma u)[a]``.
+    Each group ``(w, src, gamma)``, whose source ``src`` holds one source time
+    per time of ``times``, maps to a ``(k, m)`` matrix ``B`` shared by every
+    time, or to a ``(T, k, m)`` stack when a time slot weights a term, such
+    that the density at ``times[r]`` is ``sum w * sum_a conj(S[a]) (B_r @
+    d^gamma u)[a]``.  Each entry of ``B_r`` takes the arithmetic of a
+    one-time compile.
     """
     forms = {}
     groups = {}
     for (beta, i, gamma, j), c in flux.density_terms.items():
         if beta not in forms:
-            forms[beta] = _form(qview, t, beta)
+            forms[beta] = _form(qview, times, beta)
         for coef, w, M, src in forms[beta]:
-            B = groups.get((w, src, gamma))
+            key = (w, src, gamma)
+            B = groups.get(key)
             if B is None:
-                B = groups[(w, src, gamma)] = np.zeros((src[0].ncomp, m), dtype=complex)
-            if M is None:
-                B[i, j] += c * np.conj(coef)
-            else:
-                B[:, j] += c * np.conj(coef) * np.conj(M[i])
+                B = groups[key] = np.zeros((src[0].ncomp, m), dtype=complex)
+            if isinstance(coef, tuple) and B.ndim == 2:
+                B = groups[key] = np.repeat(B[None], len(times), axis=0)
+            for row, cv in zip(B, coef) if isinstance(coef, tuple) else [(B, coef)]:
+                if M is None:
+                    row[..., i, j] += c * np.conj(cv)
+                else:
+                    row[..., :, j] += c * np.conj(cv) * np.conj(M[i])
     return groups
 
 
-def _sources(read, srcs):
-    """Alike sources, one per time, as ``(x, conj, order)`` (``evaluate_terms``).
+def _sources(read, rows, src):
+    """A source at its times ``rows`` (a slice of the compiled times) as
+    ``(x, conj, order)`` (``evaluate_terms``).
 
     ``x`` is a ``(T, k, npoints)`` array, ``S = conj(x)`` if ``conj``, and
     ``order`` the reflection of the grid points (None when nothing is
-    reflected), which the contraction gathers one block at a time.  The
-    sources differ only in their time.  A trajectory's jets come from
-    ``read(alpha, times)``; a fixed field is evaluated at every time in one
-    call.
+    reflected), which the contraction gathers one block at a time.  A
+    trajectory's jets come from ``read(alpha, times)``; a fixed field is
+    evaluated at every time in one call.
     """
-    field, _t, alpha, flip, conj = srcs[0]
-    times = [src[1] for src in srcs]
-    vals = field.values(times, alpha) if isinstance(field, ShiftView) else read(alpha, times)
+    field, ts, alpha, flip, conj = src
+    ts = ts[rows]
+    vals = field.values(ts, alpha) if isinstance(field, ShiftView) else read(alpha, ts)
     order = _flip_order(field.grid, flip) if any(flip) else None
     return vals.reshape(vals.shape[:2] + (-1,)), conj, order
 
@@ -904,44 +935,42 @@ class _JetStore:
         return self.arrays[alpha][idx]
 
 
-def _contract_rows(column, read, grid, times):
-    """Grid values, one flat row per time of ``times``, of the densities whose compiled groups are ``column``.
+def _contract_rows(groups, read, grid, times, rows=slice(None)):
+    """Grid values, one flat row per time of ``times[rows]``, of the density
+    compiled into ``groups`` over ``times``.
 
-    ``column`` holds one view's groups at each time.  A view maps every time
-    of its forms alike, so its groups have the same keys at every time but
-    for the times, in the same order; their ``B`` matrices, sources and P
-    jets are stacked time by time into one ``evaluate_terms`` call.
-    ``read(alpha, times)`` stacks the trajectory jets the groups read
-    (``_jet_keys``).
+    ``rows`` is a slice of the compiled times: all of them on a small grid,
+    one at a time when streaming.  A ``B`` shared by every time goes to one
+    ``evaluate_terms`` call as it is, a stack as its rows ``rows``; the
+    sources and P jets are read at the times of ``rows`` (``read(alpha,
+    times)`` stacks the trajectory jets the groups read, ``_jet_keys``).
     """
-    stacked = {}
-    for keys in zip(*column):
-        w, _src, gamma = keys[0]
-        srcs = tuple(src for _w, src, _gamma in keys)
-        stacked[(w, srcs, gamma)] = _rows([groups[key] for groups, key in zip(column, keys)])
+    groups = {key: B if B.ndim == 2 else B[rows] for key, B in groups.items()}
 
     def jet_p(gamma):
-        p = read(gamma, times)
+        p = read(gamma, times[rows])
         return p.reshape(p.shape[:2] + (-1,))
 
-    out = evaluate_terms(stacked, functools.partial(_sources, read), jet_p, functools.partial(_weight_values, grid))
+    out = evaluate_terms(
+        groups, functools.partial(_sources, read, rows), jet_p, functools.partial(_weight_values, grid)
+    )
     if out is None:
-        return np.zeros((len(times), grid.npoints), dtype=complex)
+        return np.zeros((len(times[rows]), grid.npoints), dtype=complex)
     return out
 
 
 def _contract(groups, jets, grid, t):
-    """Grid values at time ``t`` of the density whose compiled groups are ``groups``;
-    ``jets`` is a ``Trajectory.jets`` result."""
-    return _contract_rows([groups], _reader(jets), grid, [float(t)])[0].reshape(grid.modes)
+    """Grid values at time ``t`` of the density compiled into ``groups`` over
+    ``(t,)``; ``jets`` is a ``Trajectory.jets`` result."""
+    return _contract_rows(groups, _reader(jets), grid, (float(t),))[0].reshape(grid.modes)
 
 
-def _integrals(column, read, grid, times):
-    """``(kappa, L1 scale)`` at each of ``times`` of one view, whose compiled
-    groups at each time are ``column``: one contraction, and ``kappa`` and
-    its scale each one mean over the rows, as ``integrate`` takes them one
-    row at a time."""
-    dens = _contract_rows(column, read, grid, times)
+def _integrals(groups, read, grid, times, rows):
+    """``(kappa, L1 scale)`` at each time of ``times[rows]`` of the density
+    compiled into ``groups`` over ``times``: one contraction, and ``kappa``
+    and its scale each one mean over the rows, as ``integrate`` takes them
+    one row at a time."""
+    dens = _contract_rows(groups, read, grid, times, rows)
     # a float's abs never raises; a complex NaN's may (a stale errno)
     return [
         (grid.volume * complex(k), abs((grid.volume * complex(a)).real))
@@ -949,29 +978,33 @@ def _integrals(column, read, grid, times):
     ]
 
 
-def _jet_keys(compiled, traj, t):
-    """The ``(t, alpha)`` jets of ``traj`` that the compiled groups of time ``t`` read."""
-    keys = []
+def _jet_keys(compiled, traj, times):
+    """The ``(t, alpha)`` jets of ``traj`` that the groups ``compiled`` over
+    ``times`` read, one list per time."""
+    keys = [[] for _ in times]
     for groups in compiled:
         for _w, (field, ts, alpha, _flip, _conj), gamma in groups:
-            keys.append((t, gamma))
-            if field is traj:
-                keys.append((ts, alpha))
+            for t, tk, out in zip(times, ts, keys):
+                out.append((t, gamma))
+                if field is traj:
+                    out.append((tk, alpha))
     return keys
 
 
 def density(flux, qview, traj, t):
     """Grid values at time ``t`` of the density ``X0(Q, u)`` of the view ``qview`` of Q."""
-    groups = _groups(flux, qview, t, traj.ncomp)
-    return _contract(groups, traj.jets(_jet_keys([groups], traj, t)), traj.grid, t)
+    times = (float(t),)
+    groups = _groups(flux, qview, times, traj.ncomp)
+    return _contract(groups, traj.jets(_jet_keys([groups], traj, times)[0]), traj.grid, t)
 
 
 def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     """Evaluate ``kappa(t) = integral X0(Q, u) dx`` for each characteristic.
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
-    views of the characteristics over the trajectory ``traj``.  Every view's
-    groups are compiled for every time first.  A sample time's jets are then
+    views of the characteristics over the trajectory ``traj``.  Each view is
+    compiled once, for every sample time (``_groups``); every contraction,
+    kept or streamed, reads that one compile.  A sample time's jets are then
     made together with those of the sample times whose jets it reads (a
     reflected time ``s - t`` that is sampled too), so one ``traj.jets`` call
     makes each of their jets once (derivative jets before the plain one).
@@ -989,10 +1022,8 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     weighted = any(qview.weighted for qview in qviews)
     u = (0,) * (grid.ndim + 1)
     times = tuple(float(t) for t in times)
-    compiled = [[_groups(flux, qview, t, traj.ncomp) for qview in qviews] for t in times]
-    reads = [
-        set(([(t, u)] if weighted else []) + _jet_keys(groups, traj, t)) for t, groups in zip(times, compiled)
-    ]
+    compiled = [_groups(flux, qview, times, traj.ncomp) for qview in qviews]
+    reads = [set(([(t, u)] if weighted else []) + keys) for t, keys in zip(times, _jet_keys(compiled, traj, times))]
     read_times = [{tk for tk, _alpha in keys} for keys in reads]
     keep = grid.npoints * len(set().union(*read_times)) <= MODE_BLOCK // 2
     store = _JetStore(times, reads, (traj.ncomp,) + grid.modes) if keep else None
@@ -1001,10 +1032,9 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     mags = [[None] * len(times) for _ in qviews]  # the L1 magnitude of each density
 
     def integrate_views(read, rows):
-        for v in range(len(qviews)):
-            column = [compiled[j][v] for j in rows]
-            for j, (k, a) in zip(rows, _integrals(column, read, grid, [times[j] for j in rows])):
-                values[v][j], mags[v][j] = k, a
+        for groups, vals, mag in zip(compiled, values, mags):
+            for j, (k, a) in zip(range(len(times))[rows], _integrals(groups, read, grid, times, rows)):
+                vals[j], mag[j] = k, a
 
     fractions_u = [0.0] * len(times)
     failures = {}  # sample index -> the SupportError of its first jet outside the support
@@ -1020,7 +1050,7 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
             for j in batch:
                 done[j] = True
                 if not keep:
-                    integrate_views(_reader(jets), [j])
+                    integrate_views(_reader(jets), slice(j, j + 1))
                 if weighted:
                     fractions_u[j] = fractions[(times[j], u)]
                     # ``jets`` lists a time's keys in the order ``traj.jets(reads[j])`` would
@@ -1036,7 +1066,7 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
         if i in failures:
             raise SupportError(failures[i])
     if keep:
-        integrate_views(store, range(len(times)))
+        integrate_views(store, slice(None))
     worst = functools.reduce(max, fractions_u, 0.0)
     return [
         KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)

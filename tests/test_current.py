@@ -256,4 +256,8 @@ def test_evaluate_terms_gives_the_same_bits_for_any_chunk(monkeypatch, n):
             got = evaluate_terms(*args)
             assert got.shape == (rows, n)
             assert all(np.array_equal(got[r], want[r]) for r in range(rows)), (rows, chunk)
+            # a (k, m) matrix shared by every row, beside stacks, gives the bits of its stack
+            mixed = {key: B if i % 2 else B[0] for i, (key, B) in enumerate(groups.items())}
+            stacked = {key: B if B.ndim == 3 else np.repeat(B[None], rows, axis=0) for key, B in mixed.items()}
+            assert np.array_equal(evaluate_terms(mixed, *args[1:]), evaluate_terms(stacked, *args[1:])), (rows, chunk)
         assert evaluate_terms({}, *args[1:]) is None

@@ -17,6 +17,7 @@ from conslaw.catalog import build_operator, build_profile, build_symmetry, heat_
 from conslaw.cli import main
 from conslaw.current import adjoint_characteristic, concomitant_flux
 from conslaw.scenario import (
+    MAX_TIMES,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -415,6 +416,32 @@ def test_cli_rejects_empty_or_non_finite_times(tmp_path, capsys, times):
 
 
 @pytest.mark.parametrize(
+    "times, count",
+    [("linspace(0, 1, 1000000000000)", 10**12), (", ".join(["0.5"] * (MAX_TIMES + 1)), MAX_TIMES + 1)],
+    ids=["linspace", "list"],
+)
+def test_cli_refuses_too_many_sample_times(tmp_path, capsys, times, count):
+    # the count is refused before any time is made: a 10^12-point linspace
+    # would not fit in memory
+    path = tmp_path / "many_times.scn"
+    path.write_text(
+        "operator = heat(dim=1)\ngrid = modes:16 length:6.28\n"
+        f"profile = random(seed=1, kmax=4)\ntimes = {times}\nsymmetry = identity\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: times (line 4): at most {MAX_TIMES} sample times are allowed, got {count}\n"
+    )
+
+
+def test_the_largest_count_of_sample_times_parses():
+    base = "operator = heat(dim=1)\ngrid = modes:16 length:6.28\nprofile = random\nsymmetry = identity\n"
+    listed = ", ".join(str(i) for i in range(MAX_TIMES))
+    for times in (listed, f"linspace(0, 1, {MAX_TIMES})"):
+        assert len(parse_scenario(base + f"times = {times}\n").times) == MAX_TIMES
+
+
+@pytest.mark.parametrize(
     "profile",
     ["gaussian(width=1e-300)", "gaussian(amp=1e308)", "packet(seed=1, kmax=4, width=1e-200)"],
 )
@@ -773,6 +800,38 @@ def test_catalog_rejects_unknown_keywords():
         build_profile("random(grid=3)", TorusGrid((6.28,), (16,)), 1)
     assert build_symmetry("dirac.Gamma0(s=0.5)").factors
     assert build_operator("heat(nu=2)") == build_operator("heat(nu=2.0)")  # an int for a float
+
+
+def test_catalog_reads_each_factory_signature_once(monkeypatch):
+    # named_symmetries() builds fresh partials on every call, so the keyword
+    # tables are keyed on the function and its bound arguments; two partials
+    # of one function with other bound arguments keep their own keywords
+    from conslaw import catalog
+
+    grid = TorusGrid((6.28,), (16,))
+    every = [(build_symmetry, (name,)) for name in catalog.named_symmetries()]
+    every += [(build_operator, (name,)) for name in catalog.named_operators()]
+    every += [(build_profile, (name, grid, 1)) for name in catalog.named_profiles()]
+    for build, args in every:
+        build(*args)
+    calls = []
+    signature = catalog.inspect.signature
+    monkeypatch.setattr(catalog.inspect, "signature", lambda f: calls.append(f) or signature(f))
+    for build, args in every:
+        build(*args)
+    assert calls == []
+    refusals = {
+        "dirac.Gamma1(s=5)": "symmetry 'dirac.Gamma1' has no keyword 's' (keywords: none)",
+        "dirac.Gamma0(m=5)": "symmetry 'dirac.Gamma0' has no keyword 'm' (keywords: s)",
+        "dirac.rotation_x(axis=2)": "symmetry 'dirac.rotation_x' has no keyword 'axis' (keywords: none)",
+    }
+    for spec, text in refusals.items():
+        with pytest.raises(ValueError) as exc:
+            build_symmetry(spec)
+        assert str(exc.value) == text
+    with pytest.raises(ValueError) as exc:
+        build_profile("random(grid=3)", grid, 1)
+    assert str(exc.value) == "profile 'random' has no keyword 'grid' (keywords: seed, kmax, real, scale)"
 
 
 @pytest.mark.parametrize(

@@ -531,9 +531,16 @@ def test_kappa_series_holds_one_propagator_at_a_time(monkeypatch):
     # the grid is too coarse for a compactly supported packet, so the support
     # guard is off: this checks what is cached, not the drift
     flux, qviews, traj, times = _rotation_charges(16)
+    rows = _count_rows(monkeypatch)
+    compiles = _count_compiles(monkeypatch)
     series, peak, calls, jets = _traced_kappa_series(monkeypatch, flux, qviews, traj, times)
 
     assert len(series) == 3 and all(np.isfinite(s.drift) for s in series)
+    # 16^3 points over 7 times do not fit in MODE_BLOCK // 2: each time is
+    # contracted on its own, one row of each view's one compile per call
+    assert traj.grid.npoints * len(times) > spectral.MODE_BLOCK // 2
+    assert compiles == [len(times)] * len(qviews)
+    assert rows == [1] * (len(times) * len(qviews))
     assert sorted(calls) == sorted(set(calls))
     assert len(calls) == len(times)
     # u and its three first space derivatives, once per time for all three
@@ -569,8 +576,8 @@ def _per_time_kappa_series(flux, qviews, traj, times, support_tol):
     values = [[] for _ in qviews]
     scales = [0.0] * len(qviews)
     for t in times:
-        compiled = [spectral._groups(flux, qview, t, traj.ncomp) for qview in qviews]
-        jets = traj.jets(([(t, u)] if weighted else []) + spectral._jet_keys(compiled, traj, t))
+        compiled = [spectral._groups(flux, qview, (float(t),), traj.ncomp) for qview in qviews]
+        jets = traj.jets(([(t, u)] if weighted else []) + spectral._jet_keys(compiled, traj, (float(t),))[0])
         for i, groups in enumerate(compiled):
             integrand = spectral._contract(groups, jets, grid, t)
             values[i].append(integrate(grid, integrand))
@@ -662,6 +669,30 @@ def test_support_error_names_the_first_sample_time(monkeypatch):
     assert "at t=0.5 in d^(0, 0) u" in messages[0]
 
 
+def _count_rows(monkeypatch):
+    """The number of rows of each ``evaluate_terms`` call, in a list that fills as they run."""
+    rows = []
+    evaluate_terms = spectral.evaluate_terms
+
+    def counted(*args):
+        out = evaluate_terms(*args)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(spectral, "evaluate_terms", counted)
+    return rows
+
+
+def _count_compiles(monkeypatch):
+    """The number of times of each ``spectral._groups`` call, in a list that fills as they run."""
+    compiles = []
+    groups = spectral._groups
+    monkeypatch.setattr(
+        spectral, "_groups", lambda flux, qview, times, m: compiles.append(len(times)) or groups(flux, qview, times, m)
+    )
+    return compiles
+
+
 SMALL_GRID_SCENARIOS = [
     "wave_energy", "kdvkdv_quadratic", "kdvkdv_affine", "heat_es", "heat_negative_control", "dirac_charges",
 ]
@@ -675,16 +706,13 @@ def test_batched_kappa_series_has_the_per_time_bits(monkeypatch, stem):
     # views under the support guard, the kernel shifts, a negative control
     flux, qviews, traj, times, support_tol = _scenario_kappa_inputs(stem)
     want = _per_time_kappa_series(flux, qviews, traj, times, support_tol)
-    rows = []
-    evaluate_terms = spectral.evaluate_terms
-    monkeypatch.setattr(
-        spectral,
-        "evaluate_terms",
-        lambda groups, *rest: rows.append(len(next(iter(groups.values())))) or evaluate_terms(groups, *rest),
-    )
+    rows = _count_rows(monkeypatch)
+    compiles = _count_compiles(monkeypatch)
     got = kappa_series(flux, qviews, traj, times, support_tol)
     assert _series_bits(got) == _series_bits(want)
     assert rows == [len(times)] * len(qviews)
+    # each view is compiled once, for every sample time
+    assert compiles == [len(times)] * len(qviews)
 
 
 @pytest.mark.parametrize("stem", ["heat_es", "dirac_charges"])
@@ -899,6 +927,19 @@ def test_jet_values_are_the_scaled_inverse_transform(alpha):
     assert np.array_equal(traj.jet_values(0.3, alpha), want)
 
 
+def test_one_axis_transforms_give_the_n_d_bits_in_place():
+    # a one-axis grid takes ifft / fft, not the n-d wrappers, with the same bits
+    rng = np.random.default_rng(4)
+    for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
+        for ncomp in (1, 2, 3, 4):
+            a = rng.standard_normal((ncomp, n)) + 1j * rng.standard_normal((ncomp, n))
+            for transform, old in ((spectral._to_grid, np.fft.ifftn), (spectral._to_coeffs, np.fft.fftn)):
+                want = old(a.copy(), axes=(1,), norm="forward", out=a.copy())
+                b = a.copy()
+                assert transform(b) is b
+                assert np.array_equal(b, want), (n, ncomp, transform.__name__)
+
+
 def _grid_jet(view, t, alpha):
     """A view's jet as grid values, by the per-view array arithmetic."""
     if isinstance(view, Trajectory):
@@ -996,3 +1037,32 @@ def test_compiled_density_matches_view_arithmetic(op, grid, symmetry, s):
     assert np.abs(got - want).sum() <= 1e-13 * np.abs(want).sum()
     # only the empty DiffFactor gives a zero density, and then exactly zero
     assert np.any(want) != (getattr(gen, "factors", None) == (DiffFactor(()),))
+
+
+@pytest.mark.parametrize("modes", [64, 2048], ids=["kept", "streamed"])
+@pytest.mark.parametrize(
+    "op, symmetry, s",
+    [
+        ("wave(dim=1)", SymmetryOp((_D_X, _WEIGHTED)), 0.0),
+        ("kdvkdv", SymmetryOp((PointReflect((True, True)), _WEIGHTED)), 0.7),
+    ],
+    ids=["under-d_x", "under-reflection"],
+)
+def test_time_weighted_chains_have_the_per_time_bits(monkeypatch, op, symmetry, s, modes):
+    # ``t u_x`` gives each sample time its own coefficient, so these views
+    # compile a (T, k, m) stack of B; under the reflection the time slot
+    # reads s - t.  64 points keep every time's jets, 2048 stream them
+    L = build_operator(op)
+    grid = TorusGrid((TWO_PI,), (modes,))
+    system = EvolutionSystem(L, grid, amp_cap=1e8)
+    traj = Trajectory(system, build_profile("random(seed=9, kmax=3, real=False)", grid, L.cols * system.R))
+    char = adjoint_characteristic(L, adjoint_factorization(L, semi_conjugacy_solve(L)), symmetry)
+    view = symmetry_view(char, traj, s=s)
+    flux = concomitant_flux(L)
+    times = tuple(float(t) for t in np.linspace(0.0, 0.5, 11))
+    assert any(B.ndim == 3 for B in spectral._groups(flux, view, times, traj.ncomp).values())
+    want = _per_time_kappa_series(flux, [view], traj, times, 1.0)
+    rows = _count_rows(monkeypatch)
+    got = kappa_series(flux, [view], traj, times, support_tol=1.0)
+    assert _series_bits(got) == _series_bits(want)
+    assert rows == ([len(times)] if modes == 64 else [1] * len(times))
