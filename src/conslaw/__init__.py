@@ -34,7 +34,6 @@ from .opcore import (
 from .spectral import (
     EvolutionSystem,
     KappaSeries,
-    SpectralState,
     TorusGrid,
     Trajectory,
     kappa_series,
@@ -64,7 +63,6 @@ __all__ = [
     "MatrixFactor",
     "PointReflect",
     "SemiConjugacyNotFound",
-    "SpectralState",
     "SymmetryOp",
     "TorusGrid",
     "Trajectory",

@@ -8,7 +8,7 @@ the Q side is conjugated at evaluation time, and the adjoint-annihilation
 condition ``L*[Q] = 0`` is equivalent to ``Lt[conj(Q)] = 0``.
 
 For evaluation a characteristic's density terms are compiled into groups
-keyed by Q-side source instead of ``beta`` (``spectral.density``), and
+keyed by Q-side source instead of ``beta`` (``spectral.kappa_series``), and
 ``evaluate_terms`` contracts those for a stack of sample times at once,
 ``CHUNK`` grid points at a time.
 

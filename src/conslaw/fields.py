@@ -5,7 +5,9 @@ one component.  The family is closed under differentiation, constant-matrix
 application, coordinate multiplication, point reflections (with the time slot
 reflecting as ``t -> s - t``), and complex conjugation, so operators and
 symmetry chains act on it exactly.  This is the workhorse for kernel
-construction and residual-free verification.
+construction and residual-free verification: :func:`kernel_probes` gives the
+plane-wave kernel elements of an operator as stacked ``(mu, k, v)`` rows, and
+:func:`plane_wave` makes the field of one row.
 
 Every operation that makes a field has one summation rule, :func:`collect`:
 its ``(key, coef)`` pieces are added in order by :func:`sum_pieces` (a zero
@@ -30,8 +32,6 @@ __all__ = [
     "evolution_matrix",
     "evolution_symbol",
     "kernel_probes",
-    "kernel_sample",
-    "kernel_samples",
 ]
 
 # the largest (terms, times, points) temporary ``AnalyticField.evaluate`` builds, in entries
@@ -373,18 +373,3 @@ def kernel_probes(L, kspaces):
     v = np.array([v for _, _, v in rows], dtype=complex)
     return mu, k, v
 
-
-def kernel_samples(L, kspaces):
-    """Exact plane-wave kernel elements of ``L``, one list per spatial wavevector.
-
-    The kernel probes of :func:`kernel_probes` as fields ``v exp(lam t +
-    i k.x)``, grouped by wavevector.  Raises when a wavevector has none.
-    """
-    return [
-        [plane_wave(L.nvars, v, lam, kspace) for lam, v in pairs] for kspace, pairs in _kernel_eigenpairs(L, kspaces)
-    ]
-
-
-def kernel_sample(L, kspace):
-    """Exact plane-wave kernel elements of ``L`` at one spatial wavevector (see ``kernel_samples``)."""
-    return kernel_samples(L, [kspace])[0]

@@ -208,9 +208,10 @@ def _symbol_sum(ik, shape, terms):
     """``sum M (ik)^alpha`` over ``(alpha, M)`` terms, ``ik`` one row or a stack."""
     batch = ik.shape[:-1]
     out = np.zeros(batch + shape, dtype=complex)
+    axes = np.moveaxis(ik, -1, 0)  # one view per variable, shared by every term
     for alpha, mat in terms:
         factor = np.ones(batch, dtype=complex)
-        for e, z in zip(alpha, np.moveaxis(ik, -1, 0)):
+        for e, z in zip(alpha, axes):
             if e:
                 factor *= z**e
         out += factor[..., None, None] * mat

@@ -152,6 +152,11 @@ def _parse_grid(text):
     modes = tuple(int(x) for x in spec["modes"].split(","))
     lengths = tuple(float(x) for x in spec["length"].split(","))
     dims = int(spec.get("dims", max(len(modes), len(lengths))))
+    # the DSL names three space variables at most; checked before ``modes * dims`` is formed
+    if len(modes) > 3 or len(lengths) > 3:
+        raise ScenarioError(f"modes and length list at most 3 axes, got {len(modes)} and {len(lengths)}")
+    if not 1 <= dims <= 3:
+        raise ScenarioError(f"dims must be 1, 2 or 3, got {dims}")
     if len(modes) == 1:
         modes = modes * dims
     if len(lengths) == 1:

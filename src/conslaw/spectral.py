@@ -49,16 +49,18 @@ times it reads) makes them: each time they read is propagated once,
 only the current order's companion state is kept, and derivative jets come
 first, so each time order is scattered once and becomes the plain jet.  On
 a small grid, where the jets of every time read fit in ``MODE_BLOCK // 2``
-points, ``kappa_series`` keeps them all, one array per derivative with a
-row per time, and contracts each view once: ``current.evaluate_terms`` takes a
-leading time axis, so one call with a row per sample time replaces one call
-per time, with the same bits in every row.  On a larger grid each time is
-contracted on its own and its jets are dropped before the next, the one-row
-case of the same call.  ``evaluate_terms`` works ``CHUNK`` grid points at a
-time and gathers reflected sources block by block, so the only ``(k, N)``
-arrays are the jets.  Propagators are not kept.  ``kappa_series`` is also
-the one support guard: when a field view is ``weighted`` by a spatial
-coordinate, it checks the boundary fraction of each jet once, one
+points, ``kappa_series`` keeps them all, in the one dict of ``(t, alpha)``
+keys that ``Trajectory.jets`` returns, and contracts each view once:
+``current.evaluate_terms`` takes a leading time axis, so one call with a row
+per sample time replaces one call per time, with the same bits in every
+row.  On a larger grid each time is contracted on its own and its jets are
+dropped before the next, the one-row case of the same call.  Either way the
+jets are read through one reader, which stacks the rows a contraction asks
+for.  ``evaluate_terms`` works ``CHUNK`` grid points at a time and gathers
+reflected sources block by block, so the only ``(k, N)`` arrays are the
+jets and their stacked rows.  Propagators are not kept.  ``kappa_series``
+is also the one support guard: when a field view is ``weighted`` by a
+spatial coordinate, it checks the boundary fraction of each jet once, one
 component at a time, as it is made.
 """
 
@@ -83,7 +85,6 @@ from .symmetry import (
 
 __all__ = [
     "TorusGrid",
-    "SpectralState",
     "EvolutionSystem",
     "Trajectory",
     "AmplificationError",
@@ -193,37 +194,6 @@ class TorusGrid:
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-class SpectralState:
-    """Band-limited multi-component field: Fourier coefficients plus a time."""
-
-    __slots__ = ("grid", "coeffs", "time")
-
-    def __init__(self, grid, coeffs, time=0.0):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape[1:] != grid.modes:
-            raise ValueError("coefficient array does not match the grid")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("non-finite coefficients")
-        self.grid = grid
-        self.coeffs = coeffs * grid.mode_mask()
-        self.time = float(time)
-
-    @property
-    def ncomp(self):
-        return self.coeffs.shape[0]
-
-    def values(self):
-        return _to_grid(self.coeffs.copy())
-
-    def norm_sq(self):
-        """Integral of |u|^2 over the box, computed in mode space."""
-        return self.grid.volume * float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def is_real(self):
-        vals = self.values()
-        return float(np.max(np.abs(vals.imag))) <= 1e-12 * max(1e-300, float(np.max(np.abs(vals))))
-
-
 def _to_grid(coeffs):
     """Grid values of Fourier coefficients (component axis first), in place.
 
@@ -244,11 +214,6 @@ def _to_coeffs(values):
     if values.ndim == 2:
         return np.fft.fft(values, norm="forward", out=values)
     return np.fft.fftn(values, axes=tuple(range(1, values.ndim)), norm="forward", out=values)
-
-
-def integrate(grid, values):
-    """Spectral quadrature: box volume times the grid mean (the zero mode)."""
-    return grid.volume * complex(np.mean(values))
 
 
 def boundary_fraction(grid, values):
@@ -514,8 +479,9 @@ class Trajectory:
 
     Over a matrix-free system with ``d > 1`` it forms ``A U0`` once, so each
     time's state is ``c1 U0 + c2 (A U0)``; a stacked system propagates ``U0``
-    by ``expm``.  A trajectory holds nothing else: ``jet_values`` makes one
-    jet and ``jets`` one pass's jets, each from a fresh propagation.
+    by ``expm``.  A trajectory holds nothing else: ``jets`` makes one pass's
+    jets from a fresh propagation, and ``jet_values`` turns the scattered
+    coefficients of one time order into a jet.
     """
 
     weighted = False
@@ -564,23 +530,14 @@ class Trajectory:
         coeffs[:, self.system.active] = U[:, :m].T
         return coeffs.reshape((m,) + self.grid.modes)
 
-    def state_at(self, t):
-        """Physical field (first companion block) as a SpectralState."""
-        return SpectralState(self.grid, self._field_coeffs(self._companion(t)), time=t)
-
-    def jet_values(self, t, alpha, coeffs=None):
+    def jet_values(self, t, alpha, coeffs):
         """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn).
 
-        ``coeffs`` hands over the scattered coefficients of ``d_t^alpha[0]
-        u(t)`` (``jets`` does); without it they are propagated and scattered
-        here.  A jet with space derivatives multiplies them out into its own
-        array, and the plain jet is inverse-transformed in place of them.
+        ``coeffs`` are the scattered coefficients of ``d_t^alpha[0] u(t)``,
+        as ``jets`` hands them over.  A jet with space derivatives multiplies
+        them out into its own array, and the plain jet is inverse-transformed
+        in place of them.
         """
-        if coeffs is None:
-            U = self._companion(t)
-            for _ in range(alpha[0]):
-                U = self._apply(U)
-            coeffs = self._field_coeffs(U)
         vals = coeffs
         for d, (k, e) in enumerate(zip(self.grid.wavenumbers(), alpha[1:])):
             if e:
@@ -903,38 +860,6 @@ def _reader(jets):
     return lambda alpha, times: _rows([jets[(t, alpha)] for t in times])
 
 
-class _JetStore:
-    """A run's trajectory jets, kept row by row in one array per ``alpha``.
-
-    A run knows the jets it reads (``reads``, one key set per sample time)
-    before it makes them.  The rows of each ``alpha`` hold first the sample
-    times that read it at their own time, in sample order, then the other
-    times, in the order they are first read.  Calling the store as a
-    ``read(alpha, times)`` then returns a slice of its array for the P jets
-    of consecutive sample times, and a gathered copy otherwise.
-    """
-
-    def __init__(self, times, reads, shape):
-        self.rows = {}
-        for own in (True, False):
-            for t, keys in zip(times, reads):
-                for tk, alpha in sorted(keys):
-                    if (tk == t) == own:
-                        rows = self.rows.setdefault(alpha, {})
-                        rows.setdefault(tk, len(rows))
-        self.arrays = {alpha: np.empty((len(rows),) + shape, dtype=complex) for alpha, rows in self.rows.items()}
-
-    def put(self, jets):
-        for (t, alpha), vals in jets.items():
-            self.arrays[alpha][self.rows[alpha][t]] = vals
-
-    def __call__(self, alpha, times):
-        idx = [self.rows[alpha][t] for t in times]
-        if idx == list(range(idx[0], idx[0] + len(idx))):
-            return self.arrays[alpha][idx[0] : idx[0] + len(idx)]
-        return self.arrays[alpha][idx]
-
-
 def _contract_rows(groups, read, grid, times, rows=slice(None)):
     """Grid values, one flat row per time of ``times[rows]``, of the density
     compiled into ``groups`` over ``times``.
@@ -959,17 +884,10 @@ def _contract_rows(groups, read, grid, times, rows=slice(None)):
     return out
 
 
-def _contract(groups, jets, grid, t):
-    """Grid values at time ``t`` of the density compiled into ``groups`` over
-    ``(t,)``; ``jets`` is a ``Trajectory.jets`` result."""
-    return _contract_rows(groups, _reader(jets), grid, (float(t),))[0].reshape(grid.modes)
-
-
 def _integrals(groups, read, grid, times, rows):
     """``(kappa, L1 scale)`` at each time of ``times[rows]`` of the density
     compiled into ``groups`` over ``times``: one contraction, and ``kappa``
-    and its scale each one mean over the rows, as ``integrate`` takes them
-    one row at a time."""
+    and its scale each the box volume times one mean over the rows."""
     dens = _contract_rows(groups, read, grid, times, rows)
     # a float's abs never raises; a complex NaN's may (a stale errno)
     return [
@@ -991,13 +909,6 @@ def _jet_keys(compiled, traj, times):
     return keys
 
 
-def density(flux, qview, traj, t):
-    """Grid values at time ``t`` of the density ``X0(Q, u)`` of the view ``qview`` of Q."""
-    times = (float(t),)
-    groups = _groups(flux, qview, times, traj.ncomp)
-    return _contract(groups, traj.jets(_jet_keys([groups], traj, times)[0]), traj.grid, t)
-
-
 def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     """Evaluate ``kappa(t) = integral X0(Q, u) dx`` for each characteristic.
 
@@ -1009,10 +920,10 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     reflected time ``s - t`` that is sampled too), so one ``traj.jets`` call
     makes each of their jets once (derivative jets before the plain one).
     When the jets of every time fit in ``MODE_BLOCK // 2`` grid points
-    (``npoints`` times the distinct times read), they are kept, and each view
-    is contracted once over all its sample times; otherwise each time is
-    contracted on its own and the jets are dropped before the next such
-    batch.  Returns one series with its relative drift per view, its values
+    (``npoints`` times the distinct times read), they are kept in one dict,
+    as ``traj.jets`` returns them, and each view is contracted once over all
+    its sample times; otherwise each time is contracted on its own and the
+    jets are dropped before the next such batch.  Returns one series with its relative drift per view, its values
     in sample-time order.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
     whose boundary fraction is not within ``support_tol`` raises ``SupportError``,
@@ -1026,12 +937,12 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     reads = [set(([(t, u)] if weighted else []) + keys) for t, keys in zip(times, _jet_keys(compiled, traj, times))]
     read_times = [{tk for tk, _alpha in keys} for keys in reads]
     keep = grid.npoints * len(set().union(*read_times)) <= MODE_BLOCK // 2
-    store = _JetStore(times, reads, (traj.ncomp,) + grid.modes) if keep else None
+    kept = {}
     done = [False] * len(times)
     values = [[None] * len(times) for _ in qviews]
     mags = [[None] * len(times) for _ in qviews]  # the L1 magnitude of each density
 
-    def integrate_views(read, rows):
+    def contract_views(read, rows):
         for groups, vals, mag in zip(compiled, values, mags):
             for j, (k, a) in zip(range(len(times))[rows], _integrals(groups, read, grid, times, rows)):
                 vals[j], mag[j] = k, a
@@ -1050,7 +961,7 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
             for j in batch:
                 done[j] = True
                 if not keep:
-                    integrate_views(_reader(jets), slice(j, j + 1))
+                    contract_views(_reader(jets), slice(j, j + 1))
                 if weighted:
                     fractions_u[j] = fractions[(times[j], u)]
                     # ``jets`` lists a time's keys in the order ``traj.jets(reads[j])`` would
@@ -1061,12 +972,12 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
                             f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
                         )
             if keep:
-                store.put(jets)
+                kept.update(jets)
             del jets
         if i in failures:
             raise SupportError(failures[i])
     if keep:
-        integrate_views(store, slice(None))
+        contract_views(_reader(kept), slice(None))
     worst = functools.reduce(max, fractions_u, 0.0)
     return [
         KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import formal_adjoint
-from .fields import AnalyticField, collect, kernel_probes, kernel_samples
+from .fields import AnalyticField, collect, kernel_probes, plane_wave
 from .opcore import ConstCoeffOperator
 
 __all__ = [
@@ -134,10 +134,6 @@ class SymmetryOp:
             name=f"{self.name or '?'}*{other.name or '?'}",
             char_map=self.char_map or other.char_map,
         )
-
-    @property
-    def is_linear(self):
-        return sum(isinstance(f, Conjugation) for f in self.factors) % 2 == 0
 
     @property
     def symbol_checkable(self):
@@ -245,13 +241,14 @@ class SymmetryReport:
 
 
 def _random_kernel_superposition(L, kspace_list, rng):
-    samples = kernel_samples(L, kspace_list)  # before the first draw: the rng stream stays the same
+    """A random superposition of the plane waves ``v exp(mu t + i k.x)`` of the
+    kernel probes, one complex coefficient per probe row, drawn in row order."""
+    mu, k, v = kernel_probes(L, kspace_list)  # before the first draw: the rng stream stays the same
 
     def pieces():
-        for waves in samples:
-            for w in waves:
-                c = complex(rng.standard_normal(), rng.standard_normal())
-                yield from ((key, c * v) for key, v in w.terms.items())
+        for lam, kspace, vec in zip(mu, k, v):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            yield from ((key, c * x) for key, x in plane_wave(L.nvars, vec, lam, kspace).terms.items())
 
     return collect(L.nvars, L.cols, pieces())
 

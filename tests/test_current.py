@@ -16,7 +16,7 @@ from conslaw.current import (
     concomitant_flux,
     evaluate_terms,
 )
-from conslaw.fields import kernel_sample, plane_wave
+from conslaw.fields import kernel_probes, plane_wave
 from conslaw.gamma import dirac_representation
 from conslaw.symmetry import (
     MatrixFactor,
@@ -173,7 +173,8 @@ def test_heat_s_reflection_characteristic():
     assert report.passed and report.target == "adjoint", report.residual
     # the factorization route with the spatial reflection gives the same Q
     char2 = adjoint_characteristic(L, fact, build_symmetry("heat.space_reflection"))
-    u = kernel_sample(L, (2.0,))[0]
+    mu, k, v = kernel_probes(L, [(2.0,)])
+    u = plane_wave(L.nvars, v[0], mu[0], k[0])
     q1 = apply_symmetry_analytic(char, u, s=1.0)
     q2 = apply_symmetry_analytic(char2, u, s=1.0)
     pts = np.linspace(-1, 1, 7).reshape(-1, 1)

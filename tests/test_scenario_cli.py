@@ -679,6 +679,12 @@ def test_profiles_built_in_place_keep_their_bits(grid, real):
         ("grid", "modes:16 length:nan"),
         ("grid", "modes:16 length:6.283185307179586 kmax:-1"),
         ("grid", "modes:16 length:6.283185307179586 kmax:nan"),
+        # more than 3 axes, or none: refused before ``modes * dims`` is formed
+        ("grid", "modes:16 length:6.283185307179586 dims:10000000000000000000"),
+        ("grid", "modes:16 length:6.283185307179586 dims:0"),
+        ("grid", "modes:16 length:6.283185307179586 dims:70"),
+        ("grid", "modes:16,16,16,16 length:6.283185307179586"),
+        ("grid", "modes:16 length:1,1,1,1"),
         ("amp_cap", "nan"),
         ("amp_cap", "inf"),
         ("support_tol", "nan"),

@@ -27,19 +27,32 @@ from conslaw.spectral import (
     MatrixView,
     ReflectView,
     ShiftView,
-    SpectralState,
     SupportError,
     TorusGrid,
     Trajectory,
     drift_of,
     heat_flow_product_oracle,
-    integrate,
     kappa_series,
     symmetry_view,
 )
 from conslaw.symmetry import DiffFactor, PointReflect, SymmetryOp
 
 TWO_PI = 2 * np.pi
+
+
+def _integrate(grid, values):
+    """Spectral quadrature: box volume times the grid mean (the zero mode)."""
+    return grid.volume * complex(np.mean(values))
+
+
+def _jet(traj, t, alpha):
+    """The grid values of ``d^alpha u(t)``, from one ``Trajectory.jets`` pass."""
+    return traj.jets([(t, alpha)])[(float(t), tuple(alpha))]
+
+
+def _coeffs_at(traj, t):
+    """The full-grid Fourier coefficients of ``u(t)``, as ``Trajectory.jets`` scatters them."""
+    return traj._field_coeffs(traj._companion(t))
 
 
 def test_grid_mode_set_is_symmetric():
@@ -180,11 +193,10 @@ def test_stacked_propagator_refuses_amplification():
 def test_round_trip_propagation():
     grid = TorusGrid((TWO_PI,), (64,))
     system = EvolutionSystem(kdvkdv_operator(), grid)
-    coeffs = build_profile("random(seed=1, kmax=20)", grid, 2)
-    state = SpectralState(grid, coeffs)
-    fwd = Trajectory(system, state.coeffs).state_at(0.8)
-    back = Trajectory(system, fwd.coeffs, t0=fwd.time).state_at(0.0)
-    assert np.max(np.abs(back.coeffs - state.coeffs)) <= 1e-12 * np.max(np.abs(state.coeffs))
+    coeffs = build_profile("random(seed=1, kmax=20)", grid, 2) * grid.mode_mask()
+    fwd = _coeffs_at(Trajectory(system, coeffs), 0.8)
+    back = _coeffs_at(Trajectory(system, fwd, t0=0.8), 0.0)
+    assert np.max(np.abs(back - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
 
 def test_heat_single_mode_decay():
@@ -192,10 +204,9 @@ def test_heat_single_mode_decay():
     system = EvolutionSystem(heat_operator(1), grid)
     coeffs = np.zeros((1, 16), dtype=complex)
     coeffs[0, 3] = 1.0
-    state = SpectralState(grid, coeffs)
-    out = Trajectory(system, state.coeffs).state_at(0.5)
+    out = _coeffs_at(Trajectory(system, coeffs), 0.5)
     k = grid.wavenumbers()[0][3]
-    assert abs(out.coeffs[0, 3] - np.exp(-(k**2) * 0.5)) <= 1e-14
+    assert abs(out[0, 3] - np.exp(-(k**2) * 0.5)) <= 1e-14
 
 
 def test_dirac_plane_wave_phase():
@@ -213,10 +224,9 @@ def test_dirac_plane_wave_phase():
     v = vecs[:, pick]
     coeffs = np.zeros((4,) + grid.modes, dtype=complex)
     coeffs[(slice(None),) + kidx] = v
-    state = SpectralState(grid, coeffs)
     t = 0.7
-    out = Trajectory(system, state.coeffs).state_at(t)
-    got = out.coeffs[(slice(None),) + kidx]
+    out = _coeffs_at(Trajectory(system, coeffs), t)
+    got = out[(slice(None),) + kidx]
     assert np.max(np.abs(got - v * np.exp(-1j * E * t))) <= 1e-12
 
 
@@ -228,29 +238,19 @@ def test_solutions_satisfy_operator_on_band_limited_subspace():
         traj = Trajectory(system, coeffs)
         resid = None
         for alpha, mat in L.terms.items():
-            vals = traj.jet_values(0.6, alpha)
+            vals = _jet(traj, 0.6, alpha)
             piece = np.einsum("ab,b...->a...", mat, vals)
             resid = piece if resid is None else resid + piece
-        scale = np.max(np.abs(traj.jet_values(0.6, (0,) * L.nvars)))
+        scale = np.max(np.abs(_jet(traj, 0.6, (0,) * L.nvars)))
         assert np.max(np.abs(resid)) <= 1e-12 * max(scale, 1.0) * 1e3
-
-
-def test_parseval_consistency():
-    grid = TorusGrid((TWO_PI,), (64,))
-    coeffs = build_profile("random(seed=3, kmax=20)", grid, 1)
-    state = SpectralState(grid, coeffs)
-    vals = state.values()
-    quad = integrate(grid, np.abs(vals) ** 2).real
-    assert abs(quad - state.norm_sq()) <= 1e-10 * max(quad, 1.0)
 
 
 def test_amplification_cap_raises_for_backward_heat():
     grid = TorusGrid((TWO_PI,), (64,))
     system = EvolutionSystem(heat_operator(1), grid, amp_cap=1e6)
     coeffs = build_profile("random(seed=4, kmax=20)", grid, 1)
-    state = SpectralState(grid, coeffs)
     with pytest.raises(AmplificationError):
-        Trajectory(system, state.coeffs).state_at(-1.0)
+        _coeffs_at(Trajectory(system, coeffs), -1.0)
     # the cap is checked on the entries of exp(dt A), as from the stacked A
     amp = np.abs(np.exp(-0.1 * system.A)).max()
     with pytest.raises(AmplificationError) as err:
@@ -259,9 +259,8 @@ def test_amplification_cap_raises_for_backward_heat():
     # under the cap: small backward step on a band-limited grid is fine
     lowpass = TorusGrid((TWO_PI,), (64,), kmax=3.5)
     system = EvolutionSystem(heat_operator(1), lowpass, amp_cap=1e6)
-    state = SpectralState(lowpass, build_profile("random(seed=4, kmax=3)", lowpass, 1))
-    out = Trajectory(system, state.coeffs).state_at(-1.0)
-    assert np.all(np.isfinite(out.coeffs))
+    out = _coeffs_at(Trajectory(system, build_profile("random(seed=4, kmax=3)", lowpass, 1)), -1.0)
+    assert np.all(np.isfinite(out))
 
 
 @pytest.mark.parametrize(
@@ -436,27 +435,16 @@ def test_grid_validation():
         TorusGrid((TWO_PI,), (17,))
     with pytest.raises(ValueError):
         TorusGrid((TWO_PI, TWO_PI), (16,))
-    with pytest.raises(ValueError):
-        SpectralState(TorusGrid((TWO_PI,), (16,)), np.zeros((1, 8)))
-
-
-def test_reality_detection():
-    grid = TorusGrid((TWO_PI,), (32,))
-    real_state = SpectralState(grid, build_profile("random(seed=6, kmax=8)", grid, 1))
-    assert real_state.is_real()
-    complex_state = SpectralState(
-        grid, build_profile("random(seed=6, kmax=8, real=False)", grid, 1)
-    )
-    assert not complex_state.is_real()
+    with pytest.raises(ValueError, match="on the grid"):
+        Trajectory(EvolutionSystem(heat_operator(1), TorusGrid((TWO_PI,), (16,))), np.zeros((1, 8)))
 
 
 def test_propagate_requires_first_order_system():
     grid = TorusGrid((TWO_PI,), (16,))
     system = EvolutionSystem(wave_operator(1), grid)
-    state = SpectralState(grid, build_profile("random(seed=1, kmax=4)", grid, 1))
     # the wave system's companion state has two components (u, u_t)
     with pytest.raises(ValueError, match="2 components"):
-        Trajectory(system, state.coeffs)
+        Trajectory(system, build_profile("random(seed=1, kmax=4)", grid, 1))
 
 
 def test_non_finite_propagator_is_an_amplification_error():
@@ -579,9 +567,9 @@ def _per_time_kappa_series(flux, qviews, traj, times, support_tol):
         compiled = [spectral._groups(flux, qview, (float(t),), traj.ncomp) for qview in qviews]
         jets = traj.jets(([(t, u)] if weighted else []) + spectral._jet_keys(compiled, traj, (float(t),))[0])
         for i, groups in enumerate(compiled):
-            integrand = spectral._contract(groups, jets, grid, t)
-            values[i].append(integrate(grid, integrand))
-            scales[i] = max(scales[i], abs(integrate(grid, np.abs(integrand)).real))
+            integrand = spectral._contract_rows(groups, spectral._reader(jets), grid, (float(t),))[0]
+            values[i].append(_integrate(grid, integrand))
+            scales[i] = max(scales[i], abs(_integrate(grid, np.abs(integrand)).real))
         if weighted:
             fractions = {key: spectral.boundary_fraction(grid, vals) for key, vals in jets.items()}
             worst = max(worst, fractions[(float(t), u)])
@@ -715,6 +703,33 @@ def test_batched_kappa_series_has_the_per_time_bits(monkeypatch, stem):
     assert compiles == [len(times)] * len(qviews)
 
 
+def test_kept_jets_are_read_one_view_at_a_time(monkeypatch):
+    # dirac_charges keeps every time's jets and contracts each of its views
+    # once over all times; each contraction stacks copies of the rows it
+    # reads, and they are dropped before the next view's, so the peak stays
+    # a small multiple of the jets (about 2.9x), where copies kept for every
+    # view would pass 4x
+    flux, qviews, traj, times, support_tol = _scenario_kappa_inputs("dirac_charges")
+    made = []
+    jets = spectral.Trajectory.jets
+
+    def counted(traj, keys):
+        out = jets(traj, keys)
+        made.append(sum(vals.nbytes for vals in out.values()))
+        return out
+
+    monkeypatch.setattr(spectral.Trajectory, "jets", counted)
+    rows = _count_rows(monkeypatch)
+    tracemalloc.start()
+    try:
+        kappa_series(flux, qviews, traj, times, support_tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(qviews) > 1 and rows == [len(times)] * len(qviews)  # the kept path
+    assert peak <= 4 * sum(made)
+
+
 @pytest.mark.parametrize("stem", ["heat_es", "dirac_charges"])
 def test_batched_kappa_series_takes_the_times_in_any_order(stem):
     # reversed and repeated sample times read the kept jets' rows gathered, not sliced
@@ -765,14 +780,12 @@ def test_jets_do_not_depend_on_the_order_they_are_asked_for(plain_first):
     coeffs = build_profile("random(seed=8, kmax=3, real=False)", grid, 4)
     alphas = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (1, 0, 0, 0), (1, 0, 0, 1)]
     order = sorted(alphas, key=lambda a: any(a[1:]) == plain_first)
-    traj = Trajectory(EvolutionSystem(L, grid), coeffs)
-    got = {alpha: traj.jet_values(0.3, alpha) for alpha in order}
+    # every key made in one pass, each time order scattered once, gives each
+    # jet as a pass that makes it alone
+    jets = Trajectory(EvolutionSystem(L, grid), coeffs).jets([(0.3, alpha) for alpha in order])
     for alpha in alphas:
         fresh = Trajectory(EvolutionSystem(L, grid), coeffs)
-        assert np.array_equal(got[alpha], fresh.jet_values(0.3, alpha))
-    # jets: every key made in one pass, each time order scattered once
-    jets = traj.jets([(0.3, alpha) for alpha in order])
-    assert all(np.array_equal(jets[(0.3, alpha)], got[alpha]) for alpha in alphas)
+        assert np.array_equal(jets[(0.3, alpha)], _jet(fresh, 0.3, alpha))
 
 
 def test_a_trajectory_refuses_non_finite_coefficients():
@@ -810,7 +823,7 @@ def test_jets_propagate_each_time_and_scatter_each_order_once(monkeypatch):
     fresh = Trajectory(EvolutionSystem(L, grid), coeffs)
     assert set(jets) == set(keys)
     for (t, alpha), vals in jets.items():
-        assert np.array_equal(vals, fresh.jet_values(t, alpha))
+        assert np.array_equal(vals, _jet(fresh, t, alpha))
 
 
 def _per_mode_companion(L, kspace):
@@ -881,7 +894,7 @@ def test_blocks_of_modes_give_the_one_block_result(monkeypatch, spec, grid):
         coeffs = build_profile("random(seed=7, kmax=3)", grid, L.cols * system.R)
         traj = Trajectory(system, coeffs)
         alpha = (1,) + (1,) * grid.ndim
-        return system, traj.state_at(0.3).coeffs, traj.jet_values(-0.2, alpha)
+        return system, _coeffs_at(traj, 0.3), _jet(traj, -0.2, alpha)
 
     whole = run()
     monkeypatch.setattr(spectral, "MODE_BLOCK", 5)
@@ -920,11 +933,11 @@ def test_jet_values_are_the_scaled_inverse_transform(alpha):
     L = dirac_operator(1.0)
     coeffs = build_profile("random(seed=8, kmax=3, real=False)", grid, 4)
     traj = Trajectory(EvolutionSystem(L, grid), coeffs)
-    c = traj.state_at(0.3).coeffs
+    c = _coeffs_at(traj, 0.3)
     for k, e in zip(grid.wavevector_grids(), alpha[1:]):
         c = c * (1j * k) ** e
     want = np.fft.ifftn(c, axes=(1, 2, 3)) * grid.npoints
-    assert np.array_equal(traj.jet_values(0.3, alpha), want)
+    assert np.array_equal(_jet(traj, 0.3, alpha), want)
 
 
 def test_one_axis_transforms_give_the_n_d_bits_in_place():
@@ -943,7 +956,7 @@ def test_one_axis_transforms_give_the_n_d_bits_in_place():
 def _grid_jet(view, t, alpha):
     """A view's jet as grid values, by the per-view array arithmetic."""
     if isinstance(view, Trajectory):
-        return view.jet_values(t, alpha)
+        return _jet(view, t, alpha)
     if isinstance(view, ShiftView):
         vals = view.field.diff_multi(alpha).evaluate(t, view.grid.point_list())
         return vals.reshape((view.ncomp,) + view.grid.modes)
@@ -1031,8 +1044,11 @@ def test_compiled_density_matches_view_arithmetic(op, grid, symmetry, s):
     t = 0.3
     want = 0
     for (beta, i, gamma, j), c in flux.density_terms.items():
-        want = want + c * np.conj(_grid_jet(view, t, beta)[i]) * traj.jet_values(t, gamma)[j]
-    got = spectral.density(flux, view, traj, t)
+        want = want + c * np.conj(_grid_jet(view, t, beta)[i]) * _jet(traj, t, gamma)[j]
+    # the density as kappa_series contracts it, for the one time t
+    groups = spectral._groups(flux, view, (t,), traj.ncomp)
+    jets = traj.jets(spectral._jet_keys([groups], traj, (t,))[0])
+    got = spectral._contract_rows(groups, spectral._reader(jets), grid, (t,))[0].reshape(grid.modes)
     assert got.shape == grid.modes
     assert np.abs(got - want).sum() <= 1e-13 * np.abs(want).sum()
     # only the empty DiffFactor gives a zero density, and then exactly zero

@@ -14,7 +14,7 @@ from conslaw.catalog import (
     navier_stokes_operator,
     wave_operator,
 )
-from conslaw.fields import AnalyticField, evolution_matrix, kernel_probes, kernel_sample, kernel_samples, plane_wave
+from conslaw.fields import AnalyticField, evolution_matrix, kernel_probes, plane_wave
 from conslaw.dsl import parse_operator
 from conslaw.gamma import energy
 from conslaw.current import adjoint_characteristic
@@ -88,21 +88,26 @@ def test_theta2_reflects_only_second_axis():
     assert np.allclose(out.evaluate(0.1, pts), f.evaluate(0.1, want_pts))
 
 
+def _kernel_waves(L, kspace):
+    """The plane waves of the kernel probes of ``L`` at one wavevector, in row order."""
+    return [plane_wave(L.nvars, v, mu, k) for mu, k, v in zip(*kernel_probes(L, [kspace]))]
+
+
 def test_kernel_samples_match_dispersion():
     heat = heat_operator(1)
-    (wavef,) = kernel_sample(heat, (2.0,))
+    (wavef,) = _kernel_waves(heat, (2.0,))
     ((_, _, lam, _),) = [k for k in wavef.terms]
     assert abs(lam - (-4.0)) <= 1e-12
     wave = wave_operator(1)
     lams = sorted(
-        complex(key[2]).imag for w in kernel_sample(wave, (3.0,)) for key in w.terms
+        complex(key[2]).imag for w in _kernel_waves(wave, (3.0,)) for key in w.terms
     )
     assert np.allclose(lams, [-3.0, 3.0], atol=1e-12)
     dirac = dirac_operator(1.0)
     p = (1.0, 2.0, 2.0)
     E = energy(p, 1.0)
     lams = sorted(
-        {round(complex(key[2]).imag, 10) for w in kernel_sample(dirac, p) for key in w.terms}
+        {round(complex(key[2]).imag, 10) for w in _kernel_waves(dirac, p) for key in w.terms}
     )
     assert np.allclose(lams, [-E, E], atol=1e-10)
 
@@ -218,9 +223,6 @@ def test_discrete_composition_closure():
 
 
 def test_conjugation_twice_is_identity():
-    g = build_symmetry("dirac.Gamma5")
-    gg = g @ g
-    assert gg.is_linear and not g.is_linear
     f = plane_wave(4, [1.0, 1j, 0.0, 0.5], 0.3 + 0.1j, (1.0, 0.0, 2.0))
     out = apply_symmetry_analytic(build_symmetry("identity"), f)
     cc = f.conjugate().conjugate()
@@ -258,8 +260,8 @@ def test_evolution_matrix_rejects_singular_leading_coefficient():
 
 def test_kernel_sample_wave_branches():
     # e^{+i k t} and e^{-i k t} at spatial mode k
-    waves = kernel_sample(wave_operator(1), (5.0,))
-    assert len(waves) == 2
+    mu, _k, _v = kernel_probes(wave_operator(1), [(5.0,)])
+    assert len(mu) == 2
 
 
 def _per_wavevector_kernel_sample(L, kspace):
@@ -315,24 +317,27 @@ def _random_evolution_operators(count, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_kernel_samples_match_the_per_wavevector_reference(seed):
     # one stacked eigendecomposition and one stacked acceptance test give each
-    # wavevector's plane waves: the same term keys, in the same order, with
-    # the same coefficient bits, on every catalog evolution operator and
-    # random ones
+    # wavevector's plane waves: the probe rows, rebuilt as plane waves, have
+    # the reference's term keys, in the same order, with the same coefficient
+    # bits, for a list of wavevectors and for each one alone, on every
+    # catalog evolution operator and random ones
     ops = [build_operator(spec) for spec in ("heat", "heat(dim=2, nu=0.5)", "wave", "wave(dim=3)", "kdvkdv")]
     ops += [dirac_operator(1.0), dirac_operator(0.0), build_operator("jordan2x2")]
     ops += _random_evolution_operators(40 if seed == 0 else 8, seed)
     for L in ops:
         ks = _default_wavevectors(L, np.random.default_rng(seed))
-        got = kernel_samples(L, ks)
-        assert len(got) == len(ks)
-        for k, waves in zip(ks, got):
-            want = _per_wavevector_kernel_sample(L, k)
-            assert _wave_bits(waves) == _wave_bits(want) == _wave_bits(kernel_sample(L, k)), (L, k)
+        mu, k, v = kernel_probes(L, ks)
+        got = [plane_wave(L.nvars, vv, lam, kk) for lam, kk, vv in zip(mu, k, v)]
+        want = [_per_wavevector_kernel_sample(L, kk) for kk in ks]
+        assert _wave_bits(got) == _wave_bits([w for waves in want for w in waves]), L
+        for kk, waves in zip(ks, want):
+            assert _wave_bits(_kernel_waves(L, kk)) == _wave_bits(waves), (L, kk)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_kernel_probes_are_the_plane_waves_of_kernel_samples(seed):
-    # the probe rows, in order, are the plane waves' rates, wavevectors and amplitudes, to the bit
+    # the probe rows, in order, are the plane waves' rates, wavevectors and
+    # amplitudes of the per-wavevector reference, to the bit
     ops = [build_operator(spec) for spec in ("heat", "wave(dim=3)", "kdvkdv")]
     ops += [dirac_operator(1.0), build_operator("jordan2x2")]
     for L in ops:
@@ -340,15 +345,16 @@ def test_kernel_probes_are_the_plane_waves_of_kernel_samples(seed):
         mu, k, v = kernel_probes(L, ks)
         assert mu.shape == (len(k),) and k.shape == (len(k), L.nvars - 1) and v.shape == (len(k), L.cols)
         rebuilt = [plane_wave(L.nvars, vv, lam, kk) for lam, kk, vv in zip(mu, k, v)]
-        assert _wave_bits(rebuilt) == _wave_bits([w for waves in kernel_samples(L, ks) for w in waves]), L
+        want = [w for kk in ks for w in _per_wavevector_kernel_sample(L, kk)]
+        assert _wave_bits(rebuilt) == _wave_bits(want), L
 
 
 def test_kernel_samples_name_a_wavevector_without_kernel_elements():
     # at |k| = 1 the rates are +-1e15 i, so every eigenvector's field block is
     # below 1e-12; k = 0 has the rate 0 and is fine
     L = parse_operator("1e-30*Dt^2 - Dx^2")
-    assert kernel_samples(L, [(0.0,)])[0]
-    for call in (lambda: kernel_samples(L, [(0.0,), (1.0,), (2.0,)]), lambda: _per_wavevector_kernel_sample(L, (1.0,))):
+    assert len(kernel_probes(L, [(0.0,)])[0])
+    for call in (lambda: kernel_probes(L, [(0.0,), (1.0,), (2.0,)]), lambda: _per_wavevector_kernel_sample(L, (1.0,))):
         with pytest.raises(ValueError, match=r"no plane-wave kernel elements at k=\(1\.0,\)"):
             call()
 
@@ -361,7 +367,7 @@ def test_dirac_kernel_branches_span_the_standard_spinors():
     m = 1.0
     k = np.array([0.5, -1.0, 2.0])
     E = energy(k, m)
-    waves = kernel_sample(dirac_operator(m), tuple(k))
+    waves = _kernel_waves(dirac_operator(m), tuple(k))
     assert len(waves) == 4
     pos = np.stack([u_spinor(-k, m, s) for s in (1, 2)])
     neg = np.stack([v_spinor(k, m, s) for s in (1, 2)])
@@ -395,7 +401,7 @@ def _probe_field(name):
     rng = np.random.default_rng(4)
     u = AnalyticField(4, 4, {})
     for k in ((0.5, -1.0, 2.0), (1.5, 0.25, -0.75)):
-        for w in kernel_sample(dirac_operator(1.0), k):
+        for w in _kernel_waves(dirac_operator(1.0), k):
             u = u + complex(*rng.standard_normal(2)) * w
     # t and x exponents, with the time slot reflected after the multiplication
     weighted = u.multiply_coordinate(0).multiply_coordinate(1).multiply_coordinate(3)
@@ -431,7 +437,7 @@ def _per_time_residual(L, g, seed, s):
     rng = np.random.default_rng(seed)
     u = AnalyticField(L.nvars, L.cols, {})
     for kspace in _default_wavevectors(L, rng):
-        for w in kernel_sample(L, kspace):
+        for w in _kernel_waves(L, kspace):
             u = u + complex(rng.standard_normal(), rng.standard_normal()) * w
     gu = apply_symmetry_analytic(g, u, s=s)
     resid_field = gu.apply_operator(formal_adjoint(L) if g.char_map else L)
@@ -635,7 +641,7 @@ def _ref_apply_factor(factor, f, s):
 def _ref_kernel_superposition(L, kspace_list, rng):
     terms = {}
     for kspace in kspace_list:
-        for w in kernel_sample(L, kspace):
+        for w in _kernel_waves(L, kspace):
             c = complex(rng.standard_normal(), rng.standard_normal())
             for key, v in w.terms.items():
                 terms[key] = terms.get(key, 0.0) + c * v
