@@ -114,6 +114,11 @@ def _pair_residual(L, A1, A2, sign_absorbed):
     return worst
 
 
+def _kron(a, b):
+    """``np.kron`` of two square matrices of one size, bit for bit, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.size, a.size)
+
+
 def _joint_nullspace(L, sign_absorbed):
     """Nullspace basis of the stacked constraints, as (2m^2, k) array: the
     right-singular vectors past the numerical rank (``sv`` comes sorted)."""
@@ -123,7 +128,7 @@ def _joint_nullspace(L, sign_absorbed):
     for alpha, mat in L.terms.items():
         s = (-1) ** midx_order(alpha) if sign_absorbed else 1.0
         scale = max(np.linalg.norm(mat), 1e-300)
-        blocks.append(np.hstack([np.kron(mat.conj().T, eye), -s * np.kron(eye, mat.T)]) / scale)
+        blocks.append(np.hstack([_kron(mat.conj().T, eye), -s * _kron(eye, mat.T)]) / scale)
     _, sv, vh = np.linalg.svd(np.vstack(blocks))
     rank = np.count_nonzero(sv > 1e-10 * sv[0])
     return vh[rank:].conj().T

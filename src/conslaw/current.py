@@ -135,11 +135,9 @@ def evaluate_terms(groups, jet_q, jet_p, weight):
     """Numerically contract compiled bilinear groups against two jet providers.
 
     Every array carries a leading axis of ``T`` rows, one per sample time.
-    ``groups`` maps ``(w, src, gamma)`` to a ``(k, m)`` matrix ``B`` shared by
-    every row, or to a ``(T, k, m)`` stack of them: the term ``weight(w) *
-    sum_a conj(S)[a] * (B @ d^gamma P)[a]``, row by row, conjugated on the Q
-    side (the Hermitian pairing).  A shared ``B`` broadcasts in the matmul,
-    which multiplies each row as a stacked one would.
+    ``groups`` maps ``(w, src, gamma)`` to a ``(T, k, m)`` stack ``B`` of one
+    matrix per row: the term ``weight(w) * sum_a conj(S)[a] * (B @ d^gamma
+    P)[a]``, row by row, conjugated on the Q side (the Hermitian pairing).
     ``jet_q(src)`` returns ``(x, conj, order)``: ``x`` a ``(T, k, n)`` array
     whose points are taken in the order of the index array ``order`` (in
     their own order when it is None), with ``S = conj(x)`` when ``conj`` is

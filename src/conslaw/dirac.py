@@ -226,7 +226,7 @@ def angular_momentum_series(modes=64, length=16.0, width=1.0, seed=3, support_to
         profile=f"packet(seed={seed}, width={width}, kmax=2, real=False)",
         support_tol=support_tol,
     )
-    results = run_scenario(scn, write_csv=False)["results"]
+    results = run_scenario(scn)["results"]
     out = {"boundary_fraction": results[0]["boundary_fraction"]}
     for axis, entry in zip("xyz", results):
         out[axis] = {"kappa0": entry["kappa0"], "drift": entry["drift"]}

@@ -320,18 +320,21 @@ def frobenius_norms(mats):
     return np.sqrt(rows.real @ rows.real.mT + rows.imag @ rows.imag.mT).reshape(-1)
 
 
-def _kernel_eigenpairs(L, kspaces):
-    """``(kspace, pairs)`` per wavevector: ``kspace`` as a tuple of floats and
-    ``pairs`` its accepted eigenpairs ``(lam, v)``.
+def kernel_probes(L, kspaces):
+    """Kernel probes of ``L``: stacked arrays ``(mu, k, v)``, one row per probe.
 
-    The acceptance test runs on every eigenpair of every wavevector at once:
-    ``v`` is the field block of the eigenvector, normalised, and the pair is
-    kept when that block is not negligible and the matrix polynomial at the
-    rate annihilates it.  Each norm has the bits of ``np.linalg.norm``.
+    Each row is an exact kernel plane wave ``v exp(mu t + i k.x)`` with
+    ``|v| = 1``: the accepted eigenpairs of the companion matrices, made and
+    eigendecomposed for all wavevectors at once, in wavevector order
+    (defective modes contribute only their genuine eigenvectors).  ``v`` is
+    the field block of the eigenvector, normalised, and the pair is accepted
+    when that block is not negligible and the matrix polynomial at the rate
+    annihilates it; each norm has the bits of ``np.linalg.norm``.  Shapes
+    are ``(p,)``, ``(p, nvars - 1)`` and ``(p, cols)``.  Raises when a
+    wavevector has no kernel element.
     """
     m, R = L.cols, L.time_order()
-    kspaces = [tuple(float(kj) for kj in kspace) for kspace in kspaces]
-    ks = np.reshape(kspaces, (len(kspaces), L.nvars - 1))
+    ks = np.array(kspaces, dtype=float).reshape(len(kspaces), L.nvars - 1)
     A = evolution_matrices(L, ks)
     symbols = [L.spatial_symbol(ks, r) for r in range(R + 1)]
     lams, vecs = np.linalg.eig(A)
@@ -348,28 +351,7 @@ def _kernel_eigenpairs(L, kspaces):
     res = frobenius_norms(acc.reshape(n * d, m)).reshape(n, d)
     scale = np.maximum(frobenius_norms(A), 1.0)[:, None]
     accept = (nv >= 1e-12) & (res <= 1e-8 * np.maximum(scale, np.abs(lams) ** R))
-    out = []
-    for i, kspace in enumerate(kspaces):
-        pairs = [(lams[i, e], vs[i, e]) for e in np.flatnonzero(accept[i])]
-        if not pairs:
-            raise ValueError(f"no plane-wave kernel elements at k={kspace}")
-        out.append((kspace, pairs))
-    return out
-
-
-def kernel_probes(L, kspaces):
-    """Kernel probes of ``L``: stacked arrays ``(mu, k, v)``, one row per probe.
-
-    Each row is an exact kernel plane wave ``v exp(mu t + i k.x)`` with
-    ``|v| = 1``: the accepted eigenpairs of the companion matrices, made and
-    eigendecomposed for all wavevectors at once, in wavevector order
-    (defective modes contribute only their genuine eigenvectors).  Shapes are
-    ``(p,)``, ``(p, nvars - 1)`` and ``(p, cols)``.  Raises when a wavevector
-    has no kernel element.
-    """
-    rows = [(lam, kspace, v) for kspace, pairs in _kernel_eigenpairs(L, kspaces) for lam, v in pairs]
-    mu = np.array([lam for lam, _, _ in rows], dtype=complex)
-    k = np.array([kspace for _, kspace, _ in rows], dtype=float).reshape(len(rows), L.nvars - 1)
-    v = np.array([v for _, _, v in rows], dtype=complex)
-    return mu, k, v
-
+    empty = ~accept.any(axis=1)
+    if empty.any():
+        raise ValueError(f"no plane-wave kernel elements at k={tuple(ks[np.argmax(empty)].tolist())}")
+    return lams[accept], np.repeat(ks, accept.sum(axis=1), axis=0), vs[accept]

@@ -390,8 +390,8 @@ class Reproduction:
 
 
 def _report_kdvkdv_all():
-    quad = run_scenario(_packaged_scenario("kdvkdv_quadratic"), out_dir=None, write_csv=False)
-    aff = run_scenario(_packaged_scenario("kdvkdv_affine"), out_dir=None, write_csv=False)
+    quad = run_scenario(_packaged_scenario("kdvkdv_quadratic"))
+    aff = run_scenario(_packaged_scenario("kdvkdv_affine"))
     return {
         "results": quad["results"] + aff["results"],
         "pass": bool(quad["pass"] and aff["pass"]),
@@ -450,7 +450,7 @@ def _report_heat_es_oracle():
     profile = lambda y: np.exp(-(y**2) / (2.0 * 2.0**2))
     values, quad_err = heat_flow_product_oracle(profile, s, [s / 4, s / 2, 3 * s / 4])
     spread = float(np.max(np.abs(values - values[0])) / abs(values[0]))
-    tor = run_scenario(_packaged_scenario("heat_es"), out_dir=None, write_csv=False)
+    tor = run_scenario(_packaged_scenario("heat_es"))
     torus_kappa = tor["results"][0]["kappa0"].real
     return {
         "oracle_values": list(values),

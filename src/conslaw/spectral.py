@@ -36,11 +36,11 @@ sample time of a run at once: a short list of terms ``coef * w(x) * M @ S``,
 where ``S`` is a trajectory jet at a (maybe reflected) source time per
 sample time, reflected on some spatial axes and maybe conjugated, or a
 fixed kernel field, and ``w`` a product of coordinates.  A characteristic's
-density terms are compiled once per run into one ``(k, m)`` matrix ``B``
-per group ``(w, S, gamma)``, shared by every time (a ``(T, k, m)`` stack
-only when a time slot weights a term), and each group is contracted as ``w
-* sum_a conj(S[a]) (B @ d^gamma u)[a]``: only ``N``-point products and
-small matrix products run on the grid.
+density terms are compiled once per run into one ``(T, k, m)`` stack ``B``
+per group ``(w, S, gamma)``, a ``(k, m)`` matrix per sample time (the rows
+differ only when a time slot weights a term), and each group is contracted
+as ``w * sum_a conj(S[a]) (B[r] @ d^gamma u)[a]`` at time ``r``: only
+``N``-point products and small matrix products run on the grid.
 
 A trajectory keeps no cache; ``kappa_series`` owns the jets.  It compiles
 each view once, for every sample time, so it knows every jet the run
@@ -184,7 +184,8 @@ class TorusGrid:
             mask &= keep.reshape(shape)
         if self.kmax is not None:
             kk = self.wavevector_grids()
-            mask &= sum(k * k for k in kk) <= self.kmax * self.kmax + 1e-12
+            with np.errstate(over="ignore"):  # an overflowing |k|^2 is inf, beyond any kmax
+                mask &= sum(k * k for k in kk) <= self.kmax * self.kmax + 1e-12
         mask.flags.writeable = False
         return mask
 
@@ -249,9 +250,12 @@ class EvolutionSystem:
     stacked ``A`` from ``fields.evolution_matrices``, built one block of at
     most ``MODE_BLOCK`` modes at a time, and propagates every mode by
     ``expm``: its ``fast`` is all False and its ``lam`` None.  ``propagator``
-    serves both.
+    serves both.  A box too small for the operator's wavenumbers, where a
+    monomial ``k^beta``, ``lam`` or ``A(k)`` is non-finite at some active
+    mode, is refused with ``ValueError`` naming the first such mode.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite symbol is refused by mode
     def __init__(self, L, grid, amp_cap=AMP_CAP):
         if L.nvars != grid.ndim + 1:
             raise ValueError("operator dimension does not match the grid")
@@ -262,15 +266,17 @@ class EvolutionSystem:
         self.R = L.time_order()
         self.active = np.flatnonzero(grid.mode_mask().reshape(-1))
         n, d = len(self.active), self.m * self.R
+        kk = [k.reshape(-1)[self.active] for k in grid.wavevector_grids()]
+        monos = {alpha[1:]: _monomial(kk, alpha[1:]) for alpha in L.terms}  # k^beta of L's terms
+        _refuse_overflow(kk, *[s for s in monos.values() if s is not None])
         symbol = evolution_symbol(L)
         squares = None if symbol is None else _square_coefficients(list(symbol.values()))
         self._stack = None  # the stacked A(k) when the system is not matrix-free
         if squares is not None:
-            kk = [k.reshape(-1)[self.active] for k in grid.wavevector_grids()]
             mats = list(symbol.values())  # Abar_0 first
-            monos = [None] + [_monomial(kk, beta) for beta in list(symbol)[1:]]  # None for 1
+            sym = [monos[beta] for beta in symbol]  # None for 1
             self._const = mats[0]
-            self._terms = list(zip(monos[1:], mats[1:]))
+            self._terms = list(zip(sym[1:], mats[1:]))
             # lam is a real polynomial in k when every square coefficient is real
             real = all(c.imag == 0 for c in squares.values())
             if real:
@@ -278,10 +284,11 @@ class EvolutionSystem:
             self.lam = np.zeros(n, dtype=float if real else complex)
             for (a, b), c in squares.items():
                 term = c
-                for s in (monos[a], monos[b]):
+                for s in (sym[a], sym[b]):
                     if s is not None:
                         term = term * s
                 self.lam += term
+            _refuse_overflow(kk, self.lam)
             self.fast = np.ones(n, dtype=bool)
             # the distinct entries of A(k) as coefficient vectors over (1, k^beta, ...):
             # diagonal ones, and nonzero off-diagonal ones up to sign
@@ -297,10 +304,11 @@ class EvolutionSystem:
                 for b in self.blocks()
             }
             return
-        kspace = np.stack([k.reshape(-1)[self.active] for k in grid.wavevector_grids()], axis=-1)
+        kspace = np.stack(kk, axis=-1)
         self._stack = np.empty((n, d, d), dtype=complex)
         for block in self.blocks():
             self._stack[block] = evolution_matrices(L, kspace[block])
+        _refuse_overflow(kk, self._stack)
         self._stack.flags.writeable = False
         self.lam = None
         self.fast = np.zeros(n, dtype=bool)
@@ -409,6 +417,16 @@ class EvolutionSystem:
                 f"mode amplification {amp:.3e} exceeds cap {self.amp_cap:.1e} "
                 f"for dt={dt:+.6g}; reduce kmax or the reflected time span"
             )
+
+
+def _refuse_overflow(kk, *arrays):
+    """Refuse the first active mode (wavenumbers ``kk``) at which one of ``arrays`` is non-finite."""
+    for a in arrays:
+        bad = ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+        if bad.any():
+            k = tuple(float(f"{x[np.argmax(bad)]:.3g}") for x in kk)
+            msg = "the box is too small for its wavenumbers: enlarge it or lower kmax"
+            raise ValueError(f"the operator's symbol is non-finite at k={k}; {msg}")
 
 
 def _monomial(kk, beta):
@@ -585,26 +603,16 @@ class Trajectory:
 # and conjugated when ``conj`` is.  ``M`` is None for the identity; ``w`` is a
 # sorted tuple of coordinate factors ``(axis, flipped)``, ``()`` for 1, where a
 # flipped factor is the grid flip of the coordinate array (which differs from
-# ``-x`` at index 0).  ``coef`` is one number for every time, or a tuple of one
-# number per time once a time slot has weighted it; each of its values takes
-# the arithmetic a one-time form would.
+# ``-x`` at index 0).  ``coef`` is a real array of one number per time, ones
+# where the form starts; each of its values takes the arithmetic a one-time
+# form would.
 
 
 def _form(view, times, alpha):
     """The linear form of ``view``'s jet at ``times``; a trajectory's is its own jet."""
     if isinstance(view, Trajectory):
-        return [(1.0, (), None, (view, times, tuple(alpha), (False,) * view.grid.ndim, False))]
+        return [(np.ones(len(times)), (), None, (view, times, tuple(alpha), (False,) * view.grid.ndim, False))]
     return view.jet(times, alpha)
-
-
-def _each(c, f):
-    """``f`` of the coefficient ``c``, value by value when ``c`` is a per-time tuple."""
-    return tuple(map(f, c)) if isinstance(c, tuple) else f(c)
-
-
-def _time_weighted(c, times):
-    """The coefficient ``c * t`` at each ``t`` of ``times``, a per-time tuple."""
-    return tuple(v * t for v, t in zip(c if isinstance(c, tuple) else (c,) * len(times), times))
 
 
 class _InnerView:
@@ -631,7 +639,7 @@ class MatrixView(_InnerView):
 class ConjView(_InnerView):
     def jet(self, times, alpha):
         return [
-            (_each(c, np.conj), w, None if M is None else M.conj(), (f, ts, a, flip, not conj))
+            (np.conj(c), w, None if M is None else M.conj(), (f, ts, a, flip, not conj))
             for c, w, M, (f, ts, a, flip, conj) in _form(self.inner, times, alpha)
         ]
 
@@ -662,7 +670,7 @@ class ReflectView(_InnerView):
         space = self.mask[1:]
         return [
             (
-                _each(c, lambda v: sign * v),
+                sign * c,
                 tuple(sorted((axis, f != space[axis]) for axis, f in w)),
                 M,
                 (field, ts, a, tuple(f != r for f, r in zip(flip, space)), conj),
@@ -687,14 +695,14 @@ class DiffView(_InnerView):
             if poly:
                 (slot, _e) = poly[0]
                 if slot == 0:
-                    piece = [(_time_weighted(c, times), w, M, src) for c, w, M, src in piece]
+                    piece = [(c * np.asarray(times), w, M, src) for c, w, M, src in piece]
                 else:
                     piece = [(c, tuple(sorted(w + ((slot - 1, False),))), M, src) for c, w, M, src in piece]
                 if alpha[slot]:
                     # product rule: d^alpha (x f) = x d^alpha f + alpha_x d^(alpha - e_x) f
                     lower = tuple(v - (d == slot) for d, v in enumerate(total))
                     piece += [
-                        (_each(c, lambda v: alpha[slot] * v), w, M, src)
+                        (alpha[slot] * c, w, M, src)
                         for c, w, M, src in _form(self.inner, times, lower)
                     ]
             if mat is not None:
@@ -714,7 +722,7 @@ class ShiftView:
         self._points = grid.point_list()
 
     def jet(self, times, alpha):
-        return [(1.0, (), None, (self, times, tuple(alpha), (False,) * self.grid.ndim, False))]
+        return [(np.ones(len(times)), (), None, (self, times, tuple(alpha), (False,) * self.grid.ndim, False))]
 
     def values(self, times, alpha):
         """Grid values of ``d^alpha`` of the field at each of ``times``, ``(T, ncomp, *modes)``."""
@@ -794,11 +802,11 @@ def _groups(flux, qview, times, m):
     """The density terms of ``qview`` at ``times`` folded into bilinear groups.
 
     Each group ``(w, src, gamma)``, whose source ``src`` holds one source time
-    per time of ``times``, maps to a ``(k, m)`` matrix ``B`` shared by every
-    time, or to a ``(T, k, m)`` stack when a time slot weights a term, such
-    that the density at ``times[r]`` is ``sum w * sum_a conj(S[a]) (B_r @
-    d^gamma u)[a]``.  Each entry of ``B_r`` takes the arithmetic of a
-    one-time compile.
+    per time of ``times``, maps to a ``(T, k, m)`` stack ``B``, one ``(k, m)``
+    matrix per time, such that the density at ``times[r]`` is ``sum w *
+    sum_a conj(S[a]) (B[r] @ d^gamma u)[a]``.  Each term updates every row
+    at once, and each entry of ``B[r]`` takes the arithmetic of a one-time
+    compile.
     """
     forms = {}
     groups = {}
@@ -809,14 +817,11 @@ def _groups(flux, qview, times, m):
             key = (w, src, gamma)
             B = groups.get(key)
             if B is None:
-                B = groups[key] = np.zeros((src[0].ncomp, m), dtype=complex)
-            if isinstance(coef, tuple) and B.ndim == 2:
-                B = groups[key] = np.repeat(B[None], len(times), axis=0)
-            for row, cv in zip(B, coef) if isinstance(coef, tuple) else [(B, coef)]:
-                if M is None:
-                    row[..., i, j] += c * np.conj(cv)
-                else:
-                    row[..., :, j] += c * np.conj(cv) * np.conj(M[i])
+                B = groups[key] = np.zeros((len(times), src[0].ncomp, m), dtype=complex)
+            if M is None:
+                B[:, i, j] += c * np.conj(coef)
+            else:
+                B[:, :, j] += (c * np.conj(coef))[:, None] * np.conj(M[i])
     return groups
 
 
@@ -865,12 +870,12 @@ def _contract_rows(groups, read, grid, times, rows=slice(None)):
     compiled into ``groups`` over ``times``.
 
     ``rows`` is a slice of the compiled times: all of them on a small grid,
-    one at a time when streaming.  A ``B`` shared by every time goes to one
-    ``evaluate_terms`` call as it is, a stack as its rows ``rows``; the
-    sources and P jets are read at the times of ``rows`` (``read(alpha,
-    times)`` stacks the trajectory jets the groups read, ``_jet_keys``).
+    one at a time when streaming.  Each ``B`` goes to one ``evaluate_terms``
+    call as its rows ``rows``; the sources and P jets are read at the times
+    of ``rows`` (``read(alpha, times)`` stacks the trajectory jets the groups
+    read, ``_jet_keys``).
     """
-    groups = {key: B if B.ndim == 2 else B[rows] for key, B in groups.items()}
+    groups = {key: B[rows] for key, B in groups.items()}
 
     def jet_p(gamma):
         p = read(gamma, times[rows])

@@ -10,12 +10,13 @@ number of conjugations.  A *point chain* (matrix, reflection and conjugation
 factors only) has one normal form ``u -> M R_s [conj^c u]``, a :class:`PointChain`.
 
 Verification is kernel preservation, checked in one of two ways; both pass
-at 1e-8 and raise on a non-finite sample, and chains flagged ``char_map``,
-which build adjoint-kernel elements directly, are checked against the formal
-adjoint instead.  A chain of matrices, reflections, conjugations and
-constant-coefficient ``DiffFactor``s (``SymmetryOp.symbol_checkable``) is
-checked in symbol space by :func:`verify_symbol`: each kernel probe ``(mu, k,
-v)`` of :func:`~conslaw.fields.kernel_probes` is mapped through the chain and
+at ``GENERATOR_TOL`` (1e-8) and raise on a non-finite sample, and chains
+flagged ``char_map``, which build adjoint-kernel elements directly, are
+checked against the formal adjoint instead.  A chain of matrices,
+reflections, conjugations and constant-coefficient ``DiffFactor``s
+(``SymmetryOp.symbol_checkable``) is checked in symbol space by
+:func:`verify_symbol`: each kernel probe ``(mu, k, v)`` of
+:func:`~conslaw.fields.kernel_probes` is mapped through the chain and
 ``P(mu'', k'') v''`` is one matrix product.  :func:`verify_symmetry`, the
 oracle, checks any chain: random exact kernel superpositions are pushed
 through it as closed-form fields and the operator residual is evaluated
@@ -50,6 +51,8 @@ __all__ = [
     "symbol_probes",
     "verify_symbol",
 ]
+
+GENERATOR_TOL = 1e-8  # the largest relative residual with which a generator check passes
 
 
 @dataclass(frozen=True)
@@ -271,9 +274,10 @@ def verify_symmetry(L, g, seed=0, s=1.0, kspace_list=None):
     wavevectors unless ``kspace_list`` is given), applies ``g`` and measures
     ``max |L[g u]|`` on random points and times, relative to the field scale
     (the largest of ``|g u|`` and its first derivatives) times the
-    coefficient scale; it passes at 1e-8.  Each field is evaluated once, over
-    all samples.  Chains flagged ``char_map`` are measured against the formal
-    adjoint (their output is a Q, not a kernel element).  Time-reflecting
+    coefficient scale; it passes at ``GENERATOR_TOL``.  Each field is
+    evaluated once, over all samples.  Chains flagged ``char_map`` are
+    measured against the formal adjoint (their output is a Q, not a kernel
+    element).  Time-reflecting
     factors use the parameter ``s``.  Raises ``ValueError`` when a sampled
     residual or scale is not finite.  An image with no terms fails with
     residual 1, the whole field lost: a time reflection whose amplitude
@@ -297,14 +301,18 @@ def verify_symmetry(L, g, seed=0, s=1.0, kspace_list=None):
     with np.errstate(over="ignore", invalid="ignore"):
         worst = np.abs(resid_field.evaluate(times, pts)).max(axis=(0, 2))  # per time
         scale = np.max([np.abs(f.evaluate(times, pts)).max(axis=(0, 2)) for f in fields], axis=0) * coeff_scale
-    bad = ~(np.isfinite(worst) & np.isfinite(scale))
+    _refuse_non_finite(g, ~(np.isfinite(worst) & np.isfinite(scale)), times)
+    rel = float(worst.max()) / max(float(scale.max()), 1e-300)
+    return SymmetryReport(rel, rel <= GENERATOR_TOL, target, len(kspace_list))
+
+
+def _refuse_non_finite(g, bad, times):
+    """Refuse the generator check of ``g`` at the first of ``times`` that ``bad`` marks non-finite."""
     if bad.any():
         raise ValueError(
             f"generator check of {g.name or 'the symmetry'} is non-finite at t={times[np.argmax(bad)]:.6g}; "
             "its residual is undefined"
         )
-    rel = float(worst.max()) / max(float(scale.max()), 1e-300)
-    return SymmetryReport(rel, rel <= 1e-8, target, len(kspace_list))
 
 
 def verify_kernel_shift(L, shift):
@@ -367,8 +375,9 @@ def verify_symbol(L, g, probes):
     The residual is the largest ``|P v''| / (|v''| max(1, |mu''|, |k''|_inf)
     max(|L|_max, 1))``, a probe with ``v'' = 0`` counting as 0, and 1 when
     every probe's is (the chain maps the kernel to zero); it passes at
-    1e-8.  Raises ``ValueError`` when an image's amplitude ``exp(Re(log amp +
-    mu'' t))`` at a sample time, or the residual, is not finite.
+    ``GENERATOR_TOL``.  Raises ``ValueError`` when an image's amplitude
+    ``exp(Re(log amp + mu'' t))`` at a sample time, or the residual, is not
+    finite.
     """
     if not g.symbol_checkable:
         raise TypeError(f"{g.name or 'the chain'} has a factor with no action on kernel probes")
@@ -395,11 +404,6 @@ def verify_symbol(L, g, probes):
         size = np.linalg.norm(v, axis=1) * freq * max(L.max_norm(), 1.0)
         rel = np.divide(resid, size, out=np.zeros(len(mu)), where=size != 0)  # a NaN size stays NaN
         amp = np.exp((logamp[:, None] + mu[:, None] * probes.times).real)
-    bad = ~np.isfinite(amp).all(axis=0) | ~np.isfinite(rel).all()
-    if bad.any():
-        raise ValueError(
-            f"generator check of {g.name or 'the symmetry'} is non-finite at t={probes.times[np.argmax(bad)]:.6g}; "
-            "its residual is undefined"
-        )
+    _refuse_non_finite(g, ~np.isfinite(amp).all(axis=0) | ~np.isfinite(rel).all(), probes.times)
     worst = 1.0 if not v.any() else float(rel.max())  # no image at all fails, as in verify_symmetry
-    return SymmetryReport(worst, worst <= 1e-8, "adjoint" if g.char_map else "kernel", probes.samples)
+    return SymmetryReport(worst, worst <= GENERATOR_TOL, "adjoint" if g.char_map else "kernel", probes.samples)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conslaw import adjoint
 from conslaw.adjoint import (
     _MAX_SAMPLES,
     _RESIDUAL_TOL,
     ConjugacyPair,
     SemiConjugacyNotFound,
     _joint_nullspace,
+    _kron,
     _pair_residual,
     _symbol_identity_residual,
     adjoint_factorization,
@@ -337,6 +339,22 @@ def test_joint_nullspace_matches_the_stitched_reference():
         for sign_absorbed in (True, False):
             got, want = _joint_nullspace(L, sign_absorbed), _reference_nullspace(L, sign_absorbed)
             assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes(), L
+
+
+def test_broadcast_kron_has_the_bits_of_np_kron(monkeypatch):
+    rng = np.random.default_rng(31)
+    for m in range(1, 5):
+        eye = np.eye(m)
+        for _ in range(5):
+            a, b = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+            for x, y in ((a.conj().T, eye), (eye, a.T), (a, b)):
+                assert np.array_equal(_kron(x, y), np.kron(x, y))
+                assert _kron(x, y).tobytes() == np.kron(x, y).tobytes()
+    ops = [L for L in _catalog_operators() if not L.is_zero()]
+    got = [_joint_nullspace(L, sign_absorbed) for L in ops for sign_absorbed in (True, False)]
+    monkeypatch.setattr(adjoint, "_kron", np.kron)
+    want = [_joint_nullspace(L, sign_absorbed) for L in ops for sign_absorbed in (True, False)]
+    assert all(np.array_equal(g, w) and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def _bytes(pair):

@@ -461,6 +461,38 @@ def test_cli_rejects_non_finite_initial_data(tmp_path, capsys, profile):
     assert err == f"error: profile {profile!r} has non-finite coefficients\n"
 
 
+@pytest.mark.parametrize(
+    "operator, grid, symmetry",
+    [
+        ("wave(dim=1)", "modes:4 length:1e-300", "wave.time_translation"),
+        ("jordan2x2", "modes:8 length:1e-300", "identity"),
+    ],
+    ids=["matrix-free", "stacked"],
+)
+def test_cli_refuses_a_box_whose_wavenumbers_overflow_the_symbol(tmp_path, capsys, operator, grid, symmetry):
+    # k = 6.28e300 overflows k^2 (wave) and k^3 (jordan2x2): the system build
+    # names the first such mode, without numpy warnings, before any evolution
+    text = (SCENARIOS / "wave_energy.scn").read_text()
+    for old, new in [
+        ("modes:256 length:6.283185307179586", grid),
+        ("wave(dim=1)", operator),
+        ("= wave.time_translation", f"= {symmetry}"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "tiny_box.scn"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert '"pass"' not in out
+    assert err == (
+        "error: the operator's symbol is non-finite at k=(6.28e+300,); "
+        "the box is too small for its wavenumbers: enlarge it or lower kmax\n"
+    )
+
+
 def test_cli_refuses_a_huge_sample_time_by_the_amplification_cap(tmp_path, capsys):
     # the k = 0 mode takes the small-argument branch of the closed form at dt = 1e200
     path = tmp_path / "late.scn"

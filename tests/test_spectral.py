@@ -67,6 +67,12 @@ def test_grid_mode_set_is_symmetric():
     assert not mask[8]
 
 
+def test_a_cutoff_drops_modes_whose_squared_wavenumber_overflows():
+    # k = 6.28e300 squares to inf, which lies beyond the cutoff, without a warning
+    grid = TorusGrid((1e-300,), (4,), kmax=1.0)
+    assert grid.mode_mask().tolist() == [True, False, False, False]
+
+
 def test_wavenumbers_are_made_once_and_read_only():
     grid = TorusGrid((TWO_PI, 3.0), (16, 8))
     ks = grid.wavenumbers()
@@ -1076,9 +1082,73 @@ def test_time_weighted_chains_have_the_per_time_bits(monkeypatch, op, symmetry, 
     view = symmetry_view(char, traj, s=s)
     flux = concomitant_flux(L)
     times = tuple(float(t) for t in np.linspace(0.0, 0.5, 11))
-    assert any(B.ndim == 3 for B in spectral._groups(flux, view, times, traj.ncomp).values())
+    assert any((B != B[0]).any() for B in spectral._groups(flux, view, times, traj.ncomp).values())
     want = _per_time_kappa_series(flux, [view], traj, times, 1.0)
     rows = _count_rows(monkeypatch)
     got = kappa_series(flux, [view], traj, times, support_tol=1.0)
     assert _series_bits(got) == _series_bits(want)
     assert rows == ([len(times)] if modes == 64 else [1] * len(times))
+
+
+def _has_time_slot(gen):
+    """Whether a ``DiffFactor`` of the chain ``gen`` weights a term by ``t``."""
+    return any(
+        poly and poly[0][0] == 0
+        for f in getattr(gen, "factors", ())
+        if isinstance(f, DiffFactor)
+        for poly, _mat, _alpha in f.terms
+    )
+
+
+def _assert_one_group_shape(flux, view, times, m, time_slot):
+    """Every group of ``view`` is a ``(T, k, m)`` stack; without a time slot its rows are bit-equal."""
+    groups = spectral._groups(flux, view, times, m)
+    assert groups
+    for (_w, src, _gamma), B in groups.items():
+        assert B.shape == (len(times), src[0].ncomp, m)
+        if not time_slot:
+            assert all(row.tobytes() == B[0].tobytes() for row in B)
+    if time_slot:
+        assert any((B != B[0]).any() for B in groups.values())
+
+
+PACKAGED_SCENARIOS = sorted(SMALL_GRID_SCENARIOS + ["dirac_angular_momentum"])
+
+
+@pytest.mark.parametrize("stem", PACKAGED_SCENARIOS)
+def test_every_packaged_view_compiles_one_matrix_per_time(stem):
+    # the views of each shipped scenario, on a grid of 8 points per axis: the
+    # compile reads the grid only through the trajectory it names
+    from conslaw.scenario import _packaged_scenario
+
+    scn = _packaged_scenario(stem)
+    L = build_operator(scn.operator)
+    grid = TorusGrid(**{**scn.grid, "modes": (8,) * len(scn.grid["modes"])})
+    system = EvolutionSystem(L, grid, amp_cap=scn.amp_cap)
+    traj = Trajectory(system, np.zeros((L.cols * system.R,) + grid.modes))
+    fact = adjoint_factorization(L, semi_conjugacy_solve(L, seed=scn.seed))
+    flux = concomitant_flux(L)
+    times = tuple(float(t) for t in scn.times)
+    for case in scn.symmetries:
+        gen = build_symmetry(case.spec)
+        view = symmetry_view(adjoint_characteristic(L, fact, gen), traj, s=scn.s)
+        _assert_one_group_shape(flux, view, times, traj.ncomp, _has_time_slot(gen))
+
+
+@pytest.mark.parametrize(
+    "op, symmetry, s",
+    [
+        ("wave(dim=1)", SymmetryOp((_D_X, _WEIGHTED)), 0.0),
+        ("kdvkdv", SymmetryOp((PointReflect((True, True)), _WEIGHTED)), 0.7),
+        ("kdvkdv", SymmetryOp((PointReflect((True, True)), _D_X)), 0.7),
+    ],
+    ids=["under-d_x", "under-reflection", "no-time-slot"],
+)
+def test_weighted_chains_compile_one_matrix_per_time(op, symmetry, s):
+    L = build_operator(op)
+    system = EvolutionSystem(L, _LINE, amp_cap=1e8)
+    traj = Trajectory(system, np.zeros((L.cols * system.R,) + _LINE.modes))
+    char = adjoint_characteristic(L, adjoint_factorization(L, semi_conjugacy_solve(L)), symmetry)
+    view = symmetry_view(char, traj, s=s)
+    times = tuple(float(t) for t in np.linspace(0.0, 0.5, 11))
+    _assert_one_group_shape(concomitant_flux(L), view, times, traj.ncomp, _has_time_slot(symmetry))
