@@ -45,6 +45,7 @@ from .symmetry import (
     MatrixFactor,
     PointReflect,
     SymmetryOp,
+    symbol_probes,
     verify_symmetry,
 )
 
@@ -80,6 +81,7 @@ __all__ = [
     "op_compose",
     "parse_operator",
     "semi_conjugacy_solve",
+    "symbol_probes",
     "transpose_adjoint",
     "verify_symmetry",
     "zero_operator",

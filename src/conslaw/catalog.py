@@ -130,8 +130,8 @@ def named_operators():
 # -- symmetry generators -----------------------------------------------------
 
 
-def _identity():
-    return SymmetryOp((), name="identity")
+def _identity(name):
+    return SymmetryOp((), name=name)
 
 
 def _heat_space_reflection(dim=1):
@@ -266,19 +266,19 @@ def _dirac_rotation(axis):
 def _dirac_translation(mu):
     alpha = tuple(1 if d == mu else 0 for d in range(4))
     return SymmetryOp(
-        (DiffFactor((((), -1j * np.eye(4), alpha),)),), name=f"dirac.translation_{mu}"
+        (DiffFactor((((), -1j * np.eye(4), alpha),)),), name=f"dirac.translation_{'tx'[mu]}"
     )
 
 
 def named_symmetries():
     return {
-        "identity": _identity,
+        "identity": partial(_identity, "identity"),
         "heat.space_reflection": _heat_space_reflection,
         "heat.s_reflection": _heat_s_reflection,
         "heat.time_reversal": _heat_time_reversal,
         "wave.time_translation": _wave_time_translation,
         "wave.space_translation": _wave_space_translation,
-        "kdvkdv.identity": _identity,
+        "kdvkdv.identity": partial(_identity, "kdvkdv.identity"),
         "kdvkdv.swap": _kdv_swap,
         "kdvkdv.Gamma_s": _kdv_gamma_s,
         "kdvkdv.shift_u": partial(_kdv_shift, 0),

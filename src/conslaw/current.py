@@ -218,7 +218,9 @@ def adjoint_characteristic(L, fact, generator):
     context.  A fixed kernel element becomes the innermost factor, a constant
     map ``u -> w``; a generator already flagged ``char_map`` builds Q itself and
     is returned as it is.  Raises ``ValueError`` when a reflection mask, a
-    derivative index or a kernel field spans other than ``L.nvars`` variables.
+    derivative index or a kernel field spans other than ``L.nvars`` variables,
+    or a factor's matrix or a kernel field acts on other than ``L.cols``
+    components.
     """
     if fact.operator is not L and fact.operator != L:
         raise ValueError("factorization belongs to a different operator")
@@ -232,6 +234,12 @@ def adjoint_characteristic(L, fact, generator):
             f"symmetry {generator.name!r} acts on {min(wrong)} variables, "
             f"the operator on {L.nvars}"
         )
+    comps = {f.matrix.shape[1] for f in inner if isinstance(f, MatrixFactor)}
+    comps |= {m.shape[1] for f in inner if isinstance(f, DiffFactor) for _p, m, _a in f.terms if m is not None}
+    comps |= {f.field.ncomp for f in inner if isinstance(f, KernelShift)}
+    wrong = comps - {L.cols}
+    if wrong:
+        raise ValueError(f"symmetry {generator.name!r} acts on {min(wrong)} components, the operator on {L.cols}")
     if getattr(generator, "char_map", False):
         return generator
     outer = (MatrixFactor(fact.A1),)

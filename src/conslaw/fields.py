@@ -1,12 +1,11 @@
 """Exact closed-form fields: sums of polynomial x exponential terms.
 
 Every term is ``c * t^p0 * x1^p1 ... * exp(lam*t) * exp(i k.x)`` attached to
-one component.  The family is closed under differentiation, constant-matrix
-application, coordinate multiplication, point reflections (with the time slot
-reflecting as ``t -> s - t``), and complex conjugation, so operators and
-symmetry chains act on it exactly.  This is the workhorse for kernel
-construction and residual-free verification: :func:`kernel_probes` gives the
-plane-wave kernel elements of an operator as stacked ``(mu, k, v)`` rows, and
+one component.  The family is closed under differentiation and
+constant-matrix application, so operators act on it exactly: a kernel
+shift's fixed field is checked by applying the operator to it.
+:func:`kernel_probes` gives the plane-wave kernel elements of an operator as
+stacked ``(mu, k, v)`` rows, the probes of every generator check, and
 :func:`plane_wave` makes the field of one row.
 
 Every operation that makes a field has one summation rule, :func:`collect`:
@@ -18,7 +17,6 @@ total that cancels to zero is dropped.
 from __future__ import annotations
 
 from itertools import chain
-from math import comb
 
 import numpy as np
 
@@ -105,43 +103,6 @@ class AnalyticField:
         # each alpha's field is summed first, then the fields in operator order
         fields = (self.diff_multi(alpha).apply_matrix(mat) for alpha, mat in L.terms.items())
         return collect(self.nvars, L.rows, chain.from_iterable(f.terms.items() for f in fields))
-
-    def multiply_coordinate(self, slot):
-        """Multiply by the coordinate of variable ``slot``."""
-        pieces = (
-            ((i, pol[:slot] + (pol[slot] + 1,) + pol[slot + 1 :], lam, k), c)
-            for (i, pol, lam, k), c in self.terms.items()
-        )
-        return collect(self.nvars, self.ncomp, pieces)
-
-    def point_reflect(self, mask, s=0.0):
-        """Compose with the reflection of masked variables; time uses t -> s - t."""
-
-        def pieces():
-            for (i, pol, lam, k), c in self.terms.items():
-                newk = tuple(-kj if mask[d + 1] else kj for d, kj in enumerate(k))
-                sign = 1.0
-                for d in range(1, self.nvars):
-                    if mask[d] and pol[d] % 2:
-                        sign = -sign
-                base = sign * c
-                if mask[0]:
-                    # t^a exp(lam t) -> (s-t)^a exp(lam s) exp(-lam t)
-                    a = pol[0]
-                    amp = base * np.exp(lam * s)
-                    for r in range(a + 1):
-                        cc = amp * comb(a, r) * (s ** (a - r)) * ((-1.0) ** r)
-                        yield (i, (r,) + pol[1:], -lam, newk), cc
-                else:
-                    yield (i, pol, lam, newk), base
-
-        return collect(self.nvars, self.ncomp, pieces())
-
-    def conjugate(self):
-        pieces = (
-            ((i, pol, np.conj(lam), tuple(-kj for kj in k)), np.conj(c)) for (i, pol, lam, k), c in self.terms.items()
-        )
-        return collect(self.nvars, self.ncomp, pieces)
 
     # -- evaluation --------------------------------------------------------
 

@@ -24,6 +24,7 @@ __all__ = [
     "op_add",
     "op_compose",
     "op_commutator",
+    "op_lower",
     "identity_operator",
     "zero_operator",
 ]
@@ -243,6 +244,17 @@ def op_compose(L1, L2):
         raise ValueError(f"shape mismatch for composition: {L1.shape} o {L2.shape}")
     pieces = ((midx_add(a1, a2), m1 @ m2) for a1, m1 in L1.terms.items() for a2, m2 in L2.terms.items())
     return ConstCoeffOperator(L1.nvars, (L1.rows, L2.cols), pieces)
+
+
+def op_lower(L, slot):
+    """``sum_a a_j M_a D^(a - e_j)`` for ``j = slot``: its symbol is the
+    derivative of ``L``'s symbol in the ``slot`` entry of ``ik``."""
+    pieces = (
+        (alpha[:slot] + (alpha[slot] - 1,) + alpha[slot + 1 :], alpha[slot] * mat)
+        for alpha, mat in L.terms.items()
+        if alpha[slot]
+    )
+    return ConstCoeffOperator(L.nvars, L.shape, pieces)
 
 
 def op_commutator(L, G):

@@ -25,10 +25,10 @@ time ``s`` finite, and ``times`` finite with two distinct values at least.
 
 The pipeline factorizes the adjoint and builds the bilinear current and the
 trajectory once, then each symmetry's generator check and characteristic
-view; the generator checks of point and constant-coefficient chains share
-one set of kernel probes (see :mod:`conslaw.symmetry`).  One pass over the
-sample times integrates every density at each time and, for
-position-weighted functionals, checks the data's support.
+view; every generator check shares one set of kernel probes, drawn once per
+scenario (see :mod:`conslaw.symmetry`).  One pass over the sample times
+integrates every density at each time and, for position-weighted
+functionals, checks the data's support.
 
 The scenario files of the built-in reproductions ship with the package in
 ``conslaw/scenarios/`` and are read when the registry is first built, not at
@@ -65,7 +65,7 @@ from .spectral import (
     kappa_series,
     symmetry_view,
 )
-from .symmetry import KernelShift, symbol_probes, verify_kernel_shift, verify_symbol, verify_symmetry
+from .symmetry import KernelShift, symbol_probes, verify_kernel_shift, verify_symmetry
 
 __all__ = [
     "Scenario",
@@ -289,7 +289,7 @@ def run_scenario(scn, out_dir=None, write_csv=True):
 
     results = []
     qviews = []
-    probes = None  # every symbol-space check draws the same probes and times
+    probes = None  # every generator check shares one set of kernel probes and times
     for case in scn.symmetries:
         gen = build_symmetry(case.spec)
         char = adjoint_characteristic(L, fact, gen)  # refuses a chain of the wrong dimension
@@ -297,12 +297,9 @@ def run_scenario(scn, out_dir=None, write_csv=True):
         if isinstance(gen, KernelShift):
             entry["generator_check"] = bool(verify_kernel_shift(L, gen))
         elif gen.factors:
-            if gen.symbol_checkable:
-                if probes is None:
-                    probes = symbol_probes(L, seed=scn.seed, s=scn.s)
-                rep = verify_symbol(L, gen, probes)
-            else:  # x- or t-weighted factors: the closed-form fields
-                rep = verify_symmetry(L, gen, seed=scn.seed, s=scn.s)
+            if probes is None:
+                probes = symbol_probes(L, seed=scn.seed, s=scn.s)
+            rep = verify_symmetry(L, gen, probes)
             entry["generator_check"] = bool(rep.passed)
             entry["generator_residual"] = rep.residual
             entry["generator_target"] = rep.target

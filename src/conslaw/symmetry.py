@@ -9,20 +9,20 @@ adjoint characteristic's chain).  A chain is linear iff it contains an even
 number of conjugations.  A *point chain* (matrix, reflection and conjugation
 factors only) has one normal form ``u -> M R_s [conj^c u]``, a :class:`PointChain`.
 
-Verification is kernel preservation, checked in one of two ways; both pass
-at ``GENERATOR_TOL`` (1e-8) and raise on a non-finite sample, and chains
-flagged ``char_map``, which build adjoint-kernel elements directly, are
-checked against the formal adjoint instead.  A chain of matrices,
-reflections, conjugations and constant-coefficient ``DiffFactor``s
-(``SymmetryOp.symbol_checkable``) is checked in symbol space by
-:func:`verify_symbol`: each kernel probe ``(mu, k, v)`` of
-:func:`~conslaw.fields.kernel_probes` is mapped through the chain and
-``P(mu'', k'') v''`` is one matrix product.  :func:`verify_symmetry`, the
-oracle, checks any chain: random exact kernel superpositions are pushed
-through it as closed-form fields and the operator residual is evaluated
-pointwise; the pipeline uses it for chains with ``x``- or ``t``-weighted
-``DiffFactor``s (the rotations).  Kernel shifts are checked exactly by
-:func:`verify_kernel_shift`.
+Verification is kernel preservation, and every generator chain has one
+check, :func:`verify_symmetry`, in symbol space: each kernel probe ``v
+exp(mu t + i k.x)`` of :func:`~conslaw.fields.kernel_probes` becomes the
+first-degree jet ``(a + b_0 t + sum_j b_j x_j) exp(mu t + i k.x)``, every
+factor maps it linearly to another such jet, and the image's operator
+residual is a few matrix products per probe.  The check takes any chain
+without kernel shifts whose coordinate-weighted factors add up to degree 1
+at most (``SymmetryOp.symbol_checkable``), passes at ``GENERATOR_TOL``
+(1e-8) and raises on a non-finite sample; chains flagged ``char_map``, which
+build adjoint-kernel elements directly, are checked against the formal
+adjoint instead.  Kernel shifts are checked exactly by
+:func:`verify_kernel_shift`.  The closed-form field oracle that pushes
+random kernel superpositions through a chain pointwise lives with the tests
+(``tests/analytic_oracle.py``), as the reference the check is tested against.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import formal_adjoint
-from .fields import AnalyticField, collect, kernel_probes, plane_wave
-from .opcore import ConstCoeffOperator
+from .fields import AnalyticField, kernel_probes
+from .opcore import ConstCoeffOperator, op_lower
 
 __all__ = [
     "MatrixFactor",
@@ -43,13 +43,11 @@ __all__ = [
     "SymmetryOp",
     "PointChain",
     "KernelShift",
-    "apply_symmetry_analytic",
     "verify_symmetry",
     "verify_kernel_shift",
     "SymmetryReport",
     "SymbolProbes",
     "symbol_probes",
-    "verify_symbol",
 ]
 
 GENERATOR_TOL = 1e-8  # the largest relative residual with which a generator check passes
@@ -140,13 +138,12 @@ class SymmetryOp:
 
     @property
     def symbol_checkable(self):
-        """Whether every factor is a matrix, a reflection, a conjugation or a
-        constant-coefficient ``DiffFactor``: then :func:`verify_symbol` applies."""
-        return all(
-            isinstance(f, (MatrixFactor, PointReflect, Conjugation))
-            or (isinstance(f, DiffFactor) and not any(poly for poly, _, _ in f.terms))
-            for f in self.factors
-        )
+        """Whether :func:`verify_symmetry` applies: no factor is a
+        ``KernelShift`` and at most one ``DiffFactor`` has a coordinate-weighted
+        term, so the chain's total coordinate degree is at most 1."""
+        if any(isinstance(f, KernelShift) for f in self.factors):
+            return False
+        return sum(isinstance(f, DiffFactor) and any(poly for poly, _, _ in f.terms) for f in self.factors) <= 1
 
     def point_form(self, nvars, ncomp):
         """The :class:`PointChain` of this chain on ``ncomp`` components of
@@ -203,57 +200,12 @@ class KernelShift:
     name: str = ""
 
 
-def apply_factor_analytic(factor, f, s=None):
-    if isinstance(factor, KernelShift):
-        return factor.field
-    if isinstance(factor, MatrixFactor):
-        return f.apply_matrix(factor.matrix)
-    if isinstance(factor, Conjugation):
-        return f.conjugate()
-    if isinstance(factor, PointReflect):
-        return f.point_reflect(factor.mask, s=factor.resolve_s(s))
-    if isinstance(factor, DiffFactor):
-
-        def pieces():
-            for poly, mat, alpha in factor.terms:
-                piece = f.diff_multi(alpha)
-                if mat is not None:
-                    piece = piece.apply_matrix(mat)
-                for slot, e in poly:
-                    for _ in range(e):
-                        piece = piece.multiply_coordinate(slot)
-                yield from piece.terms.items()
-
-        return collect(f.nvars, f.ncomp, pieces())
-    raise TypeError(f"unknown factor {factor!r}")
-
-
-def apply_symmetry_analytic(g, f, s=None):
-    """Apply a symmetry chain to an exact closed-form field."""
-    for factor in reversed(g.factors):
-        f = apply_factor_analytic(factor, f, s=s)
-    return f
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     residual: float
     passed: bool
     target: str
     samples: int
-
-
-def _random_kernel_superposition(L, kspace_list, rng):
-    """A random superposition of the plane waves ``v exp(mu t + i k.x)`` of the
-    kernel probes, one complex coefficient per probe row, drawn in row order."""
-    mu, k, v = kernel_probes(L, kspace_list)  # before the first draw: the rng stream stays the same
-
-    def pieces():
-        for lam, kspace, vec in zip(mu, k, v):
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            yield from ((key, c * x) for key, x in plane_wave(L.nvars, vec, lam, kspace).terms.items())
-
-    return collect(L.nvars, L.cols, pieces())
 
 
 def _default_wavevectors(L, rng):
@@ -265,45 +217,6 @@ def _default_wavevectors(L, rng):
             k[rng.integers(0, n)] = 1.0
         out.append(tuple(k))
     return out
-
-
-def verify_symmetry(L, g, seed=0, s=1.0, kspace_list=None):
-    """Residual report for kernel preservation of a symmetry chain.
-
-    Builds a random superposition of exact kernel elements (four random
-    wavevectors unless ``kspace_list`` is given), applies ``g`` and measures
-    ``max |L[g u]|`` on random points and times, relative to the field scale
-    (the largest of ``|g u|`` and its first derivatives) times the
-    coefficient scale; it passes at ``GENERATOR_TOL``.  Each field is
-    evaluated once, over all samples.  Chains flagged ``char_map`` are
-    measured against the formal adjoint (their output is a Q, not a kernel
-    element).  Time-reflecting
-    factors use the parameter ``s``.  Raises ``ValueError`` when a sampled
-    residual or scale is not finite.  An image with no terms fails with
-    residual 1, the whole field lost: a time reflection whose amplitude
-    ``exp(lam s)`` underflows on every term would otherwise leave the zero
-    field, which every kernel holds.
-    """
-    rng = np.random.default_rng(seed)
-    kspace_list = kspace_list or _default_wavevectors(L, rng)
-    u = _random_kernel_superposition(L, kspace_list, rng)
-    gu = apply_symmetry_analytic(g, u, s=s)
-    target = "adjoint" if g.char_map else "kernel"
-    if u.terms and not gu.terms:
-        return SymmetryReport(1.0, False, target, len(kspace_list))
-    target_op = formal_adjoint(L) if g.char_map else L
-    resid_field = gu.apply_operator(target_op)
-    pts = rng.standard_normal((24, L.nvars - 1)) * 2.0
-    times = rng.uniform(0.1 * s, 0.9 * s, size=5) if s else rng.uniform(0.0, 1.0, size=5)
-    coeff_scale = max(L.max_norm(), 1.0)
-    # first derivatives are in the scale so pure-derivative residuals scale honestly
-    fields = [gu] + [gu.diff(slot) for slot in range(L.nvars)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = np.abs(resid_field.evaluate(times, pts)).max(axis=(0, 2))  # per time
-        scale = np.max([np.abs(f.evaluate(times, pts)).max(axis=(0, 2)) for f in fields], axis=0) * coeff_scale
-    _refuse_non_finite(g, ~(np.isfinite(worst) & np.isfinite(scale)), times)
-    rel = float(worst.max()) / max(float(scale.max()), 1e-300)
-    return SymmetryReport(rel, rel <= GENERATOR_TOL, target, len(kspace_list))
 
 
 def _refuse_non_finite(g, bad, times):
@@ -338,72 +251,116 @@ class SymbolProbes:
 
 
 def symbol_probes(L, seed=0, s=1.0):
-    """The probes and times of :func:`verify_symbol`, drawn as ``verify_symmetry``
-    draws its wavevectors and times: the same generator stream, so both checks
-    sample the same wavevectors and name the same time in a non-finite error."""
+    """The probes and times of :func:`verify_symmetry`, drawn from one
+    generator stream: four wavevectors, then the draws of the closed-form
+    oracle's superposition coefficients and sample points, which are thrown
+    away, then the five sample times.  The oracle draws the same stream, so
+    both sample the same wavevectors and name the same time in a non-finite
+    error."""
     rng = np.random.default_rng(seed)
     kspace_list = _default_wavevectors(L, rng)
     mu, k, v = kernel_probes(L, kspace_list)
-    rng.standard_normal((len(mu), 2))  # verify_symmetry's superposition coefficients
+    rng.standard_normal((len(mu), 2))  # the oracle's superposition coefficients
     rng.standard_normal((24, L.nvars - 1))  # and sample points
     times = rng.uniform(0.1 * s, 0.9 * s, size=5) if s else rng.uniform(0.0, 1.0, size=5)
     return SymbolProbes(mu, k, v, times, s, len(kspace_list))
 
 
 def _symbol_at(op, mu, k):
-    """``sum_a M_a mu^a0 (ik)^a'`` of ``op`` on each plane wave ``exp(mu t + i k.x)``."""
+    """``sum_a M_a z^a`` of ``op`` at ``z = (mu, ik)``, on each plane wave ``exp(mu t + i k.x)``."""
     return op.symbol(np.column_stack((-1j * mu, k)))
 
 
-def _diff_operator(factor, nvars, ncomp):
-    """A constant-coefficient ``DiffFactor`` on ``ncomp`` components as an operator."""
-    mats = [np.eye(ncomp) if mat is None else mat for _, mat, _ in factor.terms]
-    return ConstCoeffOperator(nvars, mats[0].shape, [(alpha, mat) for (_, _, alpha), mat in zip(factor.terms, mats)])
+def _on_jets(op, mu, k, a, b):
+    """``op`` applied to the jets ``(a + sum_j b_j X_j) exp(mu t + i k.x)``,
+    ``X = (t, x)``, as the constant part ``Q a + sum_j dQ_j b_j`` and the
+    linear parts ``Q b_j``, with ``Q`` the symbol of ``op`` at ``z = (mu, ik)``
+    and ``dQ_j`` its derivative in ``z_j`` (the product rule); the derivative
+    is evaluated only for slots with a non-zero ``b_j``."""
+    Q = _symbol_at(op, mu, k)
+    const = np.einsum("pij,pj->pi", Q, a)
+    for j in np.flatnonzero(b.any(axis=(0, 2))):
+        const = const + np.einsum("pij,pj->pi", _symbol_at(op_lower(op, j), mu, k), b[:, j])
+    return const, np.einsum("pij,psj->psi", Q, b)
 
 
-def verify_symbol(L, g, probes):
-    """:func:`verify_symmetry`'s verdict for a ``symbol_checkable`` chain, from
-    one matrix product per kernel probe.
+def _apply_diff(factor, mu, k, a, b):
+    """A ``DiffFactor`` on the jets: each term ``p(x) M D^alpha`` acts as
+    :func:`_on_jets`; a constant ``p`` keeps the parts where they are, and
+    ``p = x_j`` moves the constant part into ``b_j`` (the chain's degree
+    bound leaves no linear part for it to raise)."""
+    nvars, m = b.shape[1], a.shape[1]
+    mats = [np.eye(m) if mat is None else mat for _, mat, _ in factor.terms]
+    out_a = np.zeros((len(a), mats[0].shape[0]), dtype=complex)
+    out_b = np.zeros((len(a), nvars, mats[0].shape[0]), dtype=complex)
+    by_poly = {}
+    for (poly, _, alpha), mat in zip(factor.terms, mats):
+        by_poly.setdefault(poly, []).append((alpha, mat))
+    for poly, terms in by_poly.items():
+        const, linear = _on_jets(ConstCoeffOperator(nvars, mats[0].shape, terms), mu, k, a, b)
+        if poly:
+            ((slot, _),) = poly
+            out_b[:, slot] += const
+        else:
+            out_a += const
+            out_b += linear
+    return out_a, out_b
 
-    Each probe ``v exp(mu t + i k.x)`` goes through the chain right to left: a
-    matrix maps ``v -> M v``, a conjugation ``(mu, k, v) -> (conj mu, -k,
-    conj v)``, a reflection negates the masked ``k_j`` and, for the time slot,
-    ``mu`` (the image of ``t -> s - t`` gains the amplitude ``exp(mu s)``), and
-    a constant-coefficient ``DiffFactor`` maps ``v -> Q(mu, k) v``.  The image
-    ``(mu'', k'', v'')`` is a kernel element iff ``P(mu'', k'') v'' = 0``, with
-    ``P`` the symbol of ``L`` (of its formal adjoint for ``char_map`` chains).
-    The residual is the largest ``|P v''| / (|v''| max(1, |mu''|, |k''|_inf)
-    max(|L|_max, 1))``, a probe with ``v'' = 0`` counting as 0, and 1 when
-    every probe's is (the chain maps the kernel to zero); it passes at
-    ``GENERATOR_TOL``.  Raises ``ValueError`` when an image's amplitude
-    ``exp(Re(log amp + mu'' t))`` at a sample time, or the residual, is not
-    finite.
+
+def verify_symmetry(L, g, probes):
+    """Kernel preservation of a ``symbol_checkable`` chain ``g`` on the
+    probes of :func:`symbol_probes`.
+
+    Each probe starts as the jet ``a = v``, ``b = 0`` (one row of ``b`` per
+    variable, time first) and goes through the chain right to left: a matrix
+    multiplies ``a`` and each ``b_j``; a conjugation conjugates them and
+    ``mu`` and flips ``k``; a reflection negates the masked ``k_j`` and
+    ``b_j``, its time slot (``t -> s - t``) also adding ``s b_0`` to ``a``,
+    negating ``mu`` and gaining the amplitude ``exp(mu s)``; a ``DiffFactor``
+    acts by :func:`_apply_diff`.  The image is in the kernel of ``L`` (of its
+    formal adjoint for ``char_map`` chains) iff ``P a + sum_j dP_j b_j`` and
+    every ``P b_j`` vanish (:func:`_on_jets`).  The residual is the largest
+    of their norms over ``max(|a|, |b_j|) max(1, |mu|, |k|_inf) max(|L|_max,
+    1)``, a zero image counting 0, and 1 when every image is zero; it passes
+    at ``GENERATOR_TOL``.  With ``b = 0`` (a point or constant-coefficient
+    chain) it is ``|P a|`` over that scale.  Raises ``ValueError`` for a chain
+    that is not ``symbol_checkable``, and when an amplitude ``exp(Re(log amp
+    + mu t))`` at a sample time, or the residual, is not finite.
     """
     if not g.symbol_checkable:
-        raise TypeError(f"{g.name or 'the chain'} has a factor with no action on kernel probes")
-    mu, k, v = probes.mu, probes.k, probes.v
+        raise ValueError(
+            f"{g.name or 'the chain'} has no generator check: it holds a kernel shift "
+            "or its coordinate-weighted factors exceed degree 1"
+        )
+    mu, k, a = probes.mu, probes.k, probes.v
+    b = np.zeros((len(mu), L.nvars, a.shape[1]), dtype=complex)
     logamp = np.zeros(len(mu), dtype=complex)
     for f in reversed(g.factors):
         if isinstance(f, MatrixFactor):
-            v = v @ f.matrix.T
+            a, b = a @ f.matrix.T, b @ f.matrix.T
         elif isinstance(f, Conjugation):
-            mu, k, v, logamp = mu.conj(), -k, v.conj(), logamp.conj()
+            mu, k, a, b, logamp = mu.conj(), -k, a.conj(), b.conj(), logamp.conj()
         elif isinstance(f, PointReflect):
             if len(f.mask) != L.nvars:
                 raise ValueError(f"reflection mask {f.mask} has {len(f.mask)} slots, expected {L.nvars}")
             if f.mask[0]:
-                logamp = logamp + mu * f.resolve_s(probes.s)
+                s = f.resolve_s(probes.s)
+                logamp = logamp + mu * s
                 mu = -mu
+                a = a + s * b[:, 0]
             k = np.where(f.mask[1:], -k, k)
-        else:  # a constant-coefficient DiffFactor
-            v = np.einsum("pij,pj->pi", _symbol_at(_diff_operator(f, L.nvars, v.shape[1]), mu, k), v)
+            b = np.where(np.array(f.mask)[:, None], -b, b)
+        else:
+            a, b = _apply_diff(f, mu, k, a, b)
     target = formal_adjoint(L) if g.char_map else L
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.linalg.norm(np.einsum("pij,pj->pi", _symbol_at(target, mu, k), v), axis=1)
+        const, linear = _on_jets(target, mu, k, a, b)
+        resid = np.maximum(np.linalg.norm(const, axis=1), np.linalg.norm(linear, axis=2).max(axis=1))
         freq = np.maximum(1.0, np.maximum(np.abs(mu), np.abs(k).max(axis=1)))
-        size = np.linalg.norm(v, axis=1) * freq * max(L.max_norm(), 1.0)
+        size = np.maximum(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=2).max(axis=1))
+        size = size * freq * max(L.max_norm(), 1.0)
         rel = np.divide(resid, size, out=np.zeros(len(mu)), where=size != 0)  # a NaN size stays NaN
         amp = np.exp((logamp[:, None] + mu[:, None] * probes.times).real)
     _refuse_non_finite(g, ~np.isfinite(amp).all(axis=0) | ~np.isfinite(rel).all(), probes.times)
-    worst = 1.0 if not v.any() else float(rel.max())  # no image at all fails, as in verify_symmetry
+    worst = 1.0 if not (a.any() or b.any()) else float(rel.max())  # no image at all fails
     return SymmetryReport(worst, worst <= GENERATOR_TOL, "adjoint" if g.char_map else "kernel", probes.samples)

@@ -7,8 +7,11 @@ A call path that went round a patched name would silently zero its layer, so
 a small scenario also runs under the tracer.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from conslaw import dirac, fock, scenario, spectral
 from conslaw.scenario import _packaged_scenario
@@ -67,6 +70,25 @@ def test_kappa_layers_record_calls_under_the_tracer():
     ):
         assert tracer.calls[layer] >= 1, layer
     assert tracer.counts["current.contract.terms"] >= 1
+
+
+def test_every_generator_check_records_a_verify_span():
+    # dirac_charges checks Gamma0, cpt and bad_time_reflection (identity has no
+    # factors), the small angular run its three rotations before the support
+    # guard refuses the packet: every check goes through ``verify_symmetry``
+    angular = _packaged_scenario("dirac_angular_momentum")
+    small = dataclasses.replace(angular, grid={**angular.grid, "modes": (8, 8, 8)})
+    tracer = _tracer_module().Tracer("t")
+    tracer.install()
+    try:
+        scenario.run_scenario(_packaged_scenario("dirac_charges"))
+        charges = tracer.calls["symmetry.verify"]
+        with pytest.raises(scenario.ScenarioError, match="needs compactly supported data"):
+            scenario.run_scenario(small)
+    finally:
+        tracer.uninstall()
+    assert charges == 3
+    assert tracer.calls["symmetry.verify"] - charges == 3
 
 
 def test_every_jet_passes_through_the_traced_jet_layer(monkeypatch):

@@ -18,14 +18,9 @@ from conslaw.current import (
 )
 from conslaw.fields import kernel_probes, plane_wave
 from conslaw.gamma import dirac_representation
-from conslaw.symmetry import (
-    MatrixFactor,
-    PointReflect,
-    SymmetryOp,
-    apply_symmetry_analytic,
-    verify_symmetry,
-)
+from conslaw.symmetry import MatrixFactor, PointReflect, SymmetryOp
 
+from analytic_oracle import apply_symmetry_analytic, verify_symmetry
 from test_opcore import random_operator
 
 

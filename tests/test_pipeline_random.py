@@ -9,6 +9,7 @@ symmetries; every induced functional must be conserved by the exact flow.
 import numpy as np
 import pytest
 
+import analytic_oracle as oracle
 from conslaw.adjoint import adjoint_factorization, semi_conjugacy_solve
 from conslaw.catalog import build_profile
 from conslaw.current import adjoint_characteristic, concomitant_flux
@@ -22,12 +23,13 @@ from conslaw.spectral import (
     symmetry_view,
 )
 from conslaw.symmetry import (
+    Conjugation,
     DiffFactor,
     KernelShift,
     MatrixFactor,
+    PointReflect,
     SymmetryOp,
     symbol_probes,
-    verify_symbol,
     verify_symmetry,
 )
 
@@ -70,9 +72,10 @@ def test_random_system_charges_are_conserved(seed):
     w = polynomial_field(2, m, [{(0, 0): float(rng.standard_normal())} for _ in range(m)])
     generators.append(KernelShift(w, name="const"))
 
+    probes = symbol_probes(L, seed=seed, s=1.0)
     for gen in generators:
         if isinstance(gen, SymmetryOp):
-            rep = verify_symmetry(L, gen, seed=seed, s=1.0)
+            rep = verify_symmetry(L, gen, probes)
             assert rep.passed, (gen.name, rep.residual)
 
     grid = TorusGrid((TWO_PI,), (64,))
@@ -94,7 +97,7 @@ def test_random_system_negative_control_drifts():
     L, S = _random_dispersive_system(rng, 3)
     bad = rng.standard_normal((3, 3))
     gen = SymmetryOp((MatrixFactor(bad),), name="bad")
-    rep = verify_symmetry(L, gen, seed=1, s=1.0)
+    rep = verify_symmetry(L, gen, symbol_probes(L, seed=1, s=1.0))
     assert not rep.passed
 
     pair = semi_conjugacy_solve(L, seed=1)
@@ -109,15 +112,36 @@ def test_random_system_negative_control_drifts():
     assert series.drift >= 1e-2
 
 
+def _weighted_chains(L):
+    """For ``L = Dt + A(Dx)``, the Galilean generator ``x - t A'(Dx)`` (it
+    commutes with ``L``: ``A`` is a polynomial in one matrix ``S``), composed
+    with the space-time reflection and with conjugation, both symmetries of
+    a real odd system; and the generator with the sign of its ``t`` part
+    flipped, no symmetry."""
+
+    def galilean(sign):
+        terms = [({1: 1}, None, (0, 0))]
+        terms += [({0: 1}, -sign * alpha[1] * M, (0, alpha[1] - 1)) for alpha, M in L.terms.items() if alpha[1]]
+        return SymmetryOp((DiffFactor(tuple(terms)),), name="galilean" if sign > 0 else "anti-galilean")
+
+    reflect = SymmetryOp((PointReflect((True, True)),), name="PT")
+    conj = SymmetryOp((Conjugation(),), name="conj")
+    g = galilean(1.0)
+    return [g, g @ reflect, reflect @ g @ conj, conj @ g, galilean(-1.0)]
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_symbol_check_gives_the_verdict_of_verify_symmetry(seed):
-    # the symmetries pass and a matrix that does not commute with S fails, in both checks
+def test_generator_check_gives_the_verdict_of_the_oracle(seed):
+    # the symmetries pass and a matrix that does not commute with S fails, in
+    # both checks; so do the x-weighted chains, reflected and conjugated
     rng = np.random.default_rng(200 + seed)
     m = int(rng.integers(2, 4))
     L, S = _random_dispersive_system(rng, m)
     bad = SymmetryOp((MatrixFactor(rng.standard_normal((m, m))),), name="bad")
     probes = symbol_probes(L, seed=seed, s=1.0)
-    for gen in _symmetry_chains(m, S) + [bad]:
-        want = verify_symmetry(L, gen, seed=seed, s=1.0)
-        got = verify_symbol(L, gen, probes)
-        assert got.passed == want.passed == (gen is not bad), (gen.name, got.residual, want.residual)
+    for gen in _symmetry_chains(m, S) + _weighted_chains(L) + [bad]:
+        want = oracle.verify_symmetry(L, gen, seed=seed, s=1.0)
+        got = verify_symmetry(L, gen, probes)
+        symmetric = gen is not bad and gen.name != "anti-galilean"
+        assert got.passed == want.passed == symmetric, (gen.name, got.residual, want.residual)
+        assert (got.target, got.samples) == (want.target, want.samples), gen.name

@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import analytic_oracle
 import conslaw
 from conslaw import dirac, scenario, symmetry
 from conslaw.adjoint import adjoint_factorization, semi_conjugacy_solve
 from conslaw.catalog import build_operator, build_profile, build_symmetry, heat_operator, wave_operator
 from conslaw.cli import main
 from conslaw.current import adjoint_characteristic, concomitant_flux
+from conslaw.fields import AnalyticField
 from conslaw.scenario import (
     MAX_TIMES,
     ScenarioError,
@@ -355,50 +357,57 @@ def test_cli_non_finite_generator_check_is_an_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def _count_field_checks(monkeypatch):
-    """The names of the chains ``verify_symmetry`` checks, wherever a module holds it."""
-    names = []
+def _count_generator_checks(monkeypatch):
+    """The ``(chain name, probes)`` of every ``verify_symmetry`` call, wherever
+    a module holds it, and one entry per ``AnalyticField.evaluate`` call."""
+    calls, evaluated = [], []
     original = symmetry.verify_symmetry
 
-    def counted(L, g, **kwargs):
-        names.append(g.name)
-        return original(L, g, **kwargs)
+    def counted(L, g, probes):
+        calls.append((g.name, probes))
+        return original(L, g, probes)
 
     for module in (symmetry, scenario):
         monkeypatch.setattr(module, "verify_symmetry", counted)
-    return names
+    evaluate = AnalyticField.evaluate
+    monkeypatch.setattr(AnalyticField, "evaluate", lambda f, t, points: evaluated.append(1) or evaluate(f, t, points))
+    return calls, evaluated
 
 
 @pytest.mark.parametrize("stem", ["dirac_charges", "kdvkdv_quadratic", "wave_energy"])
-def test_point_and_constant_coefficient_chains_skip_the_field_check(monkeypatch, stem):
-    names = _count_field_checks(monkeypatch)
+def test_every_generator_check_shares_one_set_of_probes(monkeypatch, stem):
+    calls, _ = _count_generator_checks(monkeypatch)
     report = run_scenario(load_scenario(SCENARIOS / f"{stem}.scn"))
-    assert names == []
     assert report["pass"]
-    assert any("generator_residual" in entry for entry in report["results"])
+    checked = [entry for entry in report["results"] if "generator_residual" in entry]
+    assert checked and len(calls) == len(checked)
+    assert len({id(probes) for _, probes in calls}) == 1
 
 
-def test_rotations_keep_the_field_check(monkeypatch):
-    names = _count_field_checks(monkeypatch)
+def test_rotations_are_checked_without_closed_form_fields(monkeypatch):
+    calls, evaluated = _count_generator_checks(monkeypatch)
     scn = load_scenario(SCENARIOS / "dirac_angular_momentum.scn")
     small = dataclasses.replace(scn, grid={**scn.grid, "modes": (8, 8, 8)})
     # the generator checks come before the trajectory pass, whose support
     # guard then refuses the packet on this coarse grid
     with pytest.raises(ScenarioError, match="needs compactly supported data"):
         run_scenario(small)
-    assert names == ["dirac.rotation_x", "dirac.rotation_y", "dirac.rotation_z"]
+    assert [name for name, _ in calls] == ["dirac.rotation_x", "dirac.rotation_y", "dirac.rotation_z"]
+    assert len({id(probes) for _, probes in calls}) == 1
+    assert evaluated == []
 
 
 def test_symbol_path_fails_closed_on_non_finite_amplitudes(monkeypatch):
-    names = _count_field_checks(monkeypatch)
+    calls, _ = _count_generator_checks(monkeypatch)
     scn = parse_scenario(OVERFLOWING_GENERATOR_CHECK)
     with pytest.raises(ValueError, match="generator check of heat.space_reflection is non-finite at t=") as err:
         run_scenario(scn)
-    assert names == []
-    # every sampled time overflows: both checks name the first of the same five times
+    assert len(calls) == 1
+    # every sampled time overflows: the check and the closed-form oracle
+    # name the first of the same five times
     L, g = build_operator(scn.operator), build_symmetry("heat.space_reflection")
     with pytest.raises(ValueError) as want:
-        symmetry.verify_symmetry(L, g, seed=scn.seed, s=scn.s)
+        analytic_oracle.verify_symmetry(L, g, seed=scn.seed, s=scn.s)
     assert str(err.value) == str(want.value)
 
 
@@ -827,6 +836,26 @@ def test_cli_rejects_symmetry_of_another_dimension(tmp_path, capsys, operator, s
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "on 2 variables" in err and "on 3" in err
+
+
+@pytest.mark.parametrize(
+    "operator, dims, symmetry, ncomp",
+    [
+        ("heat(dim=3)", 3, "dirac.Gamma0", 4),
+        ("heat(dim=3)", 3, "dirac.rotation_x", 4),
+        ("heat(dim=1)", 1, "kdvkdv.swap", 2),
+        ("heat(dim=1)", 1, "kdvkdv.shift_u", 2),
+    ],
+)
+def test_cli_rejects_symmetry_on_other_components(tmp_path, capsys, operator, dims, symmetry, ncomp):
+    path = tmp_path / "mismatch.scn"
+    path.write_text(
+        f"operator = {operator}\ngrid = modes:8 length:6.28 dims:{dims}\n"
+        f"profile = random(seed=1, kmax=2)\ntimes = 0.0, 0.5\nsymmetry = {symmetry}\n"
+    )
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: symmetry {symmetry!r} acts on {ncomp} components, the operator on 1\n"
 
 
 def test_catalog_rejects_unknown_keywords():
