@@ -25,10 +25,14 @@ system assembles on demand for readers; no solver path reads it.  Work over
 modes goes one block of at most ``MODE_BLOCK`` active modes at a time, and
 blocking leaves every number bit-identical to a one-block run.
 
-A trajectory scatters the active modes of each time and time order once,
-into one ``(m, npoints)`` array of coefficients.  A jet with space
-derivatives multiplies them by the wavevector powers into its own array;
-the plain jet is inverse-transformed in place of them.
+A trajectory makes the jets of many sample times in one pass, with the
+time as an array axis: each block's propagation factors are evaluated for
+every time at once, ``A`` is applied once per time order to the ``(T,
+n_active, d)`` stack of states, and each time order is scattered once, into
+one ``(T, m, *modes)`` stack of coefficients.  A jet with space derivatives
+multiplies its factors into its own stack, once for all its times; the
+plain jet is inverse-transformed in place of the scattered coefficients, one
+``(t, alpha)`` row at a time.
 
 A field view (a symmetry chain over a trajectory) computes no grid values.
 Its ``jet(times, alpha)`` is a linear form over the trajectory at every
@@ -44,24 +48,22 @@ as ``w * sum_a conj(S[a]) (B[r] @ d^gamma u)[a]`` at time ``r``: only
 
 A trajectory keeps no cache; ``kappa_series`` owns the jets.  It compiles
 each view once, for every sample time, so it knows every jet the run
-needs, and one ``Trajectory.jets`` call per sample time (with the sampled
-times it reads) makes them: each time they read is propagated once,
-only the current order's companion state is kept, and derivative jets come
-first, so each time order is scattered once and becomes the plain jet.  On
-a small grid, where the jets of every time read fit in ``MODE_BLOCK // 2``
-points, ``kappa_series`` keeps them all, in the one dict of ``(t, alpha)``
-keys that ``Trajectory.jets`` returns, and contracts each view once:
-``current.evaluate_terms`` takes a leading time axis, so one call with a row
-per sample time replaces one call per time, with the same bits in every
-row.  On a larger grid each time is contracted on its own and its jets are
-dropped before the next, the one-row case of the same call.  Either way the
-jets are read through one reader, which stacks the rows a contraction asks
-for.  ``evaluate_terms`` works ``CHUNK`` grid points at a time and gathers
-reflected sources block by block, so the only ``(k, N)`` arrays are the
-jets and their stacked rows.  Propagators are not kept.  ``kappa_series``
-is also the one support guard: when a field view is ``weighted`` by a
-spatial coordinate, it checks the boundary fraction of each jet once, one
-component at a time, as it is made.
+needs.  On a small grid, where the jets of every time read fit in
+``MODE_BLOCK // 2`` points, one ``Trajectory.jets`` call makes them all in
+one pass and each view is contracted once: ``current.evaluate_terms`` takes
+a leading time axis, so one call with a row per sample time replaces one
+call per time, with the same bits in every row.  The contraction reads the
+jets as basic-slice views of their stacks (a reflected time ``s - t`` as a
+negative step); only an irregular time order takes one gather.  On a larger
+grid a sample time's jets are made with those of the sample times whose
+jets it reads (a reflected pair), each time is contracted on its own, the
+one-row case of the same call, and the batch's jets are dropped before the
+next; this runs the same pass on one or two times.  ``evaluate_terms`` works
+``CHUNK`` grid points at a time and gathers reflected sources block by
+block, so the only ``(k, N)`` arrays are the jets.  Propagators are not
+kept.  ``kappa_series`` is also the one support guard: when a field view is
+``weighted`` by a spatial coordinate, it checks the boundary fraction of each
+jet once, one component at a time.
 """
 
 from __future__ import annotations
@@ -346,64 +348,94 @@ class EvolutionSystem:
                 out = out + c * s[modes]
         return out
 
-    def apply(self, U, modes=slice(None)):
-        """``A U`` for the states ``U``, shape ``(modes, d)``, of the active modes ``modes``."""
+    def apply(self, U, modes=slice(None), out=None):
+        """``A U`` for the states ``U``, shape ``(..., modes, d)``, of the active modes ``modes``, into ``out`` if given."""
         if self._stack is not None:
-            return np.einsum("mij,mj->mi", self._stack[modes], U)
-        out = U @ self._const.T
+            return np.einsum("mij,...mj->...mi", self._stack[modes], U, out=out)
+        out = np.matmul(U, self._const.T, out=out)
         for s, M in self._terms:
-            out += s[modes, None] * (U @ M.T)
+            term = U @ M.T
+            term *= s[modes, None]
+            out += term
         return out
 
-    def propagator(self, dt, U, modes=slice(None), AU=None):
+    @np.errstate(over="ignore", invalid="ignore")
+    def factors(self, dts, modes=slice(None)):
+        """The factors of ``exp(dt A)`` on the active modes ``modes`` for every ``dt`` of ``dts``, in one pass.
+
+        Returns one ``(amp, a, b)`` per time, which ``propagator`` applies:
+        ``a`` is one batched ``expm`` of a stacked system, ``exp(dt a)`` for
+        scalar modes (``b`` None in both), and ``(a, b) = (c1, c2)`` of the
+        closed form otherwise.  ``amp`` is the largest entry of ``exp(dt
+        A)`` on the modes, which ``propagator`` checks against the cap, or
+        None where ``max|c1| + max|c2| E``, with ``E`` the largest ``|A_ij(k)|``
+        of the block (found once, at build), already clears it.  A
+        matrix-free system takes each entry ``c1 delta_ij + c2 A_ij(k)``
+        from the symbols, and forms no matrix.  Every number has the bits of
+        a one-time evaluation.
+        """
+        dts = np.asarray(dts, dtype=float)
+        if self._stack is not None:
+            P = expm(dts[:, None, None, None] * self._stack[modes])
+            return [(float(amp), p, None) for amp, p in zip(_row_max(np.abs(P)), P)]
+        if len(self._const) == 1:
+            # scalar modes: direct exponential (the cosh/sinh split would
+            # overflow on strongly decaying modes)
+            (a,) = self._diag
+            p = np.exp(dts[:, None] * self._entry(a, modes))
+            return [(float(amp), row, None) for amp, row in zip(_row_max(np.abs(p)), p)]
+        c1, c2 = _closed_form(dts, self.lam[modes])
+        amps = [None] * len(dts)
+        over = np.flatnonzero(~self._within_cap(c1, c2, modes))
+        if len(over):
+            c1o, c2o = c1[over], c2[over]
+            amp = [_row_max(np.abs(c1o + c2o * self._entry(v, modes))) for v in self._diag]
+            amp += [_row_max(np.abs(c2o * self._entry(v, modes))) for v in self._off]
+            for i, x in zip(over, np.max(amp, axis=0)):  # np.max keeps a NaN
+                amps[i] = float(x)
+        return list(zip(amps, c1, c2))
+
+    def propagator(self, dt, U, modes=slice(None), AU=None, factors=None):
         """``exp(dt A) U`` for the states ``U``, shape ``(modes, d)``, of the active modes ``modes``.
 
-        A stacked system takes one batched ``expm`` of its modes' ``dt A(k)``.
-        A matrix-free system returns ``c1 U + c2 A U`` and takes ``A U`` from
-        ``AU`` when the caller has formed it; scalar modes and the stacked
-        path ignore ``AU``.
+        ``factors`` are this time's ``(amp, a, b)`` from ``factors``, which
+        a caller with many times evaluates for all of them at once; without
+        them the propagator evaluates them for ``dt`` alone.  A stacked
+        system applies its modes' ``expm``, scalar modes ``exp(dt a)``, and a
+        matrix-free system returns ``c1 U + c2 A U``, taking ``A U`` from
+        ``AU`` when the caller has formed it (the other two ignore ``AU``).
         Raises ``AmplificationError`` if an entry of ``exp(dt A)`` exceeds
         ``amp_cap`` or is not finite (an overflowing cosh/sinh times a zero
-        entry gives NaN).  A matrix-free system takes each entry ``c1
-        delta_ij + c2 A_ij(k)`` from the symbols, and forms no matrix; it
-        does so only when ``max|c1| + max|c2| E``, with ``E`` the largest
-        ``|A_ij(k)|`` of the block (found once, at build), does not clear
-        the cap.
+        entry gives NaN); a matrix-free system checks this only when its
+        block bound does not clear the cap (``factors``).
         """
+        if factors is None:
+            (factors,) = self.factors([dt], modes)
+        amp, a, b = factors
+        if amp is not None:
+            self._check_amplification(dt, amp)
         with np.errstate(over="ignore", invalid="ignore"):
             if self._stack is not None:
-                P = expm(dt * self._stack[modes])
-                self._check_amplification(dt, float(np.abs(P).max()))
-                return np.einsum("mij,mj->mi", P, U)
-            if U.shape[1] == 1:
-                # scalar modes: direct exponential (the cosh/sinh split would
-                # overflow on strongly decaying modes)
-                (a,) = self._diag
-                p = np.exp(dt * self._entry(a, modes))
-                self._check_amplification(dt, float(np.abs(p).max()))
-                return p[:, None] * U
-            c1, c2 = _closed_form(dt, self.lam[modes])
-            if not self._within_cap(c1, c2, modes):
-                amp = [np.abs(c1 + c2 * self._entry(v, modes)).max() for v in self._diag]
-                amp += [np.abs(c2 * self._entry(v, modes)).max() for v in self._off]
-                self._check_amplification(dt, float(np.max(amp)))  # np.max keeps a NaN
+                return np.einsum("mij,mj->mi", a, U)
+            if b is None:
+                return a[:, None] * U
             if AU is None:
                 AU = self.apply(U, modes)
-            return c1[:, None] * U + c2[:, None] * AU
+            return a[:, None] * U + b[:, None] * AU
 
     def _within_cap(self, c1, c2, modes):
-        """Whether ``max|c1| + max|c2| E`` clears the cap with room for rounding.
+        """Whether ``max|c1| + max|c2| E`` clears the cap with room for rounding, per time (row).
 
         ``E`` is the bound of the block ``modes`` (of all blocks for other
-        modes).  A NaN or infinite bound does not clear it, so the caller's
-        exact per-entry check decides and words any refusal.
+        modes).  A NaN or infinite bound does not clear it, so the exact
+        per-entry check decides and words any refusal.
         """
         key = (modes.start, modes.stop) if isinstance(modes, slice) else None
         E = self._entry_bound.get(key)
         if E is None:
             E = max(self._entry_bound.values())
-        bound = float(np.abs(c1).max()) + float(np.abs(c2).max()) * E
-        return math.isfinite(bound) and bound <= self.amp_cap * (1 - 1e-9)
+        bound = _row_max(np.abs(c1)) + _row_max(np.abs(c2)) * E
+        return np.isfinite(bound) & (bound <= self.amp_cap * (1 - 1e-9))
 
     def _check_amplification(self, dt, amp):
         """Refuse a propagator whose largest entry ``amp`` is non-finite or above the cap."""
@@ -468,13 +500,20 @@ def _square_coefficients(mats):
     return out
 
 
-def _closed_form(dt, lam):
-    """``(c1, c2)`` with ``exp(dt A) = c1 I + c2 A`` where ``A^2 = lam I``.
+def _row_max(a):
+    """The largest entry of each row (first axis) of ``a``; a NaN row gives NaN."""
+    return a.reshape(len(a), -1).max(axis=1)
+
+
+def _closed_form(dts, lam):
+    """``(c1, c2)``, one row per time of ``dts``, with ``exp(dt A) = c1 I + c2 A`` where ``A^2 = lam I``.
 
     A real ``lam`` takes real functions of ``z = sqrt(|lam|)``: ``cos(z dt)``
     and ``sin(z dt) / z`` where ``lam <= 0``, ``cosh`` and ``sinh`` where
     ``lam > 0``.  A complex ``lam`` takes ``cosh`` and ``sinh`` of ``sqrt(lam) dt``.
+    Each entry has the arithmetic of a one-time evaluation.
     """
+    dt = dts[:, None]
     if np.iscomplexobj(lam):
         z = np.sqrt(lam)
         zt = z * dt
@@ -485,11 +524,42 @@ def _closed_form(dt, lam):
         c1, s = np.cos(zt), np.sin(zt)
         grow = lam > 0
         if grow.any():
-            c1[grow], s[grow] = np.cosh(zt[grow]), np.sinh(zt[grow])
+            c1[:, grow], s[:, grow] = np.cosh(zt[:, grow]), np.sinh(zt[:, grow])
     small = np.abs(zt) < 1e-8
-    c2 = np.divide(s, z, out=np.empty_like(z), where=~small)
-    c2[small] = dt * (1.0 + lam[small] * dt * dt / 6.0)
+    c2 = np.divide(s, z, out=np.empty_like(zt), where=~small)
+    if small.any():
+        rows, cols = np.nonzero(small)
+        ds, ls = dts[rows], lam[cols]
+        c2[rows, cols] = ds * (1.0 + ls * ds * ds / 6.0)
     return c1, c2
+
+
+def _jet_order(alpha):
+    """Sort key of a time's jets: by time order, derivative jets before the plain one."""
+    return (alpha[0], not any(alpha[1:]), alpha)
+
+
+def _take_rows(stack, times, want):
+    """The rows of ``stack``, one per time of ``times``, at the times ``want`` (a
+    subsequence of ``times``): the stack itself when that is all of them, else a
+    gathered copy."""
+    if len(want) == len(times):
+        return stack
+    row = {t: r for r, t in enumerate(times)}
+    return stack[[row[t] for t in want]]
+
+
+class Jets(dict):
+    """``{(t, alpha): grid values}`` of one ``Trajectory.jets`` pass.
+
+    Each value is one row of a stack that holds the pass's jets of one
+    ``alpha``: ``stacks[alpha]`` is ``(rows, stack)``, ``rows`` mapping each
+    time to its row.  Keys are in time order, then in ``_jet_order``.
+    """
+
+    def __init__(self, items, stacks):
+        super().__init__(items)
+        self.stacks = stacks
 
 
 class Trajectory:
@@ -498,8 +568,8 @@ class Trajectory:
     Over a matrix-free system with ``d > 1`` it forms ``A U0`` once, so each
     time's state is ``c1 U0 + c2 (A U0)``; a stacked system propagates ``U0``
     by ``expm``.  A trajectory holds nothing else: ``jets`` makes one pass's
-    jets from a fresh propagation, and ``jet_values`` turns the scattered
-    coefficients of one time order into a jet.
+    jets from a fresh propagation of all its times, and ``jet_values``
+    transforms one of them.
     """
 
     weighted = False
@@ -526,70 +596,105 @@ class Trajectory:
     def ncomp(self):
         return self.system.m
 
-    def _companion(self, t):
-        dt = float(t) - self.t0
-        U = np.empty_like(self.U0)
-        for block in self.system.blocks():
-            AU = None if self._AU0 is None else self._AU0[block]
-            U[block] = self.system.propagator(dt, self.U0[block], block, AU)
+    def _companions(self, times):
+        """The companion states at ``times``, a ``(T, n_active, d)`` stack.
+
+        Each block's factors are evaluated for every time at once; the
+        propagator then applies them one time and block at a time, times in
+        order and blocks in order within a time, so a refusal names the
+        first time and block that one-time propagation would.
+        """
+        dts = [float(t) - self.t0 for t in times]
+        blocks = self.system.blocks()
+        factors = [self.system.factors(dts, block) for block in blocks]
+        U = np.empty((len(dts),) + self.U0.shape, dtype=complex)
+        for i, dt in enumerate(dts):
+            for block, f in zip(blocks, factors):
+                AU = None if self._AU0 is None else self._AU0[block]
+                U[i, block] = self.system.propagator(dt, self.U0[block], block, AU, f[i])
         return U
 
+    def _companion(self, t):
+        """The companion state at the one time ``t``, ``(n_active, d)``."""
+        return self._companions((t,))[0]
+
     def _apply(self, U):
-        """``A U`` over all active modes, one block at a time."""
+        """``A U`` over all active modes of the states ``U``, ``(..., n_active, d)``, one block at a time."""
         out = np.empty_like(U)
         for block in self.system.blocks():
-            out[block] = self.system.apply(U[block], block)
+            self.system.apply(U[..., block, :], block, out=out[..., block, :])
         return out
 
     def _field_coeffs(self, U):
-        """Full-grid Fourier coefficients of the first companion block, (m, *modes)."""
+        """Full-grid Fourier coefficients of the first companion block of the
+        states ``U``, ``(..., n_active, d)``: ``(..., m, *modes)``."""
         m = self.system.m
-        coeffs = np.zeros((m, self.grid.npoints), dtype=complex)
-        coeffs[:, self.system.active] = U[:, :m].T
-        return coeffs.reshape((m,) + self.grid.modes)
+        lead = U.shape[:-2]
+        coeffs = np.zeros(lead + (m, self.grid.npoints), dtype=complex)
+        coeffs[..., self.system.active] = np.swapaxes(U[..., :m], -1, -2)
+        return coeffs.reshape(lead + (m,) + self.grid.modes)
 
-    def jet_values(self, t, alpha, coeffs):
-        """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn).
-
-        ``coeffs`` are the scattered coefficients of ``d_t^alpha[0] u(t)``,
-        as ``jets`` hands them over.  A jet with space derivatives multiplies
-        them out into its own array, and the plain jet is inverse-transformed
-        in place of them.
-        """
+    def _derivative(self, coeffs, alpha):
+        """``coeffs``, ``(T, m, *modes)``, times the space-derivative factors ``(i k)^alpha``, in a new array."""
         vals = coeffs
         for d, (k, e) in enumerate(zip(self.grid.wavenumbers(), alpha[1:])):
             if e:
-                shape = [1] * coeffs.ndim
-                shape[d + 1] = len(k)
-                factor = ((1j * k) ** e).reshape(shape)
+                factor = ((1j * k) ** e).reshape((len(k),) + (1,) * (self.grid.ndim - 1 - d))
                 vals = coeffs * factor if vals is coeffs else np.multiply(vals, factor, out=vals)
-        return _to_grid(vals)
+        return vals
+
+    def jet_values(self, t, alpha, coeffs):
+        """Grid values of ``d^alpha u`` at time ``t`` (alpha over t, x1..xn), in place.
+
+        ``coeffs`` is the jet's row of the stack that ``jets`` made, its
+        Fourier coefficients with the space derivatives multiplied in; ``t``
+        and ``alpha`` name it.
+        """
+        return _to_grid(coeffs)
 
     def jets(self, keys):
-        """The jets ``keys``, ``(t, alpha)`` pairs, as ``{(t, alpha): values}``.
+        """The jets ``keys``, ``(t, alpha)`` pairs, as a ``Jets`` of ``{(t, alpha): values}``.
 
-        Each time is propagated once and only the current order's state ``A^r
-        U`` is kept.  Each time order is scattered once: its jets with space
-        derivatives come first, and its plain jet takes the scattered
-        coefficients in place.
+        The sample time is an array axis.  Every time is propagated in one
+        ``(T, n_active, d)`` stack, ``A`` is applied once per time order to
+        the times that read it or a higher one, and only the current order's
+        stack is kept.  Each time order is scattered once, into ``(T, m,
+        *modes)``; each jet with space derivatives multiplies its factors into
+        its own stack, once for all its times, before the plain jet takes the
+        scattered coefficients in place.  ``jet_values`` then transforms each
+        ``(t, alpha)`` row in place.
         """
         keys = {(float(t), tuple(alpha)) for t, alpha in keys}
-        out = {}
-        for t in sorted({t for t, _alpha in keys}):
-            alphas = sorted((a for tt, a in keys if tt == t), key=lambda a: (a[0], not any(a[1:]), a))
-            top = alphas[-1][0]
-            U = self._companion(t)
-            for order in range(top + 1):
-                if order:
-                    U = self._apply(U)
-                now = [a for a in alphas if a[0] == order]
-                if now:
-                    coeffs = self._field_coeffs(U)
-                    if order == top:
-                        del U
-                    for alpha in now:
-                        out[(t, alpha)] = self.jet_values(t, alpha, coeffs)
-        return out
+        if not keys:
+            return Jets((), {})
+        times = sorted({t for t, _alpha in keys})
+        alphas = sorted({alpha for _t, alpha in keys}, key=_jet_order)
+        top = {}
+        for t, alpha in keys:
+            top[t] = max(top.get(t, 0), alpha[0])
+        made, stacks = {}, {}
+        U, live = self._companions(times), times  # the states and their times
+        for order in range(alphas[-1][0] + 1):
+            if order:
+                rows = [t for t in live if top[t] >= order]
+                U, live = self._apply(_take_rows(U, live, rows)), rows
+            now = [alpha for alpha in alphas if alpha[0] == order]
+            if not now:
+                continue
+            scattered = [t for t in live if any((t, alpha) in keys for alpha in now)]
+            coeffs = self._field_coeffs(_take_rows(U, live, scattered))
+            if order == alphas[-1][0]:
+                del U
+            for alpha in now:
+                ts = [t for t in scattered if (t, alpha) in keys]
+                vals = _take_rows(coeffs, scattered, ts)
+                if any(alpha[1:]):
+                    vals = self._derivative(vals, alpha)
+                rows = {t: r for r, t in enumerate(ts)}
+                stacks[alpha] = (rows, vals)
+                for t, r in rows.items():
+                    made[(t, alpha)] = self.jet_values(t, alpha, vals[r])
+        return Jets(((key, made[key]) for key in sorted(made, key=lambda k: (k[0], _jet_order(k[1])))), stacks)
 
 
 # -- field views -------------------------------------------------------------
@@ -855,14 +960,27 @@ def _weight_values(grid, w):
     return out.reshape(-1)
 
 
-def _rows(arrays):
-    """``arrays`` stacked on a new leading axis; a single array as a view of itself."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _row_index(rows):
+    """Row numbers ``rows`` as a basic slice when evenly spaced with a nonzero
+    step (a reflected ``s - t`` read takes a negative one), else as they are."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step and all(b - a == step for a, b in zip(rows, rows[1:])):
+        stop = rows[-1] + step
+        return slice(rows[0], stop if stop >= 0 else None, step)
+    return rows
 
 
 def _reader(jets):
-    """``read(alpha, times)``: the jets ``d^alpha`` at ``times`` of a ``Trajectory.jets`` result, stacked."""
-    return lambda alpha, times: _rows([jets[(t, alpha)] for t in times])
+    """``read(alpha, times)``: the jets ``d^alpha`` at ``times`` of a ``Trajectory.jets`` result, ``(T, m, *modes)``.
+
+    Evenly spaced rows are a view of the pass's stack; any other time order takes one gather.
+    """
+
+    def read(alpha, times):
+        rows, stack = jets.stacks[alpha]
+        return stack[_row_index([rows[t] for t in times])]
+
+    return read
 
 
 def _contract_rows(groups, read, grid, times, rows=slice(None)):
@@ -872,8 +990,8 @@ def _contract_rows(groups, read, grid, times, rows=slice(None)):
     ``rows`` is a slice of the compiled times: all of them on a small grid,
     one at a time when streaming.  Each ``B`` goes to one ``evaluate_terms``
     call as its rows ``rows``; the sources and P jets are read at the times
-    of ``rows`` (``read(alpha, times)`` stacks the trajectory jets the groups
-    read, ``_jet_keys``).
+    of ``rows`` (``read(alpha, times)`` returns the trajectory jets the
+    groups read, ``_jet_keys``, as rows of their stacks).
     """
     groups = {key: B[rows] for key, B in groups.items()}
 
@@ -920,19 +1038,21 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
     views of the characteristics over the trajectory ``traj``.  Each view is
     compiled once, for every sample time (``_groups``); every contraction,
-    kept or streamed, reads that one compile.  A sample time's jets are then
-    made together with those of the sample times whose jets it reads (a
-    reflected time ``s - t`` that is sampled too), so one ``traj.jets`` call
-    makes each of their jets once (derivative jets before the plain one).
-    When the jets of every time fit in ``MODE_BLOCK // 2`` grid points
-    (``npoints`` times the distinct times read), they are kept in one dict,
-    as ``traj.jets`` returns them, and each view is contracted once over all
-    its sample times; otherwise each time is contracted on its own and the
-    jets are dropped before the next such batch.  Returns one series with its relative drift per view, its values
-    in sample-time order.
+    kept or streamed, reads that one compile.  When the jets of every time
+    read fit in ``MODE_BLOCK // 2`` grid points (``npoints`` times the
+    distinct times read), one ``traj.jets`` call makes them all, with the
+    sample time as an array axis, and each view is contracted once over all
+    its sample times, reading the jets as views of their stacks.  Otherwise
+    a sample time's jets are made together with those of the sample times
+    whose jets it reads (a reflected time ``s - t`` that is sampled too),
+    each such batch is contracted one time at a time, and its jets are
+    dropped before the next batch.  Returns one series with its relative
+    drift per view, its values in sample-time order.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
     whose boundary fraction is not within ``support_tol`` raises ``SupportError``,
-    for the first such time in sample order.
+    for the first such time in sample order.  An ``AmplificationError`` of a
+    read time surfaces where one batch at a time meets it: after the support
+    errors of earlier sample times, naming the same ``dt``.
     """
     grid = traj.grid
     weighted = any(qview.weighted for qview in qviews)
@@ -941,48 +1061,56 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     compiled = [_groups(flux, qview, times, traj.ncomp) for qview in qviews]
     reads = [set(([(t, u)] if weighted else []) + keys) for t, keys in zip(times, _jet_keys(compiled, traj, times))]
     read_times = [{tk for tk, _alpha in keys} for keys in reads]
-    keep = grid.npoints * len(set().union(*read_times)) <= MODE_BLOCK // 2
-    kept = {}
-    done = [False] * len(times)
     values = [[None] * len(times) for _ in qviews]
     mags = [[None] * len(times) for _ in qviews]  # the L1 magnitude of each density
-
-    def contract_views(read, rows):
-        for groups, vals, mag in zip(compiled, values, mags):
-            for j, (k, a) in zip(range(len(times))[rows], _integrals(groups, read, grid, times, rows)):
-                vals[j], mag[j] = k, a
-
     fractions_u = [0.0] * len(times)
     failures = {}  # sample index -> the SupportError of its first jet outside the support
-    for i, t in enumerate(times):
-        if not done[i]:
-            batch = [
-                j for j in range(i, len(times))
-                if not done[j] and (times[j] in read_times[i] or t in read_times[j])
-            ]
-            jets = traj.jets(set().union(*(reads[j] for j in batch)))
-            if weighted:
-                fractions = {key: boundary_fraction(grid, vals) for key, vals in jets.items()}
-            for j in batch:
-                done[j] = True
-                if not keep:
-                    contract_views(_reader(jets), slice(j, j + 1))
+
+    def contract_views(jets, rows):
+        for groups, vals, mag in zip(compiled, values, mags):
+            for j, (k, a) in zip(range(len(times))[rows], _integrals(groups, _reader(jets), grid, times, rows)):
+                vals[j], mag[j] = k, a
+
+    def guard(jets, batch):
+        fractions = {key: boundary_fraction(grid, vals) for key, vals in jets.items()}
+        for j in batch:
+            fractions_u[j] = fractions[(times[j], u)]
+            # ``jets`` lists a time's keys in the order ``traj.jets(reads[j])`` would
+            bad = [(key, bf) for key, bf in fractions.items() if key in reads[j] and not (bf <= support_tol)]
+            if bad:
+                (tj, alpha), bf = bad[0]
+                failures[j] = f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
+
+    kept = None
+    if grid.npoints * len(set().union(*read_times)) <= MODE_BLOCK // 2:
+        try:
+            kept = traj.jets(set().union(*reads))
+        except AmplificationError:
+            pass  # one batch at a time, below, raises it in sample order
+    if kept is not None:
+        if weighted:
+            guard(kept, range(len(times)))
+            if failures:
+                raise SupportError(failures[min(failures)])
+        contract_views(kept, slice(None))
+        del kept
+    else:
+        done = [False] * len(times)
+        for i, t in enumerate(times):
+            if not done[i]:
+                batch = [
+                    j for j in range(i, len(times))
+                    if not done[j] and (times[j] in read_times[i] or t in read_times[j])
+                ]
+                jets = traj.jets(set().union(*(reads[j] for j in batch)))
+                for j in batch:
+                    done[j] = True
+                    contract_views(jets, slice(j, j + 1))
                 if weighted:
-                    fractions_u[j] = fractions[(times[j], u)]
-                    # ``jets`` lists a time's keys in the order ``traj.jets(reads[j])`` would
-                    bad = [(key, bf) for key, bf in fractions.items() if key in reads[j] and not (bf <= support_tol)]
-                    if bad:
-                        (tj, alpha), bf = bad[0]
-                        failures[j] = (
-                            f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
-                        )
-            if keep:
-                kept.update(jets)
-            del jets
-        if i in failures:
-            raise SupportError(failures[i])
-    if keep:
-        contract_views(_reader(kept), slice(None))
+                    guard(jets, batch)
+                del jets
+            if i in failures:
+                raise SupportError(failures[i])
     worst = functools.reduce(max, fractions_u, 0.0)
     return [
         KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)
@@ -1005,7 +1133,8 @@ def heat_flow_product_oracle(profile, s, times):
     ``2n - 1`` offsets and convolves it with the weighted data.  The
     convolution runs by FFT on a circular length of at least ``2n - 1``,
     which leaves its valid part free of wrap-around, in O(n log n) time and
-    O(n) memory; the weighted data is transformed once per grid.
+    O(n) memory; the weighted data is transformed once per grid, and each
+    distinct time (``t`` or ``s - t``) is solved once per grid.
 
     ``s`` must be finite and > 0 and ``times`` non-empty, each strictly
     inside ``(0, s)``.  Non-finite profile samples, or data or a solved field
@@ -1045,9 +1174,11 @@ def heat_flow_product_oracle(profile, s, times):
         size = 1 << (2 * n - 2).bit_length()
         wf_hat = np.fft.rfft(w * f, size)
 
+        @functools.cache  # E(t) and E(s - t) share their solves
         def solve(t):
             kern = np.exp(-offsets2 / (4.0 * t)) / np.sqrt(4 * np.pi * t)
-            u = np.fft.irfft(wf_hat * np.fft.rfft(kern, size), size)[n - 1 : 2 * n - 1]
+            # a copy: the memo would otherwise keep each whole circular buffer
+            u = np.fft.irfft(wf_hat * np.fft.rfft(kern, size), size)[n - 1 : 2 * n - 1].copy()
             supported(f"the heat flow at t={t:g}", u)
             return u
 

@@ -129,3 +129,24 @@ def test_report_layers_record_calls_under_the_tracer():
     assert tracer.calls["fock.quantize"] == 4
     assert tracer.calls["dirac.fock_suite"] == 1
     assert tracer.calls["spectral.oracle"] == 1
+
+
+def test_one_pass_keeps_the_per_time_calls_the_tracer_reads(monkeypatch):
+    # the tracer reads a float ``dt`` per propagator call and a float ``t``
+    # per jet: kdvkdv_quadratic makes its jets in one pass over every read
+    # time, yet calls the propagator once per distinct time (one block of
+    # modes) and ``jet_values`` once per (t, alpha)
+    passes = []
+    jets = spectral.Trajectory.jets
+    monkeypatch.setattr(spectral.Trajectory, "jets", lambda traj, keys: passes.append(set(keys)) or jets(traj, keys))
+    tracer = _tracer_module().Tracer("t")
+    tracer.install()
+    try:
+        scenario.run_scenario(_packaged_scenario("kdvkdv_quadratic"))
+    finally:
+        tracer.uninstall()
+    (keys,) = passes
+    read_times = {t for t, _alpha in keys}
+    assert tracer.calls["spectral.propagator"] == len(read_times)
+    assert tracer.counts["spectral.propagator.distinct_dt"] == len(read_times)
+    assert tracer.calls["spectral.jet"] == tracer.counts["spectral.jet.unique"] == len(keys)

@@ -803,9 +803,9 @@ def test_weighted_run_propagates_each_sample_time_once(monkeypatch):
     calls = []
     propagator = EvolutionSystem.propagator
 
-    def counted(self, dt, U, modes=slice(None), AU=None):
+    def counted(self, dt, U, modes=slice(None), *rest):
         calls.append((dt, modes.start, modes.stop))
-        return propagator(self, dt, U, modes, AU)
+        return propagator(self, dt, U, modes, *rest)
 
     monkeypatch.setattr(EvolutionSystem, "propagator", counted)
     scn = load_scenario(SCENARIOS / "kdvkdv_affine.scn")

@@ -215,6 +215,15 @@ def test_heat_single_mode_decay():
     assert abs(out[0, 3] - np.exp(-(k**2) * 0.5)) <= 1e-14
 
 
+def test_a_constant_scalar_symbol_decays_every_mode_alike():
+    # Dt + 1: A = -1 on every mode, so exp(dt A) is one number, not one per mode
+    grid = TorusGrid((TWO_PI,), (16,))
+    coeffs = build_profile("random(seed=1, kmax=3)", grid, 1)
+    traj = Trajectory(EvolutionSystem(parse_operator("Dt + 1"), grid), coeffs)
+    want = np.exp(-0.5) * (coeffs * grid.mode_mask())
+    assert np.max(np.abs(_coeffs_at(traj, 0.5) - want)) <= 1e-15 * np.max(np.abs(coeffs))
+
+
 def test_dirac_plane_wave_phase():
     grid = TorusGrid((8.0,) * 3, (8,) * 3)
     L = dirac_operator(1.0)
@@ -405,6 +414,20 @@ def test_heat_flow_oracle_fft_matches_direct_convolution(profile):
     assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-14
 
 
+def test_heat_flow_oracle_solves_each_distinct_time_once(monkeypatch):
+    # E(t) reads the flows at t and s - t: at t in {s/4, s/2, 3s/4} that is
+    # three distinct times per grid, so two grids take 6 solves, not 12
+    prof = lambda y: np.exp(-(y**2) / 8.0)
+    times = [0.25, 0.5, 0.75]
+    alone = [heat_flow_product_oracle(prof, 1.0, [t])[0][0] for t in times]
+    solves = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: solves.append(1) or irfft(*args, **kw))
+    values, _err = heat_flow_product_oracle(prof, 1.0, times)
+    assert len(solves) == 6
+    assert [v.hex() for v in values] == [v.hex() for v in alone]
+
+
 def test_heat_flow_oracle_memory_is_linear_in_grid():
     # a dense (4801, 4801) kernel alone is 184 MB; the convolution needs O(n)
     prof = lambda y: np.exp(-(y**2) / (2.0 * 4.0))
@@ -503,7 +526,7 @@ def _traced_kappa_series(monkeypatch, flux, qviews, traj, times):
     monkeypatch.setattr(
         system,
         "propagator",
-        lambda dt, U, modes=slice(None), AU=None: calls.append(dt) or propagator(dt, U, modes, AU),
+        lambda dt, U, *rest: calls.append(dt) or propagator(dt, U, *rest),
     )
     jets = []
     jet_values = traj.jet_values
@@ -595,7 +618,11 @@ def _scenario_kappa_inputs(stem):
     """``kappa_series``'s inputs as ``run_scenario`` builds them for a packaged scenario."""
     from conslaw.scenario import _packaged_scenario
 
-    scn = _packaged_scenario(stem)
+    return _kappa_inputs(_packaged_scenario(stem))
+
+
+def _kappa_inputs(scn):
+    """``kappa_series``'s inputs as ``run_scenario`` builds them for the scenario ``scn``."""
     L = build_operator(scn.operator)
     system = EvolutionSystem(L, TorusGrid(**scn.grid), amp_cap=scn.amp_cap)
     traj = Trajectory(system, build_profile(scn.profile, system.grid, L.cols * system.R))
@@ -711,10 +738,10 @@ def test_batched_kappa_series_has_the_per_time_bits(monkeypatch, stem):
 
 def test_kept_jets_are_read_one_view_at_a_time(monkeypatch):
     # dirac_charges keeps every time's jets and contracts each of its views
-    # once over all times; each contraction stacks copies of the rows it
-    # reads, and they are dropped before the next view's, so the peak stays
-    # a small multiple of the jets (about 2.9x), where copies kept for every
-    # view would pass 4x
+    # once over all times; each contraction reads views of the jets, and its
+    # blocks are dropped before the next view's, so the peak stays a small
+    # multiple of the jets (about 1.9x), where copies kept for every view
+    # would pass 4x
     flux, qviews, traj, times, support_tol = _scenario_kappa_inputs("dirac_charges")
     made = []
     jets = spectral.Trajectory.jets
@@ -777,6 +804,122 @@ def test_batched_kappa_series_raises_the_per_time_error(monkeypatch):
         assert messages[0] == messages[1] and where in messages[0]
 
 
+def test_two_refused_read_times_name_the_per_time_one():
+    # t = 1.5 reads u(-0.5) and t = 1.75 reads u(-0.75), both beyond amp_cap:
+    # one pass over every read time meets dt = -0.75 first, but one time at a
+    # time meets t = 1.5, and so dt = -0.5, first
+    L = heat_operator(1)
+    grid = TorusGrid((TWO_PI,), (32,))
+    traj = Trajectory(EvolutionSystem(L, grid), build_profile("random(seed=5, kmax=8)", grid, 1))
+    view = DiffView(ReflectView(traj, (True, False), s=1.0), DiffFactor((({1: 1}, None, (0, 1)),)))
+    times = [0.125, 1.5, 1.75]
+    messages = []
+    for run in (kappa_series, _per_time_kappa_series):
+        with pytest.raises(AmplificationError) as exc:
+            run(concomitant_flux(L), [view], traj, times, 1.0)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and "for dt=-0.5;" in messages[0]
+    with pytest.raises(AmplificationError, match=r"for dt=-0\.75;"):
+        traj.jets([(-0.5, (0, 0)), (-0.75, (0, 0))])  # one pass names its first time
+
+
+@pytest.mark.parametrize("stem", ["kdvkdv_quadratic", "dirac_charges"])
+def test_a_kept_series_makes_its_jets_in_one_pass(monkeypatch, stem):
+    # one traj.jets call; per block one factor evaluation for every read
+    # time; one scatter per time order; the propagator once per (time,
+    # block) with a float dt; jet_values once per (t, alpha)
+    flux, qviews, traj, times, support_tol = _scenario_kappa_inputs(stem)
+    want = _per_time_kappa_series(flux, qviews, traj, times, support_tol)
+    system = traj.system
+    passes, factors, scatters, steps, made = [], [], [], [], []
+    jets, evaluate, field_coeffs = Trajectory.jets, system.factors, traj._field_coeffs
+    propagator, jet_values = system.propagator, traj.jet_values
+    monkeypatch.setattr(Trajectory, "jets", lambda tr, keys: passes.append(set(keys)) or jets(tr, keys))
+    monkeypatch.setattr(system, "factors", lambda dts, *rest: factors.append(len(dts)) or evaluate(dts, *rest))
+    monkeypatch.setattr(traj, "_field_coeffs", lambda U: scatters.append(len(U)) or field_coeffs(U))
+    monkeypatch.setattr(
+        system, "propagator", lambda dt, U, modes, *rest: steps.append((dt, modes.start)) or propagator(dt, U, modes, *rest)
+    )
+    monkeypatch.setattr(traj, "jet_values", lambda t, alpha, *rest: made.append((t, alpha)) or jet_values(t, alpha, *rest))
+    got = kappa_series(flux, qviews, traj, times, support_tol)
+    assert _series_bits(got) == _series_bits(want)
+    (keys,) = passes
+    read_times = {t for t, _alpha in keys}
+    assert factors == [len(read_times)] * len(system.blocks())
+    assert len(scatters) == len({alpha[0] for _t, alpha in keys})
+    assert len(steps) == len(set(steps)) == len(read_times) * len(system.blocks())
+    assert all(type(dt) is float for dt, _start in steps)
+    assert sorted(made) == sorted(keys)
+
+
+def test_kept_reads_are_views_of_the_jet_stacks(monkeypatch):
+    # dirac_charges reads u at its 9 sample times and at their 9 reflections,
+    # which interleave in the one stack: every read is a strided view of it,
+    # a reflected one with a negative step, and no row is copied
+    flux, qviews, traj, times, support_tol = _scenario_kappa_inputs("dirac_charges")
+    passes, reads = [], []
+    jets, evaluate_terms = Trajectory.jets, spectral.evaluate_terms
+
+    def traced(groups, jet_q, jet_p, weight):
+        for (_w, src, gamma) in groups:
+            reads.append(jet_p(gamma))
+            if src[0] is traj:
+                reads.append(jet_q(src)[0])
+        return evaluate_terms(groups, jet_q, jet_p, weight)
+
+    monkeypatch.setattr(Trajectory, "jets", lambda tr, keys: passes.append(jets(tr, keys)) or passes[-1])
+    monkeypatch.setattr(spectral, "evaluate_terms", traced)
+    kappa_series(flux, qviews, traj, times, support_tol)
+    (kept,) = passes
+    stacks = [stack for _rows, stack in kept.stacks.values()]
+    assert reads and all(any(np.shares_memory(x, stack) for stack in stacks) for x in reads)
+    assert any(x.strides[0] < 0 for x in reads)  # the reflected source times
+
+
+def test_a_kept_series_peaks_below_its_stacked_copies():
+    # dirac_charges holds 0.59 MB of jets, which the contractions read as
+    # views; a stacked copy of each row they read would take the peak to
+    # about 1.7 MB
+    flux, qviews, traj, times, support_tol = _scenario_kappa_inputs("dirac_charges")
+    tracemalloc.start()
+    try:
+        kappa_series(flux, qviews, traj, times, support_tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6
+
+
+def _template_scenarios():
+    """The benchmark's scenario templates, filled in at workload seeds 0 and 7."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from conslaw.scenario import parse_scenario
+
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(module)
+        return [
+            pytest.param(parse_scenario(text, name=name), id=f"{name}-{seed}")
+            for seed in (0, 7)
+            for name, text in module.scenario_texts(seed).items()
+        ]
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("scn", _template_scenarios())
+def test_benchmark_templates_have_the_per_time_bits(scn):
+    flux, qviews, traj, times, support_tol = _kappa_inputs(scn)
+    want = _per_time_kappa_series(flux, qviews, traj, times, support_tol)
+    assert _series_bits(kappa_series(flux, qviews, traj, times, support_tol)) == _series_bits(want)
+
+
 @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "derivative-first"])
 def test_jets_do_not_depend_on_the_order_they_are_asked_for(plain_first):
     # the plain jet is transformed in place of the scattered coefficients, so
@@ -820,12 +963,13 @@ def test_jets_propagate_each_time_and_scatter_each_order_once(monkeypatch):
     keys = [(t, alpha) for t in (0.3, -0.2) for alpha in alphas]
     traj = Trajectory(EvolutionSystem(L, grid), coeffs)
     companions, scatters = [], []
-    companion, field_coeffs = traj._companion, traj._field_coeffs
-    monkeypatch.setattr(traj, "_companion", lambda t: companions.append(t) or companion(t))
+    companion, field_coeffs = traj._companions, traj._field_coeffs
+    monkeypatch.setattr(traj, "_companions", lambda ts: companions.append(list(ts)) or companion(ts))
     monkeypatch.setattr(traj, "_field_coeffs", lambda U: scatters.append(U.shape) or field_coeffs(U))
     jets = traj.jets(keys)
-    assert sorted(companions) == [-0.2, 0.3]
-    assert len(scatters) == 4  # two times, time orders 0 and 1
+    assert companions == [[-0.2, 0.3]]  # one stacked propagation of both times
+    # one scatter per time order (0 and 1), each of both times' states
+    assert scatters == [(2, len(traj.system.active), 4)] * 2
     fresh = Trajectory(EvolutionSystem(L, grid), coeffs)
     assert set(jets) == set(keys)
     for (t, alpha), vals in jets.items():
