@@ -121,7 +121,11 @@ def _kron(a, b):
 
 def _joint_nullspace(L, sign_absorbed):
     """Nullspace basis of the stacked constraints, as (2m^2, k) array: the
-    right-singular vectors past the numerical rank (``sv`` comes sorted)."""
+    right-singular vectors past the numerical rank (``sv`` comes sorted).
+
+    Only ``sv`` and ``vh`` are read, so the SVD is the reduced one unless the
+    stack has fewer rows than unknowns, where the nullspace needs the rows of
+    ``vh`` that the reduced SVD leaves out."""
     m = L.rows
     eye = np.eye(m)
     blocks = []
@@ -129,7 +133,8 @@ def _joint_nullspace(L, sign_absorbed):
         s = (-1) ** midx_order(alpha) if sign_absorbed else 1.0
         scale = max(np.linalg.norm(mat), 1e-300)
         blocks.append(np.hstack([_kron(mat.conj().T, eye), -s * _kron(eye, mat.T)]) / scale)
-    _, sv, vh = np.linalg.svd(np.vstack(blocks))
+    stacked = np.vstack(blocks)
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     rank = np.count_nonzero(sv > 1e-10 * sv[0])
     return vh[rank:].conj().T
 

@@ -217,7 +217,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, KeyError, RuntimeError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -115,9 +115,10 @@ def spinor_suite(ndraws=100):
 def fock_suite():
     """Exact ladder-algebra checks on the 8-mode lattice ``p = +-(1, 0, 0)``.
 
-    Includes the mechanical quantizations of both reflected pairings.  The
-    CPT pairing reproduces the spin-ladder charge up to a unit constant.  The
-    plain time-reflection pairing quantizes to the pair form
+    Includes the mechanical quantizations of both reflected pairings, each
+    in one call for both of its times.  The CPT pairing reproduces the
+    spin-ladder charge up to a unit constant.  The plain time-reflection
+    pairing quantizes to the pair form
     ``sum (a'_p b'_-p - b_-p a_p)`` (time-independent because the diagonal
     contractions vanish); the momentum-reversing swap charge built by
     :func:`fock.build_kappa0` satisfies the same commutation algebra but is a
@@ -161,7 +162,7 @@ def fock_suite():
             spin_map = max(spin_map, float(np.max(np.abs(got_b - want_b))))
     report["kappa45_spin_map_defect"] = spin_map
 
-    q45 = fk.quantize_cpt_charge(sys)
+    q45, q45_later = fk.quantize_cpt_charge(sys, t=(0.0, 0.37))
     denom = fk.max_abs(k45)
     # measured unit constant between the quantized pairing and the ladder sum
     num = (q45.multiply(k45.conj().T.tocsr())).sum()
@@ -170,11 +171,9 @@ def fock_suite():
     report["cpt_quantization_constant"] = cconst
     report["cpt_quantization_defect"] = fk.max_abs(q45 - cconst * k45) / max(denom, 1e-300)
     report["cpt_quantization_unit_modulus"] = abs(abs(cconst) - 1.0)
-    q45_later = fk.quantize_cpt_charge(sys, t=0.37)
     report["cpt_quantization_time_drift"] = fk.max_abs(q45_later - q45) / max(denom, 1e-300)
 
-    q0 = fk.quantize_reflection_charge(sys)
-    q0_later = fk.quantize_reflection_charge(sys, t=0.53)
+    q0, q0_later = fk.quantize_reflection_charge(sys, t=(0.0, 0.53))
     report["reflection_quantization_time_drift"] = fk.max_abs(q0_later - q0) / max(
         fk.max_abs(q0), 1e-300
     )
@@ -195,14 +194,13 @@ def fock_suite():
 
 def _pair_form(sys):
     """Closed ladder form sum_{p,s} (a'_{p,s} b'_{-p,s} - b_{-p,s} a_{p,s})."""
-    L = sys.ladder
     terms = []
     for ip in range(len(sys.momenta)):
         im = sys.reflected_index(ip)
         for sp in fk.SPINS:
-            terms.append((1.0, L("a", ip, sp, True) @ L("b", im, sp, True)))
-            terms.append((-1.0, L("b", im, sp) @ L("a", ip, sp)))
-    return sys.operator(terms, dtype=complex)
+            terms.append((1.0, ("a", ip, sp, True), ("b", im, sp, True)))
+            terms.append((-1.0, ("b", im, sp, False), ("a", ip, sp, False)))
+    return sys.bilinear(terms, dtype=complex)
 
 
 # -- continuum drifts ---------------------------------------------------------

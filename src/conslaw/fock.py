@@ -4,13 +4,17 @@ Modes are (species, momentum, spin) with species ``a`` (particle) and ``b``
 (antiparticle), spins in {1, 2} (arithmetic mod 2), and a lattice closed
 under ``p -> -p``.  Ladder operators follow the standard sign-string
 construction on a 2^N-dimensional space (Jordan and Wigner): each maps a
-basis state to at most one basis state, with a sign.  They, and their
-products, are therefore kept as signed partial permutations
-(:class:`SignedMap`), composed by index arithmetic, and each operator is
-turned into one sparse matrix once; every anticommutation relation is exact
-in integer arithmetic.  Lattice normalization replaces the continuum
-``(2pi)^3 delta^3`` by a Kronecker delta; the charge identities are
-homogeneous in this normalization.
+basis state to at most one basis state, with a sign.  They are therefore
+kept as signed partial permutations (:class:`SignedMap`), all 2N of them in
+one stack, and composed by index arithmetic.  An operator's ladder products
+are two stacked maps composed pairwise in one gather, and the
+anticommutators of all mode pairs are composed at once and checked exactly,
+in integer arithmetic.  :meth:`FockSystem.operator` turns the terms into
+sparse matrices: it sorts the entries of all terms once, and coefficients
+that carry a time axis give one matrix per time from that one structure.
+Lattice normalization replaces the continuum ``(2pi)^3 delta^3`` by a
+Kronecker delta; the charge identities are homogeneous in this
+normalization.
 
 The time-reflected and the CPT pairing are quantized by one expansion of
 ``integral psi^dagger(t1, P x) M psi(t2, x) dx``, whose x-integral pairs
@@ -23,12 +27,17 @@ divided by ``2 E_p``::
     v_r(-p)^dagger M u_s(q)    b_-p a_q       e^{-iE(t1 + t2)}
     v_r(-p)^dagger M v_s(-q)   b_-p b'_-q     e^{-iE(t1 - t2)}
 
-The reflected pairing is ``M = gamma0 gamma4``, ``q = p`` at times
-``(-t, t)``; the CPT pairing is ``M = gamma0 gamma2 gamma0 gamma4``,
-``q = (p1, -p2, p3)`` at times ``(t, t)``.
+Only the phase depends on the times, so the expansion takes them as an
+array axis: the spinor contractions, the ladder products and the entries'
+sort order are built once for all times.  The reflected pairing is
+``M = gamma0 gamma4``, ``q = p`` at times ``(-t, t)``; the CPT pairing is
+``M = gamma0 gamma2 gamma0 gamma4``, ``q = (p1, -p2, p3)`` at times
+``(t, t)``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy import sparse
@@ -54,7 +63,8 @@ class SignedMap:
 
     The operator sends state ``x`` to ``phase[x] * |target[x]>``; where it
     vanishes, ``target`` is -1 and ``phase`` is 0.  Both arrays may carry
-    leading axes that stack several maps over the same states.
+    leading axes that stack several maps over the same states; indexing a
+    map indexes those axes.
     """
 
     __slots__ = ("target", "phase")
@@ -63,15 +73,23 @@ class SignedMap:
         self.target = target
         self.phase = phase
 
-    def __matmul__(self, other):
-        """The map of the product ``self @ other`` (``other`` acts first).
+    def __getitem__(self, key):
+        return SignedMap(self.target[key], self.phase[key])
 
-        At most one side may be stacked.  Where ``other`` vanishes its phase
-        is 0, so the in-range index standing in for its target is masked.
+    def __matmul__(self, other):
+        """The maps of the products ``self @ other`` (``other`` acts first), in one gather.
+
+        Leading axes broadcast: two stacks compose pairwise, and a single map
+        composes with every map of a stack.  The gather reads both arrays of
+        ``self`` flat, at each state's row offset plus the index of its
+        target under ``other``.  Where ``other`` vanishes its phase is 0, so
+        the in-range index standing in for its target is masked.
         """
-        idx = np.maximum(other.target, 0)
-        phase = self.phase[..., idx] * other.phase
-        return SignedMap(np.where(phase != 0, self.target[..., idx], -1), phase)
+        lead, dim = self.target.shape[:-1], self.target.shape[-1]
+        row = np.arange(0, dim * int(np.prod(lead)), dim).reshape(lead + (1,))
+        at = row + np.maximum(other.target, 0)
+        phase = self.phase.reshape(-1)[at] * other.phase
+        return SignedMap(np.where(phase != 0, self.target.reshape(-1)[at], -1), phase)
 
     @staticmethod
     def stack(maps):
@@ -80,10 +98,24 @@ class SignedMap:
 
 def _max_entry(*maps):
     """Largest ``|entry|`` of the sum of the maps: phases add where targets agree."""
-    return max(
-        int(np.max(np.abs(sum(np.where(other.target == m.target, other.phase, 0) for other in maps))))
-        for m in maps
-    )
+    sums = [m.phase for m in maps]
+    for i, j in itertools.combinations(range(len(maps)), 2):
+        same = maps[i].target == maps[j].target
+        sums[i] = sums[i] + np.where(same, maps[j].phase, 0)
+        sums[j] = sums[j] + np.where(same, maps[i].phase, 0)
+    return max(int(np.max(np.abs(s))) for s in sums)
+
+
+def _cmul(x, y):
+    """Complex ``x * y`` with each real product rounded on its own.
+
+    That is how numpy rounds a product of two complex scalars; its array
+    loop may fuse a multiply with the add, which changes the last bit.
+    """
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def max_abs(op):
@@ -131,7 +163,7 @@ class FockSystem:
             raise ValueError("lattice too large for exact Fock matrices")
         self.dim = 1 << self.nmodes
         self._mode_index = {m: q for q, m in enumerate(self.modes)}
-        self._maps = {}  # (mode, dagger) -> SignedMap
+        self._ladders = self._ladder_table()
         self._ops = {}  # (mode, dagger) -> CSR matrix
 
     @staticmethod
@@ -158,19 +190,17 @@ class FockSystem:
 
     # -- ladder operators --------------------------------------------------
 
-    def _ladder(self, q, dagger):
-        """Signed map of ``c_q`` (or ``c_q'``) with the fermionic sign string."""
-        hit = self._maps.get((q, dagger))
-        if hit is not None:
-            return hit
-        states = np.arange(self.dim, dtype=np.int64)
-        bit = 1 << q
-        acts = (states & bit == 0) if dagger else (states & bit != 0)
+    def _ladder_table(self):
+        """Read-only signed maps of every ``c_q`` and ``c_q'``, stacked as ``[dagger, q]``."""
+        states = np.arange(self.dim, dtype=np.int32)
+        bit = (1 << np.arange(self.nmodes, dtype=np.int32))[:, None]
+        occupied = states & bit != 0
         # (-1)^(occupied modes below q), the same before and after the flip
         sign = 1 - 2 * (np.bitwise_count(states & (bit - 1)) & 1).astype(np.int8)
-        m = SignedMap(np.where(acts, states ^ bit, -1), np.where(acts, sign, 0).astype(np.int8))
-        self._maps[(q, dagger)] = m
-        return m
+        acts = np.stack([occupied, ~occupied])
+        table = SignedMap(np.where(acts, states ^ bit, -1), np.where(acts, sign, 0).astype(np.int8))
+        table.target.flags.writeable = table.phase.flags.writeable = False
+        return table
 
     def _mode(self, species, p, s):
         ip = p if isinstance(p, (int, np.integer)) else self.momentum_index(p)
@@ -178,33 +208,77 @@ class FockSystem:
 
     def ladder(self, species, p, s, dagger=False):
         """Signed map of the annihilator (``dagger``: creator) of one mode."""
-        return self._ladder(self._mode(species, p, s), dagger)
+        return self._ladders[int(dagger), self._mode(species, p, s)]
+
+    def products(self, left, right):
+        """Stacked maps of the ladder products ``left[j] @ right[j]``.
+
+        Each factor is a ``(species, p, s, dagger)`` key of :meth:`ladder`;
+        both sides are gathered from the ladder stack and composed pairwise
+        in one gather.
+        """
+
+        def stack(keys):
+            idx = np.array([(dagger, self._mode(sp, p, s)) for sp, p, s, dagger in keys], dtype=int)
+            return self._ladders[tuple(idx.reshape(-1, 2).T)]
+
+        return stack(left) @ stack(right)
+
+    def bilinear(self, terms, dtype=float):
+        """One CSR matrix for ``sum coef * L @ R`` over ``terms = [(coef, L, R), ...]``.
+
+        ``L`` and ``R`` are ladder keys as in :meth:`products`; the terms keep
+        their order, and with it the summation order of every entry.
+        """
+        coefs, left, right = zip(*terms)
+        return self.operator((np.array(coefs), self.products(left, right)), dtype)
 
     def operator(self, terms, dtype=float):
-        """One CSR matrix for ``sum coef * map`` over ``terms = [(coef, SignedMap), ...]``.
+        """CSR matrices of ``sum coef * map``, built from one sort of all entries.
 
-        The entries of all terms are sorted stably by position, so the COO to
-        CSR conversion sums coinciding entries in term order; entries that
-        cancel are dropped.
+        ``terms`` is ``(coefs, maps)``: ``n`` stacked signed maps and their
+        coefficients, of shape ``(n,)`` for one matrix or ``(n, T)`` for a
+        list of ``T`` matrices over the same maps.  A list ``[(coef, map),
+        ...]`` is stacked into that form.  The entries of all terms are
+        sorted stably by position once; coinciding entries are summed in
+        term order, as the COO to CSR conversion sums them, and entries that
+        cancel are dropped from each matrix.
         """
-        rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, dtype)]
-        for coef, m in terms:
-            hit = np.flatnonzero(m.phase)
-            rows.append(m.target[hit])
-            cols.append(hit)
-            vals.append(coef * m.phase[hit])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        order = np.lexsort((cols, rows))
-        vals = np.concatenate(vals).astype(dtype, copy=False)[order]
-        op = sparse.csr_matrix((vals, (rows[order], cols[order])), shape=(self.dim, self.dim))
-        op.eliminate_zeros()
-        return op
+        if isinstance(terms, list):
+            terms = (np.array([c for c, _ in terms]), SignedMap.stack([m for _, m in terms]))
+        coefs, maps = terms
+        term, cols = np.nonzero(maps.phase)
+        pos = maps.target[term, cols] * np.int64(self.dim) + cols
+        order = np.argsort(pos, kind="stable")
+        term, cols, pos = term[order], cols[order], pos[order]
+        vals = coefs[term] * maps.phase[term, cols].reshape((-1,) + (1,) * (coefs.ndim - 1))
+        # coinciding entries: run k of a position holds its k-th term; adding
+        # the runs in turn sums in term order, and -0.0 pads leave values as they are
+        first = np.ones(len(pos), dtype=bool)
+        first[1:] = pos[1:] != pos[:-1]
+        run = np.cumsum(first) - 1
+        start = np.flatnonzero(first)
+        rank = np.arange(len(pos)) - start[run]
+        runs = -np.zeros((rank.max(initial=0) + 1, len(start)) + vals.shape[1:], dtype=dtype)
+        runs[rank, run] = vals
+        total = runs[0]
+        for k in range(1, len(runs)):
+            total = total + runs[k]
+        rows, cols = pos[start] // self.dim, cols[start]
+
+        def csr(values):
+            keep = values != 0
+            indptr = np.zeros(self.dim + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[keep], minlength=self.dim), out=indptr[1:])
+            return sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(self.dim, self.dim))
+
+        return csr(total) if total.ndim == 1 else [csr(v) for v in total.T]
 
     def _ladder_op(self, species, p, s, dagger):
         q = self._mode(species, p, s)
         op = self._ops.get((q, dagger))
         if op is None:
-            op = self._ops[(q, dagger)] = self.operator([(1.0, self._ladder(q, dagger))])
+            op = self._ops[(q, dagger)] = self.operator([(1.0, self._ladders[int(dagger), q])])
         return op
 
     def annihilate(self, species, p, s):
@@ -232,14 +306,13 @@ class FockSystem:
 
     def hamiltonian(self):
         """H = sum E_p (a'a + b'b); annihilates the vacuum, Hermitian."""
-        L = self.ladder
         terms = []
         for ip in range(len(self.momenta)):
             E = self.energy(ip)
             for s in SPINS:
-                terms.append((E, L("a", ip, s, True) @ L("a", ip, s)))
-                terms.append((E, L("b", ip, s, True) @ L("b", ip, s)))
-        return self.operator(terms)
+                terms.append((E, ("a", ip, s, True), ("a", ip, s, False)))
+                terms.append((E, ("b", ip, s, True), ("b", ip, s, False)))
+        return self.bilinear(terms)
 
     def anticommutator_report(self):
         """Exact worst-case deviation of all ladder anticommutators.
@@ -247,21 +320,17 @@ class FockSystem:
         A column of ``{c_q, c_r}`` or ``{c_q, c_r'} - delta_qr I`` holds at
         most three entries, from the composed maps of the two products and
         the identity; they are added where their targets agree, in +-1
-        integer arithmetic, for all ``r`` at once.
+        integer arithmetic.  The products of all mode pairs are composed at
+        once, as stacks broadcast over the ``(q, r)`` grid, so each holds
+        ``n^2 2^n`` entries for ``n`` modes.
         """
-        n = self.nmodes
-        lower = SignedMap.stack([self._ladder(q, False) for q in range(n)])
-        upper = SignedMap.stack([self._ladder(q, True) for q in range(n)])
-        states = np.arange(self.dim)
-        worst = 0
-        for q in range(n):
-            cq = self._ladder(q, False)
-            delta = SignedMap(np.full((n, self.dim), -1), np.zeros((n, self.dim), np.int8))
-            delta.target[q], delta.phase[q] = states, -1
-            anti = _max_entry(cq @ lower, lower @ cq)
-            mixed = _max_entry(cq @ upper, upper @ cq, delta)
-            worst = max(worst, anti, mixed)
-        return float(worst)
+        lower = self._ladders[0]
+        cq, cr, cr_dag = lower[:, None], lower[None], self._ladders[1][None]
+        eye = np.eye(self.nmodes, dtype=bool)[..., None]
+        delta = SignedMap(np.where(eye, np.arange(self.dim), -1), -eye.astype(np.int8))
+        anti = _max_entry(cq @ cr, cr @ cq)
+        mixed = _max_entry(cq @ cr_dag, cr_dag @ cq, delta)
+        return float(max(anti, mixed))
 
 
 def build_kappa0(sys):
@@ -271,40 +340,42 @@ def build_kappa0(sys):
     commutes with the Hamiltonian: it swaps a particle for an antiparticle
     while reversing momentum.
     """
-    L = sys.ladder
     terms = []
     for ip in range(len(sys.momenta)):
         im = sys.reflected_index(ip)
         for s in SPINS:
-            terms.append((1.0, L("a", im, s, True) @ L("b", ip, s)))
-            terms.append((1.0, L("b", im, s, True) @ L("a", ip, s)))
-    return sys.operator(terms)
+            terms.append((1.0, ("a", im, s, True), ("b", ip, s, False)))
+            terms.append((1.0, ("b", im, s, True), ("a", ip, s, False)))
+    return sys.bilinear(terms)
 
 
 def build_kappa45(sys):
     """Lattice operator sum_{p,s} (-1)^s (a'_{p,s} a_{p,s+1} + b'_{p,s+1} b_{p,s})."""
-    L = sys.ladder
     terms = []
     for ip in range(len(sys.momenta)):
         for s in SPINS:
             t = gm.spin_flip(s)
             sign = (-1.0) ** s
-            terms.append((sign, L("a", ip, s, True) @ L("a", ip, t)))
-            terms.append((sign, L("b", ip, t, True) @ L("b", ip, s)))
-    return sys.operator(terms)
+            terms.append((sign, ("a", ip, s, True), ("a", ip, t, False)))
+            terms.append((sign, ("b", ip, t, True), ("b", ip, s, False)))
+    return sys.bilinear(terms)
 
 
 def _quantize_pairing(sys, M, partner, t1, t2):
     """Ladder expansion of ``integral psi^dagger(t1, P x) M psi(t2, x) dx``.
 
     ``partner(ip)`` is the index of ``q = P p``, the one ket momentum the
-    x-integral leaves for the bra momentum ``p``.  All four channels of the
-    module docstring are kept with their phases; a channel's ladder product
-    is composed only when its coefficient is non-zero, and a non-finite
-    coefficient raises ``ValueError``.
+    x-integral leaves for the bra momentum ``p``.  ``t1`` and ``t2`` are two
+    times, or two sequences of times, one matrix each.  The spinor
+    contractions and the ladder products are formed once; each term's
+    coefficient ``(bra @ ket) / (2 E)`` then takes the channel's phase at
+    every time, and one :meth:`FockSystem.operator` call builds all the
+    matrices.  A term is composed only when its coefficient is non-zero at
+    some time.  A non-finite coefficient raises ``ValueError``, for the first
+    such term in the order of momentum, spins and channel.
     """
-    L = sys.ladder
-    terms = []
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    base, energy, channel, left, right, where = [], [], [], [], [], []
     for ip in range(len(sys.momenta)):
         iq = partner(ip)
         imp, imq = sys.reflected_index(ip), sys.reflected_index(iq)
@@ -314,32 +385,48 @@ def _quantize_pairing(sys, M, partner, t1, t2):
         v_bar = {r: gm.v_spinor(-p, sys.mass, r).conj() @ M for r in SPINS}
         u = {s: gm.u_spinor(q, sys.mass, s) for s in SPINS}
         v = {s: gm.v_spinor(-q, sys.mass, s) for s in SPINS}
-        # (bra spinors, ket spinors, phase time, ladder product) per channel
+        # (bra spinors, ket spinors, ladder factors) per channel
         channels = (
-            (u_bar, u, t1 - t2, lambda r, s: L("a", ip, r, True) @ L("a", iq, s)),
-            (u_bar, v, t1 + t2, lambda r, s: L("a", ip, r, True) @ L("b", imq, s, True)),
-            (v_bar, u, -(t1 + t2), lambda r, s: L("b", imp, r) @ L("a", iq, s)),
-            (v_bar, v, t2 - t1, lambda r, s: L("b", imp, r) @ L("b", imq, s, True)),
+            (u_bar, u, lambda r, s: (("a", ip, r, True), ("a", iq, s, False))),
+            (u_bar, v, lambda r, s: (("a", ip, r, True), ("b", imq, s, True))),
+            (v_bar, u, lambda r, s: (("b", imp, r, False), ("a", iq, s, False))),
+            (v_bar, v, lambda r, s: (("b", imp, r, False), ("b", imq, s, True))),
         )
         for r in SPINS:
             for s in SPINS:
-                for bra, ket, dt, ladder in channels:
-                    c = (bra[r] @ ket[s]) / (2 * E) * np.exp(1j * E * dt)
-                    if not np.isfinite(c):
-                        raise ValueError(
-                            f"non-finite pairing coefficient {c} at p={sys.momenta[ip]}, spins ({r}, {s})"
-                        )
-                    if c != 0:
-                        terms.append((c, ladder(r, s)))
-    return sys.operator(terms, dtype=complex)
+                for k, (bra, ket, factors) in enumerate(channels):
+                    base.append((bra[r] @ ket[s]) / (2 * E))
+                    energy.append(E)
+                    channel.append(k)
+                    L, R = factors(r, s)
+                    left.append(L)
+                    right.append(R)
+                    where.append((sys.momenta[ip], r, s))
+    # a non-finite time or contraction is reported below, not warned about
+    with np.errstate(invalid="ignore", over="ignore"):
+        # each channel's phase time, in the order of the module docstring
+        dts = np.stack(np.broadcast_arrays(t1 - t2, t1 + t2, -(t1 + t2), t2 - t1)).reshape(4, -1)
+        phase = np.exp(1j * np.array(energy)[:, None] * dts[channel])
+        coefs = _cmul(np.array(base)[:, None], phase)
+    bad = np.argwhere(~np.isfinite(coefs))
+    if len(bad):
+        k, j = bad[0]
+        p, r, s = where[k]
+        raise ValueError(f"non-finite pairing coefficient {coefs[k, j]} at p={p}, spins ({r}, {s})")
+    keep = np.flatnonzero((coefs != 0).any(axis=1))
+    maps = sys.products([left[k] for k in keep], [right[k] for k in keep])
+    ops = sys.operator((coefs[keep], maps), dtype=complex)
+    return ops if t1.ndim else ops[0]
 
 
 def quantize_reflection_charge(sys, t=0.0):
     """The time-reflected pairing ``integral psibar(-t, x) gamma4 psi(t, x) dx``.
 
-    Its diagonal channels vanish, which makes it time-independent.
+    Its diagonal channels vanish, which makes it time-independent.  A
+    sequence of times gives a list with one matrix per time.
     """
     rep = gm.dirac_representation()
+    t = np.asarray(t, dtype=float)
     return _quantize_pairing(sys, rep.gamma0 @ rep.gamma4, lambda ip: ip, -t, t)
 
 
@@ -347,7 +434,8 @@ def quantize_cpt_charge(sys, t=0.0):
     """The CPT pairing ``integral psibar(t, x, -y, z) gamma2 gamma0 gamma4 psi(t, x) dx``.
 
     Needs a lattice closed under ``p -> (p1, -p2, p3)``; the result is
-    :func:`build_kappa45` times a unit constant.
+    :func:`build_kappa45` times a unit constant.  A sequence of times gives
+    a list with one matrix per time.
     """
     rep = gm.dirac_representation()
     M = rep.gamma0 @ rep.gamma(2) @ rep.gamma0 @ rep.gamma4

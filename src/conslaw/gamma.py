@@ -12,6 +12,7 @@ mod 2 (2 + 1 -> 1), chi_1 = (1,0), chi_2 = (0,1), and normalization
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +96,17 @@ class GammaRep:
         return True
 
 
+@functools.cache
 def dirac_representation():
-    """The standard Dirac representation."""
+    """The standard Dirac representation, built once; its arrays are read-only."""
     z = np.zeros((2, 2))
     gamma0 = np.block([[_I2, z], [z, -_I2]])
     spatial = tuple(np.block([[z, s], [-s, z]]) for s in PAULI)
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    return GammaRep((gamma0,) + spatial, eta)
+    rep = GammaRep((gamma0,) + spatial, eta)
+    for a in rep.gammas + (rep.eta,):
+        a.flags.writeable = False
+    return rep
 
 
 def spin_flip(s):

@@ -341,6 +341,40 @@ def test_joint_nullspace_matches_the_stitched_reference():
             assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes(), L
 
 
+def _full_svd_nullspace(L, sign_absorbed):
+    """The nullspace from the full SVD of the stacked constraints (the reference)."""
+    m = L.rows
+    eye = np.eye(m)
+    blocks = []
+    for alpha, mat in L.terms.items():
+        s = (-1) ** midx_order(alpha) if sign_absorbed else 1.0
+        scale = max(np.linalg.norm(mat), 1e-300)
+        blocks.append(np.hstack([_kron(mat.conj().T, eye), -s * _kron(eye, mat.T)]) / scale)
+    _, sv, vh = np.linalg.svd(np.vstack(blocks), full_matrices=True)
+    rank = np.count_nonzero(sv > 1e-10 * sv[0])
+    return vh[rank:].conj().T
+
+
+def test_reduced_svd_nullspace_has_the_bits_of_the_full_one():
+    from test_pipeline_random import _random_dispersive_system
+
+    ops = [
+        dirac_operator(),
+        navier_stokes_operator(),
+        kdvkdv_operator(),
+        heat_operator(1),
+        wave_operator(3),
+        jordan_block_operator(),
+    ]
+    for seed in (200, 203):
+        rng = np.random.default_rng(seed)
+        ops.append(_random_dispersive_system(rng, int(rng.integers(2, 4)))[0])
+    for L in ops:
+        for sign_absorbed in (True, False):
+            got, want = _joint_nullspace(L, sign_absorbed), _full_svd_nullspace(L, sign_absorbed)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), L
+
+
 def test_broadcast_kron_has_the_bits_of_np_kron(monkeypatch):
     rng = np.random.default_rng(31)
     for m in range(1, 5):

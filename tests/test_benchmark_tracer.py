@@ -126,9 +126,24 @@ def test_report_layers_record_calls_under_the_tracer():
         scenario.reproduce("heat-Es")
     finally:
         tracer.uninstall()
-    assert tracer.calls["fock.quantize"] == 4
+    # one quantize call per pairing, each for both of its times
+    assert tracer.calls["fock.quantize"] == 2
     assert tracer.calls["dirac.fock_suite"] == 1
     assert tracer.calls["spectral.oracle"] == 1
+
+
+def test_fock_suite_under_the_tracer_returns_the_untraced_report():
+    want = dirac.fock_suite()
+    tracer = _tracer_module().Tracer("t")
+    tracer.install()
+    try:
+        got = dirac.fock_suite()
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fock.quantize"] == 2
+    assert tracer.calls["dirac.fock_suite"] == 1
+    assert [name for _, _, name, _, _ in tracer.spans].count("fock.quantize") == 2
+    assert repr(got) == repr(want)
 
 
 def test_one_pass_keeps_the_per_time_calls_the_tracer_reads(monkeypatch):

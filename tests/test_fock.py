@@ -243,14 +243,125 @@ def test_operators_match_sparse_sums(sys):
         assert fk.max_abs(got - want) <= 1e-15 * fk.max_abs(want)
 
 
-def test_anticommutator_report_sees_a_flipped_sign(monkeypatch):
+def _flip_one_sign(sys, mode, dagger):
+    """Flip one sign of a ladder map in the system's ladder stack."""
+    q = sys.modes.index(mode)
+    phase = sys._ladders.phase.copy()
+    phase[int(dagger), q, np.flatnonzero(phase[int(dagger), q])[3]] *= -1
+    sys._ladders = fk.SignedMap(sys._ladders.target, phase)
+
+
+def test_anticommutator_report_sees_a_flipped_sign():
     flawed = fk.FockSystem(MOMENTA)
-    good = flawed.ladder("b", 1, 2)
-    q = flawed.modes.index(("b", 1, 2))
-    phase = good.phase.copy()
-    phase[np.flatnonzero(phase)[3]] *= -1
-    monkeypatch.setitem(flawed._maps, (q, False), fk.SignedMap(good.target, phase))
+    _flip_one_sign(flawed, ("b", 1, 2), dagger=False)
     assert flawed.anticommutator_report() == 2.0
+
+
+def test_anticommutator_report_sees_a_flipped_creator_sign():
+    # a creator enters only the mixed relations {c_q, c_r'}
+    flawed = fk.FockSystem(MOMENTA)
+    _flip_one_sign(flawed, ("a", 0, 1), dagger=True)
+    assert flawed.anticommutator_report() != 0.0
+
+
+def test_ladder_stack_is_read_only(sys):
+    m = sys.ladder("a", 0, 1)
+    with pytest.raises(ValueError):
+        m.phase[0] = 1
+    with pytest.raises(ValueError):
+        m.target[0] = 0
+
+
+# -- stacked products and the time axis ---------------------------------------
+
+
+def _same_bits(x, y):
+    """CSR arrays equal byte for byte: ``data``, ``indices`` and ``indptr``."""
+    return (
+        x.shape == y.shape
+        and x.dtype == y.dtype
+        and all(
+            getattr(x, a).dtype == getattr(y, a).dtype and getattr(x, a).tobytes() == getattr(y, a).tobytes()
+            for a in ("data", "indices", "indptr")
+        )
+    )
+
+
+@pytest.mark.parametrize("momenta", [MOMENTA, MOMENTA + ((0.0, 0.0, 0.0),)], ids=["8-mode", "12-mode"])
+def test_stacked_products_equal_per_term_builds(momenta, monkeypatch):
+    from conslaw.dirac import _pair_form
+
+    sys = fk.FockSystem(momenta)
+    bilinear, seen = sys.bilinear, []
+    monkeypatch.setattr(sys, "bilinear", lambda terms, dtype=float: seen.append((terms, dtype)) or bilinear(terms, dtype))
+    ops = [sys.hamiltonian(), fk.build_kappa0(sys), fk.build_kappa45(sys), _pair_form(sys)]
+    assert len(seen) == len(ops)
+    for op, (terms, dtype) in zip(ops, seen):
+        assert len(terms) == 4 * len(momenta)
+        # each product composed on its own, from single maps
+        per_term = [(c, sys.ladder(*L) @ sys.ladder(*R)) for c, L, R in terms]
+        assert _same_bits(op, sys.operator(per_term, dtype=dtype))
+
+
+def test_pairings_take_a_time_axis(sys):
+    # t = 0 included: the reflection pairs the times -0.0 and 0.0 there
+    times = [0.0, 0.37, 1.1]
+    for quantize in (fk.quantize_cpt_charge, fk.quantize_reflection_charge):
+        ops = quantize(sys, t=times)
+        assert isinstance(ops, list) and len(ops) == len(times)
+        for op, t in zip(ops, times):
+            assert _same_bits(op, quantize(sys, t=t))
+        assert _same_bits(quantize(sys, t=np.array(times[:1]))[0], quantize(sys))
+
+
+def _loop_quantize(sys, M, partner, t1, t2):
+    """The pairing one term at a time, each coefficient a complex scalar (the reference)."""
+    from conslaw import gamma as gm
+
+    terms = []
+    for ip in range(len(sys.momenta)):
+        iq = partner(ip)
+        imp, imq = sys.reflected_index(ip), sys.reflected_index(iq)
+        E = sys.energy(ip)
+        p, q = np.array(sys.momenta[ip]), np.array(sys.momenta[iq])
+        for r in (1, 2):
+            for s in (1, 2):
+                ub = gm.u_spinor(p, sys.mass, r).conj() @ M
+                vb = gm.v_spinor(-p, sys.mass, r).conj() @ M
+                u, v = gm.u_spinor(q, sys.mass, s), gm.v_spinor(-q, sys.mass, s)
+                for bra, ket, dt, (L, R) in (
+                    (ub, u, t1 - t2, (("a", ip, r, True), ("a", iq, s, False))),
+                    (ub, v, t1 + t2, (("a", ip, r, True), ("b", imq, s, True))),
+                    (vb, u, -(t1 + t2), (("b", imp, r, False), ("a", iq, s, False))),
+                    (vb, v, t2 - t1, (("b", imp, r, False), ("b", imq, s, True))),
+                ):
+                    c = (bra @ ket) / (2 * E) * np.exp(1j * E * dt)
+                    if c != 0:
+                        terms.append((c, sys.ladder(*L) @ sys.ladder(*R)))
+    return sys.operator(terms, dtype=complex)
+
+
+def test_pairing_keeps_the_one_time_arithmetic():
+    # a generic complex M: every coefficient has both parts, so a fused
+    # multiply-add in the complex product would show in the last bit
+    sys = fk.FockSystem(((0.3, 0.7, 0.2), (-0.3, -0.7, -0.2)), mass=0.6)
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    times = [(0.0, 0.0), (-0.41, 0.41), (0.37, 1.9), (2.5, -0.8)]
+    t1, t2 = (np.array(t) for t in zip(*times))
+    got = fk._quantize_pairing(sys, M, lambda ip: ip, t1, t2)
+    for op, (a, b) in zip(got, times):
+        assert _same_bits(op, _loop_quantize(sys, M, lambda ip: ip, a, b))
+
+
+@pytest.mark.parametrize("quantize", [fk.quantize_cpt_charge, fk.quantize_reflection_charge])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_time_raises_the_one_time_message(sys, quantize, bad):
+    with pytest.raises(ValueError, match="non-finite pairing coefficient") as one:
+        quantize(sys, t=bad)
+    with pytest.raises(ValueError) as batched:
+        quantize(sys, t=[0.37, bad, 1.1])
+    assert str(batched.value) == str(one.value)
 
 
 # -- the Fock layer fails closed ---------------------------------------------

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
+from conslaw.catalog import dirac_operator
 from conslaw.gamma import (
+    GammaRep,
     chi,
     dirac_representation,
     energy,
@@ -103,3 +106,21 @@ def test_identity_suite_random_draws():
 def test_spin_flip_arithmetic():
     assert spin_flip(1) == 2
     assert spin_flip(2) == 1
+
+
+def test_dirac_representation_is_built_once_and_read_only():
+    rep = dirac_representation()
+    assert dirac_representation() is rep
+    for a in rep.gammas + (rep.eta,):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+    assert rep.check_relations(tol=0.0)
+
+
+def test_dirac_operator_keeps_its_representation_argument():
+    # a unitary change of basis is a valid representation with other matrices
+    rep = dirac_representation()
+    U = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))
+    other = GammaRep(tuple(U @ g @ U.conj().T for g in rep.gammas), rep.eta)
+    assert dirac_operator(rep=rep) == dirac_operator()
+    assert dirac_operator(rep=other) != dirac_operator()

@@ -216,6 +216,17 @@ def test_cli_parse_error_reports_position(capsys):
 def test_cli_unknown_reproduction(capsys):
     rc = main(["reproduce", "nope"])
     assert rc == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: unknown reproduction 'nope'; see `conslaw list`\n"
+
+
+def test_cli_unknown_symmetry(tmp_path, capsys):
+    text = (SCENARIOS / "wave_energy.scn").read_text()
+    path = tmp_path / "nosuch.scn"
+    path.write_text(text.replace("symmetry = wave.time_translation", "symmetry = nosuch.sym"))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: unknown symmetry 'nosuch.sym'; see `conslaw list`\n"
 
 
 def test_cli_list(capsys):
