@@ -8,10 +8,14 @@ basis state to at most one basis state, with a sign.  They are therefore
 kept as signed partial permutations (:class:`SignedMap`), all 2N of them in
 one stack, and composed by index arithmetic.  An operator's ladder products
 are two stacked maps composed pairwise in one gather, and the
-anticommutators of all mode pairs are composed at once and checked exactly,
-in integer arithmetic.  :meth:`FockSystem.operator` turns the terms into
-sparse matrices: it sorts the entries of all terms once, and coefficients
-that carry a time axis give one matrix per time from that one structure.
+anticommutators of the mode pairs are composed in blocks and checked
+exactly, in integer arithmetic.  :meth:`FockSystem.operator` turns the terms
+into sparse matrices: it sorts the entries of all terms once, and
+coefficients that carry a time axis give one matrix per time from that one
+structure.  The checks on those matrices do no sparse arithmetic: a
+difference, a commutator with a diagonal ``H``, a trace pairing or a
+commutator with a stack of ladder maps is read from the stored CSR entries
+and the signed maps, with the bits of the sparse expression it replaces.
 Lattice normalization replaces the continuum ``(2pi)^3 delta^3`` by a
 Kronecker delta; the charge identities are homogeneous in this
 normalization.
@@ -52,10 +56,16 @@ __all__ = [
     "quantize_reflection_charge",
     "quantize_cpt_charge",
     "max_abs",
+    "max_abs_diff",
+    "max_abs_commutator",
+    "adjoint_sum",
+    "commutator_defect",
+    "vacuum_defect",
 ]
 
 
 SPINS = (1, 2)
+_PAIR_ENTRIES = 1 << 16  # entries per stack in one block of anticommutator_report
 
 
 class SignedMap:
@@ -119,11 +129,174 @@ def _cmul(x, y):
 
 
 def max_abs(op):
-    """Max-norm of a sparse or dense operator."""
+    """Max-norm of a sparse or dense operator; a CSR, CSC or COO matrix is read in place."""
     if sparse.issparse(op):
-        op = op.tocoo()
-        return float(np.max(np.abs(op.data))) if op.nnz else 0.0
+        data = op.data if op.format in ("csr", "csc", "coo") else op.tocoo().data
+        return float(np.max(np.abs(data))) if data.size else 0.0
     return float(np.max(np.abs(op)))
+
+
+# -- exact checks on stored entries ------------------------------------------
+#
+# Each helper below reads the CSR arrays of its operands (and the signed maps)
+# and returns the number its docstring's sparse expression gives, bit for bit:
+# scipy computes every entry of a sum, difference or product of these
+# operators from at most one product per term, and these helpers form the
+# same products and differences of the same entries.
+
+
+def _mul(x, y):
+    """``x * y`` with scipy's sparse arithmetic: a complex product rounds each real product."""
+    return _cmul(x, y) if np.iscomplexobj(x) and np.iscomplexobj(y) else x * y
+
+
+def _entries(A):
+    """Rows, columns and values of a matrix's stored entries, in sorted CSR order."""
+    A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    return rows, A.indices.astype(np.int64), A.data
+
+
+def _lookup(keys, want):
+    """Index in the sorted ``keys`` of each of ``want``, and where it is found."""
+    at = np.searchsorted(keys, want)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == want[found]
+    return at, found
+
+
+def _max_of(*parts):
+    return max((float(np.max(np.abs(p))) for p in parts if p.size), default=0.0)
+
+
+def max_abs_diff(A, B, scale=None):
+    """``max_abs(A - scale * B)`` of two sparse matrices, from their stored entries.
+
+    The sorted positions of both are merged with ``searchsorted``: where
+    both hold an entry it is ``a - b``, where one does, ``a`` or ``-b``.
+    ``scale`` multiplies ``B``'s entries as scipy's scalar product does.
+    """
+    if A.shape != B.shape:
+        raise ValueError(f"shapes differ: {A.shape} and {B.shape}")
+    ra, ca, a = _entries(A)
+    rb, cb, b = _entries(B)
+    if scale is not None:
+        b = b * scale
+    at, both = _lookup(ra * A.shape[1] + ca, rb * A.shape[1] + cb)
+    alone = np.ones(len(a), dtype=bool)
+    alone[at[both]] = False
+    return _max_of(a[alone], a[at[both]] - b[both], b[~both])
+
+
+def max_abs_commutator(H, Q):
+    """``max_abs(H @ Q - Q @ H)`` for a diagonal ``H``, from the stored entries of ``Q``.
+
+    Each entry is ``h_i q_ij - q_ij h_j``, the two one-term products of
+    scipy's sparse product.  A stored entry of ``H`` off its diagonal raises
+    ``ValueError``.
+    """
+    if H.shape != Q.shape or H.shape[0] != H.shape[1]:
+        raise ValueError(f"need square matrices of one shape, got {H.shape} and {Q.shape}")
+    rows, cols, h = _entries(H)
+    if np.any(rows != cols):
+        raise ValueError("H is not diagonal")
+    diag = np.zeros(H.shape[0], dtype=H.dtype)
+    diag[rows] = h
+    rows, cols, q = _entries(Q)
+    return _max_of(_mul(diag[rows], q) - _mul(q, diag[cols]))
+
+
+def adjoint_sum(A, B):
+    """``A.multiply(B.conj().T).sum()``: the sum of the products ``A_ij conj(B_ji)``.
+
+    Each entry of ``A`` finds its partner in ``B`` with ``searchsorted``;
+    the non-zero products are summed with ``np.sum`` in the CSR order of
+    ``A``, as the sparse elementwise product stores them.
+    """
+    if A.shape != B.shape[::-1]:
+        raise ValueError(f"shapes do not transpose: {A.shape} and {B.shape}")
+    ra, ca, a = _entries(A)
+    rb, cb, b = _entries(B)
+    at, both = _lookup(rb * B.shape[1] + cb, ca * B.shape[1] + ra)
+    prod = _mul(a[both], b[at[both]].conj())
+    prod = prod[prod != 0]
+    return np.sum(prod) if prod.size else prod.dtype.type(0)
+
+
+# Entries of products with a stack of signed maps ``M_j``, as flat positions
+# ``(j * dim + row) * dim + col`` and values.  ``M_j`` sends ``x`` to
+# ``phase * |y>``, so one stored entry of ``K`` gives at most one entry of
+# each product.
+
+
+def _left_entries(K, maps):
+    """Entries of ``K @ M_j``: ``K[r, y] * phase`` at ``(r, x)``, for the ``x`` sent to ``y``."""
+    n, dim = maps.target.shape
+    j, x = np.nonzero(maps.phase)
+    source = np.full((n, dim), -1, dtype=np.int64)
+    source[j, maps.target[j, x]] = x
+    rows, cols, k = _entries(K)
+    j, e = np.nonzero(source[:, cols] >= 0)
+    x = source[j, cols[e]]
+    return (j * dim + rows[e]) * dim + x, k[e] * maps.phase[j, x]
+
+
+def _right_entries(maps, K):
+    """Entries of ``M_j @ K``: ``phase * K[y, x]`` at ``(target[y], x)``."""
+    dim = maps.target.shape[1]
+    rows, cols, k = _entries(K)
+    j, e = np.nonzero(maps.phase[:, rows])
+    return (j * dim + maps.target[j, rows[e]]) * dim + cols[e], maps.phase[j, rows[e]] * k[e]
+
+
+def _map_entries(maps):
+    """Entries of the maps ``M_j`` themselves."""
+    dim = maps.target.shape[1]
+    j, x = np.nonzero(maps.phase)
+    return (j * dim + maps.target[j, x]) * dim + x, maps.phase[j, x]
+
+
+def _max_of_difference(first, *rest):
+    """Largest ``|entry|`` of ``first - rest[0] - rest[1] - ...``, each a ``(positions, values)`` part.
+
+    A part holds at most one entry per position, and a missing entry counts
+    as zero, so every entry is the difference that scipy's sparse
+    subtraction forms.  The positions of all parts are merged in one sort.
+    """
+    parts = (first,) + rest
+    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    where = np.split(where, np.cumsum([len(k) for k, _ in parts])[:-1])
+    total = np.zeros(len(keys), dtype=np.result_type(*(v for _, v in parts), float))
+    total[where[0]] = first[1]
+    for at, (_, v) in zip(where[1:], rest):
+        term = np.zeros_like(total)
+        term[at] = v
+        total = total - term
+    return _max_of(total)
+
+
+def commutator_defect(K, maps, want):
+    """``max_j max_abs(K @ M_j - M_j @ K - W_j)`` over stacks of signed maps ``M`` and ``W``.
+
+    Both products are ``K``'s stored entries moved by the maps, and all
+    ``j`` are checked in one merge.
+    """
+    return _max_of_difference(_left_entries(K, maps), _right_entries(maps, K), _map_entries(want))
+
+
+def vacuum_defect(K, maps, want):
+    """``max_j max|K @ M_j |0> - W_j |0>|`` over stacks of signed maps ``M`` and ``W``."""
+    dim = maps.target.shape[1]
+
+    def column(part):
+        keys, values = part
+        keep = keys % dim == 0
+        return keys[keep], values[keep]
+
+    return _max_of_difference(column(_left_entries(K, maps)), column(_map_entries(want)))
 
 
 class FockSystem:
@@ -210,19 +383,18 @@ class FockSystem:
         """Signed map of the annihilator (``dagger``: creator) of one mode."""
         return self._ladders[int(dagger), self._mode(species, p, s)]
 
+    def ladders(self, keys):
+        """Stacked signed maps of the ladder operators with ``(species, p, s, dagger)`` keys."""
+        idx = np.array([(dagger, self._mode(sp, p, s)) for sp, p, s, dagger in keys], dtype=int)
+        return self._ladders[tuple(idx.reshape(-1, 2).T)]
+
     def products(self, left, right):
         """Stacked maps of the ladder products ``left[j] @ right[j]``.
 
-        Each factor is a ``(species, p, s, dagger)`` key of :meth:`ladder`;
-        both sides are gathered from the ladder stack and composed pairwise
-        in one gather.
+        Each factor is a key of :meth:`ladders`; both sides are gathered
+        from the ladder stack and composed pairwise in one gather.
         """
-
-        def stack(keys):
-            idx = np.array([(dagger, self._mode(sp, p, s)) for sp, p, s, dagger in keys], dtype=int)
-            return self._ladders[tuple(idx.reshape(-1, 2).T)]
-
-        return stack(left) @ stack(right)
+        return self.ladders(left) @ self.ladders(right)
 
     def bilinear(self, terms, dtype=float):
         """One CSR matrix for ``sum coef * L @ R`` over ``terms = [(coef, L, R), ...]``.
@@ -320,17 +492,22 @@ class FockSystem:
         A column of ``{c_q, c_r}`` or ``{c_q, c_r'} - delta_qr I`` holds at
         most three entries, from the composed maps of the two products and
         the identity; they are added where their targets agree, in +-1
-        integer arithmetic.  The products of all mode pairs are composed at
-        once, as stacks broadcast over the ``(q, r)`` grid, so each holds
-        ``n^2 2^n`` entries for ``n`` modes.
+        integer arithmetic.  The products are composed for a block of ``q``
+        at once, as stacks broadcast over the block's ``(q, r)`` grid.  A
+        block holds at most ``_PAIR_ENTRIES`` entries per stack, or one
+        ``q``; the 8-mode lattice is one block.
         """
-        lower = self._ladders[0]
-        cq, cr, cr_dag = lower[:, None], lower[None], self._ladders[1][None]
-        eye = np.eye(self.nmodes, dtype=bool)[..., None]
-        delta = SignedMap(np.where(eye, np.arange(self.dim), -1), -eye.astype(np.int8))
-        anti = _max_entry(cq @ cr, cr @ cq)
-        mixed = _max_entry(cq @ cr_dag, cr_dag @ cq, delta)
-        return float(max(anti, mixed))
+        n, lower = self.nmodes, self._ladders[0]
+        cr, cr_dag = lower[None], self._ladders[1][None]
+        block = max(1, _PAIR_ENTRIES // (n * self.dim))
+        worst = 0
+        for start in range(0, n, block):
+            q = np.arange(start, min(start + block, n))
+            cq = lower[q][:, None]
+            eye = (q[:, None] == np.arange(n))[..., None]
+            delta = SignedMap(np.where(eye, np.arange(self.dim), -1), -eye.astype(np.int8))
+            worst = max(worst, _max_entry(cq @ cr, cr @ cq), _max_entry(cq @ cr_dag, cr_dag @ cq, delta))
+        return float(worst)
 
 
 def build_kappa0(sys):

@@ -13,7 +13,7 @@ mod 2 (2 + 1 -> 1), chi_1 = (1,0), chi_2 = (0,1), and normalization
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,15 +38,30 @@ PAULI = (
 )
 
 
+def _frozen(a, dtype):
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GammaRep:
-    """A concrete 4x4 realization of the spacetime Clifford relations."""
+    """A concrete 4x4 realization of the spacetime Clifford relations.
+
+    The matrices are read-only copies of the arguments, so ``gamma4``,
+    computed once from them, cannot go stale.
+    """
 
     gammas: tuple  # (gamma0, gamma1, gamma2, gamma3), raised indices
     eta: np.ndarray
+    gamma4: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(np.asarray(g, dtype=complex) for g in self.gammas))
+        g = tuple(_frozen(g, complex) for g in self.gammas)
+        object.__setattr__(self, "gammas", g)
+        object.__setattr__(self, "eta", _frozen(self.eta, None))
+        # i*gamma0*gamma1*gamma2*gamma3; anticommutes with all four
+        object.__setattr__(self, "gamma4", _frozen(1j * g[0] @ g[1] @ g[2] @ g[3], complex))
 
     @property
     def gamma0(self):
@@ -59,12 +74,6 @@ class GammaRep:
     def gamma_lower(self, mu):
         """Lowered-index gamma_mu = eta_{mu nu} gamma^nu."""
         return self.eta[mu, mu] * self.gammas[mu]
-
-    @property
-    def gamma4(self):
-        """The product i*gamma0*gamma1*gamma2*gamma3; anticommutes with all."""
-        g = self.gammas
-        return 1j * g[0] @ g[1] @ g[2] @ g[3]
 
     def sigma_spin(self, i):
         """Spin matrix diag(sigma_i, sigma_i)."""
@@ -103,10 +112,7 @@ def dirac_representation():
     gamma0 = np.block([[_I2, z], [z, -_I2]])
     spatial = tuple(np.block([[z, s], [-s, z]]) for s in PAULI)
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    rep = GammaRep((gamma0,) + spatial, eta)
-    for a in rep.gammas + (rep.eta,):
-        a.flags.writeable = False
-    return rep
+    return GammaRep((gamma0,) + spatial, eta)
 
 
 def spin_flip(s):

@@ -398,3 +398,186 @@ def test_pairing_refuses_a_non_finite_coefficient(sys):
     # a NaN channel coefficient used to be dropped like a zero one
     with pytest.raises(ValueError, match="non-finite pairing coefficient"):
         fk._quantize_pairing(sys, np.full((4, 4), np.nan), lambda ip: ip, 0.0, 0.0)
+
+
+# -- checks on stored entries against the sparse expressions --------------------
+
+
+def _suite_operators(momenta, mass):
+    """The Fock suite's operators on one lattice."""
+    from conslaw.dirac import _pair_form
+
+    sys = fk.FockSystem(momenta, mass=mass)
+    q45, q45_later = fk.quantize_cpt_charge(sys, t=(0.0, 0.37))
+    q0, q0_later = fk.quantize_reflection_charge(sys, t=(0.0, 0.53))
+    ops = {
+        "H": sys.hamiltonian(),
+        "k0": fk.build_kappa0(sys),
+        "k45": fk.build_kappa45(sys),
+        "q45": q45,
+        "q45_later": q45_later,
+        "q0": q0,
+        "q0_later": q0_later,
+        "pair": _pair_form(sys),
+    }
+    return sys, ops
+
+
+@pytest.mark.parametrize(
+    "momenta, mass",
+    [(MOMENTA, 1.0), (((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), 0.5)],
+    ids=["x-mass-1", "z-mass-0.5"],
+)
+def test_entry_checks_have_the_bits_of_the_sparse_expressions(momenta, mass):
+    sys, ops = _suite_operators(momenta, mass)
+    H = ops["H"]
+    for name in ("k0", "k45", "q45", "q0"):
+        Q = ops[name]
+        assert repr(fk.max_abs_commutator(H, Q)) == repr(fk.max_abs(H @ Q - Q @ H)), name
+    cconst = complex(ops["q45"].multiply(ops["k45"].conj().T.tocsr()).sum())
+    for a, b, scale in (
+        ("q45", "k45", cconst),
+        ("q45", "k45", 0.3 + 0.7j),
+        ("q45_later", "q45", None),
+        ("q0_later", "q0", None),
+        ("q0", "pair", None),
+        ("q0", "k0", None),
+        ("k0", "q0", None),
+        ("k45", "H", 2.5),
+    ):
+        A, B = ops[a], ops[b]
+        want = fk.max_abs(A - (B if scale is None else scale * B))
+        assert repr(fk.max_abs_diff(A, B, scale)) == repr(want), (a, b, scale)
+    assert fk.max_abs_diff(H, H.conj().T) == fk.max_abs(H - H.conj().T) == 0.0
+    for a, b in (("q45", "k45"), ("k45", "k45"), ("q0", "q45"), ("q45", "q45"), ("k0", "k45")):
+        A, B = ops[a], ops[b]
+        got, want = fk.adjoint_sum(A, B), A.multiply(B.conj().T.tocsr()).sum()
+        assert type(got) is type(want) and repr(got) == repr(want), (a, b)
+
+    modes = sys.modes
+    swapped = [("b" if sp == "a" else "a", sys.reflected_index(ip), s) for sp, ip, s in modes]
+    flipped = [(sp, ip, spin_flip(s)) for sp, ip, s in modes]
+    C, vac = sys.ladders([m + (True,) for m in modes]), sys.vacuum()
+    for images in (swapped, flipped):
+        W = sys.ladders([m + (True,) for m in images])
+        pairs = [(sys.create(*c), sys.create(*w)) for c, w in zip(modes, images)]
+        for name in ("k0", "k45", "q45", "q0"):
+            K = ops[name]
+            want = max(fk.max_abs(K @ c - c @ K - w) for c, w in pairs)
+            assert repr(fk.commutator_defect(K, C, W)) == repr(want), name
+            want = max(float(np.max(np.abs(K @ (c @ vac) - w @ vac))) for c, w in pairs)
+            assert repr(fk.vacuum_defect(K, C, W)) == repr(want), name
+    # the identities the suite reports hold exactly
+    assert fk.commutator_defect(ops["k0"], C, sys.ladders([m + (True,) for m in swapped])) == 0.0
+
+
+def _random_csr(rng, dim, density, diagonal=False):
+    values = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if diagonal:
+        return sparse.diags(values, format="csr")
+    return sparse.random(dim, dim, density=density, format="csr", rng=rng) * (0.3 + 1.7j) + sparse.random(
+        dim, dim, density=density, format="csr", rng=rng
+    ) * 1j
+
+
+def test_entry_checks_round_complex_products_like_scipy():
+    # both factors complex with both parts: a fused multiply-add shows in the last bit
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        A, B = _random_csr(rng, 64, 0.2), _random_csr(rng, 64, 0.2)
+        H = _random_csr(rng, 64, 0, diagonal=True)
+        assert repr(fk.adjoint_sum(A, B)) == repr(A.multiply(B.conj().T.tocsr()).sum())
+        assert repr(fk.max_abs_commutator(H, A)) == repr(fk.max_abs(H @ A - A @ H))
+        assert repr(fk.max_abs_diff(A, B, 0.1 - 2.3j)) == repr(fk.max_abs(A - (0.1 - 2.3j) * B))
+
+
+def test_entry_checks_of_empty_matrices():
+    empty = sparse.csr_matrix((4, 4))
+    eye = sparse.identity(4, format="csr")
+    assert fk.max_abs(empty) == 0.0
+    assert fk.max_abs_diff(empty, empty) == 0.0
+    assert fk.max_abs_diff(eye, empty) == fk.max_abs_diff(empty, eye) == 1.0
+    assert fk.max_abs_commutator(eye, empty) == 0.0
+    assert repr(fk.adjoint_sum(empty, eye)) == repr(empty.multiply(eye.conj().T.tocsr()).sum())
+
+
+def test_commutator_sees_a_perturbed_hamiltonian(sys):
+    H = sys.hamiltonian()
+    k0 = fk.build_kappa0(sys)
+    assert fk.max_abs_commutator(H, k0) == 0.0
+    perturbed = H.copy()
+    perturbed.data[3] += 1e-3
+    got = fk.max_abs_commutator(perturbed, k0)
+    assert got != 0.0 and repr(got) == repr(fk.max_abs(perturbed @ k0 - k0 @ perturbed))
+
+
+def test_commutator_refuses_a_non_diagonal_hamiltonian(sys):
+    H = sys.hamiltonian().tolil()
+    H[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not diagonal"):
+        fk.max_abs_commutator(H.tocsr(), fk.build_kappa0(sys))
+    with pytest.raises(ValueError):
+        fk.max_abs_commutator(sparse.identity(3, format="csr"), fk.build_kappa0(sys))
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "lil", "dok"])
+def test_max_abs_reads_the_stored_entries(fmt, monkeypatch):
+    A = _random_csr(np.random.default_rng(3), 16, 0.3).asformat(fmt)
+    if fmt in ("csr", "csc", "coo"):
+        monkeypatch.setattr(type(A), "tocoo", lambda *args, **kwargs: pytest.fail("copied to COO"))
+    assert fk.max_abs(A) == fk.max_abs(A.toarray())
+    assert fk.max_abs(sparse.csr_matrix((3, 3)).asformat(fmt)) == 0.0
+
+
+def test_fock_suite_sees_a_flipped_ladder_sign(monkeypatch):
+    from conslaw import dirac
+
+    clean = fk.FockSystem._ladder_table
+
+    def flawed(self):
+        # a creator's sign on the vacuum enters both the ladder shift and the spin map
+        table = clean(self)
+        phase = table.phase.copy()
+        phase[1, 0, 0] *= -1
+        return fk.SignedMap(table.target, phase)
+
+    monkeypatch.setattr(fk.FockSystem, "_ladder_table", flawed)
+    report = dirac.fock_suite()
+    assert report["kappa0_ladder_defect"] != 0.0
+    assert report["kappa45_spin_map_defect"] != 0.0
+    assert report["pass"] is False
+
+
+def test_fock_suite_builds_no_ladder_matrix(monkeypatch):
+    from conslaw import dirac
+
+    made = []
+
+    class Recording(fk.FockSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(fk, "FockSystem", Recording)
+    assert dirac.fock_suite()["pass"]
+    assert len(made) == 1 and made[0]._ops == {}
+
+
+def test_anticommutator_report_in_blocks_of_modes(monkeypatch):
+    import tracemalloc
+
+    small = fk.FockSystem(MOMENTA)
+    assert fk._PAIR_ENTRIES // (small.nmodes * small.dim) >= small.nmodes  # the 8-mode lattice is one block
+    big = MOMENTA + ((0.0, 0.0, 0.0),)
+    clean, flawed = fk.FockSystem(big), fk.FockSystem(big)
+    _flip_one_sign(flawed, ("b", 1, 2), dagger=False)
+    tracemalloc.start()
+    try:
+        got = [clean.anticommutator_report(), flawed.anticommutator_report()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    # all mode pairs in one block give the same values
+    monkeypatch.setattr(fk, "_PAIR_ENTRIES", 1 << 30)
+    assert got == [clean.anticommutator_report(), flawed.anticommutator_report()] == [0.0, 2.0]

@@ -124,3 +124,25 @@ def test_dirac_operator_keeps_its_representation_argument():
     other = GammaRep(tuple(U @ g @ U.conj().T for g in rep.gammas), rep.eta)
     assert dirac_operator(rep=rep) == dirac_operator()
     assert dirac_operator(rep=other) != dirac_operator()
+
+
+def test_gamma4_is_computed_once_and_read_only():
+    rep = dirac_representation()
+    g = rep.gammas
+    assert rep.gamma4 is rep.gamma4
+    assert rep.gamma4.tobytes() == (1j * g[0] @ g[1] @ g[2] @ g[3]).tobytes()
+    with pytest.raises(ValueError):
+        rep.gamma4[0, 0] = 0
+
+
+def test_a_passed_representation_cannot_leave_gamma4_stale():
+    rep = dirac_representation()
+    gammas = [np.array(g) for g in rep.gammas]
+    other = GammaRep(tuple(gammas), np.array(rep.eta))
+    # the representation holds read-only copies: writing to the arguments later changes nothing
+    gammas[1][0, 3] = 7.0
+    assert np.array_equal(other.gammas[1], rep.gammas[1])
+    assert np.array_equal(other.gamma4, rep.gamma4)
+    for a in other.gammas + (other.eta, other.gamma4):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
