@@ -56,7 +56,6 @@ __all__ = [
     "quantize_reflection_charge",
     "quantize_cpt_charge",
     "max_abs",
-    "max_abs_diff",
     "max_abs_commutator",
     "adjoint_sum",
     "commutator_defect",
@@ -170,25 +169,6 @@ def _lookup(keys, want):
 
 def _max_of(*parts):
     return max((float(np.max(np.abs(p))) for p in parts if p.size), default=0.0)
-
-
-def max_abs_diff(A, B, scale=None):
-    """``max_abs(A - scale * B)`` of two sparse matrices, from their stored entries.
-
-    The sorted positions of both are merged with ``searchsorted``: where
-    both hold an entry it is ``a - b``, where one does, ``a`` or ``-b``.
-    ``scale`` multiplies ``B``'s entries as scipy's scalar product does.
-    """
-    if A.shape != B.shape:
-        raise ValueError(f"shapes differ: {A.shape} and {B.shape}")
-    ra, ca, a = _entries(A)
-    rb, cb, b = _entries(B)
-    if scale is not None:
-        b = b * scale
-    at, both = _lookup(ra * A.shape[1] + ca, rb * A.shape[1] + cb)
-    alone = np.ones(len(a), dtype=bool)
-    alone[at[both]] = False
-    return _max_of(a[alone], a[at[both]] - b[both], b[~both])
 
 
 def max_abs_commutator(H, Q):

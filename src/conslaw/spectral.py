@@ -48,20 +48,21 @@ as ``w * sum_a conj(S[a]) (B[r] @ d^gamma u)[a]`` at time ``r``: only
 
 A trajectory keeps no cache; ``kappa_series`` owns the jets.  It compiles
 each view once, for every sample time, so it knows every jet the run
-needs.  On a small grid, where the jets of every time read fit in
-``MODE_BLOCK // 2`` points, one ``Trajectory.jets`` call makes them all in
-one pass and each view is contracted once: ``current.evaluate_terms`` takes
-a leading time axis, so one call with a row per sample time replaces one
-call per time, with the same bits in every row.  The contraction reads the
-jets as basic-slice views of their stacks (a reflected time ``s - t`` as a
-negative step); only an irregular time order takes one gather.  On a larger
-grid a sample time's jets are made with those of the sample times whose
-jets it reads (a reflected pair), each time is contracted on its own, the
-one-row case of the same call, and the batch's jets are dropped before the
-next; this runs the same pass on one or two times.  ``evaluate_terms`` works
-``CHUNK`` grid points at a time and gathers reflected sources block by
-block, so the only ``(k, N)`` arrays are the jets.  Propagators are not
-kept.  ``kappa_series`` is also the one support guard: when a field view is
+needs, and it runs one loop over passes of sample times.  A batch is a
+sample time with the later ones whose jets it reads or that read its jets
+(a reflected pair ``t``, ``s - t``).  On a small grid, where the jets of
+every time read fit in ``MODE_BLOCK // 2`` points, one pass holds every
+batch; on a larger grid each batch is a pass, and its jets are dropped
+before the next.  A pass makes its jets in one ``Trajectory.jets`` call
+and contracts each view once over its sample times:
+``current.evaluate_terms`` takes a leading time axis, so one call with a
+row per sample time replaces one call per time, with the same bits in
+every row.  The contraction reads the jets as basic-slice views of their
+stacks (a reflected time ``s - t`` as a negative step); only an irregular
+time order takes one gather.  ``evaluate_terms`` works ``CHUNK`` grid
+points at a time and gathers reflected sources block by block, so the
+only ``(k, N)`` arrays are the jets.  Propagators are not kept.
+``kappa_series`` is also the one support guard: when a field view is
 ``weighted`` by a spatial coordinate, it checks the boundary fraction of each
 jet once, one component at a time.
 """
@@ -539,16 +540,6 @@ def _jet_order(alpha):
     return (alpha[0], not any(alpha[1:]), alpha)
 
 
-def _take_rows(stack, times, want):
-    """The rows of ``stack``, one per time of ``times``, at the times ``want`` (a
-    subsequence of ``times``): the stack itself when that is all of them, else a
-    gathered copy."""
-    if len(want) == len(times):
-        return stack
-    row = {t: r for r, t in enumerate(times)}
-    return stack[[row[t] for t in want]]
-
-
 class Jets(dict):
     """``{(t, alpha): grid values}`` of one ``Trajectory.jets`` pass.
 
@@ -563,7 +554,7 @@ class Jets(dict):
 
 
 class Trajectory:
-    """Exactly evolvable solution: companion state at t0 plus the system.
+    """Exactly evolvable solution: companion state at time 0 plus the system.
 
     Over a matrix-free system with ``d > 1`` it forms ``A U0`` once, so each
     time's state is ``c1 U0 + c2 (A U0)``; a stacked system propagates ``U0``
@@ -574,7 +565,7 @@ class Trajectory:
 
     weighted = False
 
-    def __init__(self, system, companion_coeffs, t0=0.0):
+    def __init__(self, system, companion_coeffs):
         companion_coeffs = np.asarray(companion_coeffs, dtype=complex)
         d = system.m * system.R
         if companion_coeffs.shape != (d,) + system.grid.modes:
@@ -583,7 +574,6 @@ class Trajectory:
             raise ValueError("non-finite companion coefficients")
         flat = companion_coeffs.reshape(d, -1)
         self.system = system
-        self.t0 = float(t0)
         self.U0 = flat[:, system.active].T.copy()  # (n_active, d)
         # the closed form reads A U0; scalar modes take exp(dt a) U0 instead
         self._AU0 = self._apply(self.U0) if system.matrix_free and d > 1 else None
@@ -604,7 +594,7 @@ class Trajectory:
         order and blocks in order within a time, so a refusal names the
         first time and block that one-time propagation would.
         """
-        dts = [float(t) - self.t0 for t in times]
+        dts = [float(t) for t in times]
         blocks = self.system.blocks()
         factors = [self.system.factors(dts, block) for block in blocks]
         U = np.empty((len(dts),) + self.U0.shape, dtype=complex)
@@ -662,7 +652,9 @@ class Trajectory:
         *modes)``; each jet with space derivatives multiplies its factors into
         its own stack, once for all its times, before the plain jet takes the
         scattered coefficients in place.  ``jet_values`` then transforms each
-        ``(t, alpha)`` row in place.
+        ``(t, alpha)`` row in place.  Each step takes its rows of the
+        previous stack as one basic-slice view when their row numbers are
+        evenly spaced, and as one gather otherwise (``_row_index``).
         """
         keys = {(float(t), tuple(alpha)) for t, alpha in keys}
         if not keys:
@@ -676,21 +668,21 @@ class Trajectory:
         U, live = self._companions(times), times  # the states and their times
         for order in range(alphas[-1][0] + 1):
             if order:
-                rows = [t for t in live if top[t] >= order]
-                U, live = self._apply(_take_rows(U, live, rows)), rows
+                rows = [r for r, t in enumerate(live) if top[t] >= order]
+                U, live = self._apply(U[_row_index(rows)]), [live[r] for r in rows]
             now = [alpha for alpha in alphas if alpha[0] == order]
             if not now:
                 continue
-            scattered = [t for t in live if any((t, alpha) in keys for alpha in now)]
-            coeffs = self._field_coeffs(_take_rows(U, live, scattered))
+            rows = [r for r, t in enumerate(live) if any((t, alpha) in keys for alpha in now)]
+            coeffs, scattered = self._field_coeffs(U[_row_index(rows)]), [live[r] for r in rows]
             if order == alphas[-1][0]:
                 del U
             for alpha in now:
-                ts = [t for t in scattered if (t, alpha) in keys]
-                vals = _take_rows(coeffs, scattered, ts)
+                rows = [r for r, t in enumerate(scattered) if (t, alpha) in keys]
+                vals = coeffs[_row_index(rows)]
                 if any(alpha[1:]):
                     vals = self._derivative(vals, alpha)
-                rows = {t: r for r, t in enumerate(ts)}
+                rows = {scattered[r]: i for i, r in enumerate(rows)}
                 stacks[alpha] = (rows, vals)
                 for t, r in rows.items():
                     made[(t, alpha)] = self.jet_values(t, alpha, vals[r])
@@ -931,7 +923,7 @@ def _groups(flux, qview, times, m):
 
 
 def _sources(read, rows, src):
-    """A source at its times ``rows`` (a slice of the compiled times) as
+    """A source at its times ``rows`` (row numbers of the compiled times) as
     ``(x, conj, order)`` (``evaluate_terms``).
 
     ``x`` is a ``(T, k, npoints)`` array, ``S = conj(x)`` if ``conj``, and
@@ -941,7 +933,7 @@ def _sources(read, rows, src):
     evaluated at every time in one call.
     """
     field, ts, alpha, flip, conj = src
-    ts = ts[rows]
+    ts = [ts[r] for r in rows]
     vals = field.values(ts, alpha) if isinstance(field, ShiftView) else read(alpha, ts)
     order = _flip_order(field.grid, flip) if any(flip) else None
     return vals.reshape(vals.shape[:2] + (-1,)), conj, order
@@ -964,7 +956,7 @@ def _row_index(rows):
     """Row numbers ``rows`` as a basic slice when evenly spaced with a nonzero
     step (a reflected ``s - t`` read takes a negative one), else as they are."""
     step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if step and all(b - a == step for a, b in zip(rows, rows[1:])):
+    if step and list(rows) == list(range(rows[0], rows[0] + step * len(rows), step)):
         stop = rows[-1] + step
         return slice(rows[0], stop if stop >= 0 else None, step)
     return rows
@@ -987,23 +979,27 @@ def _contract_rows(groups, read, grid, times, rows=slice(None)):
     """Grid values, one flat row per time of ``times[rows]``, of the density
     compiled into ``groups`` over ``times``.
 
-    ``rows`` is a slice of the compiled times: all of them on a small grid,
-    one at a time when streaming.  Each ``B`` goes to one ``evaluate_terms``
-    call as its rows ``rows``; the sources and P jets are read at the times
-    of ``rows`` (``read(alpha, times)`` returns the trajectory jets the
-    groups read, ``_jet_keys``, as rows of their stacks).
+    ``rows`` picks the compiled times a pass contracts, as a slice or a list
+    of row numbers.  Each ``B`` goes to one ``evaluate_terms`` call as its
+    rows ``rows`` (a view when they are evenly spaced); the sources and P
+    jets are read at the times of ``rows`` (``read(alpha, times)`` returns
+    the trajectory jets the groups read, ``_jet_keys``, as rows of their
+    stacks).
     """
-    groups = {key: B[rows] for key, B in groups.items()}
+    if isinstance(rows, slice):
+        rows = range(len(times))[rows]
+    at = _row_index(rows)
+    groups = {key: B[at] for key, B in groups.items()}
 
     def jet_p(gamma):
-        p = read(gamma, times[rows])
+        p = read(gamma, [times[r] for r in rows])
         return p.reshape(p.shape[:2] + (-1,))
 
     out = evaluate_terms(
         groups, functools.partial(_sources, read, rows), jet_p, functools.partial(_weight_values, grid)
     )
     if out is None:
-        return np.zeros((len(times[rows]), grid.npoints), dtype=complex)
+        return np.zeros((len(rows), grid.npoints), dtype=complex)
     return out
 
 
@@ -1037,22 +1033,24 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
 
     ``flux`` is the bilinear current of the operator, ``qviews`` the field
     views of the characteristics over the trajectory ``traj``.  Each view is
-    compiled once, for every sample time (``_groups``); every contraction,
-    kept or streamed, reads that one compile.  When the jets of every time
-    read fit in ``MODE_BLOCK // 2`` grid points (``npoints`` times the
-    distinct times read), one ``traj.jets`` call makes them all, with the
-    sample time as an array axis, and each view is contracted once over all
-    its sample times, reading the jets as views of their stacks.  Otherwise
-    a sample time's jets are made together with those of the sample times
-    whose jets it reads (a reflected time ``s - t`` that is sampled too),
-    each such batch is contracted one time at a time, and its jets are
-    dropped before the next batch.  Returns one series with its relative
-    drift per view, its values in sample-time order.
+    compiled once, for every sample time (``_groups``), and every
+    contraction reads that one compile.  The sample times are grouped into
+    batches: a sample time with the later ones whose jets it reads or that
+    read its jets (a reflected time ``s - t`` that is sampled too).  One
+    loop runs over passes of batches.  When the jets of every time read fit
+    in ``MODE_BLOCK // 2`` grid points (``npoints`` times the distinct times
+    read), one pass holds every batch; otherwise each batch is a pass of its
+    own.  A pass makes its jets in one ``traj.jets`` call, with the sample
+    time as an array axis, checks their support, contracts each view once
+    over the pass's sample times, reading the jets as views of their stacks,
+    and drops them before the next pass.  Returns one series with its
+    relative drift per view, its values in sample-time order.
     With a weighted view, a jet of ``traj`` read at a time, ``u(t)`` among them,
     whose boundary fraction is not within ``support_tol`` raises ``SupportError``,
-    for the first such time in sample order.  An ``AmplificationError`` of a
-    read time surfaces where one batch at a time meets it: after the support
-    errors of earlier sample times, naming the same ``dt``.
+    for the first such time in sample order, once no later pass starts
+    before it.  An ``AmplificationError`` of the one pass reruns the loop one
+    batch per pass, so it surfaces where one batch at a time meets it: after
+    the support errors of earlier sample times, naming the same ``dt``.
     """
     grid = traj.grid
     weighted = any(qview.weighted for qview in qviews)
@@ -1066,14 +1064,9 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
     fractions_u = [0.0] * len(times)
     failures = {}  # sample index -> the SupportError of its first jet outside the support
 
-    def contract_views(jets, rows):
-        for groups, vals, mag in zip(compiled, values, mags):
-            for j, (k, a) in zip(range(len(times))[rows], _integrals(groups, _reader(jets), grid, times, rows)):
-                vals[j], mag[j] = k, a
-
-    def guard(jets, batch):
+    def guard(jets, rows):
         fractions = {key: boundary_fraction(grid, vals) for key, vals in jets.items()}
-        for j in batch:
+        for j in rows:
             fractions_u[j] = fractions[(times[j], u)]
             # ``jets`` lists a time's keys in the order ``traj.jets(reads[j])`` would
             bad = [(key, bf) for key, bf in fractions.items() if key in reads[j] and not (bf <= support_tol)]
@@ -1081,36 +1074,35 @@ def kappa_series(flux, qviews, traj, times, support_tol=SUPPORT_TOL):
                 (tj, alpha), bf = bad[0]
                 failures[j] = f"boundary fraction {bf:.2e} exceeds {support_tol:g} at t={tj:g} in d^{alpha} u"
 
-    kept = None
-    if grid.npoints * len(set().union(*read_times)) <= MODE_BLOCK // 2:
+    def run(passes):
+        # each pass is a sorted list of sample indices; ``later`` is where the next one starts
+        for rows, later in zip(passes, [p[0] for p in passes[1:]] + [len(times)]):
+            jets = traj.jets(set().union(*(reads[j] for j in rows)))
+            if weighted:
+                guard(jets, rows)
+                first = min(failures, default=later)
+                if first < later:
+                    raise SupportError(failures[first])
+            for groups, vals, mag in zip(compiled, values, mags):
+                for j, (k, a) in zip(rows, _integrals(groups, _reader(jets), grid, times, rows)):
+                    vals[j], mag[j] = k, a
+            del jets
+
+    whole = grid.npoints * len(set().union(*read_times)) <= MODE_BLOCK // 2
+    if whole:
         try:
-            kept = traj.jets(set().union(*reads))
+            run([list(range(len(times)))])
         except AmplificationError:
-            pass  # one batch at a time, below, raises it in sample order
-    if kept is not None:
-        if weighted:
-            guard(kept, range(len(times)))
-            if failures:
-                raise SupportError(failures[min(failures)])
-        contract_views(kept, slice(None))
-        del kept
-    else:
-        done = [False] * len(times)
+            whole = False  # the rerun, one batch per pass, raises it in sample order
+    if not whole:
+        batches, done = [], set()
         for i, t in enumerate(times):
-            if not done[i]:
-                batch = [
-                    j for j in range(i, len(times))
-                    if not done[j] and (times[j] in read_times[i] or t in read_times[j])
-                ]
-                jets = traj.jets(set().union(*(reads[j] for j in batch)))
-                for j in batch:
-                    done[j] = True
-                    contract_views(jets, slice(j, j + 1))
-                if weighted:
-                    guard(jets, batch)
-                del jets
-            if i in failures:
-                raise SupportError(failures[i])
+            if i not in done:
+                batches.append([
+                    j for j in range(i, len(times)) if j not in done and (times[j] in read_times[i] or t in read_times[j])
+                ])
+                done.update(batches[-1])
+        run(batches)
     worst = functools.reduce(max, fractions_u, 0.0)
     return [
         KappaSeries(times, tuple(v), sc, drift_of(v, sc), worst if qview.weighted else None)

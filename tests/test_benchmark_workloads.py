@@ -3,7 +3,7 @@
 ``benchmark/workloads.py`` derives scenario profiles and solver seeds from a
 workload seed and re-derives each verdict from the program's report.  A
 check that fails or raises at some seed makes the whole benchmark run exit
-non-zero, so this test runs the scenario suite at workload seeds 0-9 and the
+non-zero, so this test runs the scenario suite at workload seeds 0-49 and the
 report suite once.  The module is loaded from its file and not edited.
 """
 
@@ -37,7 +37,7 @@ def _failed_checks(workload):
     return failed
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(50))
 def test_scenario_suite_checks_pass(workloads, seed):
     assert _failed_checks(workloads.make_workload("scenario-suite", seed)) == []
 

@@ -434,21 +434,6 @@ def test_entry_checks_have_the_bits_of_the_sparse_expressions(momenta, mass):
     for name in ("k0", "k45", "q45", "q0"):
         Q = ops[name]
         assert repr(fk.max_abs_commutator(H, Q)) == repr(fk.max_abs(H @ Q - Q @ H)), name
-    cconst = complex(ops["q45"].multiply(ops["k45"].conj().T.tocsr()).sum())
-    for a, b, scale in (
-        ("q45", "k45", cconst),
-        ("q45", "k45", 0.3 + 0.7j),
-        ("q45_later", "q45", None),
-        ("q0_later", "q0", None),
-        ("q0", "pair", None),
-        ("q0", "k0", None),
-        ("k0", "q0", None),
-        ("k45", "H", 2.5),
-    ):
-        A, B = ops[a], ops[b]
-        want = fk.max_abs(A - (B if scale is None else scale * B))
-        assert repr(fk.max_abs_diff(A, B, scale)) == repr(want), (a, b, scale)
-    assert fk.max_abs_diff(H, H.conj().T) == fk.max_abs(H - H.conj().T) == 0.0
     for a, b in (("q45", "k45"), ("k45", "k45"), ("q0", "q45"), ("q45", "q45"), ("k0", "k45")):
         A, B = ops[a], ops[b]
         got, want = fk.adjoint_sum(A, B), A.multiply(B.conj().T.tocsr()).sum()
@@ -488,15 +473,12 @@ def test_entry_checks_round_complex_products_like_scipy():
         H = _random_csr(rng, 64, 0, diagonal=True)
         assert repr(fk.adjoint_sum(A, B)) == repr(A.multiply(B.conj().T.tocsr()).sum())
         assert repr(fk.max_abs_commutator(H, A)) == repr(fk.max_abs(H @ A - A @ H))
-        assert repr(fk.max_abs_diff(A, B, 0.1 - 2.3j)) == repr(fk.max_abs(A - (0.1 - 2.3j) * B))
 
 
 def test_entry_checks_of_empty_matrices():
     empty = sparse.csr_matrix((4, 4))
     eye = sparse.identity(4, format="csr")
     assert fk.max_abs(empty) == 0.0
-    assert fk.max_abs_diff(empty, empty) == 0.0
-    assert fk.max_abs_diff(eye, empty) == fk.max_abs_diff(empty, eye) == 1.0
     assert fk.max_abs_commutator(eye, empty) == 0.0
     assert repr(fk.adjoint_sum(empty, eye)) == repr(empty.multiply(eye.conj().T.tocsr()).sum())
 
